@@ -3,9 +3,16 @@
 Three reverse-reconciliation protocol variants share one relay circuit:
 
 * ``squeezed``           - both parties homodyne their retained EPR modes.
-* ``squeezed-modified``  - as above, with trusted Gaussian noise mixed into
-                           Bob's mode before his homodyne detection.
+* ``squeezed-modified``  - as above, with trusted Gaussian noise chi_n mixed
+                           into Bob's mode before his homodyne detection.
 * ``coherent``           - both parties heterodyne (coherent-state baseline).
+
+A key rate takes two steps.  The reduced Alice-Bob state (a, b, c) is read
+off the covariance matrix of the assembled circuit; the key rate is then a
+closed-form function of (a, b, c), chi_n and the protocol, with the
+trusted-noise Holevo term of Lodewyck et al., PRA 76, 042305 (2007).  The
+four-mode (A3, B5, N1, N3) circuit of ``build_mdi_state(..., noise=...)``
+is kept only as the matrix oracle that tests check the closed form against.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -36,10 +43,11 @@ from .gaussian import (
     apply_beamsplitter,
     epr_state,
     g_func,
+    heterodyne_condition,
     homodyne_condition,
     linear_feedforward,
     partial_trace,
-    symplectic_eigenvalues,
+    symplectic_eigenvalues,  # unused here; kept importable for layer tracing
     tensor,
     thermal_state,
     two_mode_symplectic,
@@ -220,8 +228,8 @@ def _displaced_pair(params: ProtocolParams, gain: float) -> GaussianState:
 
 
 def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = None,
-                    gain: float | None = None, validate: bool = True) -> GaussianState:
-    """Assemble the kept-mode state of the full EB circuit.
+                    gain: float | None = None) -> GaussianState:
+    """Assemble and validate the kept-mode state of the full EB circuit.
 
     Returns (A3, B4) for the plain circuit, or (A3, B5, N1, N3) when the
     trusted-noise beamsplitter is present.  ``gain`` overrides
@@ -234,18 +242,13 @@ def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = Non
     if g < 0.0:
         raise InvalidParameterError(f"gain must be >= 0, got {g}")
     state = _displaced_pair(params, g)
-    if validate:
-        state.require_physical(context="feedforward")
+    state.require_physical(context="feedforward")
     if noise is None:
-        return state
-    if noise.t_r >= 1.0:
         return state
     state = tensor(state, epr_state(noise.n_r))       # (A3, B4, N2, N1)
     state = apply_beamsplitter(state, 1, 2, noise.t_r)  # slot1 <- B5, slot2 <- N3
     state = partial_trace(state, [0, 1, 3, 2])          # (A3, B5, N1, N3)
-    if validate:
-        state.require_physical(context="added-noise")
-    return state
+    return state.require_physical(context="added-noise")
 
 
 def extract_two_mode(state: GaussianState, tol: float = 1e-8) -> TwoModeCov:
@@ -294,71 +297,97 @@ def mutual_information_heterodyne(tm: TwoModeCov) -> float:
     return math.log2(prod / denom)
 
 
-def _clamp_chi(chi: float) -> tuple[float, bool]:
+def _trusted_noise_conditional(a: float, b: float, c: float,
+                               chi_n: float) -> tuple[float, float, float]:
+    """Conditional spectrum of (A3, N1, N3) given Bob's homodyne on B5 (Lodewyck et al.).
+
+    lambda3,4^2 = (A +/- sqrt(A^2 - 4B))/2 and lambda5 = 1, with the
+    smaller root taken from lambda3*lambda4 = sqrt(B) to avoid cancellation.
+    A lambda4 within 1e-9 below 1 is roundoff; further below is unphysical.
+    """
+    det = a * b - c * c
+    big_a = (chi_n * (a * a + b * b - 2.0 * c * c) + a * det + b) / (b + chi_n)
+    big_b = det * (a + det * chi_n) / (b + chi_n)
+    if big_b <= 0.0:
+        raise NumericDomainError(f"trusted-noise conditional B = {big_b} is not positive")
+    disc = big_a * big_a - 4.0 * big_b
+    if disc < -1e-9 * big_a * big_a:
+        raise NumericDomainError(f"trusted-noise conditional discriminant {disc} is negative")
+    lam3 = math.sqrt((big_a + math.sqrt(max(disc, 0.0))) / 2.0)
+    lam4 = math.sqrt(big_b) / lam3
+    if lam4 < 1.0 - 1e-9:
+        raise NumericDomainError(f"trusted-noise conditional eigenvalue {lam4} is below 1")
+    return lam3, lam4, 1.0
+
+
+def _holevo(tm: TwoModeCov, protocol: str,
+            chi_n: float = 0.0) -> tuple[float, tuple[float, ...], bool]:
+    """Eve's Holevo bound on Bob's data: (chi, symplectic spectrum, clamped).
+
+    Eve purifies the channel, not Bob's trusted noise, so the unconditional
+    term is that of (a, b, c) for every protocol; at chi_n > 0 the
+    conditional term includes the retained noise modes N1, N3.
+    """
+    a, b, c = tm.a, tm.b, tm.c
+    lam1, lam2 = two_mode_symplectic(a, b, c)
+    if protocol == "coherent":
+        lam3 = a - c * c / (b + 1.0)
+        if lam3 <= 0.0:
+            raise NumericDomainError(f"conditional eigenvalue {lam3} is not positive")
+        cond = (lam3,)
+    elif chi_n == 0.0:
+        lam3_sq = a * (a - c * c / b)
+        if lam3_sq <= 0.0:
+            raise NumericDomainError(f"conditional eigenvalue squared {lam3_sq} is not positive")
+        cond = (math.sqrt(lam3_sq),)
+    else:
+        cond = _trusted_noise_conditional(a, b, c, chi_n)
+    chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
+    for lam in cond:
+        chi -= g_func(max(lam - 1.0, 0.0) / 2.0)
+    lams = (lam1, lam2, *cond)
     if chi >= 0.0:
-        return chi, False
+        return chi, lams, False
     if chi < -CHI_CLAMP_TOL:
         raise NumericDomainError(f"Holevo bound came out {chi} < -{CHI_CLAMP_TOL}: likely a bug")
-    return 0.0, True
+    return 0.0, lams, True
 
 
-def _holevo_squeezed_detail(tm: TwoModeCov) -> tuple[float, tuple[float, ...], bool]:
-    lam1, lam2 = two_mode_symplectic(tm.a, tm.b, tm.c)
-    lam3_sq = tm.a * (tm.a - tm.c * tm.c / tm.b)
-    if lam3_sq <= 0.0:
-        raise NumericDomainError(f"conditional eigenvalue squared {lam3_sq} is not positive")
-    lam3 = math.sqrt(lam3_sq)
-    chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0) \
-        - g_func(max(lam3 - 1.0, 0.0) / 2.0)
-    chi, clamped = _clamp_chi(chi)
-    return chi, (lam1, lam2, lam3), clamped
+def _rate_terms(tm: TwoModeCov, protocol: str,
+                chi_n: float) -> tuple[float, float, tuple[float, ...], bool]:
+    """(I_AB, chi, lambdas, clamped) of one protocol on the reduced state.
 
-
-def _holevo_coherent_detail(tm: TwoModeCov) -> tuple[float, tuple[float, ...], bool]:
-    lam1, lam2 = two_mode_symplectic(tm.a, tm.b, tm.c)
-    lam3 = tm.a - tm.c * tm.c / (tm.b + 1.0)
-    if lam3 <= 0.0:
-        raise NumericDomainError(f"conditional eigenvalue {lam3} is not positive")
-    chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0) \
-        - g_func(max(lam3 - 1.0, 0.0) / 2.0)
-    chi, clamped = _clamp_chi(chi)
-    return chi, (lam1, lam2, lam3), clamped
-
-
-def _holevo_modified_detail(state: GaussianState,
-                            pre_noise: TwoModeCov) -> tuple[float, tuple[float, ...], bool]:
-    # Eve purifies the channel, not Bob's trusted noise: the unconditional
-    # term keeps the eigenvalue pair of the pre-noise (A3, B4) state, and
-    # the conditional term includes the retained noise modes N1, N3.
-    lam1, lam2 = two_mode_symplectic(pre_noise.a, pre_noise.b, pre_noise.c)
-    cond = homodyne_condition(state, mode=1, quadrature="x")
-    cond_lams = symplectic_eigenvalues(cond)
-    chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
-    for lam in cond_lams:
-        chi -= g_func(max(float(lam) - 1.0, 0.0) / 2.0)
-    chi, clamped = _clamp_chi(chi)
-    return chi, (lam1, lam2, *(float(v) for v in cond_lams)), clamped
+    The trusted noise adds chi_n to Bob's variance in I_AB only.
+    """
+    if protocol == "coherent":
+        i_ab = mutual_information_heterodyne(tm)
+    elif chi_n == 0.0:
+        i_ab = mutual_information_homodyne(tm)
+    else:
+        i_ab = mutual_information_homodyne(TwoModeCov(tm.a, tm.b + chi_n, tm.c))
+    chi, lams, clamped = _holevo(tm, protocol, chi_n)
+    return i_ab, chi, lams, clamped
 
 
 def holevo_rr_squeezed(tm: TwoModeCov) -> float:
     """Eve's bound on Bob's homodyne data, from the closed eigenvalue forms."""
-    return _holevo_squeezed_detail(tm)[0]
+    return _holevo(tm, "squeezed")[0]
 
 
 def holevo_rr_coherent(tm: TwoModeCov) -> float:
     """Eve's bound on Bob's heterodyne data (coherent-state baseline)."""
-    return _holevo_coherent_detail(tm)[0]
+    return _holevo(tm, "coherent")[0]
 
 
-def holevo_rr_modified(state: GaussianState, pre_noise: TwoModeCov) -> float:
-    """Eve's bound for the trusted-noise protocol.
+def holevo_rr_modified(tm: TwoModeCov, chi_n: float) -> float:
+    """Eve's bound for the trusted-noise protocol; ``tm`` is the pre-noise state.
 
-    ``state`` is the four-mode (A3, B5, N1, N3) output of build_mdi_state;
-    ``pre_noise`` the (a, b, c) of the same circuit without the noise stage.
+    Equals ``holevo_generic(build_mdi_state(params, noise, gain), 1,
+    "homodyne")``, because the noise pair (N1, N2) is pure.
     """
-    if state.n_modes != 4:
-        raise InvalidParameterError(f"expected the 4-mode noisy state, got {state.n_modes} modes")
-    return _holevo_modified_detail(state, pre_noise)[0]
+    if chi_n < 0.0:
+        raise InvalidParameterError(f"chi_n must be >= 0, got {chi_n}")
+    return _holevo(tm, "squeezed-modified", chi_n)[0]
 
 
 def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) -> float:
@@ -371,7 +400,6 @@ def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) 
     if conditioning == "homodyne":
         cond = homodyne_condition(state, measured_mode, "x")
     elif conditioning == "heterodyne":
-        from .gaussian import heterodyne_condition
         cond = heterodyne_condition(state, measured_mode)
     else:
         raise InvalidParameterError(f"unknown conditioning {conditioning!r}")
@@ -393,25 +421,11 @@ def _resolve_noise(params: ProtocolParams,
 
 
 def _key_rate_at_gain(params: ProtocolParams, noise: AddedNoiseParams | None,
-                      gain: float, validate: bool = False) -> float:
-    """Key rate in bits/use at a fixed gain; fast path for the optimizer."""
-    pair = build_mdi_state(params, noise=None, gain=gain, validate=validate)
-    tm = extract_two_mode(pair)
-    if params.protocol == "coherent":
-        i_ab = mutual_information_heterodyne(tm)
-        chi, _, _ = _holevo_coherent_detail(tm)
-    elif params.protocol == "squeezed":
-        i_ab = mutual_information_homodyne(tm)
-        chi, _, _ = _holevo_squeezed_detail(tm)
-    else:
-        assert noise is not None
-        noisy = TwoModeCov(tm.a, tm.b + noise.chi_n, tm.c)
-        i_ab = mutual_information_homodyne(noisy)
-        if noise.t_r >= 1.0:
-            chi, _, _ = _holevo_squeezed_detail(tm)
-        else:
-            state4 = build_mdi_state(params, noise=noise, gain=gain, validate=validate)
-            chi, _, _ = _holevo_modified_detail(state4, tm)
+                      gain: float) -> float:
+    """Key rate at a fixed gain, unvalidated and without a report: the gain objective."""
+    tm = extract_two_mode(_displaced_pair(params, gain))
+    i_ab, chi, _, _ = _rate_terms(tm, params.protocol,
+                                  0.0 if noise is None else noise.chi_n)
     return params.beta * i_ab - chi
 
 
@@ -445,47 +459,27 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
 def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> KeyRateReport:
     """Secret key rate K = beta I(A:B) - chi(B:E) for one parameter point.
 
-    Assembles the circuit, optimizes the displacement gain unless
-    ``params.gain`` is set, and evaluates the protocol variant selected by
-    ``params.protocol``.
+    Assembles and validates the circuit, optimizes the displacement gain
+    unless ``params.gain`` is set, and evaluates the protocol variant
+    selected by ``params.protocol``.
     """
     noise = _resolve_noise(params, noise)
     g = params.gain if params.gain is not None else optimal_gain(params, noise)
+    chi_n = 0.0 if noise is None else noise.chi_n
     try:
-        pair = build_mdi_state(params, noise=None, gain=g)
-        tm = extract_two_mode(pair)
-        if params.protocol == "coherent":
-            i_ab = mutual_information_heterodyne(tm)
-            chi, lams, clamped = _holevo_coherent_detail(tm)
-            reduced = tm
-            chi_n = 0.0
-        elif params.protocol == "squeezed":
-            i_ab = mutual_information_homodyne(tm)
-            chi, lams, clamped = _holevo_squeezed_detail(tm)
-            reduced = tm
-            chi_n = 0.0
-        else:
-            assert noise is not None
-            chi_n = noise.chi_n
-            reduced = TwoModeCov(tm.a, tm.b + chi_n, tm.c)
-            i_ab = mutual_information_homodyne(reduced)
-            if noise.t_r >= 1.0:
-                chi, lams, clamped = _holevo_squeezed_detail(tm)
-            else:
-                state4 = build_mdi_state(params, noise=noise, gain=g)
-                chi, lams, clamped = _holevo_modified_detail(state4, tm)
+        tm = extract_two_mode(build_mdi_state(params, gain=g))
+        i_ab, chi, lams, clamped = _rate_terms(tm, params.protocol, chi_n)
     except (NumericDomainError, StructuralError) as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc
-    flags = ("holevo_clamped",) if clamped else ()
     return KeyRateReport(
         mutual_info=i_ab,
         holevo=chi,
         key_rate=params.beta * i_ab - chi,
         lambdas=lams,
         gain_used=g,
-        reduced=reduced,
+        reduced=tm if chi_n == 0.0 else TwoModeCov(tm.a, tm.b + chi_n, tm.c),
         chi_n=chi_n,
-        flags=flags,
+        flags=("holevo_clamped",) if clamped else (),
     )
 
 

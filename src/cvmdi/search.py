@@ -20,10 +20,9 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     if hi <= lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     best_x, best_f = lo, f(lo)
-    for x in (hi,):
-        fx = f(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
+    f_hi = f(hi)
+    if f_hi > best_f:
+        best_x, best_f = hi, f_hi
     x1 = hi - INVPHI * (hi - lo)
     x2 = lo + INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cvmdi import (
     AddedNoiseParams,
     GaussianState,
     InvalidParameterError,
+    NumericDomainError,
     ProtocolParams,
     StructuralError,
     TwoModeCov,
@@ -20,13 +22,15 @@ from cvmdi import (
     holevo_rr_coherent,
     holevo_rr_modified,
     holevo_rr_squeezed,
+    homodyne_condition,
     key_rate,
     mutual_information_heterodyne,
     mutual_information_homodyne,
     optimal_gain,
+    symplectic_eigenvalues,
     with_geometry,
 )
-from cvmdi.protocols import _key_rate_at_gain, gain_bracket
+from cvmdi.protocols import _key_rate_at_gain, _trusted_noise_conditional, gain_bracket
 from helpers import (
     c_edge,
     oracle_holevo,
@@ -215,6 +219,12 @@ def test_holevo_closed_vs_generic_on_circuit_states():
             holevo_generic(st, 1, "homodyne"), abs=1e-9)
         assert holevo_rr_coherent(tm) == pytest.approx(
             holevo_generic(st, 1, "heterodyne"), abs=1e-9)
+        # trusted-noise closed form against the 4-mode (A3, B5, N1, N3) state;
+        # the matrix route loses ~1e-10 of chi relative at large variances
+        noise = AddedNoiseParams.from_chi_n(10 ** rng.uniform(-3.0, 1.7))
+        st4 = build_mdi_state(p, noise=noise, gain=g)
+        assert holevo_rr_modified(tm, noise.chi_n) == pytest.approx(
+            holevo_generic(st4, 1, "homodyne"), rel=2e-9)
 
 
 def test_holevo_against_eavesdropper_side_oracle():
@@ -240,8 +250,7 @@ def test_holevo_against_eavesdropper_side_oracle():
             assert holevo_rr_coherent(tm) == pytest.approx(
                 oracle_holevo(circ, "heterodyne"), abs=tol)
         else:
-            st4 = build_mdi_state(params, noise=noise, gain=g)
-            assert holevo_rr_modified(st4, tm) == pytest.approx(
+            assert holevo_rr_modified(tm, noise.chi_n) == pytest.approx(
                 oracle_holevo(circ, "homodyne"), abs=tol)
 
 
@@ -269,6 +278,10 @@ def test_modified_equals_squeezed_as_noise_vanishes():
         noise = AddedNoiseParams(t_r=1.0 - 1e-9, n_r=1.0)
         k_mod = _key_rate_at_gain(replace_protocol(base, "squeezed-modified"), noise, g)
         assert abs(k_mod - k_sq) < tol
+        # at chi_n = 0 exactly the trusted-noise form is the squeezed one
+        k_zero = _key_rate_at_gain(replace_protocol(base, "squeezed-modified"),
+                                   AddedNoiseParams.from_chi_n(0.0), g)
+        assert k_zero == k_sq
 
 
 def test_modified_chi_depends_only_on_chi_n():
@@ -280,10 +293,18 @@ def test_modified_chi_depends_only_on_chi_n():
                     AddedNoiseParams(t_r=0.5, n_r=3.0),
                     AddedNoiseParams(t_r=0.8, n_r=12.0)]
     ks = []
+    oracle_chis = []
     for noise in realizations:
         assert noise.chi_n == pytest.approx(chi_target, abs=1e-12)
         ks.append(_key_rate_at_gain(p, noise, g))
+        # the production path sees chi_n alone; the invariance it relies on
+        # is checked on the 4-mode matrix oracle, which sees (t_r, n_r)
+        oracle_chis.append(holevo_generic(build_mdi_state(p, noise=noise, gain=g),
+                                          1, "homodyne"))
     assert max(ks) - min(ks) < 1e-9
+    assert max(oracle_chis) - min(oracle_chis) < 1e-9
+    tm = extract_two_mode(build_mdi_state(p, gain=g))
+    assert holevo_rr_modified(tm, chi_target) == pytest.approx(oracle_chis[0], abs=1e-9)
 
 
 def test_modified_matches_generic_entropy_engine():
@@ -292,12 +313,35 @@ def test_modified_matches_generic_entropy_engine():
     g = 1.8
     st4 = build_mdi_state(p, noise=noise, gain=g)
     tm = extract_two_mode(build_mdi_state(p, gain=g))
-    assert holevo_rr_modified(st4, tm) == pytest.approx(
+    assert holevo_rr_modified(tm, noise.chi_n) == pytest.approx(
         holevo_generic(st4, 1, "homodyne"), abs=1e-9)
 
 
+@pytest.mark.parametrize("a,b,c,chi_n,message", [
+    (1.0, 1.0, 2.0, 0.1, "is not positive"),   # ab - c^2 < 0 makes B < 0
+    (0.5, 2.5, 2.0, 2.5, "discriminant"),      # B > 0 but A^2 < 4B
+    (1.0, 1.0, 0.5, 1.0, "below 1"),           # real roots, lambda4 < 1
+])
+def test_trusted_noise_conditional_domain_errors(a, b, c, chi_n, message):
+    with pytest.raises(NumericDomainError, match=message):
+        _trusted_noise_conditional(a, b, c, chi_n)
+
+
+def test_trusted_noise_conditional_spectrum():
+    # lambda3 >= lambda4 >= lambda5 = 1, ordered as symplectic_eigenvalues
+    # orders the conditional (A3, N1, N3) spectrum of the matrix oracle
+    p = replace_protocol(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=20.0, l_bc=0.0),
+                         "squeezed-modified")
+    noise = AddedNoiseParams.from_chi_n(1.5)
+    g = 1.3
+    tm = extract_two_mode(build_mdi_state(p, gain=g))
+    lams = _trusted_noise_conditional(tm.a, tm.b, tm.c, noise.chi_n)
+    cond = homodyne_condition(build_mdi_state(p, noise=noise, gain=g), 1, "x")
+    np.testing.assert_allclose(lams, symplectic_eigenvalues(cond), rtol=1e-10)
+    assert lams[2] == 1.0
+
+
 def replace_protocol(params, protocol):
-    from dataclasses import replace
     return replace(params, protocol=protocol)
 
 
@@ -324,6 +368,21 @@ def test_key_rate_oracle_agreement_at_10km():
     i_ref = 0.5 * math.log2(a * b / (a * b - c * c))
     k_ref = IDEAL_10KM.beta * i_ref - oracle_holevo(circ, "homodyne")
     assert r.key_rate == pytest.approx(k_ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("protocol,noise", [
+    ("squeezed", None),
+    ("coherent", None),
+    ("squeezed-modified", AddedNoiseParams.from_chi_n(2.0)),
+    ("squeezed-modified", AddedNoiseParams.from_chi_n(0.0)),
+])
+def test_key_rate_equals_gain_objective(protocol, noise):
+    # one evaluation path: the report at a fixed gain and the gain search's
+    # objective give the same float
+    p = replace_protocol(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=15.0, l_bc=2.0,
+                                        eta=0.9, v_el=0.015), protocol)
+    for g in (0.4, 1.1, 2.3):
+        assert key_rate(replace(p, gain=g), noise).key_rate == _key_rate_at_gain(p, noise, g)
 
 
 def test_key_rate_zero_beta_never_positive():
