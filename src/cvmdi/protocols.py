@@ -7,12 +7,17 @@ Three reverse-reconciliation protocol variants share one relay circuit:
                            into Bob's mode before his homodyne detection.
 * ``coherent``           - both parties heterodyne (coherent-state baseline).
 
-A key rate takes two steps.  The reduced Alice-Bob state (a, b, c) is read
-off the covariance matrix of the assembled circuit; the key rate is then a
-closed-form function of (a, b, c), chi_n and the protocol, with the
-trusted-noise Holevo term of Lodewyck et al., PRA 76, 042305 (2007).  The
-four-mode (A3, B5, N1, N3) circuit of ``build_mdi_state(..., noise=...)``
-is kept only as the matrix oracle that tests check the closed form against.
+A key rate is evaluated in three steps.  The gain-independent relay
+covariance of modes (A3, C2, B3, D2) is assembled once per parameter point,
+and the few of its entries that the displaced pair (A3, B4) depends on are
+read off as gain coefficients.  At each gain g the reduced Alice-Bob state
+(a, b, c) is then a scalar quadratic in g over those coefficients.  The key
+rate is a closed-form function of (a, b, c), chi_n and the protocol, with
+the trusted-noise Holevo term of Lodewyck et al., PRA 76, 042305 (2007).
+The matrix route (``build_mdi_state``, ``extract_two_mode``) still
+validates each reported point; its four-mode (A3, B5, N1, N3) circuit with
+``noise=...`` is kept only as the oracle that tests check the closed form
+against.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -62,6 +67,11 @@ PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
 CHI_CLAMP_TOL = 1e-9
 
 GAIN_TOL = 1e-6
+
+# Relative tolerance of the symmetric two-mode form (a, b, c) of (A3, B4).
+TWO_MODE_TOL = 1e-8
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -196,8 +206,10 @@ def _lossy_channel(state: GaussianState, mode: int, transmittance: float,
 def _relay_state(params: ProtocolParams) -> GaussianState:
     """Gain-independent circuit prefix: modes (A3, C2, B3, D2).
 
-    Cached because gain optimization re-evaluates the feedforward many
-    times per parameter point; ProtocolParams is frozen and hashable.
+    The first step of every key rate: ``_gain_coefficients`` reads the
+    displaced pair's coefficients off this covariance, and
+    ``_displaced_pair`` applies the feedforward to it for validation.
+    Cached per parameter point; ProtocolParams is frozen and hashable.
     """
     state = tensor(epr_state(params.v_a), epr_state(params.v_b))  # (A3, A2, B3, B2)
     state = _lossy_channel(state, 1, params.t_1, params.eps1)     # A2 -> A1
@@ -227,6 +239,62 @@ def _displaced_pair(params: ProtocolParams, gain: float) -> GaussianState:
     return linear_feedforward(relay, m)
 
 
+# Relay-covariance indices of (a, b0, b1, b2, c0, c1) on each quadrature:
+# A3 = (0, 1), C2 = (2, 3), B3 = (4, 5), D2 = (6, 7).  B4x = B3x + g C2x
+# and B4p = B3p + g D2p, so the x side reads C2 and the p side D2.
+_X_COEFFS = ((0, 0), (4, 4), (2, 4), (2, 2), (0, 4), (0, 2))
+_P_COEFFS = ((1, 1), (5, 5), (5, 7), (7, 7), (1, 5), (1, 7))
+
+
+@lru_cache(maxsize=128)
+def _gain_coefficients(params: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """x- and p-side (a, b0, b1, b2, c0, c1) of the displaced pair (A3, B4).
+
+    At gain g the pair has variances a and b = b0 + 2 g b1 + g^2 b2 and
+    correlation c = c0 + g c1 on each quadrature.  The relay's x-p coupling
+    is checked here, once per point, at the tolerance of ``extract_two_mode``.
+    """
+    cov = _relay_state(params).cov
+    mag = np.abs(cov)
+    scale = max(1.0, float(mag.max()))
+    coupling = float(mag[0::2, 1::2].max())
+    if coupling > TWO_MODE_TOL * scale:
+        raise StructuralError(
+            f"relay covariance couples x and p by {coupling} "
+            f"(tolerance {TWO_MODE_TOL * scale})")
+    rows = cov.tolist()
+    return (tuple(rows[i][j] for i, j in _X_COEFFS),
+            tuple(rows[i][j] for i, j in _P_COEFFS))
+
+
+def _reduced_state(params: ProtocolParams, g: float) -> TwoModeCov:
+    """Reduced state (a, b, c) of (A3, B4) at one gain, in scalar arithmetic.
+
+    Equal, bit for bit, to ``extract_two_mode(_displaced_pair(params, g))``:
+    the operation order is that of the matrix product.  The x/p symmetry is
+    checked per gain, as there.  When rounding in b, whose terms can cancel
+    from far above its value, exceeds that tolerance, b is not certified
+    and NumericDomainError is raised.
+    """
+    (a, b0, b1, b2, c0, c1), (a_p, b0_p, b1_p, b2_p, c0_p, c1_p) = _gain_coefficients(params)
+    b = (g * b2 + b1) * g + (g * b1 + b0)
+    c = c1 * g + c0
+    b_p = (g * b2_p + b1_p) * g + (g * b1_p + b0_p)
+    c_p = c1_p * g + c0_p
+    tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c), abs(a_p), abs(b_p), abs(c_p))
+    dev = max(abs(a_p - a), abs(b_p - b), abs(c_p + c))
+    if dev > tol:
+        raise StructuralError(
+            f"covariance deviates from the symmetric two-mode form by {dev} "
+            f"(tolerance {tol})")
+    err_b = 4.0 * _EPS * (abs(b0) + 2.0 * abs(g * b1) + g * g * abs(b2))
+    if err_b > tol:
+        raise NumericDomainError(
+            f"b = {b} cancels from terms of size {abs(b0) + g * g * abs(b2)}: "
+            f"rounding {err_b} exceeds the tolerance {tol}")
+    return TwoModeCov(a=a, b=b, c=c)
+
+
 def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = None,
                     gain: float | None = None) -> GaussianState:
     """Assemble and validate the kept-mode state of the full EB circuit.
@@ -251,7 +319,7 @@ def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = Non
     return state.require_physical(context="added-noise")
 
 
-def extract_two_mode(state: GaussianState, tol: float = 1e-8) -> TwoModeCov:
+def extract_two_mode(state: GaussianState, tol: float = TWO_MODE_TOL) -> TwoModeCov:
     """Read (a, b, c) off a two-mode covariance of the symmetric form.
 
     Any x/p asymmetry or x-p cross coupling beyond tol * max-entry signals
@@ -423,7 +491,7 @@ def _resolve_noise(params: ProtocolParams,
 def _key_rate_at_gain(params: ProtocolParams, noise: AddedNoiseParams | None,
                       gain: float) -> float:
     """Key rate at a fixed gain, unvalidated and without a report: the gain objective."""
-    tm = extract_two_mode(_displaced_pair(params, gain))
+    tm = _reduced_state(params, gain)
     i_ab, chi, _, _ = _rate_terms(tm, params.protocol,
                                   0.0 if noise is None else noise.chi_n)
     return params.beta * i_ab - chi
@@ -467,7 +535,8 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
     g = params.gain if params.gain is not None else optimal_gain(params, noise)
     chi_n = 0.0 if noise is None else noise.chi_n
     try:
-        tm = extract_two_mode(build_mdi_state(params, gain=g))
+        build_mdi_state(params, gain=g)  # physicality of the reported point
+        tm = _reduced_state(params, g)
         i_ab, chi, lams, clamped = _rate_terms(tm, params.protocol, chi_n)
     except (NumericDomainError, StructuralError) as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,14 @@ CONFIGS = REPO / "configs"
 SHIPPED_SWEEP = CONFIGS / "symmetric_ideal_sweep.json"
 
 
+# the CLI child imports cvmdi from this checkout's src/, as the tests do
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "cvmdi.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=CHILD_ENV, **kw)
 
 
 def parse_csv(text):
@@ -211,8 +217,8 @@ def test_csv_written_to_file(tmp_path):
 
 
 def test_numeric_failure_exit_code(tmp_path):
-    # a source-variance hierarchy this extreme breaks the x/p symmetry of
-    # the assembled covariance in double precision -> numeric exit, not a crash
+    # at v_b = 1e10 Bob's variance b ~ 6 cancels out of terms ~ 1e10, so the
+    # cancellation guard on b refuses it -> numeric exit, not a crash
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps({"v_a": 5.04, "v_b": 1e10, "eps1": 0.0, "eps2": 0.0,
                                "l_ac": 0.0, "l_bc": 0.0}))

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,16 @@ from cvmdi import (
     symplectic_eigenvalues,
     with_geometry,
 )
-from cvmdi.protocols import _key_rate_at_gain, _trusted_noise_conditional, gain_bracket
+from cvmdi import protocols
+from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
+from cvmdi.protocols import (
+    _displaced_pair,
+    _gain_coefficients,
+    _key_rate_at_gain,
+    _reduced_state,
+    _trusted_noise_conditional,
+    gain_bracket,
+)
 from helpers import (
     c_edge,
     oracle_holevo,
@@ -172,6 +182,53 @@ def test_extract_two_mode_rejects_asymmetry():
         extract_two_mode(GaussianState(cov))
     with pytest.raises(InvalidParameterError):
         extract_two_mode(GaussianState(np.eye(6)))
+
+
+def test_reduced_state_equals_matrix_route():
+    # the scalar (a, b, c)(g) reproduces the feedforward product bit for bit,
+    # including the lossless arms at V = 1e5 where b cancels from ~1e5 terms
+    rng = random.Random(20140603)
+    for _ in range(400):
+        v = rng.choice([VARIANCE_PRESETS["ideal"], VARIANCE_PRESETS["realistic"],
+                        rng.uniform(1.5, 50.0)])
+        eta, v_el = DETECTOR_PRESETS[rng.choice(sorted(DETECTOR_PRESETS))]
+        p = ProtocolParams(v_a=v, v_b=v,
+                           l_ac=rng.choice([0.0, rng.uniform(0.0, 60.0)]),
+                           l_bc=rng.choice([0.0, rng.uniform(0.0, 10.0)]),
+                           eta=eta, v_el=v_el)
+        g = rng.uniform(0.0, 3.0)
+        assert _reduced_state(p, g) == extract_two_mode(_displaced_pair(p, g))
+
+
+@pytest.mark.parametrize("i,j", [(1, 1), (5, 5), (7, 7), (1, 7), (2, 7)])
+def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
+    # an x/p mismatch of a, b or c is caught per gain; the x-p coupling
+    # (2, 7) once per point, when the gain coefficients are read
+    honest = protocols._relay_state
+
+    def planted(params):
+        cov = honest(params).cov.copy()
+        cov[i, j] += 1e-3
+        if i != j:
+            cov[j, i] += 1e-3
+        return GaussianState(cov)
+
+    p = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0)
+    _gain_coefficients.cache_clear()
+    monkeypatch.setattr(protocols, "_relay_state", planted)
+    try:
+        with pytest.raises(StructuralError):
+            _reduced_state(p, 1.2)
+    finally:
+        _gain_coefficients.cache_clear()
+
+
+def test_reduced_state_rejects_cancelled_b():
+    # b ~ 6 cancels out of terms ~ 1e10: its rounding alone exceeds the
+    # two-mode tolerance, so no key rate is reported
+    p = ProtocolParams(v_a=5.04, v_b=1e10, eps1=0.0, eps2=0.0, l_ac=0.0, l_bc=0.0)
+    with pytest.raises(NumericDomainError):
+        key_rate(p)
 
 
 # ----------------------------------------------------------- information measures
@@ -444,3 +501,28 @@ def test_optimal_gain_grid_agreement_at_10km():
     k_grid = max(_key_rate_at_gain(IDEAL_10KM, None, float(x)) for x in grid)
     assert abs(k_star - k_grid) < 1e-9
     assert k_star >= k_grid - 1e-12
+
+
+@pytest.mark.parametrize("variance", sorted(VARIANCE_PRESETS))
+@pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
+@pytest.mark.parametrize("protocol,chi_n", [
+    ("squeezed", None),
+    ("coherent", None),
+    ("squeezed-modified", 0.0),
+    ("squeezed-modified", 1.0),
+    ("squeezed-modified", 10.0),
+])
+def test_gain_profile_is_unimodal(protocol, chi_n, detector, variance):
+    # golden-section search assumes K(g) rises, then falls on [0, gain_bracket]
+    eta, v_el = DETECTOR_PRESETS[detector]
+    v = VARIANCE_PRESETS[variance]
+    noise = None if chi_n is None else AddedNoiseParams.from_chi_n(chi_n)
+    for l_ac in (0.0, 0.5, 5.0, 12.0, 30.0):
+        for l_bc in (0.0, 1.0, 5.0):
+            p = ProtocolParams(v_a=v, v_b=v, l_ac=l_ac, l_bc=l_bc, eta=eta, v_el=v_el,
+                               protocol=protocol)
+            grid = np.linspace(0.0, gain_bracket(p), 161)
+            k = np.array([_key_rate_at_gain(p, noise, float(g)) for g in grid])
+            steps = np.sign(np.diff(k))
+            steps = steps[steps != 0.0]
+            assert not np.any((steps[:-1] < 0.0) & (steps[1:] > 0.0)), (l_ac, l_bc)
