@@ -3,6 +3,7 @@ distances, added-noise optimization, and protocol comparison tables."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -173,26 +174,22 @@ class MaxDistanceResult:
 
 
 def max_distance(params: ProtocolParams, mode: str = "symmetric",
-                 noise_policy: str = "none", noise: AddedNoiseParams | None = None,
+                 noise: AddedNoiseParams | None = None,
                  tol_km: float = 0.05, cap_km: float = SCAN_CAP_KM) -> MaxDistanceResult:
     """Largest channel length with positive key rate.
 
     mode 'symmetric' scans d = L_AC = L_BC (total L_AB = 2d); mode
-    'fixed-lbc' scans L_AC at the configured L_BC.  noise_policy:
-    'none' for the plain protocols, 'fixed' to use `noise` as given,
-    'optimized' to re-optimize chi_n inside every evaluation.  Found by a
-    1 km forward scan for the last positive point, then bisection.
+    'fixed-lbc' scans L_AC at the configured L_BC.  The squeezed-modified
+    protocol uses `noise` as given, or re-optimizes chi_n inside every
+    evaluation when `noise` is None; the plain protocols take no noise.
+    Found by a 1 km forward scan for the last positive point, then
+    bisection to `tol_km`, which must be positive and finite.
     """
     if mode not in ("symmetric", "fixed-lbc"):
         raise InvalidParameterError(f"unknown max-distance mode {mode!r}")
-    if noise_policy not in ("none", "fixed", "optimized"):
-        raise InvalidParameterError(f"unknown noise policy {noise_policy!r}")
-    if noise_policy == "none" and params.protocol == "squeezed-modified":
-        raise InvalidParameterError(
-            "protocol 'squeezed-modified' needs noise_policy 'fixed' or 'optimized'")
-    if noise_policy != "none" and params.protocol != "squeezed-modified":
-        raise InvalidParameterError(
-            f"noise policy {noise_policy!r} needs protocol 'squeezed-modified'")
+    if not 0.0 < tol_km < math.inf:
+        raise InvalidParameterError(f"tol_km must be positive and finite, got {tol_km}")
+    optimize_noise = params.protocol == "squeezed-modified" and noise is None
 
     def geometry(length: float) -> ProtocolParams:
         if mode == "symmetric":
@@ -201,10 +198,10 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
 
     def k_of(length: float) -> float:
         p = geometry(length)
-        if noise_policy == "optimized":
+        if optimize_noise:
             _, k = optimize_added_noise(p)
             return k
-        return key_rate(p, noise if noise_policy == "fixed" else None).key_rate
+        return key_rate(p, noise).key_rate
 
     def total(length: float) -> float:
         return 2.0 * length if mode == "symmetric" else length + params.l_bc
@@ -254,9 +251,8 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
                 raise InvalidParameterError(f"unknown detector preset {det!r}")
             eta, v_el = DETECTOR_PRESETS[det]
             p = replace(base, protocol=protocol, eta=eta, v_el=v_el)
-            policy = "optimized" if protocol == "squeezed-modified" else "none"
             if geometry == "symmetric":
-                res = max_distance(p, mode="symmetric", noise_policy=policy, tol_km=tol_km)
+                res = max_distance(p, mode="symmetric", tol_km=tol_km)
                 rows.append(ComparisonRow(protocol, det, None, res.l_star_km, res.l_ab_km,
                                           res.positive_at_origin, res.capped))
             else:
@@ -264,7 +260,7 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
                 best = None
                 for l_bc in grid:
                     res = max_distance(with_geometry(p, l_bc=l_bc), mode="fixed-lbc",
-                                       noise_policy=policy, tol_km=tol_km)
+                                       tol_km=tol_km)
                     row = ComparisonRow(protocol, det, l_bc, res.l_star_km, res.l_ab_km,
                                         res.positive_at_origin, res.capped)
                     if best is None or row.l_ab_km > best.l_ab_km:

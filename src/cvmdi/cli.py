@@ -5,6 +5,16 @@ Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  Outputs are deterministic CSV or JSON
 tables carrying the fully resolved configuration as provenance.
 
+Every table is written by ``_write`` from rows of JSON-shaped dicts.  The
+headers are spelled in three constants: REPORT_COLUMNS (one key-rate
+report; ``sweep`` puts ``x_<unit>`` in front of it and ``optnoise``
+``chi_n_star_snu,K_star_bits``), MAXDIST_COLUMNS and COMPARE_COLUMNS.
+CSV is a ``# config`` line, the header and one line per row.  JSON is
+``{"metadata", "rows"}`` for keyrate, sweep and compare, and
+``{"metadata", "result"}`` holding the single row for maxdist and
+optnoise; every number in a row is rounded to ``precision`` significant
+digits in both formats.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric or physicality
 error.
 """
@@ -13,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -20,17 +31,14 @@ from . import __version__
 from .analysis import (
     DETECTOR_PRESETS,
     VARIANCE_PRESETS,
-    ComparisonTable,
-    MaxDistanceResult,
     SweepSpec,
-    SweepResult,
     compare_protocols,
     max_distance,
     optimize_added_noise,
     sweep,
 )
 from .errors import CVMDIError, InvalidParameterError, NumericDomainError, StructuralError
-from .protocols import AddedNoiseParams, KeyRateReport, ProtocolParams, key_rate
+from .protocols import AddedNoiseParams, KeyRateReport, ProtocolParams, key_rate, with_geometry
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -61,11 +69,17 @@ DEFAULTS = {
 
 _SWEEP_KEYS = {"variable", "start", "stop", "step", "optimize_noise"}
 
-CSV_COLUMNS = ["x", "I_AB_bits", "chi_BE_bits", "K_bits",
-               "lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
-               "gain", "chi_N_snu", "flags"]
+REPORT_COLUMNS = ["I_AB_bits", "chi_BE_bits", "K_bits",
+                  "lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
+                  "gain", "chi_N_snu", "flags"]
+MAXDIST_COLUMNS = ["l_star_km", "l_ab_km", "mode", "positive_at_origin", "capped", "tol_km"]
+COMPARE_COLUMNS = ["protocol", "detector", "l_bc_km", "l_star_km", "l_ab_km",
+                   "positive_at_origin", "capped"]
 
 X_UNITS = {"distance-symmetric": "km", "lac-with-fixed-lbc": "km", "chi-n": "snu"}
+MAXDIST_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
+                 "most-asymmetric": "fixed-lbc"}
+OPTIMIZE = {"optimize": None}
 
 
 def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
@@ -94,85 +108,69 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _merge(config_path: str | None, args: argparse.Namespace) -> dict:
+def _merge(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
-    if config_path:
-        cfg.update(load_config(config_path))
-    flag_map = {
-        "protocol": "protocol", "geometry": "geometry", "detector": "detector",
-        "variance": "variance", "lac": "l_ac", "lbc": "l_bc",
-        "chi_n": "chi_n", "gain": "gain", "format": "format", "out": "out",
-        "tol_km": "tol_km", "beta": "beta",
-    }
-    for flag, key in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
+    if args.config:
+        cfg.update(load_config(args.config))
+    cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     return cfg
 
 
-def _num(cfg: dict, key: str) -> float:
+def _num(cfg: dict, key: str, names: dict | None = None) -> float | None:
+    """cfg[key] as a finite float, or names[cfg[key]] when it is one of the names."""
+    val = cfg[key]
+    if names and isinstance(val, str) and val in names:
+        return names[val]
     try:
-        return float(cfg[key])
+        x = float(val)
     except (TypeError, ValueError):
-        _fail_config(f"field '{key}' must be a number, got {cfg[key]!r}")
+        x = math.nan
+    if not math.isfinite(x):
+        choices = "".join(f" or {n!r}" for n in names or ())
+        _fail_config(f"{key} must be a finite number{choices}, got {val!r}")
+    return x
 
 
-def resolve_params(cfg: dict) -> ProtocolParams:
-    variance = cfg["variance"]
-    if isinstance(variance, str):
-        if variance not in VARIANCE_PRESETS:
-            try:
-                variance = float(variance)
-            except ValueError:
-                _fail_config(f"variance must be 'ideal', 'realistic' or a number, "
-                             f"got {cfg['variance']!r}")
-        else:
-            variance = VARIANCE_PRESETS[variance]
-    v_a = _num(cfg, "v_a") if cfg["v_a"] is not None else float(variance)
-    v_b = _num(cfg, "v_b") if cfg["v_b"] is not None else float(variance)
-    detector = cfg["detector"]
-    if detector not in DETECTOR_PRESETS:
-        _fail_config(f"detector must be one of {sorted(DETECTOR_PRESETS)}, got {detector!r}")
-    eta, v_el = DETECTOR_PRESETS[detector]
-    if cfg["eta"] is not None:
-        eta = _num(cfg, "eta")
-    if cfg["v_el"] is not None:
-        v_el = _num(cfg, "v_el")
-    gain = cfg["gain"]
-    if isinstance(gain, str):
-        if gain != "optimize":
-            try:
-                gain = float(gain)
-            except ValueError:
-                _fail_config(f"gain must be a number or 'optimize', got {cfg['gain']!r}")
-    gain = None if gain == "optimize" else gain
-    try:
-        return ProtocolParams(
-            v_a=v_a, v_b=v_b,
-            l_ac=_num(cfg, "l_ac"), l_bc=_num(cfg, "l_bc"),
-            alpha=_num(cfg, "alpha"),
-            eps1=_num(cfg, "eps1"), eps2=_num(cfg, "eps2"),
-            eta=eta, v_el=v_el, beta=_num(cfg, "beta"),
-            gain=gain, protocol=cfg["protocol"],
-        )
-    except InvalidParameterError as exc:
-        _fail_config(str(exc))
+def _choice(cfg: dict, key: str, choices) -> str:
+    if not isinstance(cfg[key], str) or cfg[key] not in choices:
+        _fail_config(f"{key} must be one of {sorted(choices)}, got {cfg[key]!r}")
+    return cfg[key]
 
 
-def resolve_noise(cfg: dict, params: ProtocolParams) -> tuple[AddedNoiseParams | None, bool]:
-    """Returns (noise, optimize_noise) for the configured chi_n."""
-    if params.protocol != "squeezed-modified":
-        return None, False
-    chi = cfg["chi_n"]
-    if chi == "optimize":
-        return None, True
-    try:
-        return AddedNoiseParams.from_chi_n(float(chi)), False
-    except (TypeError, ValueError):
-        _fail_config(f"chi_n must be a number or 'optimize', got {chi!r}")
-    except InvalidParameterError as exc:
-        _fail_config(str(exc))
+def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
+    """Checks every setting but the sweep block, then returns the parameter
+    point and its fixed added noise: None for the plain protocols, and for
+    squeezed-modified when chi_n is 'optimize'.
+    """
+    _choice(cfg, "format", ("csv", "json"))
+    _choice(cfg, "geometry", MAXDIST_MODES)
+    _num(cfg, "tol_km")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        _fail_config(f"out must be a path, got {cfg['out']!r}")
+    if type(cfg["precision"]) is not int or cfg["precision"] < 1:
+        _fail_config(f"precision must be a positive integer, got {cfg['precision']!r}")
+    variance = _num(cfg, "variance", VARIANCE_PRESETS)
+    eta, v_el = DETECTOR_PRESETS[_choice(cfg, "detector", DETECTOR_PRESETS)]
+
+    def given(key: str, preset: float) -> float:
+        return preset if cfg[key] is None else _num(cfg, key)
+
+    params = ProtocolParams(
+        v_a=given("v_a", variance), v_b=given("v_b", variance),
+        l_ac=_num(cfg, "l_ac"), l_bc=_num(cfg, "l_bc"),
+        alpha=_num(cfg, "alpha"),
+        eps1=_num(cfg, "eps1"), eps2=_num(cfg, "eps2"),
+        eta=given("eta", eta), v_el=given("v_el", v_el), beta=_num(cfg, "beta"),
+        gain=_num(cfg, "gain", OPTIMIZE), protocol=cfg["protocol"],
+    )
+    chi_n = _num(cfg, "chi_n", OPTIMIZE)
+    if params.protocol != "squeezed-modified" or chi_n is None:
+        return params, None
+    return params, AddedNoiseParams.from_chi_n(chi_n)
+
+
+def _optimizes_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> bool:
+    return params.protocol == "squeezed-modified" and noise is None
 
 
 def _resolved_echo(cfg: dict, params: ProtocolParams) -> dict:
@@ -185,6 +183,41 @@ def _resolved_echo(cfg: dict, params: ProtocolParams) -> dict:
     return echo
 
 
+def _report(report: KeyRateReport) -> dict:
+    return {
+        "I_AB_bits": report.mutual_info,
+        "chi_BE_bits": report.holevo,
+        "K_bits": report.key_rate,
+        "lambdas": list(report.lambdas),
+        "gain": report.gain_used,
+        "chi_N_snu": report.chi_n,
+        "flags": list(report.flags),
+    }
+
+
+def _rounded(value, digits: int):
+    if isinstance(value, dict):
+        return {k: _rounded(v, digits) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v, digits) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(f"{value:.{digits}g}")
+    return value
+
+
+def _cells(row: dict) -> dict:
+    """A row flattened for CSV: report inlined, lambdas spread, flags joined."""
+    cells = dict(row)
+    cells.update(cells.pop("report", {}))
+    for i, lam in enumerate(cells.pop("lambdas", ()), start=1):
+        cells[f"lambda{i}"] = lam
+    if "flags" in cells:
+        cells["flags"] = ";".join(cells["flags"])
+    if "error" in cells:
+        cells["flags"] = f"error:{cells.pop('error')}"
+    return cells
+
+
 def _sig(value, digits: int) -> str:
     if value is None:
         return ""
@@ -195,221 +228,91 @@ def _sig(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _report_cells(report: KeyRateReport | None, digits: int, error: str | None = None) -> list[str]:
-    if report is None:
-        return [""] * 10 + [f"error:{error}"]
-    lams = list(report.lambdas) + [None] * (5 - len(report.lambdas))
-    cells = [
-        _sig(report.mutual_info, digits),
-        _sig(report.holevo, digits),
-        _sig(report.key_rate, digits),
-        *(_sig(l, digits) for l in lams),
-        _sig(report.gain_used, digits),
-        _sig(report.chi_n, digits),
-        ";".join(report.flags),
-    ]
-    return cells
-
-
-def _report_obj(report: KeyRateReport | None, digits: int, error: str | None = None) -> dict:
-    if report is None:
-        return {"error": error}
-    rounded = lambda v: float(f"{v:.{digits}g}")  # noqa: E731
-    return {
-        "I_AB_bits": rounded(report.mutual_info),
-        "chi_BE_bits": rounded(report.holevo),
-        "K_bits": rounded(report.key_rate),
-        "lambdas": [rounded(l) for l in report.lambdas],
-        "gain": rounded(report.gain_used),
-        "chi_N_snu": rounded(report.chi_n),
-        "flags": list(report.flags),
-    }
-
-
-def _meta_lines(meta: dict) -> list[str]:
-    flat = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
-    return [f"# config {flat}"]
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write(cfg: dict, meta: dict, columns: list[str], rows: list[dict], key: str = "rows"):
+    """Writes rows as CSV or JSON; key 'result' writes the single row as JSON 'result'."""
+    digits = cfg["precision"]
+    if cfg["format"] == "json":
+        rows = _rounded(rows, digits)
+        payload = {"metadata": meta, key: rows if key == "rows" else rows[0]}
+        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+    else:
+        flat = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
+        lines = [f"# config {flat}", ",".join(columns)]
+        for cells in map(_cells, rows):
+            lines.append(",".join(_sig(cells.get(c), digits) for c in columns))
+        text = "\n".join(lines) + "\n"
+    if cfg["out"]:
+        try:
+            with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail_config(f"cannot write {cfg['out']}: {exc}")
     else:
         sys.stdout.write(text)
 
 
-def _emit_rows(rows: list[tuple[float | None, KeyRateReport | None, str | None]],
-               x_unit: str | None, meta: dict, cfg: dict):
-    digits = int(cfg["precision"])
-    if cfg["format"] == "json":
-        payload_rows = []
-        for x, rep, err in rows:
-            obj = _report_obj(rep, digits, err)
-            if x is not None:
-                obj = {f"x_{x_unit}": float(f"{x:.{digits}g}"), **obj}
-            payload_rows.append(obj)
-        text = json.dumps({"metadata": meta, "rows": payload_rows},
-                          sort_keys=True, indent=2, default=str) + "\n"
-    else:
-        header = CSV_COLUMNS.copy()
-        if x_unit is None:
-            header = header[1:]
-        else:
-            header[0] = f"x_{x_unit}"
-        lines = _meta_lines(meta) + [",".join(header)]
-        for x, rep, err in rows:
-            cells = _report_cells(rep, digits, err)
-            if x_unit is not None:
-                cells = [_sig(x, digits)] + cells
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg["out"])
-
-
 def cmd_keyrate(cfg: dict) -> int:
-    params = resolve_params(cfg)
-    noise, optimize = resolve_noise(cfg, params)
-    if optimize:
+    params, noise = _resolve(cfg)
+    if _optimizes_noise(params, noise):
         chi_star, _ = optimize_added_noise(params)
         noise = AddedNoiseParams.from_chi_n(chi_star)
     report = key_rate(params, noise)
-    _emit_rows([(None, report, None)], None, _resolved_echo(cfg, params), cfg)
+    _write(cfg, _resolved_echo(cfg, params), REPORT_COLUMNS, [_report(report)])
     return 0
 
 
 def cmd_sweep(cfg: dict) -> int:
-    params = resolve_params(cfg)
+    params, noise = _resolve(cfg)
     block = cfg["sweep"]
     if not block:
         _fail_config("sweep needs a 'sweep' config block with variable/start/stop/step")
     for field in ("variable", "start", "stop", "step"):
         if field not in block:
             _fail_config(f"sweep block is missing '{field}'")
-    noise, optimize = resolve_noise(cfg, params)
-    try:
-        spec = SweepSpec(
-            variable=block["variable"],
-            start=float(block["start"]), stop=float(block["stop"]),
-            step=float(block["step"]),
-            base=params, noise=noise,
-            optimize_noise=bool(block.get("optimize_noise", optimize)),
-        )
-    except (TypeError, ValueError) as exc:
-        _fail_config(f"bad sweep block: {exc}")
+    spec = SweepSpec(
+        variable=block["variable"],
+        start=_num(block, "start"), stop=_num(block, "stop"), step=_num(block, "step"),
+        base=params, noise=noise,
+        optimize_noise=bool(block.get("optimize_noise", _optimizes_noise(params, noise))),
+    )
     if not spec.grid():
         _fail_config("sweep grid is empty")
     result = sweep(spec)
-    meta = {**result.metadata, **{"config": _resolved_echo(cfg, params)}}
-    rows = [(r.x, r.report, r.error) for r in result.rows]
-    _emit_rows(rows, X_UNITS[spec.variable], meta, cfg)
+    x = f"x_{X_UNITS[spec.variable]}"
+    rows = [{x: r.x, **(_report(r.report) if r.report else {"error": r.error})}
+            for r in result.rows]
+    meta = {**result.metadata, "config": _resolved_echo(cfg, params)}
+    _write(cfg, meta, [x, *REPORT_COLUMNS], rows)
     return 0
 
 
-def _maxdist_result(cfg: dict) -> tuple[MaxDistanceResult, ProtocolParams]:
-    params = resolve_params(cfg)
-    geometry = cfg["geometry"]
-    noise, optimize = resolve_noise(cfg, params)
-    if geometry == "symmetric":
-        mode = "symmetric"
-    elif geometry in ("asymmetric", "most-asymmetric"):
-        mode = "fixed-lbc"
-        if geometry == "most-asymmetric":
-            params = ProtocolParams(**{**asdict(params), "l_bc": 0.0})
-    else:
-        _fail_config(f"unknown geometry {geometry!r}")
-    if params.protocol == "squeezed-modified":
-        policy = "optimized" if optimize else "fixed"
-    else:
-        policy = "none"
-    res = max_distance(params, mode=mode, noise_policy=policy, noise=noise,
-                       tol_km=float(cfg["tol_km"]))
-    return res, params
-
-
 def cmd_maxdist(cfg: dict) -> int:
-    res, params = _maxdist_result(cfg)
-    meta = _resolved_echo(cfg, params)
-    digits = int(cfg["precision"])
-    if cfg["format"] == "json":
-        payload = {
-            "metadata": meta,
-            "result": {
-                "l_star_km": float(f"{res.l_star_km:.{digits}g}"),
-                "l_ab_km": float(f"{res.l_ab_km:.{digits}g}"),
-                "mode": res.mode,
-                "positive_at_origin": res.positive_at_origin,
-                "capped": res.capped,
-                "tol_km": res.tol_km,
-            },
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = _meta_lines(meta)
-        lines.append("l_star_km,l_ab_km,mode,positive_at_origin,capped,tol_km")
-        lines.append(",".join([
-            _sig(res.l_star_km, digits), _sig(res.l_ab_km, digits), res.mode,
-            _sig(res.positive_at_origin, digits), _sig(res.capped, digits),
-            _sig(res.tol_km, digits),
-        ]))
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg["out"])
+    params, noise = _resolve(cfg)
+    mode = MAXDIST_MODES[cfg["geometry"]]
+    if cfg["geometry"] == "most-asymmetric":
+        params = with_geometry(params, l_bc=0.0)
+    res = max_distance(params, mode=mode, noise=noise, tol_km=_num(cfg, "tol_km"))
+    _write(cfg, _resolved_echo(cfg, params), MAXDIST_COLUMNS, [asdict(res)], key="result")
     return 0
 
 
 def cmd_optnoise(cfg: dict) -> int:
-    params = resolve_params(cfg)
+    params, _ = _resolve(cfg)
     if params.protocol != "squeezed-modified":
         _fail_config("optnoise needs --protocol squeezed-modified")
     chi_star, k_star = optimize_added_noise(params)
     report = key_rate(params, AddedNoiseParams.from_chi_n(chi_star))
-    meta = _resolved_echo(cfg, params)
-    digits = int(cfg["precision"])
-    if cfg["format"] == "json":
-        payload = {
-            "metadata": meta,
-            "result": {"chi_n_star_snu": float(f"{chi_star:.{digits}g}"),
-                       "K_star_bits": float(f"{k_star:.{digits}g}"),
-                       "report": _report_obj(report, digits)},
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = _meta_lines(meta)
-        lines.append("chi_n_star_snu,K_star_bits," + ",".join(CSV_COLUMNS[1:]))
-        lines.append(",".join([_sig(chi_star, digits), _sig(k_star, digits)]
-                              + _report_cells(report, digits)))
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg["out"])
+    row = {"chi_n_star_snu": chi_star, "K_star_bits": k_star, "report": _report(report)}
+    _write(cfg, _resolved_echo(cfg, params), ["chi_n_star_snu", "K_star_bits", *REPORT_COLUMNS],
+           [row], key="result")
     return 0
 
 
 def cmd_compare(cfg: dict) -> int:
-    params = resolve_params(cfg)
-    table = compare_protocols(params, geometry=cfg["geometry"], tol_km=float(cfg["tol_km"]))
+    params, _ = _resolve(cfg)
+    table = compare_protocols(params, geometry=cfg["geometry"], tol_km=_num(cfg, "tol_km"))
     meta = {**table.metadata, "config": _resolved_echo(cfg, params)}
-    digits = int(cfg["precision"])
-    if cfg["format"] == "json":
-        rows = [{
-            "protocol": r.protocol, "detector": r.detector,
-            "l_bc_km": None if r.l_bc_km is None else float(f"{r.l_bc_km:.{digits}g}"),
-            "l_star_km": float(f"{r.l_star_km:.{digits}g}"),
-            "l_ab_km": float(f"{r.l_ab_km:.{digits}g}"),
-            "positive_at_origin": r.positive_at_origin,
-            "capped": r.capped,
-        } for r in table.rows]
-        text = json.dumps({"metadata": meta, "rows": rows},
-                          sort_keys=True, indent=2, default=str) + "\n"
-    else:
-        lines = _meta_lines(meta)
-        lines.append("protocol,detector,l_bc_km,l_star_km,l_ab_km,positive_at_origin,capped")
-        for r in table.rows:
-            lines.append(",".join([
-                r.protocol, r.detector, _sig(r.l_bc_km, digits),
-                _sig(r.l_star_km, digits), _sig(r.l_ab_km, digits),
-                _sig(r.positive_at_origin, digits), _sig(r.capped, digits),
-            ]))
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg["out"])
+    _write(cfg, meta, COMPARE_COLUMNS, [asdict(r) for r in table.rows])
     return 0
 
 
@@ -425,8 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--geometry", choices=["symmetric", "asymmetric", "most-asymmetric"])
     common.add_argument("--detector", choices=["perfect", "practical"])
     common.add_argument("--variance", help="'ideal', 'realistic', or a number (shot-noise units)")
-    common.add_argument("--lac", type=float, metavar="KM", help="Alice-relay channel length")
-    common.add_argument("--lbc", type=float, metavar="KM", help="Bob-relay channel length")
+    common.add_argument("--lac", dest="l_ac", type=float, metavar="KM",
+                        help="Alice-relay channel length")
+    common.add_argument("--lbc", dest="l_bc", type=float, metavar="KM",
+                        help="Bob-relay channel length")
     common.add_argument("--chi-n", dest="chi_n", metavar="X|optimize",
                         help="trusted added noise (snu) or 'optimize'")
     common.add_argument("--gain", metavar="G|optimize", help="displacement gain or 'optimize'")
@@ -445,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _merge(args.config, args)
+    cfg = _merge(args)
     try:
         return args.func(cfg)
     except (NumericDomainError, StructuralError) as exc:

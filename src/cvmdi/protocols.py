@@ -532,9 +532,9 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
     selected by ``params.protocol``.
     """
     noise = _resolve_noise(params, noise)
-    g = params.gain if params.gain is not None else optimal_gain(params, noise)
     chi_n = 0.0 if noise is None else noise.chi_n
     try:
+        g = params.gain if params.gain is not None else optimal_gain(params, noise)
         build_mdi_state(params, gain=g)  # physicality of the reported point
         tm = _reduced_state(params, g)
         i_ab, chi, lams, clamped = _rate_terms(tm, params.protocol, chi_n)

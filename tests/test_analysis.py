@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -158,9 +159,10 @@ def test_max_distance_argument_errors():
     with pytest.raises(InvalidParameterError):
         max_distance(REALISTIC, mode="diagonal")
     with pytest.raises(InvalidParameterError):
-        max_distance(REALISTIC, noise_policy="optimized")
-    with pytest.raises(InvalidParameterError):
-        max_distance(REALISTIC_MOD, noise_policy="none")
+        max_distance(REALISTIC, noise=AddedNoiseParams.from_chi_n(1.0))
+    for tol_km in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            max_distance(REALISTIC, tol_km=tol_km)
 
 
 def test_monotonicity_in_loss_and_noise():

@@ -7,9 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from cvmdi import cli
+
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 SHIPPED_SWEEP = CONFIGS / "symmetric_ideal_sweep.json"
+
+# at L = 0 the fixed gain 1.414 hits the cancellation guard; the other points run
+ERROR_ROW_SWEEP = {"v_a": 5.04, "v_b": 1e10, "eps1": 0.0, "eps2": 0.0, "gain": 1.414,
+                   "sweep": {"variable": "distance-symmetric",
+                             "start": 0.0, "stop": 1.0, "step": 0.5}}
 
 
 # the CLI child imports cvmdi from this checkout's src/, as the tests do
@@ -18,8 +25,9 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def run_cli(*args, **kw):
+    # a hanging CLI fails its own test instead of stalling the suite
     return subprocess.run([sys.executable, "-m", "cvmdi.cli", *args],
-                          capture_output=True, text=True, env=CHILD_ENV, **kw)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=120, **kw)
 
 
 def parse_csv(text):
@@ -225,3 +233,97 @@ def test_numeric_failure_exit_code(tmp_path):
     res = run_cli("keyrate", "--config", str(cfg))
     assert res.returncode == 3
     assert "numeric error" in res.stderr
+
+
+@pytest.mark.parametrize("tol_km", ["0", "-1", "nan"])
+def test_maxdist_rejects_bad_tol_km(tol_km):
+    res = run_cli("maxdist", "--tol-km", tol_km)
+    assert res.returncode == 2
+    assert "tol_km" in res.stderr
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("keyrate", {"variance": None}),
+    ("keyrate", {"variance": [1]}),
+    ("keyrate", {"detector": []}),
+    ("keyrate", {"precision": "x"}),
+    ("keyrate", {"precision": 0}),
+    ("keyrate", {"format": "xml"}),
+    ("maxdist", {"tol_km": "x"}),
+    ("keyrate", {"tol_km": "x"}),
+    ("keyrate", {"geometry": []}),
+    ("keyrate", {"out": 7}),
+    ("keyrate", {"out": "no-such-directory/row.csv"}),
+    ("sweep", {"sweep": {"variable": "distance-symmetric",
+                         "start": -math.inf, "stop": 1.0, "step": 1.0}}),
+])
+def test_malformed_config_value_exits_2(tmp_path, command, bad):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    res = run_cli(command, "--config", str(cfg), cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def csv_rows(text):
+    """CSV rows as dicts; the last column (flags) keeps any commas of an error message."""
+    lines = [l for l in text.splitlines() if not l.startswith("# config ")]
+    header = lines[0].split(",")
+    return header, [dict(zip(header, l.split(",", len(header) - 1))) for l in lines[1:]]
+
+
+def json_as_cells(row):
+    """The CSV cells a JSON row stands for."""
+    cells = {}
+    for key, val in row.items():
+        if key == "report":
+            cells.update(json_as_cells(val))
+        elif key == "lambdas":
+            cells.update({f"lambda{i}": v for i, v in enumerate(val, start=1)})
+        elif key == "flags":
+            cells["flags"] = ";".join(val)
+        elif key == "error":
+            cells["flags"] = f"error:{val}"
+        else:
+            cells[key] = val
+    return cells
+
+
+def as_cell(value, digits):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    return f"{value:.{digits}g}"
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["keyrate", "--protocol", "coherent"], None),
+    (["keyrate", "--protocol", "squeezed-modified", "--chi-n", "2"], None),
+    (["optnoise", "--protocol", "squeezed-modified", "--variance", "realistic",
+      "--detector", "practical", "--lac", "11"], None),
+    (["maxdist", "--protocol", "coherent", "--geometry", "symmetric"], None),
+    (["sweep"], ERROR_ROW_SWEEP),
+])
+def test_csv_and_json_carry_the_same_values(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        assert cli.main([*argv, "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    payload = json.loads(outputs["json"])
+    json_rows = payload["rows"] if "rows" in payload else [payload["result"]]
+    header, rows = csv_rows(outputs["csv"])
+    assert len(rows) == len(json_rows)
+    if config is not None:
+        assert any("error" in r for r in json_rows) and any("error" not in r for r in json_rows)
+    for row, json_row in zip(rows, json_rows):
+        cells = json_as_cells(json_row)
+        assert set(cells) <= set(header)
+        assert row == {c: as_cell(cells.get(c), 9) for c in header}  # default precision

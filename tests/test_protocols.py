@@ -231,6 +231,13 @@ def test_reduced_state_rejects_cancelled_b():
         key_rate(p)
 
 
+def test_key_rate_error_names_the_point_when_gain_is_optimised():
+    # the guard fires inside the gain search, and the error still says where
+    p = ProtocolParams(v_a=5.04, v_b=1e10, eps1=0, eps2=0, l_ac=0, l_bc=0)
+    with pytest.raises(NumericDomainError, match=r"\[at ProtocolParams\("):
+        key_rate(p)
+
+
 # ----------------------------------------------------------- information measures
 
 def test_mutual_information_examples():
