@@ -132,10 +132,13 @@ def optimize_added_noise(params: ProtocolParams,
                          tol: float = CHI_N_TOL) -> tuple[float, float]:
     """Best trusted added noise at this geometry: returns (chi_n*, K*).
 
-    Golden-section over chi_n on the bracket, verified against a coarse
-    grid; when a grid point beats the golden result the search is repeated
-    around that point (and a warning emitted, since it means the profile
-    was not unimodal).  chi_n* = 0 is a legal boundary optimum.
+    K is first evaluated on a grid of CHI_N_GRID_POINTS evenly spaced
+    chi_n over the bracket.  Golden section then refines to `tol` only
+    inside the two grid cells around the best grid point (one cell at a
+    bracket edge), reusing the two grid values that bound them; the result
+    is the better of that refinement and the best grid point.  A grid with
+    more than one strict local maximum means the profile is not unimodal,
+    and a RuntimeWarning says so.  chi_n* = 0 is a legal boundary optimum.
     """
     if params.protocol != "squeezed-modified":
         raise InvalidParameterError("added-noise optimization needs protocol 'squeezed-modified'")
@@ -144,22 +147,23 @@ def optimize_added_noise(params: ProtocolParams,
         return key_rate(params, AddedNoiseParams.from_chi_n(chi)).key_rate
 
     lo, hi = bracket
-    best_x, best_f = golden_section_max(objective, lo, hi, tol)
-    step = (hi - lo) / (CHI_N_GRID_POINTS - 1)
-    grid = [lo + i * step for i in range(CHI_N_GRID_POINTS)]
-    grid_vals = [(x, objective(x)) for x in grid]
-    grid_x, grid_f = max(grid_vals, key=lambda p: p[1])
-    if grid_f > best_f:
+    n = CHI_N_GRID_POINTS
+    step = (hi - lo) / (n - 1)
+    grid = [lo + i * step for i in range(n)]
+    vals = [objective(x) for x in grid]
+    best = max(range(n), key=vals.__getitem__)
+    peaks = [grid[i] for i in range(n)
+             if (i == 0 or vals[i] > vals[i - 1]) and (i == n - 1 or vals[i] > vals[i + 1])]
+    if len(peaks) > 1:
         warnings.warn(
-            f"added-noise profile not unimodal near chi_n={grid_x}; refining around the grid",
-            RuntimeWarning)
-        sub_lo = max(lo, grid_x - step)
-        sub_hi = min(hi, grid_x + step)
-        rx, rf = golden_section_max(objective, sub_lo, sub_hi, tol)
-        if rf > best_f:
-            best_x, best_f = rx, rf
-        if grid_f > best_f:
-            best_x, best_f = grid_x, grid_f
+            f"added-noise profile not unimodal: grid maxima at chi_n={peaks}; "
+            f"refining around chi_n={grid[best]}", RuntimeWarning)
+    known = dict(zip(grid, vals))
+    sub_lo, sub_hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
+    best_x, best_f = golden_section_max(
+        lambda chi: known[chi] if chi in known else objective(chi), sub_lo, sub_hi, tol)
+    if vals[best] > best_f:
+        best_x, best_f = grid[best], vals[best]
     return best_x, best_f
 
 
@@ -182,8 +186,11 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     'fixed-lbc' scans L_AC at the configured L_BC.  The squeezed-modified
     protocol uses `noise` as given, or re-optimizes chi_n inside every
     evaluation when `noise` is None; the plain protocols take no noise.
-    Found by a 1 km forward scan for the last positive point, then
-    bisection to `tol_km`, which must be positive and finite.
+    The edge is bracketed by trials at 1, 2, 4, ... km (``cap_km`` last)
+    and bisected to `tol_km`, which must be positive and finite; this
+    assumes K non-increasing in the scanned length.  With no key at
+    length 0 the result has positive_at_origin False and l_star_km =
+    l_ab_km = 0: a protocol without key claims no reach.
     """
     if mode not in ("symmetric", "fixed-lbc"):
         raise InvalidParameterError(f"unknown max-distance mode {mode!r}")
@@ -203,14 +210,11 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
             return k
         return key_rate(p, noise).key_rate
 
-    def total(length: float) -> float:
-        return 2.0 * length if mode == "symmetric" else length + params.l_bc
-
     if k_of(0.0) <= 0.0:
-        return MaxDistanceResult(0.0, total(0.0) if mode == "symmetric" else params.l_bc,
-                                 mode, positive_at_origin=False, tol_km=tol_km)
+        return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)
     edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, cap_km)
-    return MaxDistanceResult(edge, total(edge), mode, positive_at_origin=True,
+    l_ab = 2.0 * edge if mode == "symmetric" else edge + params.l_bc
+    return MaxDistanceResult(edge, l_ab, mode, positive_at_origin=True,
                              capped=capped, tol_km=tol_km)
 
 
@@ -239,8 +243,10 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
 
     geometry 'symmetric' scans d = L_AC = L_BC; 'most-asymmetric' pins
     L_BC = 0 and scans L_AC; 'asymmetric' scans L_AC at each L_BC in
-    l_bc_grid and keeps the best total per (protocol, detector).  The
-    modified protocol always re-optimizes chi_n per evaluation.
+    l_bc_grid and keeps the best row per (protocol, detector): a row with
+    key at the origin outranks one without, then the longer total wins,
+    and the first row in l_bc_grid order wins ties.  The modified protocol
+    always re-optimizes chi_n per evaluation.
     """
     if geometry not in GEOMETRIES:
         raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
@@ -263,7 +269,8 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
                                        tol_km=tol_km)
                     row = ComparisonRow(protocol, det, l_bc, res.l_star_km, res.l_ab_km,
                                         res.positive_at_origin, res.capped)
-                    if best is None or row.l_ab_km > best.l_ab_km:
+                    if best is None or ((row.positive_at_origin, row.l_ab_km)
+                                        > (best.positive_at_origin, best.l_ab_km)):
                         best = row
                 rows.append(best)
     meta = {"geometry": geometry, "base": vars(base).copy(), "tol_km": tol_km,

@@ -9,7 +9,8 @@ Every table is written by ``_write`` from rows of JSON-shaped dicts.  The
 headers are spelled in three constants: REPORT_COLUMNS (one key-rate
 report; ``sweep`` puts ``x_<unit>`` in front of it and ``optnoise``
 ``chi_n_star_snu,K_star_bits``), MAXDIST_COLUMNS and COMPARE_COLUMNS.
-CSV is a ``# config`` line, the header and one line per row.  JSON is
+CSV is a ``# config`` line, the header and one line per row, with a cell
+quoted only when it holds a comma or a quote (an error row's flags).  JSON is
 ``{"metadata", "rows"}`` for keyrate, sweep and compare, and
 ``{"metadata", "result"}`` holding the single row for maxdist and
 optnoise; every number in a row is rounded to ``precision`` significant
@@ -22,6 +23,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -237,10 +240,12 @@ def _write(cfg: dict, meta: dict, columns: list[str], rows: list[dict], key: str
         text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
     else:
         flat = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
-        lines = [f"# config {flat}", ",".join(columns)]
-        for cells in map(_cells, rows):
-            lines.append(",".join(_sig(cells.get(c), digits) for c in columns))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write(f"# config {flat}\n")
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_sig(cells.get(c), digits) for c in columns] for cells in map(_cells, rows))
+        text = buf.getvalue()
     if cfg["out"]:
         try:
             with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:

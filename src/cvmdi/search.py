@@ -1,5 +1,5 @@
 """One-dimensional search utilities: golden-section maximization and the
-scan-then-bisect positivity-edge finder used for maximal distances."""
+double-then-bisect positivity-edge finder used for maximal distances."""
 
 from __future__ import annotations
 
@@ -43,23 +43,22 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 def positive_edge(f: Callable[[float], float], step: float, tol: float,
                   cap: float) -> tuple[float, bool]:
-    """Largest L with f(L) > 0, assuming f(0) > 0.
+    """Largest L with f(L) > 0, assuming f(0) > 0 and f non-increasing.
 
-    Coarse forward scan in `step` increments locates the last positive
-    point, then bisection tightens the edge to `tol`.  Returns (edge,
-    capped): capped is True when f stayed positive all the way to `cap`.
+    The edge is bracketed by doubling: f is tried at step, 2 step,
+    4 step, ..., with `cap` as the last trial.  Bisection then tightens the
+    bracket to `tol`.  For tol < step, a bracket [2^k step, 2^(k+1) step]
+    bisects onto the same grid of step / 2^m points as the bracket
+    [j step, (j+1) step] of a scan in `step` increments, so for
+    non-increasing f the edge equals that scan's, in about log2(edge/step)
+    trials instead of edge/step.  (A bracket that ends at `cap` can land on
+    another grid.)  Returns (edge, capped): capped is True when f(cap) > 0.
     """
-    last_pos = 0.0
-    level = step
-    while level <= cap:
-        if f(level) > 0.0:
-            last_pos = level
-            level += step
-        else:
-            break
-    else:
-        return cap, True
-    lo, hi = last_pos, level
+    lo, hi = 0.0, min(step, cap)
+    while f(hi) > 0.0:
+        if hi >= cap:
+            return cap, True
+        lo, hi = hi, min(2.0 * hi, cap)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:

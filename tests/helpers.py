@@ -4,7 +4,9 @@ Everything here deliberately recomputes results through different routes
 than the library's production paths: hand-derived scalar formulas for the
 reduced two-mode state, and a fully unitary circuit that keeps every
 environment and announcement-purification mode so that Holevo bounds can
-be evaluated from the eavesdropper's side directly.
+be evaluated from the eavesdropper's side directly.  The same circuit is
+also built in mpmath arithmetic, for variances at which the eavesdropper's
+entropies cannot be taken in double precision.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp, mpf
 
 from cvmdi import (
     GaussianState,
@@ -155,3 +158,147 @@ def oracle_holevo(circ: FullCircuit, conditioning: str) -> float:
 
 def oracle_mutual_info_homodyne(a: float, b: float, c: float) -> float:
     return 0.5 * math.log2(a * b / (a * b - c * c))
+
+
+# ------------------------------------------------------ high-precision oracle
+
+@dataclass
+class MpCircuit:
+    """``unitary_circuit`` in mpmath: covariance entries are mpf at ``dps`` digits."""
+
+    cov: list[list]
+    alice: int
+    bob: int
+    eve: list[int]
+    dps: int
+
+
+def _mp_epr(v) -> list[list]:
+    s = mp.sqrt(v * v - 1)
+    return [[v, 0, s, 0], [0, v, 0, -s], [s, 0, v, 0], [0, -s, 0, v]]
+
+
+def _mp_append(cov: list[list], block: list[list]) -> tuple[int, int]:
+    """Append a two-mode block in place; returns its mode indices."""
+    n = len(cov)
+    for row in cov:
+        row.extend([mpf(0)] * len(block))
+    for brow in block:
+        cov.append([mpf(0)] * n + [mpf(x) for x in brow])
+    return n // 2, n // 2 + 1
+
+
+def _mp_transform(cov: list[list], rows: dict[int, dict[int, object]]) -> list[list]:
+    """S cov S^T for S the identity except the rows {i: {j: S_ij}}."""
+    n = len(cov)
+    left = [list(r) for r in cov]
+    for i, coeffs in rows.items():
+        left[i] = [mp.fsum(s * cov[j][k] for j, s in coeffs.items()) for k in range(n)]
+    out = [list(r) for r in left]
+    for k in range(n):
+        for i, coeffs in rows.items():
+            out[k][i] = mp.fsum(s * left[k][j] for j, s in coeffs.items())
+    return out
+
+
+def _mp_beamsplitter(cov: list[list], mode_i: int, mode_j: int, t) -> list[list]:
+    """``apply_beamsplitter``'s convention: out_i = sqrt(t) in_i + sqrt(1-t) in_j."""
+    rt, rr = mp.sqrt(t), mp.sqrt(1 - t)
+    rows = {}
+    for q in (0, 1):
+        a, b = 2 * mode_i + q, 2 * mode_j + q
+        rows[a] = {a: rt, b: rr}
+        rows[b] = {a: -rr, b: rt}
+    return _mp_transform(cov, rows)
+
+
+def mp_unitary_circuit(params: ProtocolParams, gain: float,
+                       noise: AddedNoiseParams | None = None, dps: int = 40) -> MpCircuit:
+    """The circuit of ``unitary_circuit``, mode for mode, at ``dps`` digits.
+
+    Inputs are taken exactly from their floats and the transmittances
+    10^(-alpha L / 10) are computed at full precision, so the result is the
+    model's value at these inputs, not a rounding of the float pipeline.
+    """
+    with mp.workdps(dps):
+        cov: list[list] = []
+        _mp_append(cov, _mp_epr(mpf(params.v_a)))
+        _mp_append(cov, _mp_epr(mpf(params.v_b)))
+        a3, a1, b3, b1 = 0, 1, 2, 3
+        eve: list[int] = []
+        for port, length, eps in ((a1, params.l_ac, params.eps1),
+                                  (b1, params.l_bc, params.eps2)):
+            t = mp.power(10, -mpf(params.alpha) * mpf(length) / 10)
+            if t < 1:
+                e_in, e_keep = _mp_append(cov, _mp_epr(1 + mpf(eps) / (1 - t)))
+                cov = _mp_beamsplitter(cov, port, e_in, t)
+                eve += [e_in, e_keep]
+        # relay: slot A1 <- C = (A1 - B1)/sqrt(2), slot B1 <- D = (A1 + B1)/sqrt(2)
+        cov = _mp_beamsplitter(cov, b1, a1, mpf(1) / 2)
+        c, d = a1, b1
+        eta = mpf(params.eta)
+        if eta < 1:
+            anc = 1 + mpf(params.v_el) / (1 - eta)
+            for port in (c, d):
+                a_in, a_keep = _mp_append(cov, _mp_epr(anc))
+                cov = _mp_beamsplitter(cov, port, a_in, eta)
+                eve += [a_in, a_keep]
+        # the feedforward as the two QND sum gates of unitary_circuit
+        g = mpf(gain)
+        bx, bp, cx, cp, dx, dp = 2 * b3, 2 * b3 + 1, 2 * c, 2 * c + 1, 2 * d, 2 * d + 1
+        cov = _mp_transform(cov, {bx: {bx: 1, cx: g}, cp: {cp: 1, bp: -g}})
+        cov = _mp_transform(cov, {bp: {bp: 1, dp: g}, dx: {dx: 1, bx: -g}})
+        eve += [c, d]
+        if noise is not None and noise.t_r < 1.0:
+            n2, _ = _mp_append(cov, _mp_epr(mpf(noise.n_r)))
+            cov = _mp_beamsplitter(cov, b3, n2, mpf(noise.t_r))
+    return MpCircuit(cov=cov, alice=a3, bob=b3, eve=eve, dps=dps)
+
+
+def _mp_entropy(cov: list[list], modes: list[int]):
+    """Von Neumann entropy in bits from the symplectic spectrum of the modes' block.
+
+    The spectrum is that of K^T K with K = L^T Omega L (L the Cholesky
+    factor): each lambda^2 appears twice.
+    """
+    idx = [2 * m + q for m in modes for q in (0, 1)]
+    n = len(idx)
+    omega = mp.zeros(n, n)
+    for k in range(0, n, 2):
+        omega[k, k + 1], omega[k + 1, k] = 1, -1
+    chol = mp.cholesky(mp.matrix([[cov[i][j] for j in idx] for i in idx]))
+    k = chol.T * omega * chol
+    lams = sorted(mp.sqrt(abs(e)) for e in mp.eigsy(k.T * k, eigvals_only=True))[::2]
+    total = mpf(0)
+    for lam in lams:
+        x = (lam - 1) / 2
+        if x > 0:
+            total += (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2)
+    return total
+
+
+def mp_oracle_holevo(circ: MpCircuit, conditioning: str) -> float:
+    """``oracle_holevo`` on an MpCircuit: S(rho_E) - S(rho_E | Bob's measurement)."""
+    with mp.workdps(circ.dps):
+        cov = circ.cov
+        bx, bp = 2 * circ.bob, 2 * circ.bob + 1
+        if conditioning == "homodyne":
+            inv = {(bx, bx): 1 / cov[bx][bx]}
+        else:
+            m00, m01, m11 = cov[bx][bx] + 1, cov[bx][bp], cov[bp][bp] + 1
+            det = m00 * m11 - m01 * m01
+            inv = {(bx, bx): m11 / det, (bx, bp): -m01 / det,
+                   (bp, bx): -m01 / det, (bp, bp): m00 / det}
+        # Eve's modes never include Bob's, so conditioning is a Schur complement
+        n = len(cov)
+        cond = [[cov[i][j] - mp.fsum(cov[i][r] * w * cov[s][j] for (r, s), w in inv.items())
+                 for j in range(n)] for i in range(n)]
+        return float(_mp_entropy(cov, circ.eve) - _mp_entropy(cond, circ.eve))
+
+
+def mp_oracle_mutual_info_homodyne(circ: MpCircuit) -> float:
+    """I(A:B) in bits for homodyne on both sides, from the circuit's (a, b, c)."""
+    with mp.workdps(circ.dps):
+        ax, bx = 2 * circ.alice, 2 * circ.bob
+        a, b, c = circ.cov[ax][ax], circ.cov[bx][bx], circ.cov[ax][bx]
+        return float(mp.log(a * b / (a * b - c * c), 2) / 2)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import cvmdi.analysis as analysis_mod
+from cvmdi.analysis import DETECTOR_PRESETS
 from cvmdi import (
     AddedNoiseParams,
+    ComparisonRow,
     InvalidParameterError,
     NumericDomainError,
     ProtocolParams,
@@ -142,10 +144,12 @@ def test_max_distance_symmetric_total_is_doubled():
 
 
 def test_max_distance_zero_at_origin_flag():
-    dead = replace(REALISTIC, beta=0.0)
-    res = max_distance(dead, mode="symmetric")
-    assert res.l_star_km == 0.0
-    assert not res.positive_at_origin
+    # no key at the origin: no reach, also not the fixed L_BC of the geometry
+    dead = replace(REALISTIC, beta=0.0, l_bc=5.0)
+    for mode in ("symmetric", "fixed-lbc"):
+        res = max_distance(dead, mode=mode)
+        assert (res.l_star_km, res.l_ab_km) == (0.0, 0.0), mode
+        assert not res.positive_at_origin
 
 
 def test_max_distance_deterministic():
@@ -197,6 +201,33 @@ def test_compare_protocols_symmetric_geometry():
     # squeezed beats coherent, trusted noise never hurts
     assert by_proto["squeezed"].l_ab_km > by_proto["coherent"].l_ab_km
     assert by_proto["squeezed-modified"].l_ab_km >= by_proto["squeezed"].l_ab_km
+
+
+def test_compare_asymmetric_row_without_key_claims_no_reach():
+    # coherent states with the practical detector have no key at any L_BC of
+    # the grid: the row keeps the first L_BC and reports no reach
+    table = compare_protocols(REALISTIC, geometry="asymmetric", detectors=("practical",))
+    by_proto = {r.protocol: r for r in table.rows}
+    assert by_proto["coherent"] == ComparisonRow("coherent", "practical", 0.0, 0.0, 0.0,
+                                                 False, False)
+    assert by_proto["squeezed"].positive_at_origin
+
+
+def test_abstract_claims_as_orderings():
+    # the paper's headline table: squeezed states reach further than coherent
+    # ones, and trusted noise at its optimum extends the squeezed reach
+    base = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0)
+    table = compare_protocols(base, geometry="most-asymmetric")
+    for det in ("perfect", "practical"):
+        row = {r.protocol: r for r in table.rows if r.detector == det}
+        assert row["squeezed"].l_ab_km > row["coherent"].l_ab_km, det
+        assert row["squeezed-modified"].l_ab_km > row["squeezed"].l_ab_km, det
+    edge = next(r for r in table.rows
+                if (r.protocol, r.detector) == ("squeezed-modified", "practical"))
+    eta, v_el = DETECTOR_PRESETS["practical"]
+    chi_star, k_star = optimize_added_noise(replace(
+        base, protocol="squeezed-modified", eta=eta, v_el=v_el, l_ac=edge.l_star_km))
+    assert chi_star > 0.0 and k_star > 0.0
 
 
 def test_compare_protocols_rejects_unknown_geometry():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -30,11 +31,14 @@ def run_cli(*args, **kw):
                           capture_output=True, text=True, env=CHILD_ENV, timeout=120, **kw)
 
 
+def csv_records(text):
+    """The CSV records of a table, its comment lines dropped."""
+    return list(csv.reader(l for l in text.splitlines() if l and not l.startswith("#")))
+
+
 def parse_csv(text):
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
-    return header, rows
+    header, *records = csv_records(text)
+    return header, [dict(zip(header, r)) for r in records]
 
 
 def shipped_sweep_grid():
@@ -266,13 +270,6 @@ def test_malformed_config_value_exits_2(tmp_path, command, bad):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
-def csv_rows(text):
-    """CSV rows as dicts; the last column (flags) keeps any commas of an error message."""
-    lines = [l for l in text.splitlines() if not l.startswith("# config ")]
-    header = lines[0].split(",")
-    return header, [dict(zip(header, l.split(",", len(header) - 1))) for l in lines[1:]]
-
-
 def json_as_cells(row):
     """The CSV cells a JSON row stands for."""
     cells = {}
@@ -319,7 +316,7 @@ def test_csv_and_json_carry_the_same_values(tmp_path, capsys, argv, config):
         outputs[fmt] = capsys.readouterr().out
     payload = json.loads(outputs["json"])
     json_rows = payload["rows"] if "rows" in payload else [payload["result"]]
-    header, rows = csv_rows(outputs["csv"])
+    header, rows = parse_csv(outputs["csv"])
     assert len(rows) == len(json_rows)
     if config is not None:
         assert any("error" in r for r in json_rows) and any("error" not in r for r in json_rows)
@@ -327,3 +324,14 @@ def test_csv_and_json_carry_the_same_values(tmp_path, capsys, argv, config):
         cells = json_as_cells(json_row)
         assert set(cells) <= set(header)
         assert row == {c: as_cell(cells.get(c), 9) for c in header}  # default precision
+
+
+def test_csv_rows_have_as_many_fields_as_the_header(tmp_path, capsys):
+    # an error row's flags cell carries the failing parameters, commas included
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ERROR_ROW_SWEEP))
+    assert cli.main(["sweep", "--config", str(path), "--format", "csv"]) == 0
+    header, *records = csv_records(capsys.readouterr().out)
+    assert all(len(r) == len(header) for r in records)
+    errors = [r[-1] for r in records if r[-1].startswith("error:")]
+    assert errors and all("," in e for e in errors)

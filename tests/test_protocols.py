@@ -34,6 +34,7 @@ from cvmdi import (
 from cvmdi import protocols
 from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
 from cvmdi.protocols import (
+    GAIN_TOL,
     _displaced_pair,
     _gain_coefficients,
     _key_rate_at_gain,
@@ -43,6 +44,9 @@ from cvmdi.protocols import (
 )
 from helpers import (
     c_edge,
+    mp_oracle_holevo,
+    mp_oracle_mutual_info_homodyne,
+    mp_unitary_circuit,
     oracle_holevo,
     oracle_two_mode,
     reference_abc,
@@ -291,31 +295,60 @@ def test_holevo_closed_vs_generic_on_circuit_states():
             holevo_generic(st4, 1, "homodyne"), rel=2e-9)
 
 
+def closed_form_holevos(params, noise, g):
+    """(chi, conditioning) of the closed forms at gain g, for the oracle to check."""
+    tm = extract_two_mode(build_mdi_state(params, gain=g))
+    if noise is None:
+        return [(holevo_rr_squeezed(tm), "homodyne"), (holevo_rr_coherent(tm), "heterodyne")]
+    return [(holevo_rr_modified(tm, noise.chi_n), "homodyne")]
+
+
+def gains_near_optimum(params):
+    """The optimal gain and gains up to GAIN_TOL either side: any could be the search's."""
+    g = optimal_gain(params)
+    return [g + k * GAIN_TOL for k in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+
+
 def test_holevo_against_eavesdropper_side_oracle():
     """chi from Eve's own modes on the fully unitary circuit.
 
     The eavesdropper partition has covariance entries of order v_a, so its
-    entropies are only eps * |cov|-accurate: the tolerance scales with the
-    variance regime (the moderate-variance rows agree to ~1e-13).
+    entropies are only eps * |cov|-accurate in double precision: the
+    tolerance of the float oracle scales with the variance regime (the
+    moderate-variance rows agree to ~1e-13).  At v_a = 1e5 with eta = 1 the
+    float oracle misses by up to 1e-5 within GAIN_TOL of the optimum, so
+    those rows take the mpmath oracle, at every gain the search could
+    return.
     """
-    cases = [(IDEAL_10KM, None, 1e-9), (PRACTICAL_10KM, None, 1e-5),
+    cases = [(PRACTICAL_10KM, None, 1e-5),
              (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=0.0,
                              eta=0.9, v_el=0.015), None, 1e-11),
-             (IDEAL_10KM, AddedNoiseParams.from_chi_n(2.0), 1e-9),
              (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=60.0, l_bc=0.0),
               AddedNoiseParams.from_chi_n(5.0), 1e-11)]
     for params, noise, tol in cases:
         g = optimal_gain(params)  # plain squeezed gain
         circ = unitary_circuit(params, g, noise)
-        tm = extract_two_mode(build_mdi_state(params, gain=g))
-        if noise is None:
-            assert holevo_rr_squeezed(tm) == pytest.approx(
-                oracle_holevo(circ, "homodyne"), abs=tol)
-            assert holevo_rr_coherent(tm) == pytest.approx(
-                oracle_holevo(circ, "heterodyne"), abs=tol)
-        else:
-            assert holevo_rr_modified(tm, noise.chi_n) == pytest.approx(
-                oracle_holevo(circ, "homodyne"), abs=tol)
+        for chi, conditioning in closed_form_holevos(params, noise, g):
+            assert chi == pytest.approx(oracle_holevo(circ, conditioning), abs=tol)
+    for noise in (None, AddedNoiseParams.from_chi_n(2.0)):
+        for g in gains_near_optimum(IDEAL_10KM):
+            circ = mp_unitary_circuit(IDEAL_10KM, g, noise)
+            for chi, conditioning in closed_form_holevos(IDEAL_10KM, noise, g):
+                assert chi == pytest.approx(mp_oracle_holevo(circ, conditioning), abs=1e-9), g
+
+
+def test_mp_oracle_matches_float_oracle_at_moderate_variance():
+    # where double precision suffices, the two builds of the circuit agree,
+    # detector ancillas, heterodyne and trusted noise included
+    for params, noise in ((ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=2.0,
+                                          eta=0.9, v_el=0.015), None),
+                          (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=60.0, l_bc=0.0),
+                           AddedNoiseParams.from_chi_n(5.0))):
+        g = optimal_gain(params)
+        circ, mp_circ = unitary_circuit(params, g, noise), mp_unitary_circuit(params, g, noise)
+        for conditioning in ("homodyne", "heterodyne"):
+            assert mp_oracle_holevo(mp_circ, conditioning) == pytest.approx(
+                oracle_holevo(circ, conditioning), abs=1e-11)
 
 
 def test_lossless_announcement_leak_is_real():
@@ -425,13 +458,12 @@ def test_key_rate_positive_inside_cutoff():
 
 
 def test_key_rate_oracle_agreement_at_10km():
-    g = optimal_gain(IDEAL_10KM)
-    r = key_rate(IDEAL_10KM)
-    circ = unitary_circuit(IDEAL_10KM, g)
-    a, b, c = oracle_two_mode(circ)
-    i_ref = 0.5 * math.log2(a * b / (a * b - c * c))
-    k_ref = IDEAL_10KM.beta * i_ref - oracle_holevo(circ, "homodyne")
-    assert r.key_rate == pytest.approx(k_ref, abs=1e-9)
+    for g in gains_near_optimum(IDEAL_10KM):
+        r = key_rate(replace(IDEAL_10KM, gain=g))
+        circ = mp_unitary_circuit(IDEAL_10KM, g)
+        k_ref = (IDEAL_10KM.beta * mp_oracle_mutual_info_homodyne(circ)
+                 - mp_oracle_holevo(circ, "homodyne"))
+        assert r.key_rate == pytest.approx(k_ref, abs=1e-9), g
 
 
 @pytest.mark.parametrize("protocol,noise", [
