@@ -184,11 +184,20 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
 
     mode 'symmetric' scans d = L_AC = L_BC (total L_AB = 2d); mode
     'fixed-lbc' scans L_AC at the configured L_BC.  The squeezed-modified
-    protocol uses `noise` as given, or re-optimizes chi_n inside every
-    evaluation when `noise` is None; the plain protocols take no noise.
+    protocol uses `noise` as given, or maximizes K over chi_n at each
+    trial length when `noise` is None; the plain protocols take no noise.
     The edge is bracketed by trials at 1, 2, 4, ... km (``cap_km`` last)
     and bisected to `tol_km`, which must be positive and finite; this
-    assumes K non-increasing in the scanned length.  With no key at
+    assumes K non-increasing in the scanned length.
+
+    The search reads only the sign of K*(L) = max over chi_n of K(L, chi_n).
+    So the chi_n* of the last full optimisation is carried from trial to
+    trial and tried first: K(L, chi_n*) > 0 proves K*(L) > 0, and that
+    evaluated value is returned.  Only a non-positive probe runs the full
+    ``optimize_added_noise``, whose optimum is then carried on; length 0
+    has no previous optimum and always runs it.  A positive trial thus
+    stands on a point actually evaluated and a non-positive one on the
+    full search, as without the probe.  With no key at
     length 0 the result has positive_at_origin False and l_star_km =
     l_ab_km = 0: a protocol without key claims no reach.
     """
@@ -203,12 +212,19 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
             return with_geometry(params, l_ac=length, l_bc=length)
         return with_geometry(params, l_ac=length)
 
+    chi_last = None  # chi_n* of the last full optimisation
+
     def k_of(length: float) -> float:
+        nonlocal chi_last
         p = geometry(length)
-        if optimize_noise:
-            _, k = optimize_added_noise(p)
-            return k
-        return key_rate(p, noise).key_rate
+        if not optimize_noise:
+            return key_rate(p, noise).key_rate
+        if chi_last is not None:
+            k = key_rate(p, AddedNoiseParams.from_chi_n(chi_last)).key_rate
+            if k > 0.0:
+                return k
+        chi_last, k = optimize_added_noise(p)
+        return k
 
     if k_of(0.0) <= 0.0:
         return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)

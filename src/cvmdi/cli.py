@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: keyrate | sweep | maxdist | optnoise | compare.
+``compare`` tabulates both detector presets unless the config file or
+``--detector`` names one.
 Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  Outputs are deterministic CSV or JSON
 tables carrying the fully resolved configuration as provenance.
@@ -83,6 +85,7 @@ X_UNITS = {"distance-symmetric": "km", "lac-with-fixed-lbc": "km", "chi-n": "snu
 MAXDIST_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
                  "most-asymmetric": "fixed-lbc"}
 OPTIMIZE = {"optimize": None}
+GIVEN = "_given"  # cfg key of the explicitly set settings; not a setting itself
 
 
 def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
@@ -112,11 +115,11 @@ def load_config(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config:
-        cfg.update(load_config(args.config))
-    cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
-    return cfg
+    """DEFAULTS overlaid by the config file, then by the flags; cfg[GIVEN]
+    names the settings that the config file or a flag set."""
+    given = load_config(args.config) if args.config else {}
+    given.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
+    return {**DEFAULTS, **given, GIVEN: frozenset(given)}
 
 
 def _num(cfg: dict, key: str, names: dict | None = None) -> float | None:
@@ -315,7 +318,9 @@ def cmd_optnoise(cfg: dict) -> int:
 
 def cmd_compare(cfg: dict) -> int:
     params, _ = _resolve(cfg)
-    table = compare_protocols(params, geometry=cfg["geometry"], tol_km=_num(cfg, "tol_km"))
+    detectors = (cfg["detector"],) if "detector" in cfg[GIVEN] else tuple(DETECTOR_PRESETS)
+    table = compare_protocols(params, geometry=cfg["geometry"], detectors=detectors,
+                              tol_km=_num(cfg, "tol_km"))
     meta = {**table.metadata, "config": _resolved_echo(cfg, params)}
     _write(cfg, meta, COMPARE_COLUMNS, [asdict(r) for r in table.rows])
     return 0

@@ -14,10 +14,12 @@ read off as gain coefficients.  At each gain g the reduced Alice-Bob state
 (a, b, c) is then a scalar quadratic in g over those coefficients.  The key
 rate is a closed-form function of (a, b, c), chi_n and the protocol, with
 the trusted-noise Holevo term of Lodewyck et al., PRA 76, 042305 (2007).
-The matrix route (``build_mdi_state``, ``extract_two_mode``) still
-validates each reported point; its four-mode (A3, B5, N1, N3) circuit with
-``noise=...`` is kept only as the oracle that tests check the closed form
-against.
+A reported point is certified physical from the smaller symplectic
+eigenvalue of (a, b, c), at the tolerance of
+``GaussianState.require_physical``.  The matrix route (``build_mdi_state``,
+``extract_two_mode``), with its four-mode (A3, B5, N1, N3) circuit for
+``noise=...``, is not on the key-rate path: it is kept as the oracle that
+tests check the closed forms against.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -43,6 +45,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericDomainError, StructuralError
 from .gaussian import (
+    PHYSICALITY_TOL,
     GaussianState,
     TwoModeCov,
     apply_beamsplitter,
@@ -207,8 +210,8 @@ def _relay_state(params: ProtocolParams) -> GaussianState:
     """Gain-independent circuit prefix: modes (A3, C2, B3, D2).
 
     The first step of every key rate: ``_gain_coefficients`` reads the
-    displaced pair's coefficients off this covariance, and
-    ``_displaced_pair`` applies the feedforward to it for validation.
+    displaced pair's coefficients off this covariance.  ``_displaced_pair``
+    applies the feedforward to it for the matrix oracle ``build_mdi_state``.
     Cached per parameter point; ProtocolParams is frozen and hashable.
     """
     state = tensor(epr_state(params.v_a), epr_state(params.v_b))  # (A3, A2, B3, B2)
@@ -524,20 +527,30 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
         f"gain optimum stuck at the search edge {hi / 2.0} even after widening")
 
 
+def _require_physical_pair(tm: TwoModeCov, lam2: float) -> None:
+    """Physicality of the displaced pair (A3, B4) from its smaller symplectic
+    eigenvalue, at the tolerance ``GaussianState.require_physical`` applies to
+    the same covariance in ``build_mdi_state``."""
+    eff = max(PHYSICALITY_TOL, 64.0 * _EPS * max(1.0, abs(tm.a), abs(tm.b), abs(tm.c)))
+    if lam2 < 1.0 - eff:
+        raise NumericDomainError(
+            f"unphysical covariance at stage 'feedforward': min symplectic eigenvalue {lam2!r}")
+
+
 def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> KeyRateReport:
     """Secret key rate K = beta I(A:B) - chi(B:E) for one parameter point.
 
-    Assembles and validates the circuit, optimizes the displacement gain
-    unless ``params.gain`` is set, and evaluates the protocol variant
-    selected by ``params.protocol``.
+    Optimizes the displacement gain unless ``params.gain`` is set, checks
+    that the reduced state at that gain is physical, and evaluates the
+    protocol variant selected by ``params.protocol``.
     """
     noise = _resolve_noise(params, noise)
     chi_n = 0.0 if noise is None else noise.chi_n
     try:
         g = params.gain if params.gain is not None else optimal_gain(params, noise)
-        build_mdi_state(params, gain=g)  # physicality of the reported point
         tm = _reduced_state(params, g)
         i_ab, chi, lams, clamped = _rate_terms(tm, params.protocol, chi_n)
+        _require_physical_pair(tm, lams[1])
     except (NumericDomainError, StructuralError) as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc
     return KeyRateReport(

@@ -6,7 +6,8 @@ reduced two-mode state, and a fully unitary circuit that keeps every
 environment and announcement-purification mode so that Holevo bounds can
 be evaluated from the eavesdropper's side directly.  The same circuit is
 also built in mpmath arithmetic, for variances at which the eavesdropper's
-entropies cannot be taken in double precision.
+entropies cannot be taken in double precision.  The max-distance search is
+redone with a full chi_n optimisation at every trial length.
 """
 
 from __future__ import annotations
@@ -29,7 +30,31 @@ from cvmdi import (
     tensor,
     von_neumann_entropy,
 )
-from cvmdi.protocols import ProtocolParams, AddedNoiseParams
+from cvmdi import analysis
+from cvmdi.analysis import SCAN_CAP_KM, SCAN_STEP_KM, MaxDistanceResult
+from cvmdi.protocols import ProtocolParams, AddedNoiseParams, with_geometry
+from cvmdi.search import positive_edge
+
+
+def reference_max_distance(params: ProtocolParams, mode: str = "symmetric",
+                           tol_km: float = 0.05,
+                           cap_km: float = SCAN_CAP_KM) -> MaxDistanceResult:
+    """``max_distance`` of the squeezed-modified protocol with chi_n
+    re-optimised in full at every trial length, as it was before the warm
+    start.  ``optimize_added_noise`` is looked up in ``cvmdi.analysis`` at
+    call time, so a test's substitute for it is used here too."""
+
+    def k_of(length: float) -> float:
+        p = (with_geometry(params, l_ac=length, l_bc=length) if mode == "symmetric"
+             else with_geometry(params, l_ac=length))
+        return analysis.optimize_added_noise(p)[1]
+
+    if k_of(0.0) <= 0.0:
+        return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)
+    edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, cap_km)
+    l_ab = 2.0 * edge if mode == "symmetric" else edge + params.l_bc
+    return MaxDistanceResult(edge, l_ab, mode, positive_at_origin=True,
+                             capped=capped, tol_km=tol_km)
 
 
 def c_edge(a: float, b: float) -> float:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cvmdi import (
     sweep,
     with_geometry,
 )
+from helpers import reference_max_distance
 
 REALISTIC = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0,
                            eta=0.9, v_el=0.015)
@@ -233,3 +235,58 @@ def test_abstract_claims_as_orderings():
 def test_compare_protocols_rejects_unknown_geometry():
     with pytest.raises(InvalidParameterError):
         compare_protocols(REALISTIC, geometry="ring")
+
+
+# ------------------------------------------------- warm-started chi_n search
+
+@pytest.mark.parametrize("mode,l_bc", [("symmetric", 0.0), ("fixed-lbc", 0.0),
+                                       ("fixed-lbc", 2.0)])
+@pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
+def test_warm_start_matches_full_search_at_every_trial(detector, mode, l_bc):
+    eta, v_el = DETECTOR_PRESETS[detector]
+    p = replace(REALISTIC_MOD, eta=eta, v_el=v_el, l_bc=l_bc)
+    got = max_distance(p, mode=mode)
+    want = reference_max_distance(p, mode=mode)
+    assert got.positive_at_origin
+    assert ((got.l_star_km, got.l_ab_km, got.positive_at_origin, got.capped)
+            == (want.l_star_km, want.l_ab_km, want.positive_at_origin, want.capped))
+
+
+def counting(monkeypatch, name):
+    """Count the calls of analysis.<name>, which keeps working as before."""
+    calls = []
+    original = getattr(analysis_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, name, counted)
+    return calls
+
+
+def test_warm_start_reoptimises_only_on_non_positive_probes(monkeypatch):
+    # the paper's most-asymmetric practical row: of its trial lengths only
+    # length 0 and those with a non-positive probe run the full chi_n search
+    calls = counting(monkeypatch, "optimize_added_noise")
+    res = max_distance(REALISTIC_MOD, mode="fixed-lbc")
+    assert res.l_star_km == pytest.approx(13.84, abs=0.05)
+    assert len(calls) <= 5
+
+
+def test_warm_start_falls_back_when_the_optimum_moves(monkeypatch):
+    # K(L, chi_n) = 1 - L/10 - (chi_n - L)^2: the optimum chi_n* = L moves
+    # with L, so the probe at the last chi_n* is non-positive from 1 km on,
+    # while K*(L) = 1 - L/10 stays positive up to 10 km
+    def fake(params, noise=None):
+        return SimpleNamespace(key_rate=1.0 - params.l_ac / 10.0
+                               - (noise.chi_n - params.l_ac) ** 2)
+
+    monkeypatch.setattr(analysis_mod, "key_rate", fake)
+    calls = counting(monkeypatch, "optimize_added_noise")
+    res = max_distance(REALISTIC_MOD, mode="fixed-lbc")
+    # a probe-only search would stop below 1 km
+    assert len(calls) > 1
+    assert res.positive_at_origin
+    assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
+    assert res == reference_max_distance(REALISTIC_MOD, mode="fixed-lbc")

@@ -212,6 +212,30 @@ def test_compare_table_structure():
     assert payload["metadata"]["config"]["tool_version"]
 
 
+@pytest.mark.parametrize("from_config", [False, True])
+def test_compare_keeps_an_explicit_detector(tmp_path, capsys, from_config):
+    argv = ["compare", "--variance", "realistic", "--geometry", "symmetric",
+            "--tol-km", "0.2", "--format", "json"]
+    if from_config:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"detector": "practical"}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--detector", "practical"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["protocol"], r["detector"]) for r in payload["rows"]] == [
+        (p, "practical") for p in ("coherent", "squeezed", "squeezed-modified")]
+    assert payload["metadata"]["config"]["detector"] == "practical"
+
+
+def test_package_runs_as_a_module():
+    res = subprocess.run([sys.executable, "-m", "cvmdi", "--version"],
+                         capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"cvmdi {cli.__version__}"
+
+
 def test_gain_flag_accepts_fixed_value():
     res = run_cli("keyrate", "--gain", "1.4142", "--format", "json")
     assert res.returncode == 0, res.stderr

@@ -33,6 +33,7 @@ from cvmdi import (
 )
 from cvmdi import protocols
 from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
+from cvmdi.gaussian import PHYSICALITY_TOL
 from cvmdi.protocols import (
     GAIN_TOL,
     _displaced_pair,
@@ -404,6 +405,31 @@ def test_modified_chi_depends_only_on_chi_n():
     assert holevo_rr_modified(tm, chi_target) == pytest.approx(oracle_chis[0], abs=1e-9)
 
 
+@pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
+def test_modified_holevo_invariant_under_noise_realisation(detector):
+    # the trusted-noise beamsplitter enters Eve's bound through chi_n alone:
+    # any (t_r, n_r) with (1 - t_r) n_r / t_r = chi_n gives the same 4-mode
+    # Holevo bound, and it equals the closed form at chi_n
+    rng = random.Random(1406)
+    eta, v_el = DETECTOR_PRESETS[detector]
+    for _ in range(25):
+        v = VARIANCE_PRESETS["realistic"]
+        p = ProtocolParams(v_a=v, v_b=v, l_ac=rng.uniform(0.0, 30.0),
+                           l_bc=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+                           eta=eta, v_el=v_el, protocol="squeezed-modified")
+        g = rng.uniform(0.5, 1.5) * math.sqrt(2.0 / (eta * p.t_2))
+        chi_n = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
+        realisations = [AddedNoiseParams.from_chi_n(chi_n),
+                        AddedNoiseParams(t_r=1.0 / (1.0 + chi_n), n_r=1.0)]
+        if chi_n >= 1.0:
+            realisations.append(AddedNoiseParams(t_r=0.5, n_r=chi_n))
+        chis = [holevo_generic(build_mdi_state(p, noise=noise, gain=g), 1, "homodyne")
+                for noise in realisations]
+        closed = holevo_rr_modified(_reduced_state(p, g), chi_n)
+        assert max(chis) - min(chis) < 1e-9, (p, g, chi_n)
+        assert all(chi == pytest.approx(closed, abs=1e-9) for chi in chis), (p, g, chi_n)
+
+
 def test_modified_matches_generic_entropy_engine():
     p = replace_protocol(IDEAL_10KM, "squeezed-modified")
     noise = AddedNoiseParams(t_r=0.99, n_r=1.0)
@@ -450,6 +476,55 @@ def test_key_rate_report_identity():
     assert r.holevo >= 0.0
     assert len(r.lambdas) == 3
     assert r.flags == ()
+
+
+@pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
+@pytest.mark.parametrize("protocol", protocols.PROTOCOLS)
+def test_key_rate_lambda2_is_the_matrix_oracle_minimum(protocol, detector):
+    # key_rate certifies physicality from the scalar lambda2 of (a, b, c);
+    # it must be the smallest symplectic eigenvalue of the state that
+    # build_mdi_state assembles and checks
+    rng = random.Random(19)
+    eta, v_el = DETECTOR_PRESETS[detector]
+    for v in (5.04, 1e4):
+        for _ in range(12):
+            p = ProtocolParams(v_a=v, v_b=v, l_ac=rng.choice([0.0, rng.uniform(0.0, 60.0)]),
+                               l_bc=rng.choice([0.0, rng.uniform(0.0, 10.0)]),
+                               eta=eta, v_el=v_el, protocol=protocol)
+            g = rng.uniform(0.0, gain_bracket(p))
+            noise = (AddedNoiseParams.from_chi_n(rng.uniform(0.0, 10.0))
+                     if protocol == "squeezed-modified" else None)
+            lam2 = key_rate(replace(p, gain=g), noise).lambdas[1]
+            lam_min = float(symplectic_eigenvalues(build_mdi_state(p, gain=g))[-1])
+            assert lam2 == pytest.approx(lam_min, rel=1e-9), (p, g)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_scalar_physicality_check_uses_the_oracle_tolerance(scale):
+    # the same tolerance as GaussianState.require_physical on the pair's
+    # covariance: PHYSICALITY_TOL, widened to 64 eps per unit of magnitude
+    tm = TwoModeCov(a=scale, b=scale, c=0.0)
+    eff = max(PHYSICALITY_TOL, 64.0 * np.finfo(float).eps * scale)
+    protocols._require_physical_pair(tm, 1.0 - 0.5 * eff)
+    with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
+        protocols._require_physical_pair(tm, 1.0 - 2.0 * eff)
+    for lam, physical in ((1.0 - 0.5 * eff, True), (1.0 - 2.0 * eff, False)):
+        state = GaussianState(np.diag([scale, scale, lam * lam / scale, scale]))
+        assert symplectic_eigenvalues(state)[-1] == pytest.approx(lam, rel=1e-12)
+        if physical:
+            state.require_physical(context="feedforward")
+        else:
+            with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
+                state.require_physical(context="feedforward")
+
+
+def test_key_rate_refuses_an_unphysical_reported_point(monkeypatch):
+    # a lambda2 planted just below PHYSICALITY_TOL at a fixed gain
+    real = protocols.two_mode_symplectic
+    monkeypatch.setattr(protocols, "two_mode_symplectic",
+                        lambda a, b, c: (real(a, b, c)[0], 1.0 - 1e-8))
+    with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
+        key_rate(replace(PRACTICAL_10KM, gain=1.9))
 
 
 def test_key_rate_positive_inside_cutoff():
