@@ -1,5 +1,10 @@
 """Figure-level computations: parameter sweeps, maximal transmission
-distances, added-noise optimization, and protocol comparison tables."""
+distances, added-noise optimization, and protocol comparison tables.
+
+The squeezed-modified protocol given no added noise has its chi_n
+optimised, per point (``key_rate_at_best_noise``) or per trial length
+(``max_distance``).
+"""
 
 from __future__ import annotations
 
@@ -29,13 +34,22 @@ CHI_N_GRID_POINTS = 11
 SCAN_STEP_KM = 1.0
 SCAN_CAP_KM = 500.0
 
+ASYMMETRIC_LBC_KM = (0.0, 1.0, 2.0, 5.0)
+
+# Most points one sweep may hold; counted before the grid is built.
+MAX_SWEEP_POINTS = 100_000
+
 DETECTOR_PRESETS = {"perfect": (1.0, 0.0), "practical": (0.9, 0.015)}
 VARIANCE_PRESETS = {"ideal": 1e5, "realistic": 5.04}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional sweep request."""
+    """One-dimensional sweep request.
+
+    A squeezed-modified base with ``noise`` None has chi_n optimised at
+    each point, except on a ``chi-n`` sweep, whose points give it.
+    """
 
     variable: str
     start: float
@@ -43,31 +57,44 @@ class SweepSpec:
     step: float
     base: ProtocolParams
     noise: AddedNoiseParams | None = None
-    optimize_noise: bool = False
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise InvalidParameterError(
                 f"unknown sweep variable {self.variable!r}; pick one of {SWEEP_VARIABLES}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0.0:
             raise InvalidParameterError(f"step must be > 0, got {self.step}")
         if self.start > self.stop:
             raise InvalidParameterError(
                 f"start {self.start} must not exceed stop {self.stop}")
+        # floor((end - start)/step) + 1 points exceed the bound exactly when this does
+        if (self._end - self.start) / self.step >= MAX_SWEEP_POINTS:
+            raise InvalidParameterError(
+                f"sweep grid from {self.start} to {self.stop} by {self.step} "
+                f"holds more than {MAX_SWEEP_POINTS} points")
         if self.variable == "chi-n" and self.base.protocol != "squeezed-modified":
             raise InvalidParameterError("chi-n sweeps need protocol 'squeezed-modified'")
+
+    @property
+    def _end(self) -> float:
+        """``stop`` plus the relative slack ``1e-9 * max(1, |stop|)``."""
+        return self.stop + 1e-9 * max(1.0, abs(self.stop))
 
     def grid(self) -> list[float]:
         """Sweep points ``start + k*step`` for k = 0, 1, ..., both ends inclusive.
 
-        A point is kept while it exceeds ``stop`` by no more than the relative
-        slack ``1e-9 * max(1, |stop|)``, so rounding in ``k*step`` cannot drop
-        the end point. ``start == stop`` gives the single point ``[start]``.
+        A point is kept while it does not exceed ``stop`` by more than a
+        relative slack (``_end``), so rounding in ``k*step`` cannot drop the
+        end point. ``start == stop`` gives the single point ``[start]``.
         """
         xs = []
         x = self.start
         k = 0
-        while x <= self.stop + 1e-9 * max(1.0, abs(self.stop)):
+        end = self._end
+        while x <= end:
             xs.append(x)
             k += 1
             x = self.start + k * self.step
@@ -95,18 +122,27 @@ def _point_params(spec: SweepSpec, x: float) -> tuple[ProtocolParams, AddedNoise
     return spec.base, AddedNoiseParams.from_chi_n(x)
 
 
+def _optimizes_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> bool:
+    return params.protocol == "squeezed-modified" and noise is None
+
+
+def key_rate_at_best_noise(params: ProtocolParams,
+                           noise: AddedNoiseParams | None = None) -> KeyRateReport:
+    """``key_rate(params, noise)``; for the squeezed-modified protocol given
+    no noise, at the chi_n* of ``optimize_added_noise``."""
+    if _optimizes_noise(params, noise):
+        chi_star, _ = optimize_added_noise(params)
+        noise = AddedNoiseParams.from_chi_n(chi_star)
+    return key_rate(params, noise)
+
+
 def sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate one KeyRateReport per grid point; failures become error rows."""
     rows = []
     for x in spec.grid():
         params, noise = _point_params(spec, x)
         try:
-            if spec.optimize_noise and spec.variable != "chi-n":
-                chi_star, _ = optimize_added_noise(params)
-                report = key_rate(params, AddedNoiseParams.from_chi_n(chi_star))
-            else:
-                report = key_rate(params, noise)
-            rows.append(SweepRow(x=x, report=report))
+            rows.append(SweepRow(x=x, report=key_rate_at_best_noise(params, noise)))
         except CVMDIError as exc:
             rows.append(SweepRow(x=x, error=str(exc)))
     meta = {"spec": _spec_echo(spec), "tool_version": __version__}
@@ -119,7 +155,6 @@ def _spec_echo(spec: SweepSpec) -> dict:
         "start": spec.start,
         "stop": spec.stop,
         "step": spec.step,
-        "optimize_noise": spec.optimize_noise,
         "base": vars(spec.base).copy(),
     }
     if spec.noise is not None:
@@ -127,13 +162,11 @@ def _spec_echo(spec: SweepSpec) -> dict:
     return d
 
 
-def optimize_added_noise(params: ProtocolParams,
-                         bracket: tuple[float, float] = CHI_N_BRACKET,
-                         tol: float = CHI_N_TOL) -> tuple[float, float]:
+def optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
     """Best trusted added noise at this geometry: returns (chi_n*, K*).
 
     K is first evaluated on a grid of CHI_N_GRID_POINTS evenly spaced
-    chi_n over the bracket.  Golden section then refines to `tol` only
+    chi_n over CHI_N_BRACKET.  Golden section then refines to CHI_N_TOL only
     inside the two grid cells around the best grid point (one cell at a
     bracket edge), reusing the two grid values that bound them; the result
     is the better of that refinement and the best grid point.  A grid with
@@ -146,7 +179,7 @@ def optimize_added_noise(params: ProtocolParams,
     def objective(chi: float) -> float:
         return key_rate(params, AddedNoiseParams.from_chi_n(chi)).key_rate
 
-    lo, hi = bracket
+    lo, hi = CHI_N_BRACKET
     n = CHI_N_GRID_POINTS
     step = (hi - lo) / (n - 1)
     grid = [lo + i * step for i in range(n)]
@@ -161,7 +194,7 @@ def optimize_added_noise(params: ProtocolParams,
     known = dict(zip(grid, vals))
     sub_lo, sub_hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
     best_x, best_f = golden_section_max(
-        lambda chi: known[chi] if chi in known else objective(chi), sub_lo, sub_hi, tol)
+        lambda chi: known[chi] if chi in known else objective(chi), sub_lo, sub_hi, CHI_N_TOL)
     if vals[best] > best_f:
         best_x, best_f = grid[best], vals[best]
     return best_x, best_f
@@ -179,14 +212,14 @@ class MaxDistanceResult:
 
 def max_distance(params: ProtocolParams, mode: str = "symmetric",
                  noise: AddedNoiseParams | None = None,
-                 tol_km: float = 0.05, cap_km: float = SCAN_CAP_KM) -> MaxDistanceResult:
+                 tol_km: float = 0.05) -> MaxDistanceResult:
     """Largest channel length with positive key rate.
 
     mode 'symmetric' scans d = L_AC = L_BC (total L_AB = 2d); mode
     'fixed-lbc' scans L_AC at the configured L_BC.  The squeezed-modified
     protocol uses `noise` as given, or maximizes K over chi_n at each
     trial length when `noise` is None; the plain protocols take no noise.
-    The edge is bracketed by trials at 1, 2, 4, ... km (``cap_km`` last)
+    The edge is bracketed by trials at 1, 2, 4, ... km (SCAN_CAP_KM last)
     and bisected to `tol_km`, which must be positive and finite; this
     assumes K non-increasing in the scanned length.
 
@@ -205,7 +238,7 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
         raise InvalidParameterError(f"unknown max-distance mode {mode!r}")
     if not 0.0 < tol_km < math.inf:
         raise InvalidParameterError(f"tol_km must be positive and finite, got {tol_km}")
-    optimize_noise = params.protocol == "squeezed-modified" and noise is None
+    optimize_noise = _optimizes_noise(params, noise)
 
     def geometry(length: float) -> ProtocolParams:
         if mode == "symmetric":
@@ -228,7 +261,7 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
 
     if k_of(0.0) <= 0.0:
         return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)
-    edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, cap_km)
+    edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, SCAN_CAP_KM)
     l_ab = 2.0 * edge if mode == "symmetric" else edge + params.l_bc
     return MaxDistanceResult(edge, l_ab, mode, positive_at_origin=True,
                              capped=capped, tol_km=tol_km)
@@ -253,16 +286,15 @@ class ComparisonTable:
 
 def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
                       detectors: Iterable[str] = ("perfect", "practical"),
-                      l_bc_grid: Iterable[float] = (0.0, 1.0, 2.0, 5.0),
                       tol_km: float = 0.05) -> ComparisonTable:
     """Max-distance table over protocols x detector presets.
 
     geometry 'symmetric' scans d = L_AC = L_BC; 'most-asymmetric' pins
     L_BC = 0 and scans L_AC; 'asymmetric' scans L_AC at each L_BC in
-    l_bc_grid and keeps the best row per (protocol, detector): a row with
-    key at the origin outranks one without, then the longer total wins,
-    and the first row in l_bc_grid order wins ties.  The modified protocol
-    always re-optimizes chi_n per evaluation.
+    ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
+    row with key at the origin outranks one without, then the longer total
+    wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  The
+    modified protocol always re-optimizes chi_n per evaluation.
     """
     if geometry not in GEOMETRIES:
         raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
@@ -278,7 +310,7 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
                 rows.append(ComparisonRow(protocol, det, None, res.l_star_km, res.l_ab_km,
                                           res.positive_at_origin, res.capped))
             else:
-                grid = [0.0] if geometry == "most-asymmetric" else list(l_bc_grid)
+                grid = (0.0,) if geometry == "most-asymmetric" else ASYMMETRIC_LBC_KM
                 best = None
                 for l_bc in grid:
                     res = max_distance(with_geometry(p, l_bc=l_bc), mode="fixed-lbc",

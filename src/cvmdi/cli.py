@@ -2,7 +2,9 @@
 
 Subcommands: keyrate | sweep | maxdist | optnoise | compare.
 ``compare`` tabulates both detector presets unless the config file or
-``--detector`` names one.
+``--detector`` names one.  ``keyrate``, ``sweep`` and ``maxdist`` optimise
+chi_n when the squeezed-modified protocol is given none (``--chi-n``
+unset or 'optimize'); a ``chi-n`` sweep gives it at each point.
 Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  Outputs are deterministic CSV or JSON
 tables carrying the fully resolved configuration as provenance.
@@ -38,6 +40,7 @@ from .analysis import (
     VARIANCE_PRESETS,
     SweepSpec,
     compare_protocols,
+    key_rate_at_best_noise,
     max_distance,
     optimize_added_noise,
     sweep,
@@ -72,7 +75,7 @@ DEFAULTS = {
     "precision": 9,
 }
 
-_SWEEP_KEYS = {"variable", "start", "stop", "step", "optimize_noise"}
+_SWEEP_KEYS = {"variable", "start", "stop", "step"}
 
 REPORT_COLUMNS = ["I_AB_bits", "chi_BE_bits", "K_bits",
                   "lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
@@ -175,10 +178,6 @@ def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
     return params, AddedNoiseParams.from_chi_n(chi_n)
 
 
-def _optimizes_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> bool:
-    return params.protocol == "squeezed-modified" and noise is None
-
-
 def _resolved_echo(cfg: dict, params: ProtocolParams) -> dict:
     echo = {k: cfg[k] for k in sorted(DEFAULTS) if k not in ("v_a", "v_b", "eta", "v_el")}
     echo.update({
@@ -261,10 +260,7 @@ def _write(cfg: dict, meta: dict, columns: list[str], rows: list[dict], key: str
 
 def cmd_keyrate(cfg: dict) -> int:
     params, noise = _resolve(cfg)
-    if _optimizes_noise(params, noise):
-        chi_star, _ = optimize_added_noise(params)
-        noise = AddedNoiseParams.from_chi_n(chi_star)
-    report = key_rate(params, noise)
+    report = key_rate_at_best_noise(params, noise)
     _write(cfg, _resolved_echo(cfg, params), REPORT_COLUMNS, [_report(report)])
     return 0
 
@@ -277,14 +273,8 @@ def cmd_sweep(cfg: dict) -> int:
     for field in ("variable", "start", "stop", "step"):
         if field not in block:
             _fail_config(f"sweep block is missing '{field}'")
-    spec = SweepSpec(
-        variable=block["variable"],
-        start=_num(block, "start"), stop=_num(block, "stop"), step=_num(block, "step"),
-        base=params, noise=noise,
-        optimize_noise=bool(block.get("optimize_noise", _optimizes_noise(params, noise))),
-    )
-    if not spec.grid():
-        _fail_config("sweep grid is empty")
+    spec = SweepSpec(block["variable"], start=_num(block, "start"), stop=_num(block, "stop"),
+                     step=_num(block, "step"), base=params, noise=noise)
     result = sweep(spec)
     x = f"x_{X_UNITS[spec.variable]}"
     rows = [{x: r.x, **(_report(r.report) if r.report else {"error": r.error})}

@@ -1,17 +1,14 @@
 """Multimode Gaussian-state algebra in shot-noise units.
 
-States are covariance matrices plus mean vectors with quadratures
-interleaved as (x1, p1, x2, p2, ...) and vacuum variance 1.  All
-operations are pure: they return new states and never mutate inputs.
-Means are carried through every transformation but ignored by the
-entropy functions, because for Gaussian states conditional covariances
-are outcome-independent.
+States are covariance matrices with quadratures interleaved as
+(x1, p1, x2, p2, ...) and vacuum variance 1.  All operations are pure:
+they return new states and never mutate inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,38 +25,28 @@ PHYSICALITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Covariance matrix and mean vector of an n-mode Gaussian state."""
+    """Covariance matrix of an n-mode Gaussian state."""
 
     cov: np.ndarray
-    mean: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
             raise InvalidParameterError(
                 f"covariance must be a square 2n x 2n matrix, got {cov.shape}")
-        mean = self.mean
-        if mean is None:
-            mean = np.zeros(cov.shape[0])
-        mean = np.array(mean, dtype=float).reshape(-1)
-        if mean.shape[0] != cov.shape[0]:
-            raise InvalidParameterError(
-                f"mean length {mean.shape[0]} does not match covariance size {cov.shape[0]}")
         scale = max(1.0, float(np.abs(cov).max())) if cov.size else 1.0
         if cov.size and float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
             raise InvalidParameterError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov.T)
         cov.flags.writeable = False
-        mean.flags.writeable = False
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "mean", mean)
 
     @property
     def n_modes(self) -> int:
         return self.cov.shape[0] // 2
 
-    def require_physical(self, tol: float = PHYSICALITY_TOL, context: str = "") -> "GaussianState":
-        """Raise unless every symplectic eigenvalue is >= 1 - tol.
+    def require_physical(self, context: str = "") -> "GaussianState":
+        """Raise unless every symplectic eigenvalue is >= 1 - PHYSICALITY_TOL.
 
         The tolerance widens to 64 eps per unit of covariance magnitude,
         since eigenvalues of a matrix with entries of size s cannot be
@@ -68,7 +55,7 @@ class GaussianState:
         if self.n_modes == 0:
             return self
         scale = max(1.0, float(np.abs(self.cov).max()))
-        eff = max(tol, 64.0 * np.finfo(float).eps * scale)
+        eff = max(PHYSICALITY_TOL, 64.0 * np.finfo(float).eps * scale)
         lam_min = float(symplectic_eigenvalues(self)[-1])
         if lam_min < 1.0 - eff:
             where = f" at stage '{context}'" if context else ""
@@ -107,7 +94,7 @@ def tensor(state_a: GaussianState, state_b: GaussianState) -> GaussianState:
     cov = np.zeros((na + nb, na + nb))
     cov[:na, :na] = state_a.cov
     cov[na:, na:] = state_b.cov
-    return GaussianState(cov, np.concatenate([state_a.mean, state_b.mean]))
+    return GaussianState(cov)
 
 
 def _quad_indices(modes: Iterable[int]) -> list[int]:
@@ -126,7 +113,7 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
         if not 0 <= m < state.n_modes:
             raise InvalidParameterError(f"mode index {m} out of range for {state.n_modes} modes")
     idx = _quad_indices(keep)
-    return GaussianState(state.cov[np.ix_(idx, idx)], state.mean[idx])
+    return GaussianState(state.cov[np.ix_(idx, idx)])
 
 
 def apply_beamsplitter(state: GaussianState, mode_i: int, mode_j: int,
@@ -152,11 +139,11 @@ def apply_beamsplitter(state: GaussianState, mode_i: int, mode_j: int,
         s[ii + q, jj + q] = rr
         s[jj + q, ii + q] = -rr
         s[jj + q, jj + q] = rt
-    return GaussianState(s @ state.cov @ s.T, s @ state.mean)
+    return GaussianState(s @ state.cov @ s.T)
 
 
 def linear_feedforward(state: GaussianState, qmap: np.ndarray) -> GaussianState:
-    """Apply a rectangular quadrature map: cov -> M cov M^T, mean -> M mean.
+    """Apply a rectangular quadrature map: cov -> M cov M^T.
 
     Models deterministic classical feedforward of destructively measured
     commuting quadratures: output rows select the kept quadratures plus
@@ -166,10 +153,10 @@ def linear_feedforward(state: GaussianState, qmap: np.ndarray) -> GaussianState:
     if m.ndim != 2 or m.shape[1] != state.cov.shape[0] or m.shape[0] % 2:
         raise InvalidParameterError(
             f"quadrature map shape {m.shape} incompatible with state of size {state.cov.shape[0]}")
-    return GaussianState(m @ state.cov @ m.T, m @ state.mean)
+    return GaussianState(m @ state.cov @ m.T)
 
 
-def _split_measured(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _split_measured(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if state.n_modes < 2:
         raise InvalidParameterError("conditioning needs at least two modes")
     if not 0 <= mode < state.n_modes:
@@ -180,7 +167,7 @@ def _split_measured(state: GaussianState, mode: int) -> tuple[np.ndarray, np.nda
     gamma_k = state.cov[np.ix_(ki, ki)]
     gamma_m = state.cov[np.ix_(mi, mi)]
     sigma = state.cov[np.ix_(mi, ki)]  # measured x kept cross block
-    return gamma_k, gamma_m, sigma, ki
+    return gamma_k, gamma_m, sigma
 
 
 def homodyne_condition(state: GaussianState, mode: int, quadrature: str = "x") -> GaussianState:
@@ -188,31 +175,28 @@ def homodyne_condition(state: GaussianState, mode: int, quadrature: str = "x") -
 
     Schur complement with the Moore-Penrose pseudo-inverse of X gamma X
     (X the single-quadrature projector), which reduces to dividing by the
-    measured quadrature's variance.  The result is outcome-independent;
-    the kept means are returned unchanged.
+    measured quadrature's variance.  The result is outcome-independent.
     """
     if quadrature not in ("x", "p"):
         raise InvalidParameterError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    gamma_k, gamma_m, sigma, ki = _split_measured(state, mode)
+    gamma_k, gamma_m, sigma = _split_measured(state, mode)
     q = 0 if quadrature == "x" else 1
     var = gamma_m[q, q]
     if var <= 0.0:
         raise NumericDomainError(f"measured quadrature variance {var} is not positive")
     row = sigma[q]
-    cov = gamma_k - np.outer(row, row) / var
-    return GaussianState(cov, state.mean[ki])
+    return GaussianState(gamma_k - np.outer(row, row) / var)
 
 
 def heterodyne_condition(state: GaussianState, mode: int) -> GaussianState:
     """Conditional state after heterodyne: gamma_k - sigma^T (gamma_m + I)^-1 sigma."""
-    gamma_k, gamma_m, sigma, ki = _split_measured(state, mode)
+    gamma_k, gamma_m, sigma = _split_measured(state, mode)
     b = gamma_m + np.eye(2)
     det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     if det <= 0.0:
         raise NumericDomainError("heterodyne conditioning matrix is singular")
     binv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]]) / det
-    cov = gamma_k - sigma.T @ binv @ sigma
-    return GaussianState(cov, state.mean[ki])
+    return GaussianState(gamma_k - sigma.T @ binv @ sigma)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

@@ -205,14 +205,14 @@ def _lossy_channel(state: GaussianState, mode: int, transmittance: float,
     return partial_trace(state, list(range(n)))
 
 
-@lru_cache(maxsize=128)
 def _relay_state(params: ProtocolParams) -> GaussianState:
     """Gain-independent circuit prefix: modes (A3, C2, B3, D2).
 
-    The first step of every key rate: ``_gain_coefficients`` reads the
-    displaced pair's coefficients off this covariance.  ``_displaced_pair``
-    applies the feedforward to it for the matrix oracle ``build_mdi_state``.
-    Cached per parameter point; ProtocolParams is frozen and hashable.
+    The first step of every key rate: ``_gain_coefficients``, cached per
+    parameter point, reads the displaced pair's coefficients off this
+    covariance.  ``_displaced_pair`` applies the feedforward to it for the
+    matrix oracle ``build_mdi_state``.  Not cached itself: the production
+    path assembles it once per point, through ``_gain_coefficients``.
     """
     state = tensor(epr_state(params.v_a), epr_state(params.v_b))  # (A3, A2, B3, B2)
     state = _lossy_channel(state, 1, params.t_1, params.eps1)     # A2 -> A1
@@ -322,11 +322,11 @@ def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = Non
     return state.require_physical(context="added-noise")
 
 
-def extract_two_mode(state: GaussianState, tol: float = TWO_MODE_TOL) -> TwoModeCov:
+def extract_two_mode(state: GaussianState) -> TwoModeCov:
     """Read (a, b, c) off a two-mode covariance of the symmetric form.
 
-    Any x/p asymmetry or x-p cross coupling beyond tol * max-entry signals
-    a circuit-assembly bug and raises StructuralError.
+    Any x/p asymmetry or x-p cross coupling beyond TWO_MODE_TOL * max-entry
+    signals a circuit-assembly bug and raises StructuralError.
     """
     if state.n_modes != 2:
         raise InvalidParameterError(f"expected a two-mode state, got {state.n_modes} modes")
@@ -341,10 +341,11 @@ def extract_two_mode(state: GaussianState, tol: float = TWO_MODE_TOL) -> TwoMode
         [0.0, -c, 0.0, b],
     ])
     dev = float(np.abs(cov - expected).max())
-    if dev > tol * scale:
+    tol = TWO_MODE_TOL * scale
+    if dev > tol:
         raise StructuralError(
             f"covariance deviates from the symmetric two-mode form by {dev} "
-            f"(tolerance {tol * scale})")
+            f"(tolerance {tol})")
     return TwoModeCov(a=float(a), b=float(b), c=float(c))
 
 
@@ -391,63 +392,51 @@ def _trusted_noise_conditional(a: float, b: float, c: float,
     return lam3, lam4, 1.0
 
 
-def _holevo(tm: TwoModeCov, protocol: str,
-            chi_n: float = 0.0) -> tuple[float, tuple[float, ...], bool]:
-    """Eve's Holevo bound on Bob's data: (chi, symplectic spectrum, clamped).
+def _rate_terms(tm: TwoModeCov, protocol: str,
+                chi_n: float = 0.0) -> tuple[float, float, tuple[float, ...], bool]:
+    """(I_AB, chi, lambdas, clamped) of one protocol on the reduced state.
 
-    Eve purifies the channel, not Bob's trusted noise, so the unconditional
-    term is that of (a, b, c) for every protocol; at chi_n > 0 the
+    The trusted noise adds chi_n to Bob's variance in I_AB only.  Eve
+    purifies the channel, not Bob's trusted noise, so the unconditional
+    Holevo term is that of (a, b, c) for every protocol; at chi_n > 0 the
     conditional term includes the retained noise modes N1, N3.
     """
     a, b, c = tm.a, tm.b, tm.c
     lam1, lam2 = two_mode_symplectic(a, b, c)
     if protocol == "coherent":
+        i_ab = mutual_information_heterodyne(tm)
         lam3 = a - c * c / (b + 1.0)
         if lam3 <= 0.0:
             raise NumericDomainError(f"conditional eigenvalue {lam3} is not positive")
         cond = (lam3,)
     elif chi_n == 0.0:
+        i_ab = mutual_information_homodyne(tm)
         lam3_sq = a * (a - c * c / b)
         if lam3_sq <= 0.0:
             raise NumericDomainError(f"conditional eigenvalue squared {lam3_sq} is not positive")
         cond = (math.sqrt(lam3_sq),)
     else:
+        i_ab = mutual_information_homodyne(TwoModeCov(a, b + chi_n, c))
         cond = _trusted_noise_conditional(a, b, c, chi_n)
     chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
     for lam in cond:
         chi -= g_func(max(lam - 1.0, 0.0) / 2.0)
     lams = (lam1, lam2, *cond)
     if chi >= 0.0:
-        return chi, lams, False
+        return i_ab, chi, lams, False
     if chi < -CHI_CLAMP_TOL:
         raise NumericDomainError(f"Holevo bound came out {chi} < -{CHI_CLAMP_TOL}: likely a bug")
-    return 0.0, lams, True
-
-
-def _rate_terms(tm: TwoModeCov, protocol: str,
-                chi_n: float) -> tuple[float, float, tuple[float, ...], bool]:
-    """(I_AB, chi, lambdas, clamped) of one protocol on the reduced state.
-
-    The trusted noise adds chi_n to Bob's variance in I_AB only.
-    """
-    if protocol == "coherent":
-        i_ab = mutual_information_heterodyne(tm)
-    elif chi_n == 0.0:
-        i_ab = mutual_information_homodyne(tm)
-    else:
-        i_ab = mutual_information_homodyne(TwoModeCov(tm.a, tm.b + chi_n, tm.c))
-    chi, lams, clamped = _holevo(tm, protocol, chi_n)
-    return i_ab, chi, lams, clamped
+    return i_ab, 0.0, lams, True
 
 
 def holevo_rr_squeezed(tm: TwoModeCov) -> float:
     """Eve's bound on Bob's homodyne data, from the closed eigenvalue forms."""
-    return _holevo(tm, "squeezed")[0]
+    return _rate_terms(tm, "squeezed")[1]
 
 
 def holevo_rr_coherent(tm: TwoModeCov) -> float:
     """Eve's bound on Bob's heterodyne data (coherent-state baseline)."""
-    return _holevo(tm, "coherent")[0]
+    return _rate_terms(tm, "coherent")[1]
 
 
 def holevo_rr_modified(tm: TwoModeCov, chi_n: float) -> float:
@@ -458,7 +447,7 @@ def holevo_rr_modified(tm: TwoModeCov, chi_n: float) -> float:
     """
     if chi_n < 0.0:
         raise InvalidParameterError(f"chi_n must be >= 0, got {chi_n}")
-    return _holevo(tm, "squeezed-modified", chi_n)[0]
+    return _rate_terms(tm, "squeezed-modified", chi_n)[1]
 
 
 def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) -> float:

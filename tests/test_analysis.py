@@ -42,6 +42,55 @@ def test_sweep_spec_validation():
     assert spec.grid() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+@pytest.mark.parametrize("bad", [{"start": math.nan}, {"stop": math.inf}, {"step": math.nan},
+                                 {"start": -math.inf}])
+def test_sweep_spec_rejects_non_finite_bounds(bad):
+    kw = {"start": 0.0, "stop": 1.0, "step": 0.5, **bad}
+    with pytest.raises(InvalidParameterError):
+        SweepSpec(variable="distance-symmetric", base=REALISTIC, **kw)
+
+
+def test_sweep_spec_bounds_the_grid_size():
+    # the grid is counted without building it; the count includes an end
+    # point that grid() keeps within its rounding slack, as at step 1/n
+    n = analysis_mod.MAX_SWEEP_POINTS
+    spec = SweepSpec(variable="distance-symmetric", start=0.0, stop=float(n - 1), step=1.0,
+                     base=REALISTIC)
+    assert len(spec.grid()) == n
+    assert len(SweepSpec(variable="distance-symmetric", start=0.0, stop=1.0 - 1.0 / n,
+                         step=1.0 / n, base=REALISTIC).grid()) == n
+    with pytest.raises(InvalidParameterError, match="points"):
+        SweepSpec(variable="distance-symmetric", start=0.0, stop=float(n), step=1.0,
+                  base=REALISTIC)
+    with pytest.raises(InvalidParameterError, match="points"):
+        SweepSpec(variable="distance-symmetric", start=0.0, stop=1.0, step=1.0 / n,
+                  base=REALISTIC)
+
+
+@pytest.mark.parametrize("variable", ["distance-symmetric", "lac-with-fixed-lbc"])
+def test_sweep_optimises_chi_n_when_none_given(variable):
+    spec = SweepSpec(variable=variable, start=0.0, stop=8.0, step=4.0, base=REALISTIC_MOD)
+    rows = sweep(spec).rows
+    assert [r.x for r in rows] == [0.0, 4.0, 8.0]
+    for row in rows:
+        p, _ = analysis_mod._point_params(spec, row.x)
+        chi_star = optimize_added_noise(p)[0]
+        want = key_rate(p, AddedNoiseParams.from_chi_n(chi_star))
+        assert row.report.key_rate == want.key_rate
+        assert row.report.chi_n == want.chi_n
+    assert "optimize_noise" not in sweep(spec).metadata["spec"]
+
+
+def test_sweep_uses_a_given_chi_n():
+    noise = AddedNoiseParams.from_chi_n(1.5)
+    spec = SweepSpec(variable="lac-with-fixed-lbc", start=0.0, stop=8.0, step=4.0,
+                     base=REALISTIC_MOD, noise=noise)
+    for row in sweep(spec).rows:
+        want = key_rate(with_geometry(REALISTIC_MOD, l_ac=row.x), noise)
+        assert row.report.key_rate == want.key_rate
+        assert row.report.chi_n == noise.chi_n
+
+
 def test_sweep_single_point_matches_key_rate():
     spec = SweepSpec(variable="distance-symmetric", start=1.0, stop=1.0, step=1.0,
                      base=REALISTIC)

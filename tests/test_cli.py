@@ -121,6 +121,55 @@ def test_sweep_empty_grid_rejected(tmp_path):
     assert res.returncode == 2
 
 
+def test_sweep_grid_over_the_bound_rejected(tmp_path):
+    # one point more than MAX_SWEEP_POINTS: refused before any point is evaluated
+    from cvmdi.analysis import MAX_SWEEP_POINTS
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"sweep": {"variable": "distance-symmetric", "start": 0.0,
+                                         "stop": float(MAX_SWEEP_POINTS), "step": 1.0}}))
+    res = run_cli("sweep", "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "points" in res.stderr
+
+
+def test_sweep_optimize_noise_key_rejected(tmp_path):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"protocol": "squeezed-modified", "sweep": {
+        "variable": "lac-with-fixed-lbc", "start": 0.0, "stop": 4.0, "step": 2.0,
+        "optimize_noise": True}}))
+    res = run_cli("sweep", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "optimize_noise" in res.stderr
+
+
+MODIFIED_SWEEP = {"variance": "realistic", "detector": "practical", "l_bc": 1.0,
+                  "sweep": {"variable": "lac-with-fixed-lbc",
+                            "start": 0.0, "stop": 8.0, "step": 4.0}}
+
+
+@pytest.mark.parametrize("chi_n", [None, 1.5])
+def test_modified_sweep_chi_n_optimised_or_as_given(tmp_path, chi_n):
+    # without --chi-n each point runs at its optimised chi_n*; with it, at
+    # the given value
+    from cvmdi import AddedNoiseParams, ProtocolParams, key_rate, optimize_added_noise
+    cfg = tmp_path / "modified.json"
+    cfg.write_text(json.dumps(MODIFIED_SWEEP))
+    flags = [] if chi_n is None else ["--chi-n", str(chi_n)]
+    res = run_cli("sweep", "--config", str(cfg), "--protocol", "squeezed-modified",
+                  "--format", "json", *flags)
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(res.stdout)["rows"]
+    assert [r["x_km"] for r in rows] == [0.0, 4.0, 8.0]
+    for row in rows:
+        p = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=row["x_km"], l_bc=1.0, eta=0.9,
+                           v_el=0.015, protocol="squeezed-modified")
+        chi = optimize_added_noise(p)[0] if chi_n is None else chi_n
+        want = key_rate(p, AddedNoiseParams.from_chi_n(chi))
+        assert row["K_bits"] == float(f"{want.key_rate:.9g}")
+        assert row["chi_N_snu"] == float(f"{want.chi_n:.9g}")
+
+
 def test_shipped_sweep_config_runs():
     res = run_cli("sweep", "--config", str(SHIPPED_SWEEP))
     assert res.returncode == 0, res.stderr
