@@ -47,7 +47,6 @@ from .protocols import (
     mutual_information_heterodyne,
     mutual_information_homodyne,
     optimal_gain,
-    with_geometry,
 )
 from .analysis import (
     ComparisonRow,
@@ -75,7 +74,7 @@ __all__ = [
     "extract_two_mode", "holevo_generic", "holevo_rr_coherent",
     "holevo_rr_modified", "holevo_rr_squeezed", "key_rate",
     "mutual_information_heterodyne", "mutual_information_homodyne",
-    "optimal_gain", "with_geometry",
+    "optimal_gain",
     "ComparisonRow", "ComparisonTable", "MaxDistanceResult",
     "SweepResult", "SweepRow", "SweepSpec",
     "compare_protocols", "max_distance", "optimize_added_noise", "sweep",

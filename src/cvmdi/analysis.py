@@ -4,28 +4,34 @@ distances, added-noise optimization, and protocol comparison tables.
 The squeezed-modified protocol given no added noise has its chi_n
 optimised, per point (``key_rate_at_best_noise``) or per trial length
 (``max_distance``).
+
+The paper's three geometries are the keys of ``GEOMETRY_MODES``, which maps
+each to the ``max_distance`` mode that scans it; ``at_geometry`` pins
+L_BC = 0 for 'most-asymmetric'.  The CLI reads both from here.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
-from . import __version__
 from .errors import CVMDIError, InvalidParameterError
 from .protocols import (
     AddedNoiseParams,
     KeyRateReport,
     ProtocolParams,
+    check_added_noise,
     key_rate,
-    with_geometry,
 )
 from .search import golden_section_max, positive_edge
 
 SWEEP_VARIABLES = ("distance-symmetric", "lac-with-fixed-lbc", "chi-n")
-GEOMETRIES = ("symmetric", "asymmetric", "most-asymmetric")
+# Geometry -> max_distance mode; 'most-asymmetric' scans at L_BC = 0 (at_geometry).
+GEOMETRY_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
+                  "most-asymmetric": "fixed-lbc"}
+GEOMETRIES = tuple(GEOMETRY_MODES)
 
 CHI_N_BRACKET = (0.0, 50.0)
 CHI_N_TOL = 1e-4
@@ -48,7 +54,8 @@ class SweepSpec:
     """One-dimensional sweep request.
 
     A squeezed-modified base with ``noise`` None has chi_n optimised at
-    each point, except on a ``chi-n`` sweep, whose points give it.
+    each point, except on a ``chi-n`` sweep, whose points give it.  The
+    other protocols take no ``noise``.
     """
 
     variable: str
@@ -77,6 +84,7 @@ class SweepSpec:
                 f"holds more than {MAX_SWEEP_POINTS} points")
         if self.variable == "chi-n" and self.base.protocol != "squeezed-modified":
             raise InvalidParameterError("chi-n sweeps need protocol 'squeezed-modified'")
+        check_added_noise(self.base, self.noise)
 
     @property
     def _end(self) -> float:
@@ -111,14 +119,13 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    metadata: dict = field(default_factory=dict)
 
 
 def _point_params(spec: SweepSpec, x: float) -> tuple[ProtocolParams, AddedNoiseParams | None]:
     if spec.variable == "distance-symmetric":
-        return with_geometry(spec.base, l_ac=x, l_bc=x), spec.noise
+        return replace(spec.base, l_ac=x, l_bc=x), spec.noise
     if spec.variable == "lac-with-fixed-lbc":
-        return with_geometry(spec.base, l_ac=x), spec.noise
+        return replace(spec.base, l_ac=x), spec.noise
     return spec.base, AddedNoiseParams.from_chi_n(x)
 
 
@@ -145,21 +152,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
             rows.append(SweepRow(x=x, report=key_rate_at_best_noise(params, noise)))
         except CVMDIError as exc:
             rows.append(SweepRow(x=x, error=str(exc)))
-    meta = {"spec": _spec_echo(spec), "tool_version": __version__}
-    return SweepResult(rows=tuple(rows), metadata=meta)
-
-
-def _spec_echo(spec: SweepSpec) -> dict:
-    d = {
-        "variable": spec.variable,
-        "start": spec.start,
-        "stop": spec.stop,
-        "step": spec.step,
-        "base": vars(spec.base).copy(),
-    }
-    if spec.noise is not None:
-        d["noise"] = {"t_r": spec.noise.t_r, "n_r": spec.noise.n_r}
-    return d
+    return SweepResult(rows=tuple(rows))
 
 
 def optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
@@ -242,8 +235,8 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
 
     def geometry(length: float) -> ProtocolParams:
         if mode == "symmetric":
-            return with_geometry(params, l_ac=length, l_bc=length)
-        return with_geometry(params, l_ac=length)
+            return replace(params, l_ac=length, l_bc=length)
+        return replace(params, l_ac=length)
 
     chi_last = None  # chi_n* of the last full optimisation
 
@@ -281,46 +274,50 @@ class ComparisonRow:
 @dataclass(frozen=True)
 class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
-    metadata: dict
+
+
+def at_geometry(params: ProtocolParams, geometry: str) -> ProtocolParams:
+    """``params`` as ``geometry`` scans them: L_BC pinned to 0 for
+    'most-asymmetric', unchanged for the others."""
+    if geometry not in GEOMETRY_MODES:
+        raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
+    return replace(params, l_bc=0.0) if geometry == "most-asymmetric" else params
 
 
 def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
-                      detectors: Iterable[str] = ("perfect", "practical"),
+                      detectors: Iterable[str] = tuple(DETECTOR_PRESETS),
                       tol_km: float = 0.05) -> ComparisonTable:
     """Max-distance table over protocols x detector presets.
 
-    geometry 'symmetric' scans d = L_AC = L_BC; 'most-asymmetric' pins
-    L_BC = 0 and scans L_AC; 'asymmetric' scans L_AC at each L_BC in
-    ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
+    Each row is ``max_distance`` in the mode ``GEOMETRY_MODES[geometry]``:
+    'symmetric' scans d = L_AC = L_BC; 'most-asymmetric' scans L_AC at
+    the L_BC = 0 of ``at_geometry``; 'asymmetric' scans L_AC at each L_BC
+    in ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
     row with key at the origin outranks one without, then the longer total
     wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  The
-    modified protocol always re-optimizes chi_n per evaluation.
+    modified protocol always re-optimizes chi_n per evaluation.  Every
+    detector name is checked before any search runs.
     """
-    if geometry not in GEOMETRIES:
-        raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
+    base = at_geometry(base, geometry)
+    mode = GEOMETRY_MODES[geometry]
+    detectors = tuple(detectors)
+    for det in detectors:
+        if det not in DETECTOR_PRESETS:
+            raise InvalidParameterError(f"unknown detector preset {det!r}")
+    lbcs = ASYMMETRIC_LBC_KM if geometry == "asymmetric" else (base.l_bc,)
     rows = []
     for protocol in ("coherent", "squeezed", "squeezed-modified"):
         for det in detectors:
-            if det not in DETECTOR_PRESETS:
-                raise InvalidParameterError(f"unknown detector preset {det!r}")
             eta, v_el = DETECTOR_PRESETS[det]
-            p = replace(base, protocol=protocol, eta=eta, v_el=v_el)
-            if geometry == "symmetric":
-                res = max_distance(p, mode="symmetric", tol_km=tol_km)
-                rows.append(ComparisonRow(protocol, det, None, res.l_star_km, res.l_ab_km,
-                                          res.positive_at_origin, res.capped))
-            else:
-                grid = (0.0,) if geometry == "most-asymmetric" else ASYMMETRIC_LBC_KM
-                best = None
-                for l_bc in grid:
-                    res = max_distance(with_geometry(p, l_bc=l_bc), mode="fixed-lbc",
-                                       tol_km=tol_km)
-                    row = ComparisonRow(protocol, det, l_bc, res.l_star_km, res.l_ab_km,
-                                        res.positive_at_origin, res.capped)
-                    if best is None or ((row.positive_at_origin, row.l_ab_km)
-                                        > (best.positive_at_origin, best.l_ab_km)):
-                        best = row
-                rows.append(best)
-    meta = {"geometry": geometry, "base": vars(base).copy(), "tol_km": tol_km,
-            "tool_version": __version__}
-    return ComparisonTable(rows=tuple(rows), metadata=meta)
+            best = None
+            for l_bc in lbcs:
+                p = replace(base, protocol=protocol, eta=eta, v_el=v_el, l_bc=l_bc)
+                res = max_distance(p, mode=mode, tol_km=tol_km)
+                row = ComparisonRow(protocol, det, l_bc if mode == "fixed-lbc" else None,
+                                    res.l_star_km, res.l_ab_km,
+                                    res.positive_at_origin, res.capped)
+                if best is None or ((row.positive_at_origin, row.l_ab_km)
+                                    > (best.positive_at_origin, best.l_ab_km)):
+                    best = row
+            rows.append(best)
+    return ComparisonTable(rows=tuple(rows))

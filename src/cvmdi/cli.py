@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: keyrate | sweep | maxdist | optnoise | compare.
-``compare`` tabulates both detector presets unless the config file or
+``compare`` tabulates every detector preset unless the config file or
 ``--detector`` names one.  ``keyrate``, ``sweep`` and ``maxdist`` optimise
 chi_n when the squeezed-modified protocol is given none (``--chi-n``
-unset or 'optimize'); a ``chi-n`` sweep gives it at each point.
+unset or 'optimize'); a ``chi-n`` sweep gives it at each point.  Only
+that protocol takes added noise: a number for ``--chi-n`` with another
+protocol exits 2.  The protocol, geometry and detector names, and the
+geometry's max-distance mode, are the library's (``protocols.PROTOCOLS``,
+``analysis.GEOMETRY_MODES``, ``analysis.DETECTOR_PRESETS``).
 Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  Outputs are deterministic CSV or JSON
-tables carrying the fully resolved configuration as provenance.
+tables.  Every subcommand's metadata is one flat record, the resolved
+configuration with ``tool_version`` (``_resolved_echo``).
 
 Every table is written by ``_write`` from rows of JSON-shaped dicts.  The
 headers are spelled in three constants: REPORT_COLUMNS (one key-rate
@@ -37,8 +42,10 @@ from dataclasses import asdict
 from . import __version__
 from .analysis import (
     DETECTOR_PRESETS,
+    GEOMETRY_MODES,
     VARIANCE_PRESETS,
     SweepSpec,
+    at_geometry,
     compare_protocols,
     key_rate_at_best_noise,
     max_distance,
@@ -46,7 +53,7 @@ from .analysis import (
     sweep,
 )
 from .errors import CVMDIError, InvalidParameterError, NumericDomainError, StructuralError
-from .protocols import AddedNoiseParams, KeyRateReport, ProtocolParams, key_rate, with_geometry
+from .protocols import PROTOCOLS, AddedNoiseParams, KeyRateReport, ProtocolParams, key_rate
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -85,8 +92,6 @@ COMPARE_COLUMNS = ["protocol", "detector", "l_bc_km", "l_star_km", "l_ab_km",
                    "positive_at_origin", "capped"]
 
 X_UNITS = {"distance-symmetric": "km", "lac-with-fixed-lbc": "km", "chi-n": "snu"}
-MAXDIST_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
-                 "most-asymmetric": "fixed-lbc"}
 OPTIMIZE = {"optimize": None}
 GIVEN = "_given"  # cfg key of the explicitly set settings; not a setting itself
 
@@ -148,11 +153,10 @@ def _choice(cfg: dict, key: str, choices) -> str:
 
 def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
     """Checks every setting but the sweep block, then returns the parameter
-    point and its fixed added noise: None for the plain protocols, and for
-    squeezed-modified when chi_n is 'optimize'.
+    point and its fixed added noise, None when chi_n is 'optimize'.
     """
     _choice(cfg, "format", ("csv", "json"))
-    _choice(cfg, "geometry", MAXDIST_MODES)
+    _choice(cfg, "geometry", GEOMETRY_MODES)
     _num(cfg, "tol_km")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         _fail_config(f"out must be a path, got {cfg['out']!r}")
@@ -173,9 +177,7 @@ def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
         gain=_num(cfg, "gain", OPTIMIZE), protocol=cfg["protocol"],
     )
     chi_n = _num(cfg, "chi_n", OPTIMIZE)
-    if params.protocol != "squeezed-modified" or chi_n is None:
-        return params, None
-    return params, AddedNoiseParams.from_chi_n(chi_n)
+    return params, None if chi_n is None else AddedNoiseParams.from_chi_n(chi_n)
 
 
 def _resolved_echo(cfg: dict, params: ProtocolParams) -> dict:
@@ -233,8 +235,11 @@ def _sig(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _write(cfg: dict, meta: dict, columns: list[str], rows: list[dict], key: str = "rows"):
-    """Writes rows as CSV or JSON; key 'result' writes the single row as JSON 'result'."""
+def _write(cfg: dict, params: ProtocolParams, columns: list[str], rows: list[dict],
+           key: str = "rows"):
+    """Writes rows as CSV or JSON under the resolved configuration of cfg and
+    params; key 'result' writes the single row as JSON 'result'."""
+    meta = _resolved_echo(cfg, params)
     digits = cfg["precision"]
     if cfg["format"] == "json":
         rows = _rounded(rows, digits)
@@ -261,7 +266,7 @@ def _write(cfg: dict, meta: dict, columns: list[str], rows: list[dict], key: str
 def cmd_keyrate(cfg: dict) -> int:
     params, noise = _resolve(cfg)
     report = key_rate_at_best_noise(params, noise)
-    _write(cfg, _resolved_echo(cfg, params), REPORT_COLUMNS, [_report(report)])
+    _write(cfg, params, REPORT_COLUMNS, [_report(report)])
     return 0
 
 
@@ -279,40 +284,34 @@ def cmd_sweep(cfg: dict) -> int:
     x = f"x_{X_UNITS[spec.variable]}"
     rows = [{x: r.x, **(_report(r.report) if r.report else {"error": r.error})}
             for r in result.rows]
-    meta = {**result.metadata, "config": _resolved_echo(cfg, params)}
-    _write(cfg, meta, [x, *REPORT_COLUMNS], rows)
+    _write(cfg, params, [x, *REPORT_COLUMNS], rows)
     return 0
 
 
 def cmd_maxdist(cfg: dict) -> int:
     params, noise = _resolve(cfg)
-    mode = MAXDIST_MODES[cfg["geometry"]]
-    if cfg["geometry"] == "most-asymmetric":
-        params = with_geometry(params, l_bc=0.0)
-    res = max_distance(params, mode=mode, noise=noise, tol_km=_num(cfg, "tol_km"))
-    _write(cfg, _resolved_echo(cfg, params), MAXDIST_COLUMNS, [asdict(res)], key="result")
+    geometry = cfg["geometry"]
+    res = max_distance(at_geometry(params, geometry), mode=GEOMETRY_MODES[geometry],
+                       noise=noise, tol_km=_num(cfg, "tol_km"))
+    _write(cfg, params, MAXDIST_COLUMNS, [asdict(res)], key="result")
     return 0
 
 
 def cmd_optnoise(cfg: dict) -> int:
     params, _ = _resolve(cfg)
-    if params.protocol != "squeezed-modified":
-        _fail_config("optnoise needs --protocol squeezed-modified")
     chi_star, k_star = optimize_added_noise(params)
     report = key_rate(params, AddedNoiseParams.from_chi_n(chi_star))
     row = {"chi_n_star_snu": chi_star, "K_star_bits": k_star, "report": _report(report)}
-    _write(cfg, _resolved_echo(cfg, params), ["chi_n_star_snu", "K_star_bits", *REPORT_COLUMNS],
-           [row], key="result")
+    _write(cfg, params, ["chi_n_star_snu", "K_star_bits", *REPORT_COLUMNS], [row], key="result")
     return 0
 
 
 def cmd_compare(cfg: dict) -> int:
     params, _ = _resolve(cfg)
-    detectors = (cfg["detector"],) if "detector" in cfg[GIVEN] else tuple(DETECTOR_PRESETS)
-    table = compare_protocols(params, geometry=cfg["geometry"], detectors=detectors,
-                              tol_km=_num(cfg, "tol_km"))
-    meta = {**table.metadata, "config": _resolved_echo(cfg, params)}
-    _write(cfg, meta, COMPARE_COLUMNS, [asdict(r) for r in table.rows])
+    given = {"detectors": (cfg["detector"],)} if "detector" in cfg[GIVEN] else {}
+    table = compare_protocols(params, geometry=cfg["geometry"], tol_km=_num(cfg, "tol_km"),
+                              **given)
+    _write(cfg, params, COMPARE_COLUMNS, [asdict(r) for r in table.rows])
     return 0
 
 
@@ -324,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--protocol", choices=["squeezed", "squeezed-modified", "coherent"])
-    common.add_argument("--geometry", choices=["symmetric", "asymmetric", "most-asymmetric"])
-    common.add_argument("--detector", choices=["perfect", "practical"])
+    common.add_argument("--protocol", choices=PROTOCOLS)
+    common.add_argument("--geometry", choices=GEOMETRY_MODES)
+    common.add_argument("--detector", choices=DETECTOR_PRESETS)
     common.add_argument("--variance", help="'ideal', 'realistic', or a number (shot-noise units)")
     common.add_argument("--lac", dest="l_ac", type=float, metavar="KM",
                         help="Alice-relay channel length")

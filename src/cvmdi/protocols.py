@@ -38,7 +38,7 @@ a channel of transmittance T delivers variance T*V + (1-T) + eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -466,18 +466,22 @@ def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) 
     return von_neumann_entropy(state) - von_neumann_entropy(cond)
 
 
-def _resolve_noise(params: ProtocolParams,
-                   noise: AddedNoiseParams | None) -> AddedNoiseParams | None:
-    if params.protocol == "squeezed-modified":
-        if noise is None:
-            raise InvalidParameterError(
-                "protocol 'squeezed-modified' needs AddedNoiseParams "
-                "(use AddedNoiseParams.from_chi_n or optimize_added_noise)")
-        return noise
-    if noise is not None:
+def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> None:
+    """Raises unless ``noise`` is None or the protocol is squeezed-modified,
+    the only one that takes added noise."""
+    if noise is not None and params.protocol != "squeezed-modified":
         raise InvalidParameterError(
             f"protocol {params.protocol!r} does not take added-noise parameters")
-    return None
+
+
+def _resolve_noise(params: ProtocolParams,
+                   noise: AddedNoiseParams | None) -> AddedNoiseParams | None:
+    check_added_noise(params, noise)
+    if params.protocol == "squeezed-modified" and noise is None:
+        raise InvalidParameterError(
+            "protocol 'squeezed-modified' needs AddedNoiseParams "
+            "(use AddedNoiseParams.from_chi_n or optimize_added_noise)")
+    return noise
 
 
 def _key_rate_at_gain(params: ProtocolParams, noise: AddedNoiseParams | None,
@@ -553,13 +557,3 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
         flags=("holevo_clamped",) if clamped else (),
     )
 
-
-def with_geometry(params: ProtocolParams, l_ac: float | None = None,
-                  l_bc: float | None = None) -> ProtocolParams:
-    """Copy of params with channel lengths replaced."""
-    kw = {}
-    if l_ac is not None:
-        kw["l_ac"] = l_ac
-    if l_bc is not None:
-        kw["l_bc"] = l_bc
-    return replace(params, **kw)

@@ -13,7 +13,7 @@ redone with a full chi_n optimisation at every trial length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -32,7 +32,7 @@ from cvmdi import (
 )
 from cvmdi import analysis
 from cvmdi.analysis import SCAN_CAP_KM, SCAN_STEP_KM, MaxDistanceResult
-from cvmdi.protocols import ProtocolParams, AddedNoiseParams, with_geometry
+from cvmdi.protocols import ProtocolParams, AddedNoiseParams
 from cvmdi.search import positive_edge
 
 
@@ -45,8 +45,8 @@ def reference_max_distance(params: ProtocolParams, mode: str = "symmetric",
     call time, so a test's substitute for it is used here too."""
 
     def k_of(length: float) -> float:
-        p = (with_geometry(params, l_ac=length, l_bc=length) if mode == "symmetric"
-             else with_geometry(params, l_ac=length))
+        p = (replace(params, l_ac=length, l_bc=length) if mode == "symmetric"
+             else replace(params, l_ac=length))
         return analysis.optimize_added_noise(p)[1]
 
     if k_of(0.0) <= 0.0:

@@ -19,7 +19,6 @@ from cvmdi import (
     max_distance,
     optimize_added_noise,
     sweep,
-    with_geometry,
 )
 from helpers import reference_max_distance
 
@@ -78,7 +77,6 @@ def test_sweep_optimises_chi_n_when_none_given(variable):
         want = key_rate(p, AddedNoiseParams.from_chi_n(chi_star))
         assert row.report.key_rate == want.key_rate
         assert row.report.chi_n == want.chi_n
-    assert "optimize_noise" not in sweep(spec).metadata["spec"]
 
 
 def test_sweep_uses_a_given_chi_n():
@@ -86,7 +84,7 @@ def test_sweep_uses_a_given_chi_n():
     spec = SweepSpec(variable="lac-with-fixed-lbc", start=0.0, stop=8.0, step=4.0,
                      base=REALISTIC_MOD, noise=noise)
     for row in sweep(spec).rows:
-        want = key_rate(with_geometry(REALISTIC_MOD, l_ac=row.x), noise)
+        want = key_rate(replace(REALISTIC_MOD, l_ac=row.x), noise)
         assert row.report.key_rate == want.key_rate
         assert row.report.chi_n == noise.chi_n
 
@@ -97,10 +95,9 @@ def test_sweep_single_point_matches_key_rate():
     result = sweep(spec)
     assert len(result.rows) == 1
     row = result.rows[0]
-    direct = key_rate(with_geometry(REALISTIC, l_ac=1.0, l_bc=1.0))
+    direct = key_rate(replace(REALISTIC, l_ac=1.0, l_bc=1.0))
     assert row.report.key_rate == direct.key_rate
     assert row.report.gain_used == direct.gain_used
-    assert result.metadata["spec"]["variable"] == "distance-symmetric"
 
 
 def test_sweep_symmetric_distance_is_decreasing():
@@ -111,7 +108,7 @@ def test_sweep_symmetric_distance_is_decreasing():
 
 
 def test_sweep_lac_variable_keeps_lbc():
-    base = with_geometry(REALISTIC, l_bc=1.0)
+    base = replace(REALISTIC, l_bc=1.0)
     spec = SweepSpec(variable="lac-with-fixed-lbc", start=0.0, stop=2.0, step=1.0, base=base)
     rows = sweep(spec).rows
     assert [r.x for r in rows] == [0.0, 1.0, 2.0]
@@ -137,7 +134,7 @@ def test_sweep_records_error_rows(monkeypatch):
 
 
 def test_chi_n_sweep_peak_matches_optimizer():
-    base = with_geometry(REALISTIC_MOD, l_ac=11.0, l_bc=0.0)
+    base = replace(REALISTIC_MOD, l_ac=11.0, l_bc=0.0)
     spec = SweepSpec(variable="chi-n", start=0.0, stop=5.0, step=0.25, base=base)
     rows = sweep(spec).rows
     ks = [r.report.key_rate for r in rows]
@@ -158,7 +155,7 @@ def test_optimize_added_noise_zero_at_origin():
 
 
 def test_optimize_added_noise_beats_fine_grid():
-    base = with_geometry(REALISTIC_MOD, l_ac=12.0, l_bc=0.0)
+    base = replace(REALISTIC_MOD, l_ac=12.0, l_bc=0.0)
     chi_star, k_star = optimize_added_noise(base)
     for chi in np.linspace(0.0, 10.0, 101):
         k = key_rate(base, AddedNoiseParams.from_chi_n(float(chi))).key_rate
@@ -167,7 +164,7 @@ def test_optimize_added_noise_beats_fine_grid():
 
 def test_optimize_added_noise_never_below_plain_protocol():
     for l_ac in (5.0, 10.0, 13.0):
-        base = with_geometry(REALISTIC_MOD, l_ac=l_ac, l_bc=0.0)
+        base = replace(REALISTIC_MOD, l_ac=l_ac, l_bc=0.0)
         _, k_star = optimize_added_noise(base)
         k_plain = key_rate(replace(base, protocol="squeezed")).key_rate
         assert k_star >= k_plain - 1e-12
@@ -182,8 +179,8 @@ def test_max_distance_brackets_the_edge():
     p = replace(REALISTIC, protocol="squeezed")
     res = max_distance(p, mode="fixed-lbc", tol_km=0.05)
     assert res.positive_at_origin and not res.capped
-    k_lo = key_rate(with_geometry(p, l_ac=res.l_star_km - res.tol_km)).key_rate
-    k_hi = key_rate(with_geometry(p, l_ac=res.l_star_km + res.tol_km)).key_rate
+    k_lo = key_rate(replace(p, l_ac=res.l_star_km - res.tol_km)).key_rate
+    k_hi = key_rate(replace(p, l_ac=res.l_star_km + res.tol_km)).key_rate
     assert k_lo > 0.0 >= k_hi
     assert res.l_ab_km == pytest.approx(res.l_star_km + p.l_bc)
 
@@ -222,7 +219,7 @@ def test_max_distance_argument_errors():
 
 def test_monotonicity_in_loss_and_noise():
     base = ProtocolParams(v_a=1e5, v_b=1e5, l_ac=2.0, l_bc=2.0)
-    ks = [key_rate(with_geometry(base, l_ac=l, l_bc=l)).key_rate for l in (1.0, 3.0, 5.0)]
+    ks = [key_rate(replace(base, l_ac=l, l_bc=l)).key_rate for l in (1.0, 3.0, 5.0)]
     assert ks[0] > ks[1] > ks[2]
     ks = [key_rate(replace(base, eps1=e, eps2=e)).key_rate for e in (0.0, 0.01, 0.03)]
     assert ks[0] > ks[1] > ks[2]
@@ -240,8 +237,6 @@ def test_compare_protocols_structure():
     assert combos == {(p, d) for p in ("coherent", "squeezed", "squeezed-modified")
                       for d in ("perfect", "practical")}
     assert all(r.l_bc_km == 0.0 for r in table.rows)
-    assert table.metadata["geometry"] == "most-asymmetric"
-    assert table.metadata["base"]["v_a"] == 5.04
 
 
 def test_compare_protocols_symmetric_geometry():
@@ -284,6 +279,28 @@ def test_abstract_claims_as_orderings():
 def test_compare_protocols_rejects_unknown_geometry():
     with pytest.raises(InvalidParameterError):
         compare_protocols(REALISTIC, geometry="ring")
+
+
+def test_compare_protocols_checks_every_detector_before_searching(monkeypatch):
+    searches = []
+    real = analysis_mod.max_distance
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "max_distance", counted)
+    with pytest.raises(InvalidParameterError, match="bogus"):
+        compare_protocols(REALISTIC, detectors=("perfect", "bogus"))
+    assert searches == []
+
+
+def test_sweep_spec_rejects_added_noise_on_a_plain_protocol():
+    with pytest.raises(InvalidParameterError,
+                       match="protocol 'coherent' does not take added-noise parameters"):
+        SweepSpec("distance-symmetric", start=0.0, stop=1.0, step=1.0,
+                  base=replace(REALISTIC, protocol="coherent"),
+                  noise=AddedNoiseParams.from_chi_n(2.0))
 
 
 # ------------------------------------------------- warm-started chi_n search

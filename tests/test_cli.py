@@ -209,7 +209,7 @@ def test_sweep_json_round_trip(tmp_path):
         for key, val in row.items():
             if isinstance(val, float):
                 assert float(f"{val:.9g}") == val  # stable at 9 significant digits
-    assert payload["metadata"]["config"]["protocol"] == "squeezed"
+    assert payload["metadata"]["protocol"] == "squeezed"
 
 
 def test_maxdist_stable_across_reruns():
@@ -248,6 +248,58 @@ def test_optnoise_requires_modified_protocol():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["keyrate"], "protocol 'squeezed' does not take added-noise parameters"),
+    (["maxdist"], "protocol 'squeezed' does not take added-noise parameters"),
+    (["sweep", "--config", str(SHIPPED_SWEEP)],
+     "protocol 'squeezed' does not take added-noise parameters"),
+    (["optnoise"], "added-noise optimization needs protocol 'squeezed-modified'"),
+])
+def test_chi_n_with_a_plain_protocol_exits_2(capsys, argv, message):
+    assert cli.main([*argv, "--protocol", "squeezed", "--chi-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+QUICK = ["--variance", "realistic", "--detector", "practical"]
+PROVENANCE_ARGV = {
+    "keyrate": ["keyrate", *QUICK],
+    "sweep": ["sweep", "--config", str(SHIPPED_SWEEP), *QUICK],
+    "maxdist": ["maxdist", *QUICK, "--geometry", "most-asymmetric"],
+    "optnoise": ["optnoise", *QUICK, "--protocol", "squeezed-modified", "--lac", "11"],
+    "compare": ["compare", *QUICK, "--geometry", "most-asymmetric"],
+}
+
+
+@pytest.mark.parametrize("command", list(PROVENANCE_ARGV))
+def test_metadata_is_the_resolved_config_record(capsys, command):
+    metas = {}
+    for fmt in ("csv", "json"):
+        assert cli.main([*PROVENANCE_ARGV[command], "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        metas[fmt] = meta_line(out) if fmt == "csv" else json.loads(out)["metadata"]
+    assert metas["csv"] == {**metas["json"], "format": "csv"}
+    meta = metas["json"]
+    assert meta["tool_version"] == cli.__version__
+    assert meta["v_a"] == 5.04 and meta["eta"] == 0.9
+    assert not {"spec", "base", "config"} & set(meta)
+
+
+@pytest.mark.parametrize("geometry", ["symmetric", "most-asymmetric"])
+def test_maxdist_geometry_matches_its_compare_row(capsys, geometry):
+    argv = [*QUICK, "--geometry", geometry, "--format", "json"]
+    results = []
+    for lbc in ("0", "3"):
+        assert cli.main(["maxdist", *argv, "--lbc", lbc]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
+    assert cli.main(["compare", *argv, "--lbc", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    [row] = [r for r in rows if r["protocol"] == "squeezed"]
+    assert row["l_star_km"] == results[0]["l_star_km"]
+
+
 def test_compare_table_structure():
     res = run_cli("compare", "--variance", "realistic", "--geometry", "symmetric",
                   "--tol-km", "0.2", "--format", "json")
@@ -257,8 +309,8 @@ def test_compare_table_structure():
     assert {(r["protocol"], r["detector"]) for r in rows} == {
         (p, d) for p in ("coherent", "squeezed", "squeezed-modified")
         for d in ("perfect", "practical")}
-    assert payload["metadata"]["config"]["detector"] == "perfect"
-    assert payload["metadata"]["config"]["tool_version"]
+    assert payload["metadata"]["detector"] == "perfect"
+    assert payload["metadata"]["tool_version"]
 
 
 @pytest.mark.parametrize("from_config", [False, True])
@@ -275,7 +327,7 @@ def test_compare_keeps_an_explicit_detector(tmp_path, capsys, from_config):
     payload = json.loads(capsys.readouterr().out)
     assert [(r["protocol"], r["detector"]) for r in payload["rows"]] == [
         (p, "practical") for p in ("coherent", "squeezed", "squeezed-modified")]
-    assert payload["metadata"]["config"]["detector"] == "practical"
+    assert payload["metadata"]["detector"] == "practical"
 
 
 def test_package_runs_as_a_module():

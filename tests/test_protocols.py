@@ -18,7 +18,6 @@ from cvmdi import (
     cloner_variance,
     epr_state,
     extract_two_mode,
-    g_func,
     holevo_generic,
     holevo_rr_coherent,
     holevo_rr_modified,
@@ -29,7 +28,6 @@ from cvmdi import (
     mutual_information_homodyne,
     optimal_gain,
     symplectic_eigenvalues,
-    with_geometry,
 )
 from cvmdi import protocols
 from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
