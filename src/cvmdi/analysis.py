@@ -295,7 +295,9 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     in ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
     row with key at the origin outranks one without, then the longer total
     wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  The
-    modified protocol always re-optimizes chi_n per evaluation.  Every
+    modified protocol has chi_n optimised as ``max_distance`` does it: each
+    trial length first probes the last chi_n*, and runs the full
+    ``optimize_added_noise`` only when that probe gives K <= 0.  Every
     detector name is checked before any search runs.
     """
     base = at_geometry(base, geometry)

@@ -22,6 +22,10 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 
+# float64 -> extended precision as _LD_ONE * x: exact, like np.longdouble(x),
+# and about ten times cheaper than that constructor call.
+_LD_ONE = np.longdouble(1.0)
+
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -245,6 +249,16 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     return mods[::2].copy()  # +/- pairs are adjacent after sorting
 
 
+def check_two_mode(a: float, b: float, c: float) -> None:
+    """Raise unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL: the validity
+    of the symmetric two-mode form, shared by ``TwoModeCov`` and the scalar
+    key-rate kernel, which works on the floats (a, b, c)."""
+    if a < 1.0 or b < 1.0:
+        raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
+    if a * b - c * c < 1.0 - PHYSICALITY_TOL:
+        raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
+
+
 @dataclass(frozen=True)
 class TwoModeCov:
     """Reduced symmetric two-mode form [[a I, c sz], [c sz, b I]]."""
@@ -254,12 +268,7 @@ class TwoModeCov:
     c: float
 
     def __post_init__(self):
-        if self.a < 1.0 or self.b < 1.0:
-            raise InvalidParameterError(
-                f"mode variances must be >= 1, got a={self.a}, b={self.b}")
-        if self.a * self.b - self.c * self.c < 1.0 - PHYSICALITY_TOL:
-            raise InvalidParameterError(
-                f"unphysical two-mode form: ab - c^2 = {self.a * self.b - self.c ** 2}")
+        check_two_mode(self.a, self.b, self.c)
 
     def as_matrix(self) -> np.ndarray:
         return np.block([
@@ -280,7 +289,7 @@ def two_mode_symplectic(a: float, b: float, c: float) -> tuple[float, float]:
     from the root product lambda1*lambda2 = B: the naive difference loses
     every significant digit once a, b reach 1e5.
     """
-    aL, bL, cL = np.longdouble(a), np.longdouble(b), np.longdouble(c)
+    aL, bL, cL = _LD_ONE * a, _LD_ONE * b, _LD_ONE * c
     big_a = (aL - cL) * (aL + cL) + (bL - cL) * (bL + cL)
     big_b = aL * bL - cL * cL
     disc = (aL - bL) ** 2 * ((aL + bL) ** 2 - 4.0 * cL * cL)
@@ -293,8 +302,9 @@ def two_mode_symplectic(a: float, b: float, c: float) -> tuple[float, float]:
     lam2 = big_b / lam1
     l1, l2 = float(lam1), float(lam2)
     # rounding in an assembled covariance can push lambda2 a few ulp below 1;
-    # anything clearly below is a genuinely unphysical input
-    if l2 < 1.0 - 1e-6:
+    # anything clearly below is a genuinely unphysical input, and a NaN from
+    # an input that overflowed fails the test as well
+    if not l2 >= 1.0 - 1e-6:
         raise NumericDomainError(
             f"unphysical two-mode input (a={a}, b={b}, c={c}): lambda2 = {l2}")
     return l1, l2

@@ -10,16 +10,21 @@ Three reverse-reconciliation protocol variants share one relay circuit:
 A key rate is evaluated in three steps.  The gain-independent relay
 covariance of modes (A3, C2, B3, D2) is assembled once per parameter point,
 and the few of its entries that the displaced pair (A3, B4) depends on are
-read off as gain coefficients.  At each gain g the reduced Alice-Bob state
-(a, b, c) is then a scalar quadratic in g over those coefficients.  The key
-rate is a closed-form function of (a, b, c), chi_n and the protocol, with
-the trusted-noise Holevo term of Lodewyck et al., PRA 76, 042305 (2007).
-A reported point is certified physical from the smaller symplectic
-eigenvalue of (a, b, c), at the tolerance of
-``GaussianState.require_physical``.  The matrix route (``build_mdi_state``,
-``extract_two_mode``), with its four-mode (A3, B5, N1, N3) circuit for
-``noise=...``, is not on the key-rate path: it is kept as the oracle that
-tests check the closed forms against.
+read off as gain coefficients (``_gain_coefficients``, cached per point).
+The checks that hold at every gain are made there, once: the covariance is
+finite, x and p do not couple, and the p-side coefficients either mirror
+the x side bit for bit or are kept for a per-gain x/p symmetry check.  At
+each gain g the reduced Alice-Bob state (a, b, c) is then a scalar
+quadratic in g over those coefficients (``_reduced_state``).  The key rate
+is a closed-form function of the floats (a, b, c), chi_n and the protocol
+(``_rate_terms``), with the trusted-noise Holevo term of Lodewyck et al.,
+PRA 76, 042305 (2007).  The gain search's objective (``_gain_objective``)
+and ``key_rate`` run these same two functions.  A reported point is
+certified physical from the smaller symplectic eigenvalue of (a, b, c), at
+the tolerance of ``GaussianState.require_physical``.  The matrix route
+(``build_mdi_state``, ``extract_two_mode``), with its four-mode (A3, B5,
+N1, N3) circuit for ``noise=...``, is not on the key-rate path: it is kept
+as the oracle that tests check the closed forms against.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from .gaussian import (
     GaussianState,
     TwoModeCov,
     apply_beamsplitter,
+    check_two_mode,
     epr_state,
     g_func,
     heterodyne_condition,
@@ -95,6 +102,10 @@ class ProtocolParams:
     protocol: str = "squeezed"
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise InvalidParameterError(f"{name} must be finite, got {x}")
         checks = [
             (self.v_a >= 1.0, f"v_a must be >= 1, got {self.v_a}"),
             (self.v_b >= 1.0, f"v_b must be >= 1, got {self.v_b}"),
@@ -126,6 +137,10 @@ class ProtocolParams:
         return channel_transmittance(self.l_bc, self.alpha)
 
 
+_REAL_FIELDS = ("v_a", "v_b", "l_ac", "l_bc", "alpha", "eps1", "eps2", "eta", "v_el",
+                "beta", "gain")
+
+
 @dataclass(frozen=True)
 class AddedNoiseParams:
     """Trusted-noise beamsplitter: EPR of variance n_r mixed in at t_r."""
@@ -136,8 +151,8 @@ class AddedNoiseParams:
     def __post_init__(self):
         if not 0.0 < self.t_r <= 1.0:
             raise InvalidParameterError(f"t_r must be in (0, 1], got {self.t_r}")
-        if self.n_r < 1.0:
-            raise InvalidParameterError(f"n_r must be >= 1, got {self.n_r}")
+        if not 1.0 <= self.n_r < math.inf:
+            raise InvalidParameterError(f"n_r must be finite and >= 1, got {self.n_r}")
 
     @property
     def chi_n(self) -> float:
@@ -151,8 +166,8 @@ class AddedNoiseParams:
         for every chi_n >= 0 and degenerates to the identity at chi_n = 0.
         The key rate depends on (t_r, n_r) only through chi_n.
         """
-        if chi_n < 0.0:
-            raise InvalidParameterError(f"chi_n must be >= 0, got {chi_n}")
+        if not 0.0 <= chi_n < math.inf:
+            raise InvalidParameterError(f"chi_n must be finite and >= 0, got {chi_n}")
         return cls(t_r=(1.0 + chi_n) / (1.0 + 2.0 * chi_n), n_r=1.0 + chi_n)
 
 
@@ -250,14 +265,23 @@ _P_COEFFS = ((1, 1), (5, 5), (5, 7), (7, 7), (1, 5), (1, 7))
 
 
 @lru_cache(maxsize=128)
-def _gain_coefficients(params: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """x- and p-side (a, b0, b1, b2, c0, c1) of the displaced pair (A3, B4).
+def _gain_coefficients(
+        params: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
+    """x-side (a, b0, b1, b2, c0, c1) of the displaced pair (A3, B4), and the
+    p side, or None when the p side mirrors the x side bit for bit.
 
     At gain g the pair has variances a and b = b0 + 2 g b1 + g^2 b2 and
-    correlation c = c0 + g c1 on each quadrature.  The relay's x-p coupling
-    is checked here, once per point, at the tolerance of ``extract_two_mode``.
+    correlation c = c0 + g c1 on x, and the same with -c on p.  What holds
+    at every gain is checked here, once per point: every entry is finite,
+    and the relay's x-p coupling is within the tolerance of
+    ``extract_two_mode``.  The p side mirrors x when it equals (a, b0, b1,
+    b2, -c0, -c1); negation is exact and rounding is sign-symmetric, so the
+    p side's a, b and -c then equal the x side's at every gain, and the
+    per-gain x/p check of ``_reduced_state`` could not fail.
     """
     cov = _relay_state(params).cov
+    if not np.isfinite(cov).all():
+        raise NumericDomainError("relay covariance overflows: an entry is not finite")
     mag = np.abs(cov)
     scale = max(1.0, float(mag.max()))
     coupling = float(mag[0::2, 1::2].max())
@@ -266,36 +290,46 @@ def _gain_coefficients(params: ProtocolParams) -> tuple[tuple[float, ...], tuple
             f"relay covariance couples x and p by {coupling} "
             f"(tolerance {TWO_MODE_TOL * scale})")
     rows = cov.tolist()
-    return (tuple(rows[i][j] for i, j in _X_COEFFS),
-            tuple(rows[i][j] for i, j in _P_COEFFS))
+    x_side = tuple(rows[i][j] for i, j in _X_COEFFS)
+    p_side = tuple(rows[i][j] for i, j in _P_COEFFS)
+    a, b0, b1, b2, c0, c1 = x_side
+    return x_side, None if p_side == (a, b0, b1, b2, -c0, -c1) else p_side
 
 
-def _reduced_state(params: ProtocolParams, g: float) -> TwoModeCov:
+def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],
+                   g: float) -> tuple[float, float, float]:
     """Reduced state (a, b, c) of (A3, B4) at one gain, in scalar arithmetic.
 
-    Equal, bit for bit, to ``extract_two_mode(_displaced_pair(params, g))``:
-    the operation order is that of the matrix product.  The x/p symmetry is
-    checked per gain, as there.  When rounding in b, whose terms can cancel
-    from far above its value, exceeds that tolerance, b is not certified
-    and NumericDomainError is raised.
+    ``coeffs`` is ``_gain_coefficients(params)``.  Equal, bit for bit, to
+    ``extract_two_mode(_displaced_pair(params, g))``: the operation order is
+    that of the matrix product.  When the p side does not mirror the x side,
+    the x/p symmetry is checked at this gain, as there.  When rounding in b,
+    whose terms can cancel from far above its value, exceeds that
+    tolerance, b is not certified and NumericDomainError is raised.  The
+    result passes ``check_two_mode``, as a ``TwoModeCov`` would.
     """
-    (a, b0, b1, b2, c0, c1), (a_p, b0_p, b1_p, b2_p, c0_p, c1_p) = _gain_coefficients(params)
+    (a, b0, b1, b2, c0, c1), p_side = coeffs
     b = (g * b2 + b1) * g + (g * b1 + b0)
     c = c1 * g + c0
-    b_p = (g * b2_p + b1_p) * g + (g * b1_p + b0_p)
-    c_p = c1_p * g + c0_p
-    tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c), abs(a_p), abs(b_p), abs(c_p))
-    dev = max(abs(a_p - a), abs(b_p - b), abs(c_p + c))
-    if dev > tol:
-        raise StructuralError(
-            f"covariance deviates from the symmetric two-mode form by {dev} "
-            f"(tolerance {tol})")
+    if p_side is None:
+        tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c))
+    else:
+        a_p, b0_p, b1_p, b2_p, c0_p, c1_p = p_side
+        b_p = (g * b2_p + b1_p) * g + (g * b1_p + b0_p)
+        c_p = c1_p * g + c0_p
+        tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c), abs(a_p), abs(b_p), abs(c_p))
+        dev = max(abs(a_p - a), abs(b_p - b), abs(c_p + c))
+        if dev > tol:
+            raise StructuralError(
+                f"covariance deviates from the symmetric two-mode form by {dev} "
+                f"(tolerance {tol})")
     err_b = 4.0 * _EPS * (abs(b0) + 2.0 * abs(g * b1) + g * g * abs(b2))
     if err_b > tol:
         raise NumericDomainError(
             f"b = {b} cancels from terms of size {abs(b0) + g * g * abs(b2)}: "
             f"rounding {err_b} exceeds the tolerance {tol}")
-    return TwoModeCov(a=a, b=b, c=c)
+    check_two_mode(a, b, c)
+    return a, b, c
 
 
 def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = None,
@@ -349,12 +383,25 @@ def extract_two_mode(state: GaussianState) -> TwoModeCov:
     return TwoModeCov(a=float(a), b=float(b), c=float(c))
 
 
+def _homodyne_info(a: float, b: float, c: float) -> float:
+    # an overflowed ab leaves denom infinite or NaN, and both fail the test
+    denom = a * b - c * c
+    if not 0.0 < denom < math.inf:
+        raise NumericDomainError(f"ab - c^2 = {denom} is not positive and finite")
+    return 0.5 * math.log2(a * b / denom)
+
+
+def _heterodyne_info(a: float, b: float, c: float) -> float:
+    prod = (a + 1.0) * (b + 1.0)
+    denom = prod - c * c
+    if not 0.0 < denom < math.inf:
+        raise NumericDomainError(f"(a+1)(b+1) - c^2 = {denom} is not positive and finite")
+    return math.log2(prod / denom)
+
+
 def mutual_information_homodyne(tm: TwoModeCov) -> float:
     """Gaussian mutual information for matched homodyne pairs, bits/use."""
-    denom = tm.a * tm.b - tm.c * tm.c
-    if denom <= 0.0:
-        raise NumericDomainError(f"ab - c^2 = {denom} is not positive")
-    return 0.5 * math.log2(tm.a * tm.b / denom)
+    return _homodyne_info(tm.a, tm.b, tm.c)
 
 
 def mutual_information_heterodyne(tm: TwoModeCov) -> float:
@@ -362,11 +409,7 @@ def mutual_information_heterodyne(tm: TwoModeCov) -> float:
 
     Both quadratures are measured at a one-unit vacuum penalty each.
     """
-    prod = (tm.a + 1.0) * (tm.b + 1.0)
-    denom = prod - tm.c * tm.c
-    if denom <= 0.0:
-        raise NumericDomainError(f"(a+1)(b+1) - c^2 = {denom} is not positive")
-    return math.log2(prod / denom)
+    return _heterodyne_info(tm.a, tm.b, tm.c)
 
 
 def _trusted_noise_conditional(a: float, b: float, c: float,
@@ -380,43 +423,45 @@ def _trusted_noise_conditional(a: float, b: float, c: float,
     det = a * b - c * c
     big_a = (chi_n * (a * a + b * b - 2.0 * c * c) + a * det + b) / (b + chi_n)
     big_b = det * (a + det * chi_n) / (b + chi_n)
-    if big_b <= 0.0:
+    if not big_b > 0.0:
         raise NumericDomainError(f"trusted-noise conditional B = {big_b} is not positive")
     disc = big_a * big_a - 4.0 * big_b
     if disc < -1e-9 * big_a * big_a:
         raise NumericDomainError(f"trusted-noise conditional discriminant {disc} is negative")
     lam3 = math.sqrt((big_a + math.sqrt(max(disc, 0.0))) / 2.0)
     lam4 = math.sqrt(big_b) / lam3
-    if lam4 < 1.0 - 1e-9:
+    if not lam4 >= 1.0 - 1e-9:
         raise NumericDomainError(f"trusted-noise conditional eigenvalue {lam4} is below 1")
     return lam3, lam4, 1.0
 
 
-def _rate_terms(tm: TwoModeCov, protocol: str,
+def _rate_terms(a: float, b: float, c: float, protocol: str,
                 chi_n: float = 0.0) -> tuple[float, float, tuple[float, ...], bool]:
-    """(I_AB, chi, lambdas, clamped) of one protocol on the reduced state.
+    """(I_AB, chi, lambdas, clamped) of one protocol on the reduced state (a, b, c).
 
     The trusted noise adds chi_n to Bob's variance in I_AB only.  Eve
     purifies the channel, not Bob's trusted noise, so the unconditional
     Holevo term is that of (a, b, c) for every protocol; at chi_n > 0 the
-    conditional term includes the retained noise modes N1, N3.
+    conditional term includes the retained noise modes N1, N3.  Every guard
+    is written so that NaN fails it: an overflow anywhere raises
+    NumericDomainError rather than reaching the result.
     """
-    a, b, c = tm.a, tm.b, tm.c
     lam1, lam2 = two_mode_symplectic(a, b, c)
     if protocol == "coherent":
-        i_ab = mutual_information_heterodyne(tm)
+        i_ab = _heterodyne_info(a, b, c)
         lam3 = a - c * c / (b + 1.0)
-        if lam3 <= 0.0:
+        if not lam3 > 0.0:
             raise NumericDomainError(f"conditional eigenvalue {lam3} is not positive")
         cond = (lam3,)
     elif chi_n == 0.0:
-        i_ab = mutual_information_homodyne(tm)
+        i_ab = _homodyne_info(a, b, c)
         lam3_sq = a * (a - c * c / b)
-        if lam3_sq <= 0.0:
+        if not lam3_sq > 0.0:
             raise NumericDomainError(f"conditional eigenvalue squared {lam3_sq} is not positive")
         cond = (math.sqrt(lam3_sq),)
     else:
-        i_ab = mutual_information_homodyne(TwoModeCov(a, b + chi_n, c))
+        # a valid (a, b, c) and a finite chi_n >= 0 keep (a, b + chi_n, c) valid
+        i_ab = _homodyne_info(a, b + chi_n, c)
         cond = _trusted_noise_conditional(a, b, c, chi_n)
     chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
     for lam in cond:
@@ -424,19 +469,20 @@ def _rate_terms(tm: TwoModeCov, protocol: str,
     lams = (lam1, lam2, *cond)
     if chi >= 0.0:
         return i_ab, chi, lams, False
-    if chi < -CHI_CLAMP_TOL:
-        raise NumericDomainError(f"Holevo bound came out {chi} < -{CHI_CLAMP_TOL}: likely a bug")
+    if not chi >= -CHI_CLAMP_TOL:
+        raise NumericDomainError(
+            f"Holevo bound came out {chi}, not >= -{CHI_CLAMP_TOL}: likely a bug or an overflow")
     return i_ab, 0.0, lams, True
 
 
 def holevo_rr_squeezed(tm: TwoModeCov) -> float:
     """Eve's bound on Bob's homodyne data, from the closed eigenvalue forms."""
-    return _rate_terms(tm, "squeezed")[1]
+    return _rate_terms(tm.a, tm.b, tm.c, "squeezed")[1]
 
 
 def holevo_rr_coherent(tm: TwoModeCov) -> float:
     """Eve's bound on Bob's heterodyne data (coherent-state baseline)."""
-    return _rate_terms(tm, "coherent")[1]
+    return _rate_terms(tm.a, tm.b, tm.c, "coherent")[1]
 
 
 def holevo_rr_modified(tm: TwoModeCov, chi_n: float) -> float:
@@ -445,9 +491,9 @@ def holevo_rr_modified(tm: TwoModeCov, chi_n: float) -> float:
     Equals ``holevo_generic(build_mdi_state(params, noise, gain), 1,
     "homodyne")``, because the noise pair (N1, N2) is pure.
     """
-    if chi_n < 0.0:
-        raise InvalidParameterError(f"chi_n must be >= 0, got {chi_n}")
-    return _rate_terms(tm, "squeezed-modified", chi_n)[1]
+    if not 0.0 <= chi_n < math.inf:
+        raise InvalidParameterError(f"chi_n must be finite and >= 0, got {chi_n}")
+    return _rate_terms(tm.a, tm.b, tm.c, "squeezed-modified", chi_n)[1]
 
 
 def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) -> float:
@@ -484,13 +530,25 @@ def _resolve_noise(params: ProtocolParams,
     return noise
 
 
-def _key_rate_at_gain(params: ProtocolParams, noise: AddedNoiseParams | None,
-                      gain: float) -> float:
-    """Key rate at a fixed gain, unvalidated and without a report: the gain objective."""
-    tm = _reduced_state(params, gain)
-    i_ab, chi, _, _ = _rate_terms(tm, params.protocol,
-                                  0.0 if noise is None else noise.chi_n)
-    return params.beta * i_ab - chi
+def _gain_objective(params: ProtocolParams,
+                    noise: AddedNoiseParams | None) -> Callable[[float], float]:
+    """K as a function of the gain, unvalidated and without a report: the
+    objective of ``optimal_gain``.
+
+    The point's coefficients, chi_n, beta and protocol are read once, when
+    the objective is built; each call then runs ``_reduced_state`` and
+    ``_rate_terms``, the arithmetic ``key_rate`` reports at its gain.
+    """
+    coeffs = _gain_coefficients(params)
+    protocol, beta = params.protocol, params.beta
+    chi_n = 0.0 if noise is None else noise.chi_n
+
+    def objective(g: float) -> float:
+        a, b, c = _reduced_state(coeffs, g)
+        i_ab, chi, _, _ = _rate_terms(a, b, c, protocol, chi_n)
+        return beta * i_ab - chi
+
+    return objective
 
 
 def gain_bracket(params: ProtocolParams) -> float:
@@ -503,16 +561,15 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
 
     Searches [0, 4 sqrt(2/(eta T2))] to tolerance 1e-6; if the optimum
     lands on the upper edge the bracket is doubled once, after which an
-    edge optimum raises NumericDomainError.
+    edge optimum raises NumericDomainError.  Both searches share one
+    objective from ``_gain_objective``, so the per-point work (coefficients,
+    their checks, chi_n and beta) is done once, not per gain.
     """
     noise = _resolve_noise(params, noise)
-
-    def objective(g: float) -> float:
-        return _key_rate_at_gain(params, noise, g)
-
+    objective = _gain_objective(params, noise)
     hi = gain_bracket(params)
-    for attempt in range(2):
-        g_star, _ = golden_section_max(objective, 0.0, hi, GAIN_TOL)
+    for _ in range(2):
+        g_star = golden_section_max(objective, 0.0, hi, GAIN_TOL)[0]
         if g_star < hi - 2.0 * GAIN_TOL:
             return g_star
         hi *= 2.0
@@ -520,11 +577,11 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
         f"gain optimum stuck at the search edge {hi / 2.0} even after widening")
 
 
-def _require_physical_pair(tm: TwoModeCov, lam2: float) -> None:
-    """Physicality of the displaced pair (A3, B4) from its smaller symplectic
-    eigenvalue, at the tolerance ``GaussianState.require_physical`` applies to
-    the same covariance in ``build_mdi_state``."""
-    eff = max(PHYSICALITY_TOL, 64.0 * _EPS * max(1.0, abs(tm.a), abs(tm.b), abs(tm.c)))
+def _require_physical_pair(a: float, b: float, c: float, lam2: float) -> None:
+    """Physicality of the displaced pair (A3, B4) = (a, b, c) from its smaller
+    symplectic eigenvalue, at the tolerance ``GaussianState.require_physical``
+    applies to the same covariance in ``build_mdi_state``."""
+    eff = max(PHYSICALITY_TOL, 64.0 * _EPS * max(1.0, abs(a), abs(b), abs(c)))
     if lam2 < 1.0 - eff:
         raise NumericDomainError(
             f"unphysical covariance at stage 'feedforward': min symplectic eigenvalue {lam2!r}")
@@ -540,10 +597,11 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
     noise = _resolve_noise(params, noise)
     chi_n = 0.0 if noise is None else noise.chi_n
     try:
+        coeffs = _gain_coefficients(params)
         g = params.gain if params.gain is not None else optimal_gain(params, noise)
-        tm = _reduced_state(params, g)
-        i_ab, chi, lams, clamped = _rate_terms(tm, params.protocol, chi_n)
-        _require_physical_pair(tm, lams[1])
+        a, b, c = _reduced_state(coeffs, g)
+        i_ab, chi, lams, clamped = _rate_terms(a, b, c, params.protocol, chi_n)
+        _require_physical_pair(a, b, c, lams[1])
     except (NumericDomainError, StructuralError) as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc
     return KeyRateReport(
@@ -552,7 +610,7 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
         key_rate=params.beta * i_ab - chi,
         lambdas=lams,
         gain_used=g,
-        reduced=tm if chi_n == 0.0 else TwoModeCov(tm.a, tm.b + chi_n, tm.c),
+        reduced=TwoModeCov(a, b + chi_n, c),
         chi_n=chi_n,
         flags=("holevo_clamped",) if clamped else (),
     )

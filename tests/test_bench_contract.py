@@ -1,32 +1,35 @@
-"""The library names and call shapes that the benchmark under ``bench/``
-relies on.
+"""The library names, call shapes and pinned numbers that the benchmark under
+``bench/`` relies on.
 
 ``bench/tracer.py`` rebinds module globals by name, and ``bench/workloads.py``
-calls the analysis API with fixed keywords.  A rename or a dropped name would
-break the benchmark without failing any library test, so the contract is
-checked here; ``bench/`` itself is only read.
+calls the analysis API with fixed keywords and checks every sweep point
+against ``bench/reference.json``.  A rename, a dropped name or a kernel change
+that moves K would break the benchmark without failing any library test, so
+the contract is checked here; ``bench/`` itself is only read.
 """
 
 import importlib
 import importlib.util
 import inspect
+import random
 from pathlib import Path
 
 import pytest
 
 from cvmdi import ProtocolParams, analysis
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER_MODULE = load_tracer()
+TRACER_MODULE = load_bench("tracer")
+WORKLOADS = load_bench("workloads")
 
 
 @pytest.mark.parametrize("module_name,attr,name",
@@ -48,3 +51,28 @@ def test_workload_call_shapes_bind():
         "distance-symmetric", start=0.0, stop=0.0, step=0.5, base=base)
     inspect.signature(analysis.compare_protocols).bind(
         base, geometry="most-asymmetric", detectors=("practical",), tol_km=0.05)
+
+
+def reference_sample():
+    """(grid, offset, k) of the sweep points re-checked against the reference:
+    the two V = 1e5, L = 0 points (coherent and squeezed grids at offset 0,
+    k = 0), which the reference pins closest to double precision, and 30
+    seeded others across the three grids."""
+    rng = random.Random(20140603)
+    others = [(rng.randrange(len(WORKLOADS.SWEEP_GRIDS)), rng.randrange(WORKLOADS.SWEEP_OFFSETS),
+               rng.randrange(WORKLOADS.SWEEP_POINTS)) for _ in range(30)]
+    return [(0, 0, 0), (1, 0, 0), *others]
+
+
+def test_sweep_reference_still_holds():
+    # the benchmark's sweep check, on a sample: a kernel change that moves
+    # rounding fails here, not only in bench/run.py
+    reference = WORKLOADS.load_reference()
+    sweep = WORKLOADS.Sweep(0, reference)
+    for case in reference_sample():
+        g, offset, k = case
+        (row,) = sweep.run(case).rows
+        want = reference["sweep"][g][offset][k]
+        assert row.report is not None, (case, row.error)
+        assert abs(row.report.key_rate - want) <= WORKLOADS.K_TOL_BITS, (
+            case, row.report.key_rate, want)

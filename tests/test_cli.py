@@ -364,6 +364,20 @@ def test_numeric_failure_exit_code(tmp_path):
     assert "numeric error" in res.stderr
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--variance", "realistic", "--lac", "5", "--gain", "1e200"],
+    ["keyrate", "--variance", "1e200"],
+])
+def test_overflow_exits_3_with_empty_stdout(capsys, argv):
+    # each printed K_bits nan, flagged holevo_clamped, and exited 0
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric error" in captured.err
+
+
 @pytest.mark.parametrize("tol_km", ["0", "-1", "nan"])
 def test_maxdist_rejects_bad_tol_km(tol_km):
     res = run_cli("maxdist", "--tol-km", tol_km)

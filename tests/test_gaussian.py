@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cvmdi import (
     GaussianState,
@@ -23,6 +24,7 @@ from cvmdi import (
     vacuum_state,
     von_neumann_entropy,
 )
+from cvmdi.gaussian import _LD_ONE
 from helpers import c_edge
 
 SZ = np.diag([1.0, -1.0])
@@ -319,6 +321,29 @@ def test_two_mode_symplectic_examples():
 def test_two_mode_symplectic_rejects_unphysical():
     with pytest.raises(NumericDomainError):
         two_mode_symplectic(10.0, 1.0, 2.0)
+
+
+def test_two_mode_symplectic_rejects_overflowed_input():
+    # b = inf gives lambda2 = inf/inf = NaN, which every "< bound" test passes
+    with np.errstate(invalid="ignore"), pytest.raises(NumericDomainError, match="nan"):
+        two_mode_symplectic(5.04, math.inf, 3e200)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e308)
+@example(-1e308)
+@example(1.7976931348623157e308)
+def test_extended_precision_conversion_is_exact(x):
+    # two_mode_symplectic converts its inputs as _LD_ONE * x, in place of the
+    # slower np.longdouble(x): float64 -> extended is exact, and so is x * 1
+    converted = _LD_ONE * x
+    assert type(converted) is np.longdouble
+    assert converted == np.longdouble(x)
+    assert np.signbit(converted) == np.signbit(np.longdouble(x))
 
 
 def test_two_mode_oracle_equivalence_randomized():

@@ -7,6 +7,7 @@ import pytest
 
 from cvmdi import (
     AddedNoiseParams,
+    CVMDIError,
     GaussianState,
     InvalidParameterError,
     NumericDomainError,
@@ -36,7 +37,7 @@ from cvmdi.protocols import (
     GAIN_TOL,
     _displaced_pair,
     _gain_coefficients,
-    _key_rate_at_gain,
+    _gain_objective,
     _reduced_state,
     _trusted_noise_conditional,
     gain_bracket,
@@ -99,6 +100,15 @@ def test_params_validation():
     assert p.t_2 == 1.0
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", protocols._REAL_FIELDS)
+def test_params_reject_non_finite(field, value):
+    # NaN fails no ">= bound" test and inf passes them all; either used to
+    # come out of key_rate as a NaN key rate
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+        ProtocolParams(**{"v_a": 5.04, "v_b": 5.04, "l_ac": 5.0, "l_bc": 0.0, field: value})
+
+
 def test_added_noise_params():
     n = AddedNoiseParams(t_r=0.5, n_r=3.0)
     assert n.chi_n == pytest.approx(3.0)
@@ -113,6 +123,13 @@ def test_added_noise_params():
         AddedNoiseParams(t_r=0.5, n_r=0.5)
     with pytest.raises(InvalidParameterError):
         AddedNoiseParams.from_chi_n(-0.1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="n_r must be finite"):
+            AddedNoiseParams(t_r=0.5, n_r=bad)
+        with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
+            AddedNoiseParams.from_chi_n(bad)
+        with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
+            holevo_rr_modified(TwoModeCov(2.0, 2.0, 1.0), bad)
 
 
 # -------------------------------------------------------------- circuit builder
@@ -200,7 +217,8 @@ def test_reduced_state_equals_matrix_route():
                            l_bc=rng.choice([0.0, rng.uniform(0.0, 10.0)]),
                            eta=eta, v_el=v_el)
         g = rng.uniform(0.0, 3.0)
-        assert _reduced_state(p, g) == extract_two_mode(_displaced_pair(p, g))
+        tm = TwoModeCov(*_reduced_state(_gain_coefficients(p), g))
+        assert tm == extract_two_mode(_displaced_pair(p, g))
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (5, 5), (7, 7), (1, 7), (2, 7)])
@@ -221,9 +239,31 @@ def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
     monkeypatch.setattr(protocols, "_relay_state", planted)
     try:
         with pytest.raises(StructuralError):
-            _reduced_state(p, 1.2)
+            _reduced_state(_gain_coefficients(p), 1.2)
+        # a p side that does not mirror x is checked at every gain, so the
+        # gain search and the key rate at its optimum refuse the point too
+        with pytest.raises(StructuralError):
+            optimal_gain(p)
+        with pytest.raises(StructuralError):
+            key_rate(p)
     finally:
         _gain_coefficients.cache_clear()
+
+
+def test_honest_points_mirror_x_and_p():
+    # the per-gain x/p check is skipped when the p-side coefficients mirror
+    # the x side bit for bit, which every honest circuit point does
+    rng = random.Random(1406)
+    for _ in range(500):
+        eta, v_el = DETECTOR_PRESETS[rng.choice(sorted(DETECTOR_PRESETS))]
+        v = rng.choice([VARIANCE_PRESETS["realistic"], VARIANCE_PRESETS["ideal"],
+                        rng.uniform(1.001, 100.0)])
+        p = ProtocolParams(v_a=v, v_b=v, l_ac=rng.choice([0.0, rng.uniform(0.0, 100.0)]),
+                           l_bc=rng.choice([0.0, rng.uniform(0.0, 20.0)]),
+                           eps1=rng.uniform(0.0, 0.1), eps2=rng.uniform(0.0, 0.1),
+                           eta=eta, v_el=v_el)
+        x_side, p_side = _gain_coefficients(p)
+        assert p_side is None, (p, x_side)
 
 
 def test_reduced_state_rejects_cancelled_b():
@@ -232,6 +272,50 @@ def test_reduced_state_rejects_cancelled_b():
     p = ProtocolParams(v_a=5.04, v_b=1e10, eps1=0.0, eps2=0.0, l_ac=0.0, l_bc=0.0)
     with pytest.raises(NumericDomainError):
         key_rate(p)
+
+
+@pytest.mark.parametrize("changes", [
+    {"gain": 1e200},                    # b overflows at a fixed gain
+    {"gain": 1e155},                    # so does g^2 b2 alone
+    {"v_a": 1e200, "v_b": 1e200},       # the relay covariance overflows
+])
+def test_kernel_overflow_raises(changes):
+    # a NaN Holevo term used to be clamped to 0 and reported with flag
+    # holevo_clamped, next to a NaN key rate
+    p = replace(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=5.0, l_bc=0.0), **changes)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericDomainError):
+        key_rate(p)
+
+
+def test_no_non_finite_key_rate_is_reported():
+    # inputs up to 1e308 overflow somewhere in the kernel: that raises, and
+    # never comes out as a NaN or infinite number in a report
+    rng = random.Random(2014)
+
+    def value(typical):
+        return rng.choice([typical, 10.0 ** rng.uniform(0.0, 308.0)])
+
+    reported = 0
+    with np.errstate(all="ignore"):
+        for _ in range(300):
+            protocol = rng.choice(sorted(protocols.PROTOCOLS))
+            eta, v_el = DETECTOR_PRESETS[rng.choice(sorted(DETECTOR_PRESETS))]
+            try:
+                p = ProtocolParams(v_a=value(5.04), v_b=value(5.04), l_ac=rng.choice([0.0, 5.0]),
+                                   l_bc=rng.choice([0.0, 1.0]), eps1=value(0.002),
+                                   eps2=value(0.002), eta=eta,
+                                   v_el=value(v_el) if eta < 1.0 else 0.0,
+                                   gain=rng.choice([None, 1.0, value(0.0)]), protocol=protocol)
+                noise = (AddedNoiseParams.from_chi_n(value(2.0))
+                         if protocol == "squeezed-modified" else None)
+                r = key_rate(p, noise)
+            except CVMDIError:
+                continue
+            reported += 1
+            numbers = (r.key_rate, r.mutual_info, r.holevo, *r.lambdas, r.gain_used,
+                       r.reduced.a, r.reduced.b, r.reduced.c)
+            assert all(map(math.isfinite, numbers)), (p, noise, r)
+    assert reported >= 30
 
 
 def test_key_rate_error_names_the_point_when_gain_is_optimised():
@@ -370,13 +454,13 @@ def test_modified_equals_squeezed_as_noise_vanishes():
     for base, tol in ((ProtocolParams(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=10.0), 1e-6),
                       (IDEAL_10KM, 2e-5)):
         g = 1.9
-        k_sq = _key_rate_at_gain(replace_protocol(base, "squeezed"), None, g)
+        k_sq = _gain_objective(replace_protocol(base, "squeezed"), None)(g)
         noise = AddedNoiseParams(t_r=1.0 - 1e-9, n_r=1.0)
-        k_mod = _key_rate_at_gain(replace_protocol(base, "squeezed-modified"), noise, g)
+        k_mod = _gain_objective(replace_protocol(base, "squeezed-modified"), noise)(g)
         assert abs(k_mod - k_sq) < tol
         # at chi_n = 0 exactly the trusted-noise form is the squeezed one
-        k_zero = _key_rate_at_gain(replace_protocol(base, "squeezed-modified"),
-                                   AddedNoiseParams.from_chi_n(0.0), g)
+        k_zero = _gain_objective(replace_protocol(base, "squeezed-modified"),
+                                 AddedNoiseParams.from_chi_n(0.0))(g)
         assert k_zero == k_sq
 
 
@@ -392,7 +476,7 @@ def test_modified_chi_depends_only_on_chi_n():
     oracle_chis = []
     for noise in realizations:
         assert noise.chi_n == pytest.approx(chi_target, abs=1e-12)
-        ks.append(_key_rate_at_gain(p, noise, g))
+        ks.append(_gain_objective(p, noise)(g))
         # the production path sees chi_n alone; the invariance it relies on
         # is checked on the 4-mode matrix oracle, which sees (t_r, n_r)
         oracle_chis.append(holevo_generic(build_mdi_state(p, noise=noise, gain=g),
@@ -423,7 +507,8 @@ def test_modified_holevo_invariant_under_noise_realisation(detector):
             realisations.append(AddedNoiseParams(t_r=0.5, n_r=chi_n))
         chis = [holevo_generic(build_mdi_state(p, noise=noise, gain=g), 1, "homodyne")
                 for noise in realisations]
-        closed = holevo_rr_modified(_reduced_state(p, g), chi_n)
+        closed = holevo_rr_modified(TwoModeCov(*_reduced_state(_gain_coefficients(p), g)),
+                                    chi_n)
         assert max(chis) - min(chis) < 1e-9, (p, g, chi_n)
         assert all(chi == pytest.approx(closed, abs=1e-9) for chi in chis), (p, g, chi_n)
 
@@ -501,11 +586,10 @@ def test_key_rate_lambda2_is_the_matrix_oracle_minimum(protocol, detector):
 def test_scalar_physicality_check_uses_the_oracle_tolerance(scale):
     # the same tolerance as GaussianState.require_physical on the pair's
     # covariance: PHYSICALITY_TOL, widened to 64 eps per unit of magnitude
-    tm = TwoModeCov(a=scale, b=scale, c=0.0)
     eff = max(PHYSICALITY_TOL, 64.0 * np.finfo(float).eps * scale)
-    protocols._require_physical_pair(tm, 1.0 - 0.5 * eff)
+    protocols._require_physical_pair(scale, scale, 0.0, 1.0 - 0.5 * eff)
     with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
-        protocols._require_physical_pair(tm, 1.0 - 2.0 * eff)
+        protocols._require_physical_pair(scale, scale, 0.0, 1.0 - 2.0 * eff)
     for lam, physical in ((1.0 - 0.5 * eff, True), (1.0 - 2.0 * eff, False)):
         state = GaussianState(np.diag([scale, scale, lam * lam / scale, scale]))
         assert symplectic_eigenvalues(state)[-1] == pytest.approx(lam, rel=1e-12)
@@ -525,6 +609,14 @@ def test_key_rate_refuses_an_unphysical_reported_point(monkeypatch):
         key_rate(replace(PRACTICAL_10KM, gain=1.9))
 
 
+def test_nan_holevo_term_is_not_clamped(monkeypatch):
+    # the clamp turns a slightly negative chi into 0; a NaN chi used to be
+    # clamped as well, and reported as chi = 0 with flag holevo_clamped
+    monkeypatch.setattr(protocols, "two_mode_symplectic", lambda a, b, c: (math.nan, math.nan))
+    with pytest.raises(NumericDomainError, match="Holevo bound came out nan"):
+        protocols._rate_terms(5.04, 7.0, 3.0, "squeezed")
+
+
 def test_key_rate_positive_inside_cutoff():
     p = ProtocolParams(v_a=1e5, v_b=1e5, l_ac=5.0, l_bc=5.0)
     assert key_rate(p).key_rate > 0.0
@@ -539,19 +631,42 @@ def test_key_rate_oracle_agreement_at_10km():
         assert r.key_rate == pytest.approx(k_ref, abs=1e-9), g
 
 
-@pytest.mark.parametrize("protocol,noise", [
+@pytest.mark.parametrize("protocol,chi_n_max", [
     ("squeezed", None),
     ("coherent", None),
-    ("squeezed-modified", AddedNoiseParams.from_chi_n(2.0)),
-    ("squeezed-modified", AddedNoiseParams.from_chi_n(0.0)),
+    ("squeezed-modified", 10.0),
+    ("squeezed-modified", 0.0),
 ])
-def test_key_rate_equals_gain_objective(protocol, noise):
-    # one evaluation path: the report at a fixed gain and the gain search's
-    # objective give the same float
-    p = replace_protocol(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=15.0, l_bc=2.0,
-                                        eta=0.9, v_el=0.015), protocol)
-    for g in (0.4, 1.1, 2.3):
-        assert key_rate(replace(p, gain=g), noise).key_rate == _key_rate_at_gain(p, noise, g)
+def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
+    # one evaluation path: at the searched optimum and at a random gain, the
+    # objective the gain search ran, the report at that fixed gain, and
+    # _rate_terms on the matrix route's reduced state give the same float
+    objectives = []
+    search = protocols.golden_section_max
+
+    def spy(f, *args):
+        objectives.append(f)
+        return search(f, *args)
+
+    monkeypatch.setattr(protocols, "golden_section_max", spy)
+    rng = random.Random(f"{protocol}-{chi_n_max}")
+    for _ in range(50):
+        eta, v_el = DETECTOR_PRESETS[rng.choice(sorted(DETECTOR_PRESETS))]
+        v = rng.choice(sorted(VARIANCE_PRESETS.values()))
+        p = ProtocolParams(v_a=v, v_b=v, l_ac=rng.choice([0.0, rng.uniform(0.0, 40.0)]),
+                           l_bc=rng.choice([0.0, rng.uniform(0.0, 5.0)]), eta=eta, v_el=v_el,
+                           beta=rng.choice([1.0, rng.uniform(0.8, 1.0)]), protocol=protocol)
+        noise = (None if chi_n_max is None
+                 else AddedNoiseParams.from_chi_n(rng.uniform(0.0, chi_n_max)))
+        chi_n = 0.0 if noise is None else noise.chi_n
+        g_star = optimal_gain(p, noise)
+        objective = objectives[-1]
+        for g in (g_star, rng.uniform(0.0, gain_bracket(p))):
+            k = objective(g)
+            assert key_rate(replace(p, gain=g), noise).key_rate == k, (p, g)
+            tm = extract_two_mode(_displaced_pair(p, g))
+            i_ab, chi, _, _ = protocols._rate_terms(tm.a, tm.b, tm.c, protocol, chi_n)
+            assert p.beta * i_ab - chi == k, (p, g)
 
 
 def test_key_rate_zero_beta_never_positive():
@@ -591,26 +706,28 @@ def test_coherent_protocol_report():
 
 def test_optimal_gain_is_local_max():
     g = optimal_gain(IDEAL_10KM)
-    k0 = _key_rate_at_gain(IDEAL_10KM, None, g)
+    k_of = _gain_objective(IDEAL_10KM, None)
     for dg in (-1e-3, 1e-3):
-        assert _key_rate_at_gain(IDEAL_10KM, None, g + dg) <= k0 + 1e-12
+        assert k_of(g + dg) <= k_of(g) + 1e-12
 
 
 def test_optimal_gain_beats_grid_lossless_limit():
     # relay on Bob's side, ideal detection, essentially infinite source
     p = ProtocolParams(v_a=1e5, v_b=1e5, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0)
     g = optimal_gain(p)
-    k_star = _key_rate_at_gain(p, None, g)
+    k_of = _gain_objective(p, None)
+    k_star = k_of(g)
     grid = np.arange(0.0, 10.0 + 1e-12, 0.001)
-    k_grid = max(_key_rate_at_gain(p, None, float(x)) for x in grid)
+    k_grid = max(k_of(float(x)) for x in grid)
     assert k_star >= k_grid - 1e-9
 
 
 def test_optimal_gain_grid_agreement_at_10km():
     g = optimal_gain(IDEAL_10KM)
-    k_star = _key_rate_at_gain(IDEAL_10KM, None, g)
+    k_of = _gain_objective(IDEAL_10KM, None)
+    k_star = k_of(g)
     grid = np.linspace(max(g - 0.05, 0.0), g + 0.05, 2001)
-    k_grid = max(_key_rate_at_gain(IDEAL_10KM, None, float(x)) for x in grid)
+    k_grid = max(k_of(float(x)) for x in grid)
     assert abs(k_star - k_grid) < 1e-9
     assert k_star >= k_grid - 1e-12
 
@@ -634,7 +751,8 @@ def test_gain_profile_is_unimodal(protocol, chi_n, detector, variance):
             p = ProtocolParams(v_a=v, v_b=v, l_ac=l_ac, l_bc=l_bc, eta=eta, v_el=v_el,
                                protocol=protocol)
             grid = np.linspace(0.0, gain_bracket(p), 161)
-            k = np.array([_key_rate_at_gain(p, noise, float(g)) for g in grid])
+            k_of = _gain_objective(p, noise)
+            k = np.array([k_of(float(g)) for g in grid])
             steps = np.sign(np.diff(k))
             steps = steps[steps != 0.0]
             assert not np.any((steps[:-1] < 0.0) & (steps[1:] > 0.0)), (l_ac, l_bc)
