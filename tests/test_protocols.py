@@ -67,6 +67,9 @@ def test_channel_transmittance_values():
     assert channel_transmittance(25.0, 0.2) == pytest.approx(10.0 ** -0.5, rel=1e-14)
     with pytest.raises(InvalidParameterError):
         channel_transmittance(-1.0)
+    assert channel_transmittance(16000.0) > 0.0
+    with pytest.raises(NumericDomainError, match="underflows"):
+        channel_transmittance(1e6)
 
 
 def test_cloner_variance():

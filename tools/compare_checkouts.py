@@ -1,0 +1,99 @@
+"""Check that two checkouts of cvmdi give the same output, bit for bit.
+
+    python3 tools/compare_checkouts.py OTHER_ROOT [--points N] [--seed S]
+
+Runs this checkout and OTHER_ROOT, each in a fresh interpreter that imports
+cvmdi from that root's ``src/`` (one BLAS thread), and has each print one
+line per value: the relay covariance (``protocols._relay_state``) at N
+seeded random points, as the hex of its bytes; K, gain and lambdas at every
+sweep point of ``bench/reference.json`` (only read); the rows of the
+benchmark's table; and exit code, stdout and stderr of every subcommand on
+this checkout's ``configs/*.json``.  Prints the first value that differs,
+at its first differing float or character, and exits 1; else exits 0.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parents[1]
+
+DUMP = r'''
+import contextlib, glob, io, json, random, sys
+root, configs, n, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path[:0] = [root + "/src", root + "/bench"]
+import workloads
+from cvmdi import cli, protocols
+assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
+rng = random.Random(seed)
+v = lambda: rng.choice([5.04, 1e5, rng.uniform(1.0, 50.0)])
+length = lambda: rng.choice([0.0, rng.uniform(0.0, 50.0)])
+for i in range(n):
+    p = protocols.ProtocolParams(v_a=v(), v_b=v(), l_ac=length(), l_bc=length(),
+                                 eps1=rng.uniform(0.0, 0.05), eps2=rng.uniform(0.0, 0.05),
+                                 **rng.choice([{}, workloads.PRACTICAL]))
+    print(f"relay {i} {p}\t{protocols._relay_state(p).cov.tobytes().hex()}")
+reference = workloads.load_reference()
+sweep = workloads.Sweep(0, reference)
+for g, grid in enumerate(reference["sweep"]):
+    for j, points in enumerate(grid):
+        for k in range(len(points)):
+            r = sweep.run((g, j, k)).rows[0].report
+            print(f"sweep {g} {j} {k}\t{(r.key_rate, r.gain_used, r.lambdas)!r}")
+for row in workloads.Table(0, reference).run(None).rows:
+    print(f"table\t{row!r}")
+for path in sorted(glob.glob(configs + "/*.json")):
+    for command in ("keyrate", "sweep", "maxdist", "optnoise", "compare"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([command, "--config", path])
+            except SystemExit as exc:
+                code = exc.code
+        print(f"cli {command} {path}\t{json.dumps([code, out.getvalue(), err.getvalue()])}")
+'''
+
+
+def dump(root: Path, points: int, seed: int) -> list[str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    argv = [sys.executable, "-c", DUMP, str(root), str(HERE / "configs"), str(points), str(seed)]
+    return subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True,
+                          check=True).stdout.splitlines()
+
+
+def first_difference(a: str, b: str) -> str:
+    if a.startswith("relay"):
+        x, y = (np.frombuffer(bytes.fromhex(s.split("\t")[1]), dtype=float) for s in (a, b))
+        if x.shape != y.shape:
+            return f"shapes {x.shape} and {y.shape}"
+        i = int(np.flatnonzero(x.view(np.int64) != y.view(np.int64))[0])
+        return f"entry {i}: {x[i]!r} and {y[i]!r}"
+    i = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+    return f"character {i}: ...{a[max(0, i - 40):i + 40]!r} and ...{b[max(0, i - 40):i + 40]!r}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="root of the checkout to compare with")
+    ap.add_argument("--points", type=int, default=3000, help="random relay points")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    mine, theirs = (dump(root.resolve(), args.points, args.seed) for root in (HERE, args.other))
+    for n, (a, b) in enumerate(zip(mine, theirs)):
+        if a != b:
+            print(f"differ at value {n}, {a.split(chr(9))[0]}: {first_difference(a, b)}")
+            return 1
+    if len(mine) != len(theirs):
+        print(f"{len(mine)} values here, {len(theirs)} in {args.other}")
+        return 1
+    print(f"identical: {len(mine)} values ({args.points} relays, seed {args.seed})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
