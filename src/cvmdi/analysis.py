@@ -3,7 +3,9 @@ distances, added-noise optimization, and protocol comparison tables.
 
 The squeezed-modified protocol given no added noise has its chi_n
 optimised, per point (``key_rate_at_best_noise``) or per trial length
-(``max_distance``).
+(``max_distance``).  ``optimize_added_noise`` grids chi_n, then refines
+around the best grid point; an optimum at a bracket edge costs one probe
+instead of a refinement.
 
 The paper's three geometries are the keys of ``GEOMETRY_MODES``, which maps
 each to the ``max_distance`` mode that scans it; ``at_geometry`` pins
@@ -165,6 +167,21 @@ def optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
     is the better of that refinement and the best grid point.  A grid with
     more than one strict local maximum means the profile is not unimodal,
     and a RuntimeWarning says so.  chi_n* = 0 is a legal boundary optimum.
+
+    A best grid point at a bracket edge is first certified with one probe,
+    CHI_N_TOL inside that edge: if K there is not above the edge value, the
+    edge is returned as it stands, without refinement.  This rests on the
+    unimodality golden section already assumes: a profile that does not rise
+    one tolerance inside the edge peaks within CHI_N_TOL of it, which is the
+    accuracy the refinement promises.  Only a probe that rises runs it.  A
+    peak that close to the edge can still lie above the edge value, so K*
+    may be lower than a refinement landing nearer that peak would report.
+
+    The bracket caps chi_n*, and the cap often binds: an edge is the
+    optimum at most random points.  At V = 5.04, L_AC = 13.875 km,
+    L_BC = 0 with the practical detector, K(chi_n = 100) = +2.2e-6 while
+    K(50) = -9.7e-7, so the modified row of a max-distance table gives the
+    reach with chi_n <= 50, which can be shorter than the protocol's.
     """
     if params.protocol != "squeezed-modified":
         raise InvalidParameterError("added-noise optimization needs protocol 'squeezed-modified'")
@@ -183,7 +200,11 @@ def optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
     if len(peaks) > 1:
         warnings.warn(
             f"added-noise profile not unimodal: grid maxima at chi_n={peaks}; "
-            f"refining around chi_n={grid[best]}", RuntimeWarning)
+            f"best grid point chi_n={grid[best]}", RuntimeWarning)
+    if best in (0, n - 1):
+        inside = grid[best] + (CHI_N_TOL if best == 0 else -CHI_N_TOL)
+        if not objective(inside) > vals[best]:
+            return grid[best], vals[best]
     known = dict(zip(grid, vals))
     sub_lo, sub_hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
     best_x, best_f = golden_section_max(
@@ -297,8 +318,9 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  The
     modified protocol has chi_n optimised as ``max_distance`` does it: each
     trial length first probes the last chi_n*, and runs the full
-    ``optimize_added_noise`` only when that probe gives K <= 0.  Every
-    detector name is checked before any search runs.
+    ``optimize_added_noise`` only when that probe gives K <= 0; an
+    optimisation whose optimum is a bracket edge costs one probe past its
+    grid.  Every detector name is checked before any search runs.
     """
     base = at_geometry(base, geometry)
     mode = GEOMETRY_MODES[geometry]

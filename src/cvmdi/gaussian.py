@@ -280,10 +280,11 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 def check_two_mode(a: float, b: float, c: float) -> None:
     """Raise unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL: the validity
     of the symmetric two-mode form, shared by ``TwoModeCov`` and the scalar
-    key-rate kernel, which works on the floats (a, b, c)."""
-    if a < 1.0 or b < 1.0:
+    key-rate kernel, which works on the floats (a, b, c).  Both tests are
+    written so that NaN fails them."""
+    if not (a >= 1.0 and b >= 1.0):
         raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
-    if a * b - c * c < 1.0 - PHYSICALITY_TOL:
+    if not a * b - c * c >= 1.0 - PHYSICALITY_TOL:
         raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
 
 
@@ -343,9 +344,10 @@ def g_func(x: float) -> float:
 
     (x+1) log2(x+1) - x log2 x, continuous at 0.  Written via log1p so the
     large-x cancellation between the two terms never occurs; the absolute
-    error stays below 1e-12 bits out to x = 1e12 and beyond.
+    error stays below 1e-12 bits out to x = 1e12 and beyond.  NaN fails the
+    x >= 0 test.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise InvalidParameterError(f"g_func argument must be >= 0, got {x}")
     if x == 0.0:
         return 0.0

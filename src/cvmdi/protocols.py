@@ -481,9 +481,13 @@ def _rate_terms(a: float, b: float, c: float, protocol: str,
         # a valid (a, b, c) and a finite chi_n >= 0 keep (a, b + chi_n, c) valid
         i_ab = _homodyne_info(a, b + chi_n, c)
         cond = _trusted_noise_conditional(a, b, c, chi_n)
-    chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
-    for lam in cond:
-        chi -= g_func(max(lam - 1.0, 0.0) / 2.0)
+    try:
+        chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
+        for lam in cond:
+            chi -= g_func(max(lam - 1.0, 0.0) / 2.0)
+    except InvalidParameterError:
+        # g_func rejects only NaN here: numeric trouble, reported below
+        chi = math.nan
     lams = (lam1, lam2, *cond)
     if chi >= 0.0:
         return i_ab, chi, lams, False

@@ -7,7 +7,8 @@ environment and announcement-purification mode so that Holevo bounds can
 be evaluated from the eavesdropper's side directly.  The same circuit is
 also built in mpmath arithmetic, for variances at which the eavesdropper's
 entropies cannot be taken in double precision.  The max-distance search is
-redone with a full chi_n optimisation at every trial length.
+redone with a full chi_n optimisation at every trial length, and the chi_n
+optimisation with a golden refinement after every grid, edge optima too.
 """
 
 from __future__ import annotations
@@ -31,9 +32,39 @@ from cvmdi import (
     von_neumann_entropy,
 )
 from cvmdi import analysis
-from cvmdi.analysis import SCAN_CAP_KM, SCAN_STEP_KM, MaxDistanceResult
-from cvmdi.protocols import ProtocolParams, AddedNoiseParams
-from cvmdi.search import positive_edge
+from cvmdi.analysis import (
+    CHI_N_BRACKET,
+    CHI_N_GRID_POINTS,
+    CHI_N_TOL,
+    SCAN_CAP_KM,
+    SCAN_STEP_KM,
+    MaxDistanceResult,
+)
+from cvmdi.protocols import ProtocolParams, AddedNoiseParams, key_rate
+from cvmdi.search import golden_section_max, positive_edge
+
+
+def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
+    """``optimize_added_noise`` as it was before the edge probe: the grid,
+    then golden section over the cells around the best grid point, whether
+    or not that point is a bracket edge.  No unimodality warning."""
+
+    def objective(chi: float) -> float:
+        return key_rate(params, AddedNoiseParams.from_chi_n(chi)).key_rate
+
+    lo, hi = CHI_N_BRACKET
+    n = CHI_N_GRID_POINTS
+    step = (hi - lo) / (n - 1)
+    grid = [lo + i * step for i in range(n)]
+    vals = [objective(x) for x in grid]
+    best = max(range(n), key=vals.__getitem__)
+    known = dict(zip(grid, vals))
+    best_x, best_f = golden_section_max(
+        lambda chi: known[chi] if chi in known else objective(chi),
+        grid[max(best - 1, 0)], grid[min(best + 1, n - 1)], CHI_N_TOL)
+    if vals[best] > best_f:
+        best_x, best_f = grid[best], vals[best]
+    return best_x, best_f
 
 
 def reference_max_distance(params: ProtocolParams, mode: str = "symmetric",

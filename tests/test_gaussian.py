@@ -489,6 +489,19 @@ def test_g_func_values():
         g_func(-1e-12)
 
 
+def test_g_func_rejects_nan():
+    # NaN passes every "x < 0" test; the guard is written as "not x >= 0"
+    with pytest.raises(InvalidParameterError):
+        g_func(math.nan)
+
+
+@pytest.mark.parametrize("abc", [(math.nan, math.nan, math.nan), (math.nan, 2.0, 0.0),
+                                 (2.0, math.nan, 0.0), (2.0, 2.0, math.nan)])
+def test_two_mode_cov_rejects_nan(abc):
+    with pytest.raises(InvalidParameterError):
+        TwoModeCov(*abc)
+
+
 def test_g_func_large_argument_accuracy():
     # references computed at 40-digit precision
     refs = {1e4: 14.73047955278608572957,

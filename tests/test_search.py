@@ -3,9 +3,11 @@
 ``positive_edge`` needs K(L) > 0 to hold on a prefix of [0, cap]: it checks
 the sign only at doubling trials and bisection midpoints.
 ``optimize_added_noise`` refines chi_n only around its best grid point, so
-the chi_n profile must be unimodal on the bracket.
+the chi_n profile must be unimodal on the bracket; at a bracket edge it
+trusts one probe CHI_N_TOL inside, so K must rise toward that edge.
 """
 
+import random
 import warnings
 from types import SimpleNamespace
 
@@ -18,12 +20,14 @@ from cvmdi import AddedNoiseParams, ProtocolParams, key_rate, optimize_added_noi
 from cvmdi.analysis import (
     CHI_N_BRACKET,
     CHI_N_GRID_POINTS,
+    CHI_N_TOL,
     DETECTOR_PRESETS,
     SCAN_CAP_KM,
     SCAN_STEP_KM,
     VARIANCE_PRESETS,
 )
 from cvmdi.search import positive_edge
+from helpers import reference_optimize_added_noise
 
 PROTOCOLS = ("coherent", "squeezed", "squeezed-modified")
 
@@ -210,3 +214,120 @@ def test_chi_n_grid_with_two_peaks_warns(monkeypatch):
     assert chi_star == pytest.approx(40.5, abs=1e-3)
     assert k_star == pytest.approx(2.0, abs=1e-3)
 
+
+
+# ------------------------------------------------- the edge certificate
+
+LO, HI = CHI_N_BRACKET
+
+
+@pytest.mark.parametrize("slope,edge,inward", [(1.0, HI, -1.0), (-1.0, LO, 1.0)])
+def test_edge_optimum_costs_one_probe(monkeypatch, slope, edge, inward):
+    asked = synthetic_key_rate(monkeypatch, lambda chi: slope * chi)
+    assert optimize_added_noise(MODIFIED) == (edge, slope * edge)
+    assert len(asked) == CHI_N_GRID_POINTS + 1
+    assert asked[-1] == pytest.approx(edge + inward * CHI_N_TOL, abs=1e-12)
+
+
+@pytest.mark.parametrize("edge,inward", [(LO, 1.0), (HI, -1.0)])
+def test_peak_within_tolerance_of_an_edge_returns_the_edge(monkeypatch, edge, inward):
+    # the probe, CHI_N_TOL inside, is no higher than the edge: the peak at
+    # half a tolerance inside is within CHI_N_TOL of the edge returned
+    peak = edge + inward * 5e-5
+
+    def k_of_chi(chi):
+        outward = (peak - chi) * inward
+        return -outward if outward >= 0.0 else 3.0 * outward
+
+    asked = synthetic_key_rate(monkeypatch, k_of_chi)
+    chi_star, k_star = optimize_added_noise(MODIFIED)
+    assert chi_star == edge and k_star == k_of_chi(edge)
+    assert abs(chi_star - peak) <= CHI_N_TOL
+    assert len(asked) == CHI_N_GRID_POINTS + 1
+
+
+@pytest.mark.parametrize("edge,inward", [(LO, 1.0), (HI, -1.0)])
+def test_peak_beyond_the_probe_is_refined(monkeypatch, edge, inward):
+    peak = edge + inward * 0.01
+    asked = synthetic_key_rate(monkeypatch, lambda chi: -(chi - peak) ** 2)
+    chi_star, _ = optimize_added_noise(MODIFIED)
+    assert chi_star != edge
+    assert abs(chi_star - peak) <= CHI_N_TOL
+    assert len(asked) > CHI_N_GRID_POINTS + 1
+
+
+def test_real_edge_optimum_costs_twelve_key_rates(monkeypatch):
+    # the table's most-asymmetric practical point past the plain protocol's
+    # reach: chi_n* is the upper edge, certified by the probe
+    calls = []
+    real = analysis_mod.key_rate
+
+    def counting(params, noise=None):
+        calls.append(noise.chi_n)
+        return real(params, noise)
+
+    monkeypatch.setattr(analysis_mod, "key_rate", counting)
+    p = preset_params("squeezed-modified", "practical", "realistic", l_ac=16.0, l_bc=0.0)
+    chi_star, _ = optimize_added_noise(p)
+    assert chi_star == HI
+    assert len(calls) == CHI_N_GRID_POINTS + 1
+
+
+def random_modified_points(seed, count):
+    """Seeded squeezed-modified points: V in {5.04, 1e5, U(1, 50)}, L_AC up
+    to 30 km, L_BC 0 or up to 5 km, excess noise up to 0.05, either detector."""
+    rng = random.Random(seed)
+    v = lambda: rng.choice([5.04, 1e5, rng.uniform(1.0, 50.0)])
+    for _ in range(count):
+        yield ProtocolParams(v_a=v(), v_b=v(), l_ac=rng.uniform(0.0, 30.0),
+                             l_bc=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+                             eps1=rng.uniform(0.0, 0.05), eps2=rng.uniform(0.0, 0.05),
+                             protocol="squeezed-modified",
+                             **dict(zip(("eta", "v_el"),
+                                        DETECTOR_PRESETS[rng.choice(("perfect", "practical"))])))
+
+
+def test_edge_certificate_matches_the_full_refinement():
+    # A point's result can differ from the full refinement only where the
+    # probe certified an edge whose true peak lies within CHI_N_TOL of it:
+    # the refinement may then land nearer that peak, a higher K at a chi_n
+    # within the tolerance both promise.  Everywhere else K* is not lower.
+    identical = edges = 0
+    for p in random_modified_points(2024, 150):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = optimize_added_noise(p)
+        want = reference_optimize_added_noise(p)
+        identical += got == want
+        edges += got[0] in CHI_N_BRACKET
+        assert abs(got[0] - want[0]) <= CHI_N_TOL, (p, got, want)
+        if not (got[0] in CHI_N_BRACKET and got[0] != want[0]):
+            assert got[1] >= want[1] - 1e-12, (p, got, want)
+    assert edges >= 80 and identical >= 140, (edges, identical)
+
+
+def test_key_rate_rises_toward_a_certified_edge():
+    # The certificate's unimodality condition on real points whose best grid
+    # point is an edge.  Sampled across that edge's grid cell, inner grid
+    # point first, K rises and then may fall, never the reverse; and where
+    # the probe CHI_N_TOL inside is no higher than the edge, so the edge is
+    # returned unrefined, K rises all the way to the edge.  Both up to 1e-12.
+    step = (HI - LO) / (CHI_N_GRID_POINTS - 1)
+    edge_points = certified = 0
+    for p in random_modified_points(7, 40):
+        grid = np.linspace(LO, HI, CHI_N_GRID_POINTS)
+        best = int(np.argmax([k_bits(p, float(chi)) for chi in grid]))
+        if best not in (0, CHI_N_GRID_POINTS - 1):
+            continue
+        edge_points += 1
+        edge, inward = (LO, 1.0) if best == 0 else (HI, -1.0)
+        cell = edge + inward * np.linspace(step, 0.0, 21)
+        k = np.array([k_bits(p, float(chi)) for chi in cell])
+        rises = np.diff(k)
+        falls = np.flatnonzero(rises < -1e-12)
+        if falls.size:
+            assert np.all(rises[falls[0]:] <= 1e-12), (p, k)
+        if not k_bits(p, edge + inward * CHI_N_TOL) > k[-1]:
+            certified += 1
+            assert falls.size == 0, (p, k)
+    assert edge_points >= 20 and certified >= 10, (edge_points, certified)

@@ -5,11 +5,13 @@
 Runs this checkout and OTHER_ROOT, each in a fresh interpreter that imports
 cvmdi from that root's ``src/`` (one BLAS thread), and has each print one
 line per value: the relay covariance (``protocols._relay_state``) at N
-seeded random points, as the hex of its bytes; K, gain and lambdas at every
-sweep point of ``bench/reference.json`` (only read); the rows of the
-benchmark's table; and exit code, stdout and stderr of every subcommand on
-this checkout's ``configs/*.json``.  Prints the first value that differs,
-at its first differing float or character, and exits 1; else exits 0.
+seeded random points, as the hex of its bytes; ``optimize_added_noise`` at
+NOISE_POINTS seeded random squeezed-modified points; K, gain and lambdas at
+every sweep point of ``bench/reference.json`` (only read); the rows of the
+benchmark's table; ``compare_protocols`` for every geometry, variance preset
+and detector preset; and exit code, stdout and stderr of every subcommand on
+this checkout's ``configs/*.json``.  Prints every value that differs, at
+its first differing float or character, and exits 1; else exits 0.
 """
 
 import argparse
@@ -21,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
+# Seeded random points at which optimize_added_noise is dumped.
+NOISE_POINTS = 150
 
 DUMP = r'''
 import contextlib, glob, io, json, random, sys
-root, configs, n, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+root, configs, n, noise_points, seed = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:6])
 sys.path[:0] = [root + "/src", root + "/bench"]
 import workloads
-from cvmdi import cli, protocols
+from cvmdi import analysis, cli, protocols
 assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
 rng = random.Random(seed)
 v = lambda: rng.choice([5.04, 1e5, rng.uniform(1.0, 50.0)])
@@ -37,6 +41,16 @@ for i in range(n):
                                  eps1=rng.uniform(0.0, 0.05), eps2=rng.uniform(0.0, 0.05),
                                  **rng.choice([{}, workloads.PRACTICAL]))
     print(f"relay {i} {p}\t{protocols._relay_state(p).cov.tobytes().hex()}")
+for i in range(noise_points):
+    p = protocols.ProtocolParams(v_a=v(), v_b=v(), l_ac=rng.uniform(0.0, 30.0),
+                                 l_bc=length() / 10.0, eps1=rng.uniform(0.0, 0.05),
+                                 eps2=rng.uniform(0.0, 0.05), protocol="squeezed-modified",
+                                 **rng.choice([{}, workloads.PRACTICAL]))
+    try:
+        got = analysis.optimize_added_noise(p)
+    except Exception as exc:
+        got = (type(exc).__name__, str(exc))
+    print(f"optnoise {i} {p}\t{got!r}")
 reference = workloads.load_reference()
 sweep = workloads.Sweep(0, reference)
 for g, grid in enumerate(reference["sweep"]):
@@ -46,6 +60,12 @@ for g, grid in enumerate(reference["sweep"]):
             print(f"sweep {g} {j} {k}\t{(r.key_rate, r.gain_used, r.lambdas)!r}")
 for row in workloads.Table(0, reference).run(None).rows:
     print(f"table\t{row!r}")
+for geometry in analysis.GEOMETRIES:
+    for variance, v_ab in analysis.VARIANCE_PRESETS.items():
+        base = protocols.ProtocolParams(v_a=v_ab, v_b=v_ab, l_ac=0.0, l_bc=0.0)
+        for detector in analysis.DETECTOR_PRESETS:
+            for row in analysis.compare_protocols(base, geometry, (detector,)).rows:
+                print(f"compare {geometry} {variance}\t{row!r}")
 for path in sorted(glob.glob(configs + "/*.json")):
     for command in ("keyrate", "sweep", "maxdist", "optnoise", "compare"):
         out, err = io.StringIO(), io.StringIO()
@@ -61,7 +81,8 @@ for path in sorted(glob.glob(configs + "/*.json")):
 def dump(root: Path, points: int, seed: int) -> list[str]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    argv = [sys.executable, "-c", DUMP, str(root), str(HERE / "configs"), str(points), str(seed)]
+    argv = [sys.executable, "-c", DUMP, str(root), str(HERE / "configs"), str(points),
+            str(NOISE_POINTS), str(seed)]
     return subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True,
                           check=True).stdout.splitlines()
 
@@ -84,14 +105,19 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     mine, theirs = (dump(root.resolve(), args.points, args.seed) for root in (HERE, args.other))
+    differ = 0
     for n, (a, b) in enumerate(zip(mine, theirs)):
         if a != b:
+            differ += 1
             print(f"differ at value {n}, {a.split(chr(9))[0]}: {first_difference(a, b)}")
-            return 1
     if len(mine) != len(theirs):
         print(f"{len(mine)} values here, {len(theirs)} in {args.other}")
         return 1
-    print(f"identical: {len(mine)} values ({args.points} relays, seed {args.seed})")
+    if differ:
+        print(f"differ: {differ} of {len(mine)} values")
+        return 1
+    print(f"identical: {len(mine)} values ({args.points} relays, {NOISE_POINTS} noise optima, "
+          f"seed {args.seed})")
     return 0
 
 
