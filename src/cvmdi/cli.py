@@ -23,7 +23,7 @@ quoted only when it holds a comma or a quote (an error row's flags).  JSON is
 ``{"metadata", "rows"}`` for keyrate, sweep and compare, and
 ``{"metadata", "result"}`` holding the single row for maxdist and
 optnoise; every number in a row is rounded to ``precision`` significant
-digits in both formats.
+digits, 1 to 17, in both formats.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or physicality
 error.
@@ -160,8 +160,10 @@ def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
     _num(cfg, "tol_km")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         _fail_config(f"out must be a path, got {cfg['out']!r}")
-    if type(cfg["precision"]) is not int or cfg["precision"] < 1:
-        _fail_config(f"precision must be a positive integer, got {cfg['precision']!r}")
+    # a double holds at most 17 significant digits; more would print its
+    # binary expansion as if it were significant
+    if type(cfg["precision"]) is not int or not 1 <= cfg["precision"] <= 17:
+        _fail_config(f"precision must be an integer from 1 to 17, got {cfg['precision']!r}")
     variance = _num(cfg, "variance", VARIANCE_PRESETS)
     eta, v_el = DETECTOR_PRESETS[_choice(cfg, "detector", DETECTOR_PRESETS)]
 

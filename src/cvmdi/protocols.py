@@ -326,7 +326,7 @@ def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],
     (a, b0, b1, b2, c0, c1), p_side = coeffs
     b = (g * b2 + b1) * g + (g * b1 + b0)
     c = c1 * g + c0
-    # an overflow stops here, before the extended-precision eigenvalues
+    # an overflow stops here, with the gain in the message, before the eigenvalues
     if not (abs(b) < math.inf and abs(c) < math.inf):
         raise NumericDomainError(f"reduced state overflows at gain {g}: b = {b}, c = {c}")
     if p_side is None:
@@ -481,10 +481,16 @@ def _rate_terms(a: float, b: float, c: float, protocol: str,
         # a valid (a, b, c) and a finite chi_n >= 0 keep (a, b + chi_n, c) valid
         i_ab = _homodyne_info(a, b + chi_n, c)
         cond = _trusted_noise_conditional(a, b, c, chi_n)
+    # an eigenvalue at or below 1 adds g(0) = 0 and is skipped; a NaN is
+    # not <= 1, so it still reaches g_func, which rejects it
+    chi = 0.0
     try:
-        chi = g_func(max(lam1 - 1.0, 0.0) / 2.0) + g_func(max(lam2 - 1.0, 0.0) / 2.0)
+        for lam in (lam1, lam2):
+            if not lam <= 1.0:
+                chi += g_func((lam - 1.0) / 2.0)
         for lam in cond:
-            chi -= g_func(max(lam - 1.0, 0.0) / 2.0)
+            if not lam <= 1.0:
+                chi -= g_func((lam - 1.0) / 2.0)
     except InvalidParameterError:
         # g_func rejects only NaN here: numeric trouble, reported below
         chi = math.nan

@@ -89,10 +89,13 @@ def reference_max_distance(params: ProtocolParams, mode: str = "symmetric",
 
 
 def c_edge(a: float, b: float) -> float:
-    """Largest c keeping the symmetric two-mode form physical (lambda2 >= 1)."""
-    disc = (a * b - 1.0) ** 2 - (a * a - 1.0) * (b * b - 1.0)
-    u = (a * b - 1.0) - math.sqrt(max(disc, 0.0))
-    return math.sqrt(max(u, 0.0))
+    """Largest c keeping the symmetric two-mode form physical (lambda2 >= 1).
+
+    lambda2 = 1 where ab - c^2 = |a - b| + 1, so c^2 = (min - 1)(max + 1):
+    a factored form, in which nothing cancels.
+    """
+    lo, hi = min(a, b), max(a, b)
+    return math.sqrt(max((lo - 1.0) * (hi + 1.0), 0.0))
 
 
 def reference_abc(params: ProtocolParams, gain: float) -> tuple[float, float, float]:

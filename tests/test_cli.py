@@ -378,6 +378,20 @@ def test_overflow_exits_3_with_empty_stdout(capsys, argv):
     assert "numeric error" in captured.err
 
 
+@pytest.mark.parametrize("gain,row", [
+    ("1e77", "0.387627154,513.829413,-513.441786,4.62554303e+154,2.94479953,3.85250433,,,1e+77,0,"),
+    ("1e100", "0.387627154,666.638106,-666.250478,4.62554303e+200,2.94479953,3.85250433,,,1e+100,0,"),
+    ("1e149", "0.387627154,992.187059,-991.799432,4.62554303e+298,2.94479953,3.85250433,,,1e+149,0,"),
+    ("1e153", "0.387627154,1018.76248,-1018.37486,4.62554303e+306,2.94479953,3.85250433,,,1e+153,0,"),
+])
+def test_huge_finite_gain_rows_are_pinned(capsys, gain, row):
+    # b ~ 1e154 to 1e306 takes the 2^-600 rescale of two_mode_symplectic;
+    # the rows are those of the extended-precision kernel it replaced
+    argv = ["keyrate", "--variance", "realistic", "--lac", "5", "--gain", gain]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == row
+
+
 @pytest.mark.parametrize("argv", [
     ["--variance", "1e200"],
     ["--variance", "realistic", "--lac", "5", "--gain", "1e200"],
@@ -416,6 +430,7 @@ def test_maxdist_rejects_bad_tol_km(tol_km):
     ("keyrate", {"detector": []}),
     ("keyrate", {"precision": "x"}),
     ("keyrate", {"precision": 0}),
+    ("keyrate", {"precision": 18}),
     ("keyrate", {"format": "xml"}),
     ("maxdist", {"tol_km": "x"}),
     ("keyrate", {"tol_km": "x"}),

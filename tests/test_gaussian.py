@@ -1,9 +1,12 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from mpmath import mp, mpf
 
 from cvmdi import (
     GaussianState,
@@ -25,7 +28,7 @@ from cvmdi import (
     vacuum_state,
     von_neumann_entropy,
 )
-from cvmdi.gaussian import _LD_ONE
+from cvmdi.gaussian import _two_product
 from helpers import c_edge
 
 SZ = np.diag([1.0, -1.0])
@@ -404,6 +407,9 @@ def test_two_mode_symplectic_examples():
     assert l1 == pytest.approx(LAM31_1, rel=1e-14)
     assert l2 == pytest.approx(LAM31_2, rel=1e-14)
     assert l1 * l2 == pytest.approx(5.0, rel=1e-14)  # product equals ab - c^2
+    # from 2^500 up the input is rescaled by a power of two, exactly
+    assert two_mode_symplectic(3.0 * 2.0 ** 600, 2.0 ** 601, 2.0 ** 600) == (
+        l1 * 2.0 ** 600, l2 * 2.0 ** 600)
 
 
 def test_two_mode_symplectic_rejects_unphysical():
@@ -417,21 +423,35 @@ def test_two_mode_symplectic_rejects_overflowed_input():
         two_mode_symplectic(5.04, math.inf, 3e200)
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
-@example(0.0)
-@example(-0.0)
-@example(5e-324)
-@example(-2.2250738585072014e-308)
-@example(1e308)
-@example(-1e308)
-@example(1.7976931348623157e308)
-def test_extended_precision_conversion_is_exact(x):
-    # two_mode_symplectic converts its inputs as _LD_ONE * x, in place of the
-    # slower np.longdouble(x): float64 -> extended is exact, and so is x * 1
-    converted = _LD_ONE * x
-    assert type(converted) is np.longdouble
-    assert converted == np.longdouble(x)
-    assert np.signbit(converted) == np.signbit(np.longdouble(x))
+def test_two_mode_symplectic_within_4_ulp_of_50_digits():
+    # a and b log-uniform up to 1e7, c up to 1 - 1e-12 of the physical edge:
+    # B = ab - c^2 cancels from terms up to 1e14 there, and an extended-
+    # precision B missed lambda2 by up to 3,194 ulp on these points
+    rng = random.Random(1406)
+    for _ in range(2000):
+        a, b = (10.0 ** rng.uniform(0.0, 7.0) for _ in range(2))
+        t = rng.choice([rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)])
+        c = min(t, 1.0 - 1e-12) * c_edge(a, b)
+        with mp.workdps(50):
+            s = mp.sqrt((mpf(a) + b) ** 2 - 4 * mpf(c) ** 2)
+            d = abs(mpf(a) - b)
+            pair = ((s + d) / 2, (s - d) / 2)
+            for got, want in zip(two_mode_symplectic(a, b, c), pair):
+                assert abs(got - want) <= 4 * math.ulp(float(want)), (a, b, c)
+
+
+_PRODUCT_RANGE = st.floats(2.0 ** -400, 2.0 ** 400)
+
+
+@given(_PRODUCT_RANGE, _PRODUCT_RANGE, st.booleans(), st.booleans())
+@example(1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, False, False)
+@example(2.0 ** 400, 2.0 ** 400, True, False)
+@example(2.0 ** -400, 2.0 ** -400, False, True)
+def test_two_product_is_error_free(x, y, neg_x, neg_y):
+    x, y = -x if neg_x else x, -y if neg_y else y
+    p, e = _two_product(x, y)
+    assert p == x * y
+    assert Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
 
 
 def test_two_mode_oracle_equivalence_randomized():

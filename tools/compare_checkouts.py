@@ -11,11 +11,16 @@ every sweep point of ``bench/reference.json`` (only read); the rows of the
 benchmark's table; ``compare_protocols`` for every geometry, variance preset
 and detector preset; and exit code, stdout and stderr of every subcommand on
 this checkout's ``configs/*.json``.  Prints every value that differs, at
-its first differing float or character, and exits 1; else exits 0.
+its first differing float or character, then one summary line per category
+(relay, optnoise, sweep, table, compare, cli): values compared, values
+differing, and the largest absolute and relative difference among the
+floats that differ.  Exits 1 if any value differs, else 0.
 """
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,9 +92,61 @@ def dump(root: Path, points: int, seed: int) -> list[str]:
                           check=True).stdout.splitlines()
 
 
+CATEGORIES = ("relay", "optnoise", "sweep", "table", "compare", "cli")
+
+# a number not inside a name such as lambda1: the floats of a repr, a CSV or JSON
+NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def floats(value: str) -> tuple[str, list[float]]:
+    """The text of a value with each number cut out, and the numbers."""
+    if value.startswith("relay"):
+        return "", np.frombuffer(bytes.fromhex(value.split("\t")[1]), dtype=float).tolist()
+    body = value.split("\t", 1)[1]
+    return NUMBER.sub("#", body), [float(m) for m in NUMBER.findall(body)]
+
+
+def float_differences(a: str, b: str) -> list[tuple[float, float]] | None:
+    """(absolute, relative) difference of each pair of floats that differ, or
+    None when the two values differ in more than their numbers."""
+    (text_a, xs), (text_b, ys) = floats(a), floats(b)
+    if text_a != text_b or len(xs) != len(ys):
+        return None
+    out = []
+    for x, y in zip(xs, ys):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            d = abs(x - y)
+            out.append((d, d / max(abs(x), abs(y))) if math.isfinite(d) else (math.inf, math.inf))
+    return out
+
+
+def summary(mine: list[str], theirs: list[str]) -> list[str]:
+    """One line per category: values compared, values differing, and the
+    largest differences among the floats that differ."""
+    lines = []
+    for category in CATEGORIES:
+        pairs = [(a, b) for a, b in zip(mine, theirs) if a.split(None, 1)[0] == category]
+        differing = [(a, b) for a, b in pairs if a != b]
+        diffs, textual = [], 0
+        for a, b in differing:
+            found = float_differences(a, b)
+            if found is None:
+                textual += 1
+            else:
+                diffs.extend(found)
+        line = f"{category}: {len(pairs)} values, {len(differing)} differ"
+        if diffs:
+            line += (f"; largest difference {max(d[0] for d in diffs):.3g} absolute, "
+                     f"{max(d[1] for d in diffs):.3g} relative, over {len(diffs)} floats")
+        if textual:
+            line += f"; {textual} differ in more than their numbers"
+        lines.append(line)
+    return lines
+
+
 def first_difference(a: str, b: str) -> str:
     if a.startswith("relay"):
-        x, y = (np.frombuffer(bytes.fromhex(s.split("\t")[1]), dtype=float) for s in (a, b))
+        x, y = (np.array(floats(s)[1]) for s in (a, b))
         if x.shape != y.shape:
             return f"shapes {x.shape} and {y.shape}"
         i = int(np.flatnonzero(x.view(np.int64) != y.view(np.int64))[0])
@@ -110,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         if a != b:
             differ += 1
             print(f"differ at value {n}, {a.split(chr(9))[0]}: {first_difference(a, b)}")
+    print("\n".join(summary(mine, theirs)))
     if len(mine) != len(theirs):
         print(f"{len(mine)} values here, {len(theirs)} in {args.other}")
         return 1

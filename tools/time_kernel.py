@@ -1,0 +1,108 @@
+"""Time the key-rate kernel of two checkouts of cvmdi, interleaved A/B.
+
+    python3 tools/time_kernel.py OTHER_ROOT
+
+Times three layers in this checkout and in OTHER_ROOT: the symplectic pair
+``gaussian.two_mode_symplectic`` on the reduced states a gain search
+visits, the gain objective of each protocol (``protocols._gain_objective``)
+over the same gains, and one whole ``optimal_gain`` search, at a point of
+the kind the benchmark's table evaluates: V = 5.04, practical detector,
+L_AC = 10 km, L_BC = 0, and chi_n = 1 for squeezed-modified.
+
+Each of ROUNDS rounds starts one fresh interpreter per checkout, with one
+BLAS thread, and alternates which checkout goes first.  An interpreter
+reports, per item, its best of REPEATS timed loops as microseconds per
+call.  The summary gives each checkout's min and median over the rounds,
+and the ratio of the medians.  On a shared host single timings of the
+same code swing by tens of percent, so one measurement is no comparison.
+Uses only the standard library and numpy; the tests do not run it.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+ROUNDS = 10
+REPEATS = 7
+
+CHILD = r'''
+import json, sys, time
+root, repeats = sys.argv[1], int(sys.argv[2])
+sys.path.insert(0, root + "/src")
+from cvmdi import AddedNoiseParams, ProtocolParams, analysis, gaussian, protocols
+assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
+eta, v_el = analysis.DETECTOR_PRESETS["practical"]
+base = dict(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, eta=eta, v_el=v_el)
+gains = [0.5 + 2.5 * k / 63 for k in range(64)]
+items = {}
+
+def best(call, n):
+    call()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return 1e6 * min(times) / n
+
+params = ProtocolParams(**base)
+coeffs = protocols._gain_coefficients(params)
+states = [protocols._reduced_state(coeffs, g) for g in gains]
+pair = gaussian.two_mode_symplectic
+
+def pairs():
+    for a, b, c in states:
+        pair(a, b, c)
+
+items["two_mode_symplectic"] = best(pairs, len(states))
+for protocol, noise in (("squeezed", None), ("coherent", None),
+                        ("squeezed-modified", AddedNoiseParams.from_chi_n(1.0))):
+    p = ProtocolParams(**base, protocol=protocol)
+    objective = protocols._gain_objective(p, noise)
+
+    def objectives():
+        for g in gains:
+            objective(g)
+
+    items[f"gain objective, {protocol}"] = best(objectives, len(gains))
+items["optimal_gain, squeezed"] = best(lambda: protocols.optimal_gain(params), 1)
+print(json.dumps(items))
+'''
+
+
+def time_once(root: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    argv = [sys.executable, "-c", CHILD, str(root), str(REPEATS)]
+    return json.loads(subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE,
+                                     text=True, check=True).stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="root of the checkout to compare with")
+    args = ap.parse_args(argv)
+    roots = (HERE, args.other.resolve())
+    runs = ([], [])
+    for r in range(ROUNDS):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            runs[side].append(time_once(roots[side]))
+    print(f"us per call over {ROUNDS} rounds, best of {REPEATS} loops each: min / median")
+    print(f"{'':36}{'this checkout':>20}{'other':>20}{'ratio':>8}")
+    for item in runs[0][0]:
+        cells, medians = [], []
+        for side in runs:
+            times = [run[item] for run in side]
+            medians.append(statistics.median(times))
+            cells.append(f"{min(times):.2f} / {medians[-1]:.2f}")
+        print(f"{item:36}{cells[0]:>20}{cells[1]:>20}{medians[0] / medians[1]:>8.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
