@@ -430,7 +430,6 @@ def test_maxdist_rejects_bad_tol_km(tol_km):
     ("keyrate", {"detector": []}),
     ("keyrate", {"precision": "x"}),
     ("keyrate", {"precision": 0}),
-    ("keyrate", {"precision": 18}),
     ("keyrate", {"format": "xml"}),
     ("maxdist", {"tol_km": "x"}),
     ("keyrate", {"tol_km": "x"}),
@@ -439,6 +438,7 @@ def test_maxdist_rejects_bad_tol_km(tol_km):
     ("keyrate", {"out": "no-such-directory/row.csv"}),
     ("sweep", {"sweep": {"variable": "distance-symmetric",
                          "start": -math.inf, "stop": 1.0, "step": 1.0}}),
+    ("keyrate", {"precision": 18}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, command, bad):
     cfg = tmp_path / "bad.json"
