@@ -7,6 +7,12 @@ optimised, per point (``key_rate_at_best_noise``) or per trial length
 around the best grid point; an optimum at a bracket edge costs one probe
 instead of a refinement.
 
+``max_distance`` reads only the sign of K at each trial length, so a trial
+stops at the first evaluated point with K > 0.  It tries, in order: the
+gain and noise of the last such point (one evaluation at a fixed gain);
+then, for the modified protocol, the last chi_n* with the gain searched,
+starting from chi_n = 0 at length 0; then the full search.
+
 The paper's three geometries are the keys of ``GEOMETRY_MODES``, which maps
 each to the ``max_distance`` mode that scans it; ``at_geometry`` pins
 L_BC = 0 for 'most-asymmetric'.  The CLI reads both from here.
@@ -19,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import CVMDIError, InvalidParameterError
+from .errors import CVMDIError, InvalidParameterError, NumericDomainError, StructuralError
 from .protocols import (
     AddedNoiseParams,
     KeyRateReport,
@@ -237,16 +243,25 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     and bisected to `tol_km`, which must be positive and finite; this
     assumes K non-increasing in the scanned length.
 
-    The search reads only the sign of K*(L) = max over chi_n of K(L, chi_n).
-    So the chi_n* of the last full optimisation is carried from trial to
-    trial and tried first: K(L, chi_n*) > 0 proves K*(L) > 0, and that
-    evaluated value is returned.  Only a non-positive probe runs the full
-    ``optimize_added_noise``, whose optimum is then carried on; length 0
-    has no previous optimum and always runs it.  A positive trial thus
-    stands on a point actually evaluated and a non-positive one on the
-    full search, as without the probe.  With no key at
-    length 0 the result has positive_at_origin False and l_star_km =
-    l_ab_km = 0: a protocol without key claims no reach.
+    The search reads only the sign of K*(L), the maximum of K over the
+    gain (and over chi_n when it is optimised).  Any evaluated point with
+    K > 0 proves K*(L) > 0, so each trial stops at the first one:
+
+    1. the witness: the gain and noise of the last evaluated point with
+       K > 0, at this length and that fixed gain (one kernel evaluation);
+    2. for the optimised modified protocol, the chi_n* of the last full
+       optimisation (chi_n = 0, the squeezed protocol, before the first),
+       with the gain searched;
+    3. the full search: ``key_rate`` with the gain searched, or
+       ``optimize_added_noise`` when chi_n is optimised.
+
+    A step that gives K > 0 returns it, and a point of known gain becomes
+    the witness.  A witness that raises NumericDomainError or
+    StructuralError counts as K <= 0, so only the searches of steps 2 and 3
+    can raise.  A positive trial thus stands on a point actually evaluated
+    and a non-positive one on the full search, as without steps 1 and 2.
+    With no key at length 0 the result has positive_at_origin False and
+    l_star_km = l_ab_km = 0: a protocol without key claims no reach.
     """
     if mode not in ("symmetric", "fixed-lbc"):
         raise InvalidParameterError(f"unknown max-distance mode {mode!r}")
@@ -259,17 +274,27 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
             return replace(params, l_ac=length, l_bc=length)
         return replace(params, l_ac=length)
 
-    chi_last = None  # chi_n* of the last full optimisation
+    witness = None  # (gain, noise) of the last evaluated point with K > 0
+    chi_last = CHI_N_BRACKET[0]  # chi_n* of the last full optimisation
 
     def k_of(length: float) -> float:
-        nonlocal chi_last
+        nonlocal witness, chi_last
         p = geometry(length)
-        if not optimize_noise:
-            return key_rate(p, noise).key_rate
-        if chi_last is not None:
-            k = key_rate(p, AddedNoiseParams.from_chi_n(chi_last)).key_rate
+        if witness is not None:
+            gain, witness_noise = witness
+            try:
+                k = key_rate(replace(p, gain=gain), witness_noise).key_rate
+            except (NumericDomainError, StructuralError):
+                k = 0.0
             if k > 0.0:
                 return k
+        trial_noise = AddedNoiseParams.from_chi_n(chi_last) if optimize_noise else noise
+        report = key_rate(p, trial_noise)
+        if report.key_rate > 0.0:
+            witness = report.gain_used, trial_noise
+            return report.key_rate
+        if not optimize_noise:
+            return report.key_rate
         chi_last, k = optimize_added_noise(p)
         return k
 
@@ -315,12 +340,14 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     the L_BC = 0 of ``at_geometry``; 'asymmetric' scans L_AC at each L_BC
     in ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
     row with key at the origin outranks one without, then the longer total
-    wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  The
-    modified protocol has chi_n optimised as ``max_distance`` does it: each
-    trial length first probes the last chi_n*, and runs the full
-    ``optimize_added_noise`` only when that probe gives K <= 0; an
-    optimisation whose optimum is a bracket edge costs one probe past its
-    grid.  Every detector name is checked before any search runs.
+    wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  Every
+    trial length of every row runs as ``max_distance`` runs it: the last
+    positive point's gain and noise at a fixed gain, then (modified
+    protocol) the last chi_n* with the gain searched, from chi_n = 0 at
+    length 0, then the full search, stopping at the first K > 0.  The rows
+    share relay assemblies where their channels coincide: the squeezed and
+    modified rows at a common length, whatever the gain.  Every detector
+    name is checked before any search runs.
     """
     base = at_geometry(base, geometry)
     mode = GEOMETRY_MODES[geometry]

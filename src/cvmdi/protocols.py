@@ -8,9 +8,10 @@ Three reverse-reconciliation protocol variants share one relay circuit:
 * ``coherent``           - both parties heterodyne (coherent-state baseline).
 
 A key rate is evaluated in three steps.  The gain-independent relay
-covariance of modes (A3, C2, B3, D2) is assembled once per parameter point,
-and the few of its entries that the displaced pair (A3, B4) depends on are
-read off as gain coefficients (``_gain_coefficients``, cached per point).
+covariance of modes (A3, C2, B3, D2) is assembled once per channel, and the
+few of its entries that the displaced pair (A3, B4) depends on are read off
+as gain coefficients (``_gain_coefficients``, cached per channel: the nine
+fields the relay reads, whatever the protocol, gain and beta).
 The checks that hold at every gain are made there, once: the covariance is
 finite, x and p do not couple, and the p-side coefficients either mirror
 the x side bit for bit or are kept for a per-gain x/p symmetry check.  At
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -231,11 +231,13 @@ def _lossy_channel(state: GaussianState, mode: int, transmittance: float,
 def _relay_state(params: ProtocolParams) -> GaussianState:
     """Gain-independent circuit prefix: modes (A3, C2, B3, D2).
 
-    The first step of every key rate: ``_gain_coefficients``, cached per
-    parameter point, reads the displaced pair's coefficients off this
-    covariance.  ``_displaced_pair`` applies the feedforward to it for the
-    matrix oracle ``build_mdi_state``.  Not cached itself: the production
-    path assembles it once per point, through ``_gain_coefficients``.
+    The first step of every key rate: ``_gain_coefficients`` reads the
+    displaced pair's coefficients off this covariance.  ``_displaced_pair``
+    applies the feedforward to it for the matrix oracle ``build_mdi_state``.
+    It reads only the channel: v_a, v_b, l_ac, l_bc, alpha, eps1, eps2, eta
+    and v_el.  Not cached itself: the production path assembles it once per
+    channel, through the cache of ``_gain_coefficients``, and shares that
+    assembly across protocol, gain and beta.
 
     Assembly takes 12 to 20 validated ``GaussianState`` steps and costs
     about 170 us with the practical detector and both arms lossy, and 80 us
@@ -278,7 +280,12 @@ _X_COEFFS = ((0, 0), (4, 4), (2, 4), (2, 2), (0, 4), (0, 2))
 _P_COEFFS = ((1, 1), (5, 5), (5, 7), (7, 7), (1, 5), (1, 7))
 
 
-@lru_cache(maxsize=128)
+# _gain_coefficients per channel: the nine fields _relay_state reads, in
+# ProtocolParams order.  Once full, the oldest entry is dropped first.
+_CHANNEL_COEFFS: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[float, ...] | None]] = {}
+_CHANNEL_COEFFS_SIZE = 128
+
+
 def _gain_coefficients(
         params: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
     """x-side (a, b0, b1, b2, c0, c1) of the displaced pair (A3, B4), and the
@@ -286,13 +293,24 @@ def _gain_coefficients(
 
     At gain g the pair has variances a and b = b0 + 2 g b1 + g^2 b2 and
     correlation c = c0 + g c1 on x, and the same with -c on p.  What holds
-    at every gain is checked here, once per point: every entry is finite,
+    at every gain is checked here, once per channel: every entry is finite,
     and the relay's x-p coupling is within the tolerance of
     ``extract_two_mode``.  The p side mirrors x when it equals (a, b0, b1,
     b2, -c0, -c1); negation is exact and rounding is sign-symmetric, so the
     p side's a, b and -c then equal the x side's at every gain, and the
     per-gain x/p check of ``_reduced_state`` could not fail.
+
+    The result is cached in ``_CHANNEL_COEFFS`` on the nine channel fields
+    that ``_relay_state`` reads, not on ``params``: points that differ only
+    in protocol, gain or beta share one relay assembly, as do a fixed-gain
+    probe and a gain search at one channel.  That key costs nine attribute
+    reads, less than the dataclass hash and equality would.
     """
+    key = (params.v_a, params.v_b, params.l_ac, params.l_bc, params.alpha,
+           params.eps1, params.eps2, params.eta, params.v_el)
+    coeffs = _CHANNEL_COEFFS.get(key)
+    if coeffs is not None:
+        return coeffs
     cov = _relay_state(params).cov
     if not np.isfinite(cov).all():
         raise NumericDomainError("relay covariance overflows: an entry is not finite")
@@ -307,7 +325,11 @@ def _gain_coefficients(
     x_side = tuple(rows[i][j] for i, j in _X_COEFFS)
     p_side = tuple(rows[i][j] for i, j in _P_COEFFS)
     a, b0, b1, b2, c0, c1 = x_side
-    return x_side, None if p_side == (a, b0, b1, b2, -c0, -c1) else p_side
+    coeffs = x_side, None if p_side == (a, b0, b1, b2, -c0, -c1) else p_side
+    if len(_CHANNEL_COEFFS) >= _CHANNEL_COEFFS_SIZE:
+        del _CHANNEL_COEFFS[next(iter(_CHANNEL_COEFFS))]
+    _CHANNEL_COEFFS[key] = coeffs
+    return coeffs
 
 
 def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],

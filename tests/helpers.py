@@ -7,8 +7,9 @@ environment and announcement-purification mode so that Holevo bounds can
 be evaluated from the eavesdropper's side directly.  The same circuit is
 also built in mpmath arithmetic, for variances at which the eavesdropper's
 entropies cannot be taken in double precision.  The max-distance search is
-redone with a full chi_n optimisation at every trial length, and the chi_n
-optimisation with a golden refinement after every grid, edge optima too.
+redone with the full search at every trial length (the gain, and chi_n when
+it is optimised), and the chi_n optimisation with a golden refinement after
+every grid, edge optima too.
 """
 
 from __future__ import annotations
@@ -70,15 +71,18 @@ def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float
 def reference_max_distance(params: ProtocolParams, mode: str = "symmetric",
                            tol_km: float = 0.05,
                            cap_km: float = SCAN_CAP_KM) -> MaxDistanceResult:
-    """``max_distance`` of the squeezed-modified protocol with chi_n
-    re-optimised in full at every trial length, as it was before the warm
-    start.  ``optimize_added_noise`` is looked up in ``cvmdi.analysis`` at
-    call time, so a test's substitute for it is used here too."""
+    """``max_distance`` with the full search at every trial length, as it
+    was before the warm starts: ``key_rate`` with the gain searched for the
+    plain protocols, ``optimize_added_noise`` for squeezed-modified.  Both
+    are looked up in ``cvmdi.analysis`` at call time, so a test's
+    substitute for them is used here too."""
 
     def k_of(length: float) -> float:
         p = (replace(params, l_ac=length, l_bc=length) if mode == "symmetric"
              else replace(params, l_ac=length))
-        return analysis.optimize_added_noise(p)[1]
+        if p.protocol == "squeezed-modified":
+            return analysis.optimize_added_noise(p)[1]
+        return analysis.key_rate(p).key_rate
 
     if k_of(0.0) <= 0.0:
         return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import cvmdi.analysis as analysis_mod
-from cvmdi.analysis import DETECTOR_PRESETS
+import cvmdi.protocols as protocols
+from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
 from cvmdi import (
     AddedNoiseParams,
     ComparisonRow,
     InvalidParameterError,
     NumericDomainError,
     ProtocolParams,
+    StructuralError,
     SweepSpec,
     compare_protocols,
     key_rate,
@@ -309,13 +311,20 @@ def test_sweep_spec_rejects_added_noise_on_a_plain_protocol():
                                        ("fixed-lbc", 2.0)])
 @pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
 def test_warm_start_matches_full_search_at_every_trial(detector, mode, l_bc):
+    # every protocol at both variance presets: the witness and chi_n* probes
+    # decide no trial differently from the full search at every length
     eta, v_el = DETECTOR_PRESETS[detector]
-    p = replace(REALISTIC_MOD, eta=eta, v_el=v_el, l_bc=l_bc)
-    got = max_distance(p, mode=mode)
-    want = reference_max_distance(p, mode=mode)
-    assert got.positive_at_origin
-    assert ((got.l_star_km, got.l_ab_km, got.positive_at_origin, got.capped)
-            == (want.l_star_km, want.l_ab_km, want.positive_at_origin, want.capped))
+    for v in VARIANCE_PRESETS.values():
+        for protocol in ("coherent", "squeezed", "squeezed-modified"):
+            p = replace(REALISTIC, v_a=v, v_b=v, eta=eta, v_el=v_el, l_bc=l_bc,
+                        protocol=protocol)
+            got = max_distance(p, mode=mode)
+            want = reference_max_distance(p, mode=mode)
+            if protocol == "squeezed-modified":
+                assert got.positive_at_origin
+            assert ((got.l_star_km, got.l_ab_km, got.positive_at_origin, got.capped)
+                    == (want.l_star_km, want.l_ab_km, want.positive_at_origin,
+                        want.capped)), (v, protocol)
 
 
 def counting(monkeypatch, name):
@@ -346,7 +355,7 @@ def test_warm_start_falls_back_when_the_optimum_moves(monkeypatch):
     # while K*(L) = 1 - L/10 stays positive up to 10 km
     def fake(params, noise=None):
         return SimpleNamespace(key_rate=1.0 - params.l_ac / 10.0
-                               - (noise.chi_n - params.l_ac) ** 2)
+                               - (noise.chi_n - params.l_ac) ** 2, gain_used=1.0)
 
     monkeypatch.setattr(analysis_mod, "key_rate", fake)
     calls = counting(monkeypatch, "optimize_added_noise")
@@ -356,3 +365,67 @@ def test_warm_start_falls_back_when_the_optimum_moves(monkeypatch):
     assert res.positive_at_origin
     assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
     assert res == reference_max_distance(REALISTIC_MOD, mode="fixed-lbc")
+
+
+# ------------------------------------------------ witness probes across trials
+
+def test_witness_falls_back_when_the_optimal_gain_moves(monkeypatch):
+    # K(L, g) = 1 - L/10 - 10 |g - L|: the optimal gain g* = L moves with L,
+    # so the witness, the gain of the last positive trial, gives K <= 0 at
+    # every trial from 1 km on, while K*(L) = 1 - L/10 stays positive up to
+    # 10 km; each trial falls back to the full gain search
+    witness_rates = []
+
+    def fake(params, noise=None):
+        length = params.l_ac
+        if params.gain is None:
+            return SimpleNamespace(key_rate=1.0 - length / 10.0, gain_used=length)
+        k = 1.0 - length / 10.0 - 10.0 * abs(params.gain - length)
+        witness_rates.append(k)
+        return SimpleNamespace(key_rate=k, gain_used=params.gain)
+
+    monkeypatch.setattr(analysis_mod, "key_rate", fake)
+    p = replace(REALISTIC, protocol="squeezed")
+    res = max_distance(p, mode="fixed-lbc")
+    assert len(witness_rates) == 13 and max(witness_rates) <= 0.0
+    assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
+    assert res == reference_max_distance(p, mode="fixed-lbc")
+
+
+@pytest.mark.parametrize("protocol", ["squeezed", "squeezed-modified"])
+def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol):
+    # a key_rate that raises at every fixed gain: the witness never proves a
+    # trial, and the search gives the reach of the full search, not an error
+    raised = []
+
+    def no_fixed_gain(params, noise=None):
+        if params.gain is not None:
+            raised.append(params.l_ac)
+            raise (NumericDomainError if len(raised) % 2 else StructuralError)("planted")
+        return key_rate(params, noise)
+
+    p = replace(REALISTIC, protocol=protocol)
+    want = reference_max_distance(p, mode="fixed-lbc")
+    monkeypatch.setattr(analysis_mod, "key_rate", no_fixed_gain)
+    assert max_distance(p, mode="fixed-lbc") == want
+    assert len(raised) == 13
+
+
+def test_paper_table_halves_the_gain_searches(monkeypatch):
+    # the paper's most-asymmetric practical table: a full gain search per
+    # trial length made 101 of them; the witness and the chi_n = 0 probe at
+    # length 0 leave at most 55, and the rows are unchanged
+    searches = []
+    honest = protocols.optimal_gain
+
+    def counted(params, noise=None):
+        searches.append(params)
+        return honest(params, noise)
+
+    monkeypatch.setattr(protocols, "optimal_gain", counted)
+    table = compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),
+                              geometry="most-asymmetric", detectors=("practical",))
+    assert [(r.protocol, r.l_star_km, r.positive_at_origin) for r in table.rows] == [
+        ("coherent", 0.0, False), ("squeezed", 10.5, True),
+        ("squeezed-modified", 13.84375, True)]
+    assert len(searches) <= 55

@@ -238,7 +238,7 @@ def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
         return GaussianState(cov)
 
     p = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0)
-    _gain_coefficients.cache_clear()
+    protocols._CHANNEL_COEFFS.clear()
     monkeypatch.setattr(protocols, "_relay_state", planted)
     try:
         with pytest.raises(StructuralError):
@@ -250,7 +250,75 @@ def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
         with pytest.raises(StructuralError):
             key_rate(p)
     finally:
-        _gain_coefficients.cache_clear()
+        protocols._CHANNEL_COEFFS.clear()
+
+
+CHANNEL_FIELDS = ("v_a", "v_b", "l_ac", "l_bc", "alpha", "eps1", "eps2", "eta", "v_el")
+
+
+def counting_relays(monkeypatch) -> list:
+    """Clear the relay cache and count ``_relay_state`` assemblies from here on."""
+    calls = []
+    honest = protocols._relay_state
+
+    def counted(params):
+        calls.append(params)
+        return honest(params)
+
+    protocols._CHANNEL_COEFFS.clear()
+    monkeypatch.setattr(protocols, "_relay_state", counted)
+    return calls
+
+
+def test_relay_is_assembled_once_per_channel(monkeypatch):
+    # protocol, gain and beta do not enter the relay: every variant of one
+    # channel, with the gain fixed or searched, shares one assembly
+    base = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0, eta=0.9, v_el=0.015)
+    calls = counting_relays(monkeypatch)
+    try:
+        want = _gain_coefficients(base)
+        for protocol in protocols.PROTOCOLS:
+            for gain in (None, 0.0, 1.2):
+                for beta in (1.0, 0.95):
+                    p = replace(base, protocol=protocol, gain=gain, beta=beta)
+                    noise = (AddedNoiseParams.from_chi_n(1.0)
+                             if protocol == "squeezed-modified" else None)
+                    assert _gain_coefficients(p) == want
+                    key_rate(p, noise)
+        assert len(calls) == 1
+    finally:
+        protocols._CHANNEL_COEFFS.clear()
+
+
+def test_relay_cache_drops_its_oldest_channel_when_full(monkeypatch):
+    size = protocols._CHANNEL_COEFFS_SIZE
+    channels = [ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.5 * i, l_bc=0.0)
+                for i in range(size + 1)]
+    calls = counting_relays(monkeypatch)
+    try:
+        for p in channels:
+            _gain_coefficients(p)
+        assert len(protocols._CHANNEL_COEFFS) == size
+        _gain_coefficients(channels[-1])
+        assert len(calls) == size + 1
+        _gain_coefficients(channels[0])
+        assert len(calls) == size + 2
+    finally:
+        protocols._CHANNEL_COEFFS.clear()
+
+
+@pytest.mark.parametrize("field", CHANNEL_FIELDS)
+def test_relay_is_assembled_again_for_a_new_channel(monkeypatch, field):
+    base = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0, eta=0.9, v_el=0.015)
+    other = replace(base, **{field: getattr(base, field) * 0.5})
+    calls = counting_relays(monkeypatch)
+    try:
+        before = _gain_coefficients(base)
+        after = _gain_coefficients(other)
+        assert len(calls) == 2 and getattr(calls[1], field) == getattr(other, field)
+        assert before != after
+    finally:
+        protocols._CHANNEL_COEFFS.clear()
 
 
 def test_honest_points_mirror_x_and_p():
