@@ -62,8 +62,8 @@ class SweepSpec:
     """One-dimensional sweep request.
 
     A squeezed-modified base with ``noise`` None has chi_n optimised at
-    each point, except on a ``chi-n`` sweep, whose points give it.  The
-    other protocols take no ``noise``.
+    each point, except on a ``chi-n`` sweep, whose points give it: that
+    sweep takes no ``noise``, and nor do the other protocols.
     """
 
     variable: str
@@ -92,6 +92,8 @@ class SweepSpec:
                 f"holds more than {MAX_SWEEP_POINTS} points")
         if self.variable == "chi-n" and self.base.protocol != "squeezed-modified":
             raise InvalidParameterError("chi-n sweeps need protocol 'squeezed-modified'")
+        if self.variable == "chi-n" and self.noise is not None:
+            raise InvalidParameterError("a chi-n sweep sets chi_n at each point: give it none")
         check_added_noise(self.base, self.noise)
 
     @property

@@ -6,9 +6,10 @@ Subcommands: keyrate | sweep | maxdist | optnoise | compare.
 chi_n when the squeezed-modified protocol is given none (``--chi-n``
 unset or 'optimize'); a ``chi-n`` sweep gives it at each point.  Only
 that protocol takes added noise: a number for ``--chi-n`` with another
-protocol exits 2.  The protocol, geometry and detector names, and the
-geometry's max-distance mode, are the library's (``protocols.PROTOCOLS``,
-``analysis.GEOMETRY_MODES``, ``analysis.DETECTOR_PRESETS``).
+protocol, or on a ``chi-n`` sweep, exits 2.  The protocol, geometry and
+detector names, and the geometry's max-distance mode, are the library's
+(``protocols.PROTOCOLS``, ``analysis.GEOMETRY_MODES``,
+``analysis.DETECTOR_PRESETS``).
 Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  Outputs are deterministic CSV or JSON
 tables.  Every subcommand's metadata is one flat record, the resolved

@@ -3,6 +3,14 @@
 States are covariance matrices with quadratures interleaved as
 (x1, p1, x2, p2, ...) and vacuum variance 1.  All operations are pure:
 they return new states and never mutate inputs.
+
+The key-rate kernel needs only the scalar half: ``TwoModeCov``,
+``check_two_mode``, ``two_mode_symplectic`` and ``g_func``.  The matrix
+half assembles the relay covariance once per channel, and
+``symplectic_eigenvalues`` certifies ``protocols.build_mdi_state``; the
+benchmark's tracer binds ``symplectic_eigenvalues`` by name in
+``protocols``.  Conditioning, entropies and the two-mode matrix form, which
+only tests run, live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +24,6 @@ import numpy as np
 from .errors import InvalidParameterError, NumericDomainError
 
 LN2 = math.log(2.0)
-
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -79,10 +85,6 @@ class GaussianState:
             raise NumericDomainError(
                 f"unphysical covariance{where}: min symplectic eigenvalue {lam_min!r}")
         return self
-
-
-def vacuum_state(n_modes: int = 1) -> GaussianState:
-    return GaussianState(np.eye(2 * n_modes))
 
 
 def thermal_state(v: float) -> GaussianState:
@@ -190,49 +192,6 @@ def linear_feedforward(state: GaussianState, qmap: np.ndarray) -> GaussianState:
     return GaussianState(m @ state.cov @ m.T)
 
 
-def _split_measured(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if state.n_modes < 2:
-        raise InvalidParameterError("conditioning needs at least two modes")
-    if not 0 <= mode < state.n_modes:
-        raise InvalidParameterError(f"mode index {mode} out of range for {state.n_modes} modes")
-    kept_modes = [m for m in range(state.n_modes) if m != mode]
-    ki = _quad_indices(kept_modes)
-    mi = [2 * mode, 2 * mode + 1]
-    gamma_k = state.cov[np.ix_(ki, ki)]
-    gamma_m = state.cov[np.ix_(mi, mi)]
-    sigma = state.cov[np.ix_(mi, ki)]  # measured x kept cross block
-    return gamma_k, gamma_m, sigma
-
-
-def homodyne_condition(state: GaussianState, mode: int, quadrature: str = "x") -> GaussianState:
-    """Conditional state of the other modes after a homodyne measurement.
-
-    Schur complement with the Moore-Penrose pseudo-inverse of X gamma X
-    (X the single-quadrature projector), which reduces to dividing by the
-    measured quadrature's variance.  The result is outcome-independent.
-    """
-    if quadrature not in ("x", "p"):
-        raise InvalidParameterError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    gamma_k, gamma_m, sigma = _split_measured(state, mode)
-    q = 0 if quadrature == "x" else 1
-    var = gamma_m[q, q]
-    if var <= 0.0:
-        raise NumericDomainError(f"measured quadrature variance {var} is not positive")
-    row = sigma[q]
-    return GaussianState(gamma_k - np.outer(row, row) / var)
-
-
-def heterodyne_condition(state: GaussianState, mode: int) -> GaussianState:
-    """Conditional state after heterodyne: gamma_k - sigma^T (gamma_m + I)^-1 sigma."""
-    gamma_k, gamma_m, sigma = _split_measured(state, mode)
-    b = gamma_m + np.eye(2)
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    if det <= 0.0:
-        raise NumericDomainError("heterodyne conditioning matrix is singular")
-    binv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]]) / det
-    return GaussianState(gamma_k - sigma.T @ binv @ sigma)
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form for interleaved quadrature ordering."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
@@ -292,7 +251,8 @@ def check_two_mode(a: float, b: float, c: float) -> None:
 
 @dataclass(frozen=True)
 class TwoModeCov:
-    """Reduced symmetric two-mode form [[a I, c sz], [c sz, b I]]."""
+    """Reduced symmetric two-mode form [[a I, c sz], [c sz, b I]], as floats
+    (``tests/oracle.two_mode_state`` builds the matrix)."""
 
     a: float
     b: float
@@ -300,15 +260,6 @@ class TwoModeCov:
 
     def __post_init__(self):
         check_two_mode(self.a, self.b, self.c)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.block([
-            [self.a * np.eye(2), self.c * _SIGMA_Z],
-            [self.c * _SIGMA_Z, self.b * np.eye(2)],
-        ])
-
-    def as_state(self) -> GaussianState:
-        return GaussianState(self.as_matrix())
 
 
 def _two_product(x: float, y: float) -> tuple[float, float]:
@@ -380,16 +331,3 @@ def g_func(x: float) -> float:
         return 0.0
     return x * math.log1p(1.0 / x) / LN2 + math.log2(x + 1.0)
 
-
-def von_neumann_entropy(state: GaussianState) -> float:
-    """Sum of g_func((lambda - 1)/2) over the symplectic spectrum, in bits."""
-    total = 0.0
-    for lam in symplectic_eigenvalues(state):
-        x = (float(lam) - 1.0) / 2.0
-        if x < 0.0:
-            if x < -1e-6:
-                raise NumericDomainError(
-                    f"symplectic eigenvalue {lam} far below 1 in entropy computation")
-            x = 0.0
-        total += g_func(x)
-    return total

@@ -22,10 +22,15 @@ is a closed-form function of the floats (a, b, c), chi_n and the protocol
 PRA 76, 042305 (2007).  The gain search's objective (``_gain_objective``)
 and ``key_rate`` run these same two functions.  A reported point is
 certified physical from the smaller symplectic eigenvalue of (a, b, c), at
-the tolerance of ``GaussianState.require_physical``.  The matrix route
-(``build_mdi_state``, ``extract_two_mode``), with its four-mode (A3, B5,
-N1, N3) circuit for ``noise=...``, is not on the key-rate path: it is kept
-as the oracle that tests check the closed forms against.
+the tolerance of ``GaussianState.require_physical``.
+
+The matrix route is not on the key-rate path.  ``build_mdi_state``, with
+its four-mode (A3, B5, N1, N3) circuit for ``noise=...``, stays here, with
+the ``symplectic_eigenvalues`` import, because the benchmark's tracer
+(``bench/tracer.py``) binds both names in this module.  The rest of the
+oracle the tests check the closed forms against (``extract_two_mode``,
+``holevo_generic``, conditioning and entropies) lives in
+``tests/oracle.py``.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -58,15 +63,12 @@ from .gaussian import (
     check_two_mode,
     epr_state,
     g_func,
-    heterodyne_condition,
-    homodyne_condition,
     linear_feedforward,
     partial_trace,
     symplectic_eigenvalues,  # unused here; kept importable for layer tracing
     tensor,
     thermal_state,
     two_mode_symplectic,
-    von_neumann_entropy,
 )
 from .search import golden_section_max
 
@@ -106,23 +108,24 @@ class ProtocolParams:
             x = getattr(self, name)
             if x is not None and not math.isfinite(x):
                 raise InvalidParameterError(f"{name} must be finite, got {x}")
-        checks = [
-            (self.v_a >= 1.0, f"v_a must be >= 1, got {self.v_a}"),
-            (self.v_b >= 1.0, f"v_b must be >= 1, got {self.v_b}"),
-            (self.l_ac >= 0.0, f"l_ac must be >= 0, got {self.l_ac}"),
-            (self.l_bc >= 0.0, f"l_bc must be >= 0, got {self.l_bc}"),
-            (self.alpha >= 0.0, f"alpha must be >= 0, got {self.alpha}"),
-            (self.eps1 >= 0.0, f"eps1 must be >= 0, got {self.eps1}"),
-            (self.eps2 >= 0.0, f"eps2 must be >= 0, got {self.eps2}"),
-            (0.0 < self.eta <= 1.0, f"eta must be in (0, 1], got {self.eta}"),
-            (self.v_el >= 0.0, f"v_el must be >= 0, got {self.v_el}"),
-            (0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta}"),
-            (self.gain is None or self.gain >= 0.0, f"gain must be >= 0, got {self.gain}"),
-            (self.protocol in PROTOCOLS, f"unknown protocol {self.protocol!r}"),
-        ]
+        # each message is a template, formatted only when its check fails
+        checks = (
+            (self.v_a >= 1.0, "v_a must be >= 1, got {0.v_a}"),
+            (self.v_b >= 1.0, "v_b must be >= 1, got {0.v_b}"),
+            (self.l_ac >= 0.0, "l_ac must be >= 0, got {0.l_ac}"),
+            (self.l_bc >= 0.0, "l_bc must be >= 0, got {0.l_bc}"),
+            (self.alpha >= 0.0, "alpha must be >= 0, got {0.alpha}"),
+            (self.eps1 >= 0.0, "eps1 must be >= 0, got {0.eps1}"),
+            (self.eps2 >= 0.0, "eps2 must be >= 0, got {0.eps2}"),
+            (0.0 < self.eta <= 1.0, "eta must be in (0, 1], got {0.eta}"),
+            (self.v_el >= 0.0, "v_el must be >= 0, got {0.v_el}"),
+            (0.0 <= self.beta <= 1.0, "beta must be in [0, 1], got {0.beta}"),
+            (self.gain is None or self.gain >= 0.0, "gain must be >= 0, got {0.gain}"),
+            (self.protocol in PROTOCOLS, "unknown protocol {0.protocol!r}"),
+        )
         for ok, msg in checks:
             if not ok:
-                raise InvalidParameterError(msg)
+                raise InvalidParameterError(msg.format(self))
         if self.eta == 1.0 and self.v_el != 0.0:
             raise InvalidParameterError(
                 "eta = 1 requires v_el = 0: the detector ancilla variance "
@@ -295,10 +298,11 @@ def _gain_coefficients(
     correlation c = c0 + g c1 on x, and the same with -c on p.  What holds
     at every gain is checked here, once per channel: every entry is finite,
     and the relay's x-p coupling is within the tolerance of
-    ``extract_two_mode``.  The p side mirrors x when it equals (a, b0, b1,
-    b2, -c0, -c1); negation is exact and rounding is sign-symmetric, so the
-    p side's a, b and -c then equal the x side's at every gain, and the
-    per-gain x/p check of ``_reduced_state`` could not fail.
+    ``tests/oracle.extract_two_mode``.  The p side mirrors x when it equals
+    (a, b0, b1, b2, -c0, -c1); negation is exact and rounding is
+    sign-symmetric, so the p side's a, b and -c then equal the x side's at
+    every gain, and the per-gain x/p check of ``_reduced_state`` could not
+    fail.
 
     The result is cached in ``_CHANNEL_COEFFS`` on the nine channel fields
     that ``_relay_state`` reads, not on ``params``: points that differ only
@@ -337,9 +341,10 @@ def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],
     """Reduced state (a, b, c) of (A3, B4) at one gain, in scalar arithmetic.
 
     ``coeffs`` is ``_gain_coefficients(params)``.  Equal, bit for bit, to
-    ``extract_two_mode(_displaced_pair(params, g))``: the operation order is
-    that of the matrix product.  When the p side does not mirror the x side,
-    the x/p symmetry is checked at this gain, as there.  When rounding in b,
+    ``extract_two_mode(_displaced_pair(params, g))``, with the oracle's
+    ``extract_two_mode`` of ``tests/oracle.py``: the operation order is that
+    of the matrix product.  When the p side does not mirror the x side, the
+    x/p symmetry is checked at this gain, as there.  When rounding in b,
     whose terms can cancel from far above its value, exceeds that
     tolerance, b is not certified and NumericDomainError is raised; so it
     is when b or c overflows.  The result passes ``check_two_mode``, as a
@@ -396,34 +401,8 @@ def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = Non
     return state.require_physical(context="added-noise")
 
 
-def extract_two_mode(state: GaussianState) -> TwoModeCov:
-    """Read (a, b, c) off a two-mode covariance of the symmetric form.
-
-    Any x/p asymmetry or x-p cross coupling beyond TWO_MODE_TOL * max-entry
-    signals a circuit-assembly bug and raises StructuralError.
-    """
-    if state.n_modes != 2:
-        raise InvalidParameterError(f"expected a two-mode state, got {state.n_modes} modes")
-    cov = state.cov
-    scale = max(1.0, float(np.abs(cov).max()))
-    a, b = cov[0, 0], cov[2, 2]
-    c = cov[0, 2]
-    expected = np.array([
-        [a, 0.0, c, 0.0],
-        [0.0, a, 0.0, -c],
-        [c, 0.0, b, 0.0],
-        [0.0, -c, 0.0, b],
-    ])
-    dev = float(np.abs(cov - expected).max())
-    tol = TWO_MODE_TOL * scale
-    if dev > tol:
-        raise StructuralError(
-            f"covariance deviates from the symmetric two-mode form by {dev} "
-            f"(tolerance {tol})")
-    return TwoModeCov(a=float(a), b=float(b), c=float(c))
-
-
 def _homodyne_info(a: float, b: float, c: float) -> float:
+    """Gaussian mutual information for matched homodyne pairs, bits/use."""
     # an overflowed ab leaves denom infinite or NaN, and both fail the test
     denom = a * b - c * c
     if not 0.0 < denom < math.inf:
@@ -432,24 +411,13 @@ def _homodyne_info(a: float, b: float, c: float) -> float:
 
 
 def _heterodyne_info(a: float, b: float, c: float) -> float:
+    """Mutual information for heterodyne on both sides, bits/use: both
+    quadratures measured, at a one-unit vacuum penalty each."""
     prod = (a + 1.0) * (b + 1.0)
     denom = prod - c * c
     if not 0.0 < denom < math.inf:
         raise NumericDomainError(f"(a+1)(b+1) - c^2 = {denom} is not positive and finite")
     return math.log2(prod / denom)
-
-
-def mutual_information_homodyne(tm: TwoModeCov) -> float:
-    """Gaussian mutual information for matched homodyne pairs, bits/use."""
-    return _homodyne_info(tm.a, tm.b, tm.c)
-
-
-def mutual_information_heterodyne(tm: TwoModeCov) -> float:
-    """Gaussian mutual information for heterodyne on both sides, bits/use.
-
-    Both quadratures are measured at a one-unit vacuum penalty each.
-    """
-    return _heterodyne_info(tm.a, tm.b, tm.c)
 
 
 def _trusted_noise_conditional(a: float, b: float, c: float,
@@ -523,43 +491,6 @@ def _rate_terms(a: float, b: float, c: float, protocol: str,
         raise NumericDomainError(
             f"Holevo bound came out {chi}, not >= -{CHI_CLAMP_TOL}: likely a bug or an overflow")
     return i_ab, 0.0, lams, True
-
-
-def holevo_rr_squeezed(tm: TwoModeCov) -> float:
-    """Eve's bound on Bob's homodyne data, from the closed eigenvalue forms."""
-    return _rate_terms(tm.a, tm.b, tm.c, "squeezed")[1]
-
-
-def holevo_rr_coherent(tm: TwoModeCov) -> float:
-    """Eve's bound on Bob's heterodyne data (coherent-state baseline)."""
-    return _rate_terms(tm.a, tm.b, tm.c, "coherent")[1]
-
-
-def holevo_rr_modified(tm: TwoModeCov, chi_n: float) -> float:
-    """Eve's bound for the trusted-noise protocol; ``tm`` is the pre-noise state.
-
-    Equals ``holevo_generic(build_mdi_state(params, noise, gain), 1,
-    "homodyne")``, because the noise pair (N1, N2) is pure.
-    """
-    if not 0.0 <= chi_n < math.inf:
-        raise InvalidParameterError(f"chi_n must be finite and >= 0, got {chi_n}")
-    return _rate_terms(tm.a, tm.b, tm.c, "squeezed-modified", chi_n)[1]
-
-
-def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) -> float:
-    """Conditioning-based Holevo bound: S(state) - S(state | Bob's data).
-
-    The generic engine: full von Neumann entropies on the kept-mode state,
-    with homodyne ('x'-quadrature) or heterodyne conditioning on Bob's mode.
-    Used as an independent cross-check of the closed-form routes.
-    """
-    if conditioning == "homodyne":
-        cond = homodyne_condition(state, measured_mode, "x")
-    elif conditioning == "heterodyne":
-        cond = heterodyne_condition(state, measured_mode)
-    else:
-        raise InvalidParameterError(f"unknown conditioning {conditioning!r}")
-    return von_neumann_entropy(state) - von_neumann_entropy(cond)
 
 
 def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> None:

@@ -52,7 +52,9 @@ def positive_edge(f: Callable[[float], float], step: float, tol: float,
     [j step, (j+1) step] of a scan in `step` increments, so for
     non-increasing f the edge equals that scan's, in about log2(edge/step)
     trials instead of edge/step.  (A bracket that ends at `cap` can land on
-    another grid.)  Returns (edge, capped): capped is True when f(cap) > 0.
+    another grid.)  Bisection also stops when lo and hi are adjacent floats,
+    so a `tol` below their spacing cannot loop forever.  Returns (edge,
+    capped): capped is True when f(cap) > 0.
     """
     lo, hi = 0.0, min(step, cap)
     while f(hi) > 0.0:
@@ -61,6 +63,8 @@ def positive_edge(f: Callable[[float], float], step: float, tol: float,
         lo, hi = hi, min(2.0 * hi, cap)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: a tol below their spacing
+            break
         if f(mid) > 0.0:
             lo = mid
         else:

@@ -20,17 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import mp, mpf
 
-from cvmdi import (
+from cvmdi.gaussian import (
     GaussianState,
     apply_beamsplitter,
     epr_state,
-    homodyne_condition,
-    heterodyne_condition,
     linear_feedforward,
     partial_trace,
     symplectic_form,
     tensor,
-    von_neumann_entropy,
 )
 from cvmdi import analysis
 from cvmdi.analysis import (
@@ -43,6 +40,12 @@ from cvmdi.analysis import (
 )
 from cvmdi.protocols import ProtocolParams, AddedNoiseParams, key_rate
 from cvmdi.search import golden_section_max, positive_edge
+from oracle import (
+    extract_two_mode,
+    heterodyne_condition,
+    homodyne_condition,
+    von_neumann_entropy,
+)
 
 
 def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
@@ -202,9 +205,8 @@ def unitary_circuit(params: ProtocolParams, gain: float,
 
 
 def oracle_two_mode(circ: FullCircuit) -> tuple[float, float, float]:
-    red = partial_trace(circ.state, [circ.alice, circ.bob])
-    cov = red.cov
-    return float(cov[0, 0]), float(cov[2, 2]), float(cov[0, 2])
+    tm = extract_two_mode(partial_trace(circ.state, [circ.alice, circ.bob]))
+    return tm.a, tm.b, tm.c
 
 
 def oracle_holevo(circ: FullCircuit, conditioning: str) -> float:

@@ -39,6 +39,10 @@ def test_sweep_spec_validation():
         SweepSpec(variable="distance-symmetric", start=2, stop=1, step=0.5, base=base)
     with pytest.raises(InvalidParameterError):
         SweepSpec(variable="chi-n", start=0, stop=1, step=0.5, base=base)
+    # a chi-n sweep sets chi_n at each point; a given chi_n used to be dropped
+    with pytest.raises(InvalidParameterError, match="a chi-n sweep sets chi_n at each point"):
+        SweepSpec(variable="chi-n", start=0, stop=1, step=0.5, base=REALISTIC_MOD,
+                  noise=AddedNoiseParams.from_chi_n(2.0))
     spec = SweepSpec(variable="distance-symmetric", start=0, stop=2, step=0.5, base=base)
     assert spec.grid() == [0.0, 0.5, 1.0, 1.5, 2.0]
 

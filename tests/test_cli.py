@@ -191,6 +191,19 @@ def test_shipped_noise_profile_config_runs():
     assert max(ks) > ks[0]  # trusted noise helps at this geometry
 
 
+@pytest.mark.parametrize("chi_n,code", [("2", 2), ("optimize", 0)])
+def test_chi_n_sweep_exits_2_on_a_given_chi_n(capsys, chi_n, code):
+    argv = ["sweep", "--config", str(CONFIGS / "most_asymmetric_noise_profile.json")]
+    assert cli.main([*argv, "--chi-n", chi_n]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert "a chi-n sweep sets chi_n at each point" in captured.err
+    else:
+        assert captured.err == ""
+        assert parse_csv(captured.out)[0][0] == "x_snu"
+
+
 def test_sweep_csv_deterministic(tmp_path):
     args = ("sweep", "--config", str(CONFIGS / "symmetric_ideal_sweep.json"))
     out1, out2 = run_cli(*args), run_cli(*args)

@@ -8,16 +8,14 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
-from cvmdi import (
+from cvmdi import InvalidParameterError, NumericDomainError
+from cvmdi.gaussian import (
     GaussianState,
-    InvalidParameterError,
-    NumericDomainError,
     TwoModeCov,
+    _two_product,
     apply_beamsplitter,
     epr_state,
     g_func,
-    heterodyne_condition,
-    homodyne_condition,
     linear_feedforward,
     partial_trace,
     symplectic_eigenvalues,
@@ -25,11 +23,15 @@ from cvmdi import (
     tensor,
     thermal_state,
     two_mode_symplectic,
+)
+from helpers import c_edge
+from oracle import (
+    heterodyne_condition,
+    homodyne_condition,
+    two_mode_state,
     vacuum_state,
     von_neumann_entropy,
 )
-from cvmdi.gaussian import _two_product
-from helpers import c_edge
 
 SZ = np.diag([1.0, -1.0])
 
@@ -466,7 +468,7 @@ def test_two_mode_oracle_equivalence_randomized():
             a = b = 1e5  # stress: large balanced variances
         c = t * c_edge(a, b)
         l1, l2 = two_mode_symplectic(a, b, c)
-        lams = symplectic_eigenvalues(TwoModeCov(a, b, c).as_state())
+        lams = symplectic_eigenvalues(two_mode_state(TwoModeCov(a, b, c)))
         np.testing.assert_allclose(lams, [l1, l2], rtol=1e-9)
 
 
@@ -476,7 +478,7 @@ def test_spectrum_det_identity():
         a = math.exp(rng.uniform(0.0, math.log(50.0)))
         b = math.exp(rng.uniform(0.0, math.log(50.0)))
         c = rng.uniform(0.0, 0.99) * c_edge(a, b)
-        st = TwoModeCov(a, b, c).as_state()
+        st = two_mode_state(TwoModeCov(a, b, c))
         lams = symplectic_eigenvalues(st)
         det = np.linalg.det(st.cov)
         assert np.prod(lams ** 2) == pytest.approx(det, rel=1e-6)

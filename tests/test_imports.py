@@ -1,8 +1,10 @@
-"""No file in ``src/cvmdi/`` or ``tests/`` imports a name that it never uses.
+"""No file in ``src/cvmdi/`` or ``tests/`` imports a name that it never uses,
+and ``src/cvmdi/`` defines nothing that only tests run.
 
 No linter is part of the toolchain, so each file is parsed with ``ast``: a
 name that an import binds must be read somewhere in the file or be listed in
-its ``__all__``.
+its ``__all__``.  A top-level function or class of ``src/cvmdi/`` must be
+read somewhere outside its own definition and outside ``tests/``.
 """
 
 import ast
@@ -48,3 +50,44 @@ def test_no_unused_imports(path):
 def test_allowed_unused_imports_are_still_unused(file, name):
     # an exception whose import went, or is now used, is dropped from ALLOWED
     assert name in unused_imports(ROOT / file), ALLOWED[file, name]
+
+
+# (file, name) -> why src/ keeps a top-level definition that only tests read
+UNREFERENCED = {}
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Names and attributes that the code under ``node`` reads; a docstring, an
+    import or an ``__all__`` entry reads none."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_definitions() -> set[tuple[str, str]]:
+    """(file, name) of each top-level function or class of ``src/cvmdi/`` that
+    is read neither elsewhere in ``src/`` nor in ``bench/`` or ``tools/``.
+    The tracer's string bindings in ``bench/tracer.py`` count as reads."""
+    defs, reads_by_node = [], []
+    for path in sorted((ROOT / "src" / "cvmdi").glob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            reads_by_node.append((node, read_names(node)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((rel, node))
+    outside = set()
+    for path in sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside |= read_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "LAYER_BINDINGS" for t in node.targets):
+                outside.update(c.value for c in ast.walk(node.value)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return {(rel, node.name) for rel, node in defs if node.name not in outside
+            and not any(node.name in names for other, names in reads_by_node if other is not node)}
+
+
+def test_src_defines_only_what_runs_outside_tests():
+    # a definition that only tests read belongs in tests/ (tests/oracle.py for
+    # the matrix engine); an allow-list entry that is now read goes too
+    assert unreferenced_definitions() == set(UNREFERENCED)

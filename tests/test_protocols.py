@@ -8,38 +8,29 @@ import pytest
 from cvmdi import (
     AddedNoiseParams,
     CVMDIError,
-    GaussianState,
     InvalidParameterError,
     NumericDomainError,
     ProtocolParams,
     StructuralError,
     TwoModeCov,
-    build_mdi_state,
     channel_transmittance,
-    cloner_variance,
-    epr_state,
-    extract_two_mode,
-    holevo_generic,
-    holevo_rr_coherent,
-    holevo_rr_modified,
-    holevo_rr_squeezed,
-    homodyne_condition,
     key_rate,
-    mutual_information_heterodyne,
-    mutual_information_homodyne,
     optimal_gain,
-    symplectic_eigenvalues,
 )
 from cvmdi import protocols
 from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
-from cvmdi.gaussian import PHYSICALITY_TOL
+from cvmdi.gaussian import PHYSICALITY_TOL, GaussianState, epr_state, symplectic_eigenvalues
 from cvmdi.protocols import (
     GAIN_TOL,
     _displaced_pair,
     _gain_coefficients,
     _gain_objective,
+    _heterodyne_info,
+    _homodyne_info,
     _reduced_state,
     _trusted_noise_conditional,
+    build_mdi_state,
+    cloner_variance,
     gain_bracket,
 )
 from helpers import (
@@ -52,6 +43,7 @@ from helpers import (
     reference_abc,
     unitary_circuit,
 )
+from oracle import extract_two_mode, holevo_generic, homodyne_condition
 
 G_HALF = 1.3774437510817343
 
@@ -103,6 +95,32 @@ def test_params_validation():
     assert p.t_2 == 1.0
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"v_a": 0.5}, "v_a must be >= 1, got 0.5"),
+    ({"v_b": 0.999}, "v_b must be >= 1, got 0.999"),
+    ({"l_ac": -1}, "l_ac must be >= 0, got -1"),
+    ({"l_bc": -0.5}, "l_bc must be >= 0, got -0.5"),
+    ({"alpha": -0.2}, "alpha must be >= 0, got -0.2"),
+    ({"eps1": -0.001}, "eps1 must be >= 0, got -0.001"),
+    ({"eps2": -1e-09}, "eps2 must be >= 0, got -1e-09"),
+    ({"eta": 0.0}, "eta must be in (0, 1], got 0.0"),
+    ({"eta": 1.5}, "eta must be in (0, 1], got 1.5"),
+    ({"eta": 0.9, "v_el": -0.01}, "v_el must be >= 0, got -0.01"),
+    ({"beta": 1.2}, "beta must be in [0, 1], got 1.2"),
+    ({"gain": -2}, "gain must be >= 0, got -2"),
+    ({"protocol": "pm"}, "unknown protocol 'pm'"),
+    ({"v_a": math.nan, "v_b": 0.5}, "v_a must be finite, got nan"),
+    ({"v_a": 0.5, "l_ac": -1}, "v_a must be >= 1, got 0.5"),
+    ({"v_el": 0.01}, "eta = 1 requires v_el = 0: the detector ancilla variance "
+                     "1 + v_el/(1 - eta) diverges"),
+])
+def test_params_messages(bad, message):
+    # each check raises with its own text, the first failing one when several do
+    with pytest.raises(InvalidParameterError) as info:
+        ProtocolParams(**{"v_a": 2.0, "v_b": 2.0, "l_ac": 0.0, "l_bc": 0.0, **bad})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("field", protocols._REAL_FIELDS)
 def test_params_reject_non_finite(field, value):
@@ -131,8 +149,6 @@ def test_added_noise_params():
             AddedNoiseParams(t_r=0.5, n_r=bad)
         with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
             AddedNoiseParams.from_chi_n(bad)
-        with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
-            holevo_rr_modified(TwoModeCov(2.0, 2.0, 1.0), bad)
 
 
 # -------------------------------------------------------------- circuit builder
@@ -398,15 +414,20 @@ def test_key_rate_error_names_the_point_when_gain_is_optimised():
 
 # ----------------------------------------------------------- information measures
 
+def closed_chi(tm, protocol, chi_n=0.0):
+    """Eve's bound from the closed eigenvalue forms, on the pre-noise state ``tm``."""
+    return protocols._rate_terms(tm.a, tm.b, tm.c, protocol, chi_n)[1]
+
+
 def test_mutual_information_examples():
-    assert mutual_information_homodyne(TwoModeCov(2.0, 3.0, 0.0)) == 0.0
-    tm = TwoModeCov(2.0, 2.0, math.sqrt(3.0))
-    assert mutual_information_homodyne(tm) == pytest.approx(1.0, rel=1e-12)
+    assert _homodyne_info(2.0, 3.0, 0.0) == 0.0
+    a, b, c = 2.0, 2.0, math.sqrt(3.0)
+    assert _homodyne_info(a, b, c) == pytest.approx(1.0, rel=1e-12)
     # algebraic identity: 0.5 log2(a / (a - c^2/b))
-    alt = 0.5 * math.log2(tm.a / (tm.a - tm.c ** 2 / tm.b))
-    assert mutual_information_homodyne(tm) == pytest.approx(alt, rel=1e-12)
-    assert mutual_information_heterodyne(tm) == pytest.approx(math.log2(1.5), rel=1e-12)
-    assert mutual_information_heterodyne(TwoModeCov(5.0, 4.0, 0.0)) == 0.0
+    alt = 0.5 * math.log2(a / (a - c ** 2 / b))
+    assert _homodyne_info(a, b, c) == pytest.approx(alt, rel=1e-12)
+    assert _heterodyne_info(a, b, c) == pytest.approx(math.log2(1.5), rel=1e-12)
+    assert _heterodyne_info(5.0, 4.0, 0.0) == 0.0
 
 
 def test_heterodyne_info_bounded_by_twice_homodyne():
@@ -418,12 +439,11 @@ def test_heterodyne_info_bounded_by_twice_homodyne():
         a = math.exp(rng.uniform(0.0, math.log(100.0)))
         b = math.exp(rng.uniform(0.0, math.log(100.0)))
         c = rng.uniform(0.0, 0.99) * c_edge(a, b)
-        tm = TwoModeCov(a, b, c)
-        assert mutual_information_heterodyne(tm) <= 2.0 * mutual_information_homodyne(tm) + 1e-12
+        assert _heterodyne_info(a, b, c) <= 2.0 * _homodyne_info(a, b, c) + 1e-12
 
 
 def test_holevo_uncorrelated_thermal_pair():
-    assert holevo_rr_squeezed(TwoModeCov(2.0, 2.0, 0.0)) == pytest.approx(G_HALF, rel=1e-12)
+    assert closed_chi(TwoModeCov(2.0, 2.0, 0.0), "squeezed") == pytest.approx(G_HALF, rel=1e-12)
 
 
 def test_holevo_closed_vs_generic_on_circuit_states():
@@ -437,15 +457,15 @@ def test_holevo_closed_vs_generic_on_circuit_states():
         g = rng.uniform(0.05, 0.5) * gain_bracket(p)
         st = build_mdi_state(p, gain=g)
         tm = extract_two_mode(st)
-        assert holevo_rr_squeezed(tm) == pytest.approx(
+        assert closed_chi(tm, "squeezed") == pytest.approx(
             holevo_generic(st, 1, "homodyne"), abs=1e-9)
-        assert holevo_rr_coherent(tm) == pytest.approx(
+        assert closed_chi(tm, "coherent") == pytest.approx(
             holevo_generic(st, 1, "heterodyne"), abs=1e-9)
         # trusted-noise closed form against the 4-mode (A3, B5, N1, N3) state;
         # the matrix route loses ~1e-10 of chi relative at large variances
         noise = AddedNoiseParams.from_chi_n(10 ** rng.uniform(-3.0, 1.7))
         st4 = build_mdi_state(p, noise=noise, gain=g)
-        assert holevo_rr_modified(tm, noise.chi_n) == pytest.approx(
+        assert closed_chi(tm, "squeezed-modified", noise.chi_n) == pytest.approx(
             holevo_generic(st4, 1, "homodyne"), rel=2e-9)
 
 
@@ -453,8 +473,9 @@ def closed_form_holevos(params, noise, g):
     """(chi, conditioning) of the closed forms at gain g, for the oracle to check."""
     tm = extract_two_mode(build_mdi_state(params, gain=g))
     if noise is None:
-        return [(holevo_rr_squeezed(tm), "homodyne"), (holevo_rr_coherent(tm), "heterodyne")]
-    return [(holevo_rr_modified(tm, noise.chi_n), "homodyne")]
+        return [(closed_chi(tm, "squeezed"), "homodyne"),
+                (closed_chi(tm, "coherent"), "heterodyne")]
+    return [(closed_chi(tm, "squeezed-modified", noise.chi_n), "homodyne")]
 
 
 def gains_near_optimum(params):
@@ -513,7 +534,7 @@ def test_lossless_announcement_leak_is_real():
         p = ProtocolParams(v_a=v, v_b=v, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0)
         g = optimal_gain(p)
         tm = extract_two_mode(build_mdi_state(p, gain=g))
-        chi = holevo_rr_squeezed(tm)
+        chi = closed_chi(tm, "squeezed")
         circ = unitary_circuit(p, g)
         assert chi == pytest.approx(oracle_holevo(circ, "homodyne"), abs=tol)
         assert chi > 0.2  # not a pure-state artifact
@@ -555,7 +576,8 @@ def test_modified_chi_depends_only_on_chi_n():
     assert max(ks) - min(ks) < 1e-9
     assert max(oracle_chis) - min(oracle_chis) < 1e-9
     tm = extract_two_mode(build_mdi_state(p, gain=g))
-    assert holevo_rr_modified(tm, chi_target) == pytest.approx(oracle_chis[0], abs=1e-9)
+    assert closed_chi(tm, "squeezed-modified", chi_target) == pytest.approx(
+        oracle_chis[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
@@ -578,8 +600,8 @@ def test_modified_holevo_invariant_under_noise_realisation(detector):
             realisations.append(AddedNoiseParams(t_r=0.5, n_r=chi_n))
         chis = [holevo_generic(build_mdi_state(p, noise=noise, gain=g), 1, "homodyne")
                 for noise in realisations]
-        closed = holevo_rr_modified(TwoModeCov(*_reduced_state(_gain_coefficients(p), g)),
-                                    chi_n)
+        closed = closed_chi(TwoModeCov(*_reduced_state(_gain_coefficients(p), g)),
+                            "squeezed-modified", chi_n)
         assert max(chis) - min(chis) < 1e-9, (p, g, chi_n)
         assert all(chi == pytest.approx(closed, abs=1e-9) for chi in chis), (p, g, chi_n)
 
@@ -590,7 +612,7 @@ def test_modified_matches_generic_entropy_engine():
     g = 1.8
     st4 = build_mdi_state(p, noise=noise, gain=g)
     tm = extract_two_mode(build_mdi_state(p, gain=g))
-    assert holevo_rr_modified(tm, noise.chi_n) == pytest.approx(
+    assert closed_chi(tm, "squeezed-modified", noise.chi_n) == pytest.approx(
         holevo_generic(st4, 1, "homodyne"), abs=1e-9)
 
 
@@ -769,8 +791,8 @@ def test_coherent_protocol_report():
     p = replace_protocol(ProtocolParams(v_a=1e5, v_b=1e5, l_ac=3.0, l_bc=3.0), "coherent")
     r = key_rate(p)
     tm = r.reduced
-    assert r.mutual_info == pytest.approx(mutual_information_heterodyne(tm), rel=1e-12)
-    assert r.holevo == pytest.approx(holevo_rr_coherent(tm), rel=1e-12)
+    assert r.mutual_info == pytest.approx(_heterodyne_info(tm.a, tm.b, tm.c), rel=1e-12)
+    assert r.holevo == pytest.approx(closed_chi(tm, "coherent"), rel=1e-12)
 
 
 # ---------------------------------------------------------------- gain optimum

@@ -7,6 +7,7 @@ the chi_n profile must be unimodal on the bracket; at a bracket edge it
 trusts one probe CHI_N_TOL inside, so K must rise toward that edge.
 """
 
+import math
 import random
 import warnings
 from types import SimpleNamespace
@@ -104,6 +105,15 @@ def test_positive_edge_in_the_last_bracket(edge, cap, kind):
     assert not capped
     assert f(got) > 0.0 >= f(got + tol)
     assert got == pytest.approx(scan_edge(f, SCAN_STEP_KM, tol, cap)[0], abs=tol)
+
+
+def test_positive_edge_stops_at_adjacent_floats():
+    # a tol below the float spacing at the edge used to bisect forever, with
+    # mid == lo; it stops when lo and hi are adjacent, at the last positive float
+    f, calls = counted(lambda x: 1.0 if x < 13.3 else -1.0)
+    assert positive_edge(f, SCAN_STEP_KM, 1e-300, SCAN_CAP_KM) == (math.nextafter(13.3, 0.0),
+                                                                   False)
+    assert len(calls) <= 5 + 53  # the doubling trials, then one per bit of 13.3
 
 
 # ------------------------------------------------ monotone K for the edge search
