@@ -3,8 +3,10 @@
 Computes asymptotic secret key rates of the squeezed-state protocol, its
 trusted-added-noise variant, and the coherent-state baseline, plus the
 distance sweeps and noise optimizations behind the comparison tables.
-The multimode Gaussian engine is not exported here: its names are
-imported from ``cvmdi.gaussian`` and ``cvmdi.protocols``.
+Every rate is a scalar function of the reduced relay state (a, b, c),
+computed with ``math`` only, so ``import cvmdi`` does not load numpy.  The
+multimode Gaussian engine, the tests' oracle, is not exported here and
+not imported with the package: it is ``cvmdi.matrix``, loaded on first use.
 """
 
 __version__ = "0.1.0"

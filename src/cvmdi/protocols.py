@@ -7,30 +7,30 @@ Three reverse-reconciliation protocol variants share one relay circuit:
                            into Bob's mode before his homodyne detection.
 * ``coherent``           - both parties heterodyne (coherent-state baseline).
 
-A key rate is evaluated in three steps.  The gain-independent relay
-covariance of modes (A3, C2, B3, D2) is assembled once per channel, and the
-few of its entries that the displaced pair (A3, B4) depends on are read off
-as gain coefficients (``_gain_coefficients``, cached per channel: the nine
-fields the relay reads, whatever the protocol, gain and beta).
-The checks that hold at every gain are made there, once: the covariance is
-finite, x and p do not couple, and the p-side coefficients either mirror
-the x side bit for bit or are kept for a per-gain x/p symmetry check.  At
+A key rate is evaluated in three steps.  The relay is one quadrature of
+the circuit in plain floats (``_gain_coefficients``): the few entries of
+the gain-independent relay covariance of modes (A3, C2, B3, D2) that the
+displaced pair (A3, B4) reads, its gain coefficients.  Each product and sum
+runs in the order of the matrix route's ``s @ cov @ s.T``.  x and p mirror
+by construction (+c on x, -c on p), so only the x side is computed.  At
 each gain g the reduced Alice-Bob state (a, b, c) is then a scalar
 quadratic in g over those coefficients (``_reduced_state``).  The key rate
 is a closed-form function of the floats (a, b, c), chi_n and the protocol
 (``_rate_terms``), with the trusted-noise Holevo term of Lodewyck et al.,
 PRA 76, 042305 (2007).  The gain search's objective (``_gain_objective``)
-and ``key_rate`` run these same two functions.  A reported point is
-certified physical from the smaller symplectic eigenvalue of (a, b, c), at
-the tolerance of ``GaussianState.require_physical``.
+and ``key_rate`` run these same functions.  A reported point is certified
+physical from the smaller symplectic eigenvalue of (a, b, c), at the
+tolerance of the matrix route's ``GaussianState.require_physical``.
 
-The matrix route is not on the key-rate path.  ``build_mdi_state``, with
-its four-mode (A3, B5, N1, N3) circuit for ``noise=...``, stays here, with
-the ``symplectic_eigenvalues`` import, because the benchmark's tracer
-(``bench/tracer.py``) binds both names in this module.  The rest of the
-oracle the tests check the closed forms against (``extract_two_mode``,
-``holevo_generic``, conditioning and entropies) lives in
-``tests/oracle.py``.
+The matrix route is not on the key-rate path and is not loaded with this
+module.  It lives in ``cvmdi.matrix`` (numpy covariance matrices,
+``build_mdi_state`` with its four-mode (A3, B5, N1, N3) circuit for
+``noise=...``), the oracle the tests check the scalar kernel against.  The
+benchmark's tracer (``bench/tracer.py``) binds ``build_mdi_state`` and
+``symplectic_eigenvalues`` in this module, so the module ``__getattr__``
+serves both from ``cvmdi.matrix`` on first use.  The rest of the oracle
+(``extract_two_mode``, ``holevo_generic``, conditioning and entropies)
+lives in ``tests/oracle.py``.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -49,27 +49,12 @@ a channel of transmittance T delivers variance T*V + (1-T) + eps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import InvalidParameterError, NumericDomainError, StructuralError
-from .gaussian import (
-    PHYSICALITY_TOL,
-    GaussianState,
-    TwoModeCov,
-    apply_beamsplitter,
-    check_two_mode,
-    epr_state,
-    g_func,
-    linear_feedforward,
-    partial_trace,
-    symplectic_eigenvalues,  # unused here; kept importable for layer tracing
-    tensor,
-    thermal_state,
-    two_mode_symplectic,
-)
+from .errors import InvalidParameterError, NumericDomainError
+from .gaussian import PHYSICALITY_TOL, TwoModeCov, check_two_mode, g_func, two_mode_symplectic
 from .search import golden_section_max
 
 PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
@@ -83,7 +68,7 @@ GAIN_TOL = 1e-6
 # Relative tolerance of the symmetric two-mode form (a, b, c) of (A3, B4).
 TWO_MODE_TOL = 1e-8
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -203,171 +188,71 @@ def channel_transmittance(length_km: float, alpha_db_per_km: float = 0.2) -> flo
     return t
 
 
-def cloner_variance(transmittance: float, eps: float) -> float:
-    """Variance of the entangling-cloner mode replacing a lossy channel.
-
-    W = 1 + eps/(1 - T) makes the channel output variance exactly
-    T*V + (1-T) + eps, i.e. eps is the output-referred excess noise.
-    A lossless channel (T = 1) carries no cloner mode at all.
-    """
-    if transmittance <= 0.0:
-        raise InvalidParameterError(f"transmittance must be positive, got {transmittance}")
-    if transmittance >= 1.0:
-        raise InvalidParameterError("lossless channel: no cloner mode is inserted")
-    if eps < 0.0:
-        raise InvalidParameterError(f"excess noise must be >= 0, got {eps}")
-    return 1.0 + eps / (1.0 - transmittance)
+# Both amplitudes of the relay's 50:50 beamsplitter, sqrt(1/2).
+_H = math.sqrt(0.5)
 
 
-def _lossy_channel(state: GaussianState, mode: int, transmittance: float,
-                   eps: float) -> GaussianState:
-    """Replace a mode by its image through an entangling-cloner channel."""
-    if transmittance >= 1.0:
-        return state
-    w = cloner_variance(transmittance, eps)
-    n = state.n_modes
-    state = tensor(state, thermal_state(w))
-    state = apply_beamsplitter(state, mode, n, transmittance)
-    return partial_trace(state, list(range(n)))
+def _lossy_arm(v: float, s: float, t: float, eps: float) -> tuple[float, float]:
+    """Variance and EPR correlation of an arm (variance v, correlation s)
+    after an entangling-cloner channel of transmittance t: T V + (1 - T) W
+    with the cloner variance W = 1 + eps/(1 - T), so that eps is referred to
+    the output, and s sqrt(T).  A lossless arm (t = 1) passes unchanged."""
+    if t >= 1.0:
+        return v, s
+    rt, rr = math.sqrt(t), math.sqrt(1.0 - t)
+    return (rt * v) * rt + (rr * (1.0 + eps / (1.0 - t))) * rr, s * rt
 
 
-def _relay_state(params: ProtocolParams) -> GaussianState:
-    """Gain-independent circuit prefix: modes (A3, C2, B3, D2).
-
-    The first step of every key rate: ``_gain_coefficients`` reads the
-    displaced pair's coefficients off this covariance.  ``_displaced_pair``
-    applies the feedforward to it for the matrix oracle ``build_mdi_state``.
-    It reads only the channel: v_a, v_b, l_ac, l_bc, alpha, eps1, eps2, eta
-    and v_el.  Not cached itself: the production path assembles it once per
-    channel, through the cache of ``_gain_coefficients``, and shares that
-    assembly across protocol, gain and beta.
-
-    Assembly takes 12 to 20 validated ``GaussianState`` steps and costs
-    about 170 us with the practical detector and both arms lossy, and 80 us
-    with the perfect detector at V = 1e5 (medians of best-of-15 timings,
-    one BLAS thread, 2-vCPU host): numpy and Python overhead per step, not
-    arithmetic.
-    """
-    state = tensor(epr_state(params.v_a), epr_state(params.v_b))  # (A3, A2, B3, B2)
-    state = _lossy_channel(state, 1, params.t_1, params.eps1)     # A2 -> A1
-    state = _lossy_channel(state, 3, params.t_2, params.eps2)     # B2 -> B1
-    # Relay 50:50: slot 1 <- (A1 - B1)/sqrt(2) = C, slot 3 <- (A1 + B1)/sqrt(2) = D
-    state = apply_beamsplitter(state, 3, 1, 0.5)
-    if params.eta < 1.0:
-        ancilla = 1.0 + params.v_el / (1.0 - params.eta)
-        for slot in (1, 3):
-            n = state.n_modes
-            state = tensor(state, thermal_state(ancilla))
-            state = apply_beamsplitter(state, slot, n, params.eta)
-            state = partial_trace(state, list(range(n)))
-    return state
-
-
-def _displaced_pair(params: ProtocolParams, gain: float) -> GaussianState:
-    """Two-mode state (A3, B4) after the feedforward displacement."""
-    relay = _relay_state(params)
-    m = np.zeros((4, 8))
-    m[0, 0] = 1.0                      # A3x
-    m[1, 1] = 1.0                      # A3p
-    m[2, 4] = 1.0                      # B4x = B3x + g C2x
-    m[2, 2] = gain
-    m[3, 5] = 1.0                      # B4p = B3p + g D2p
-    m[3, 7] = gain
-    return linear_feedforward(relay, m)
-
-
-# Relay-covariance indices of (a, b0, b1, b2, c0, c1) on each quadrature:
-# A3 = (0, 1), C2 = (2, 3), B3 = (4, 5), D2 = (6, 7).  B4x = B3x + g C2x
-# and B4p = B3p + g D2p, so the x side reads C2 and the p side D2.
-_X_COEFFS = ((0, 0), (4, 4), (2, 4), (2, 2), (0, 4), (0, 2))
-_P_COEFFS = ((1, 1), (5, 5), (5, 7), (7, 7), (1, 5), (1, 7))
-
-
-# _gain_coefficients per channel: the nine fields _relay_state reads, in
-# ProtocolParams order.  Once full, the oldest entry is dropped first.
-_CHANNEL_COEFFS: dict[tuple[float, ...], tuple[tuple[float, ...], tuple[float, ...] | None]] = {}
-_CHANNEL_COEFFS_SIZE = 128
-
-
-def _gain_coefficients(
-        params: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
-    """x-side (a, b0, b1, b2, c0, c1) of the displaced pair (A3, B4), and the
-    p side, or None when the p side mirrors the x side bit for bit.
+def _gain_coefficients(params: ProtocolParams) -> tuple[float, ...]:
+    """x-side (a, b0, b1, b2, c0, c1) of the displaced pair (A3, B4).
 
     At gain g the pair has variances a and b = b0 + 2 g b1 + g^2 b2 and
-    correlation c = c0 + g c1 on x, and the same with -c on p.  What holds
-    at every gain is checked here, once per channel: every entry is finite,
-    and the relay's x-p coupling is within the tolerance of
-    ``tests/oracle.extract_two_mode``.  The p side mirrors x when it equals
-    (a, b0, b1, b2, -c0, -c1); negation is exact and rounding is
-    sign-symmetric, so the p side's a, b and -c then equal the x side's at
-    every gain, and the per-gain x/p check of ``_reduced_state`` could not
-    fail.
-
-    The result is cached in ``_CHANNEL_COEFFS`` on the nine channel fields
-    that ``_relay_state`` reads, not on ``params``: points that differ only
-    in protocol, gain or beta share one relay assembly, as do a fixed-gain
-    probe and a gain search at one channel.  That key costs nine attribute
-    reads, less than the dataclass hash and equality would.
+    correlation c = c0 + g c1 on x, and the same with -c on p: b0, b1 and
+    b2 are the variance of B3, its covariance with C2 and the variance of
+    C2; c0 and c1 are the covariances of A3 with B3 (always 0) and with C2.
+    They are one quadrature of the relay in plain floats, each product and
+    sum in the order of the matrix route's ``s @ cov @ s.T``
+    (``cvmdi.matrix._relay_state``), so they equal its entries but for the
+    last bit that fused multiply-adds in its BLAS may set.  Reads only the
+    channel: v_a, v_b, l_ac, l_bc, alpha, eps1, eps2, eta and v_el.
+    Raises NumericDomainError when an entry is not finite (v^2 or the
+    cloner variance overflows).
     """
-    key = (params.v_a, params.v_b, params.l_ac, params.l_bc, params.alpha,
-           params.eps1, params.eps2, params.eta, params.v_el)
-    coeffs = _CHANNEL_COEFFS.get(key)
-    if coeffs is not None:
-        return coeffs
-    cov = _relay_state(params).cov
-    if not np.isfinite(cov).all():
-        raise NumericDomainError("relay covariance overflows: an entry is not finite")
-    mag = np.abs(cov)
-    scale = max(1.0, float(mag.max()))
-    coupling = float(mag[0::2, 1::2].max())
-    if coupling > TWO_MODE_TOL * scale:
-        raise StructuralError(
-            f"relay covariance couples x and p by {coupling} "
-            f"(tolerance {TWO_MODE_TOL * scale})")
-    rows = cov.tolist()
-    x_side = tuple(rows[i][j] for i, j in _X_COEFFS)
-    p_side = tuple(rows[i][j] for i, j in _P_COEFFS)
-    a, b0, b1, b2, c0, c1 = x_side
-    coeffs = x_side, None if p_side == (a, b0, b1, b2, -c0, -c1) else p_side
-    if len(_CHANNEL_COEFFS) >= _CHANNEL_COEFFS_SIZE:
-        del _CHANNEL_COEFFS[next(iter(_CHANNEL_COEFFS))]
-    _CHANNEL_COEFFS[key] = coeffs
-    return coeffs
+    v_a, v_b = params.v_a, params.v_b
+    var_a, cor_a = _lossy_arm(v_a, math.sqrt(v_a * v_a - 1.0), params.t_1, params.eps1)
+    var_b, cor_b = _lossy_arm(v_b, math.sqrt(v_b * v_b - 1.0), params.t_2, params.eps2)
+    # relay: C = (A1 - B1)/sqrt(2)
+    cc = (_H * var_a) * _H + (_H * var_b) * _H
+    ac, bc = cor_a * _H, -(cor_b * _H)
+    if params.eta < 1.0:
+        # practical detector: C2 = sqrt(eta) C + sqrt(1-eta) F0
+        rt, rr = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
+        cc = (rt * cc) * rt + (rr * (1.0 + params.v_el / (1.0 - params.eta))) * rr
+        ac, bc = ac * rt, bc * rt
+    if not (abs(cc) < math.inf and abs(ac) < math.inf and abs(bc) < math.inf):
+        raise NumericDomainError(
+            f"relay covariance overflows: C2 variance {cc}, A3-C2 {ac}, B3-C2 {bc}")
+    return v_a, v_b, bc, cc, 0.0, ac
 
 
-def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],
-                   g: float) -> tuple[float, float, float]:
+def _reduced_state(coeffs: tuple[float, ...], g: float) -> tuple[float, float, float]:
     """Reduced state (a, b, c) of (A3, B4) at one gain, in scalar arithmetic.
 
-    ``coeffs`` is ``_gain_coefficients(params)``.  Equal, bit for bit, to
-    ``extract_two_mode(_displaced_pair(params, g))``, with the oracle's
-    ``extract_two_mode`` of ``tests/oracle.py``: the operation order is that
-    of the matrix product.  When the p side does not mirror the x side, the
-    x/p symmetry is checked at this gain, as there.  When rounding in b,
-    whose terms can cancel from far above its value, exceeds that
-    tolerance, b is not certified and NumericDomainError is raised; so it
-    is when b or c overflows.  The result passes ``check_two_mode``, as a
-    ``TwoModeCov`` would.
+    ``coeffs`` is ``_gain_coefficients(params)``; the operation order is that
+    of the matrix product of ``cvmdi.matrix._displaced_pair``.  When rounding
+    in b, whose terms can cancel from far above its value, exceeds
+    TWO_MODE_TOL of the largest of 1, a, b and |c| (the tolerance of the
+    oracle's two-mode form), b is not certified and NumericDomainError is
+    raised; so it is when b or c overflows.  The result passes
+    ``check_two_mode``, as a ``TwoModeCov`` would.
     """
-    (a, b0, b1, b2, c0, c1), p_side = coeffs
+    a, b0, b1, b2, c0, c1 = coeffs
     b = (g * b2 + b1) * g + (g * b1 + b0)
     c = c1 * g + c0
     # an overflow stops here, with the gain in the message, before the eigenvalues
     if not (abs(b) < math.inf and abs(c) < math.inf):
         raise NumericDomainError(f"reduced state overflows at gain {g}: b = {b}, c = {c}")
-    if p_side is None:
-        tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c))
-    else:
-        a_p, b0_p, b1_p, b2_p, c0_p, c1_p = p_side
-        b_p = (g * b2_p + b1_p) * g + (g * b1_p + b0_p)
-        c_p = c1_p * g + c0_p
-        tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c), abs(a_p), abs(b_p), abs(c_p))
-        dev = max(abs(a_p - a), abs(b_p - b), abs(c_p + c))
-        if dev > tol:
-            raise StructuralError(
-                f"covariance deviates from the symmetric two-mode form by {dev} "
-                f"(tolerance {tol})")
+    tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c))
     err_b = 4.0 * _EPS * (abs(b0) + 2.0 * abs(g * b1) + g * g * abs(b2))
     if err_b > tol:
         raise NumericDomainError(
@@ -377,28 +262,12 @@ def _reduced_state(coeffs: tuple[tuple[float, ...], tuple[float, ...] | None],
     return a, b, c
 
 
-def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = None,
-                    gain: float | None = None) -> GaussianState:
-    """Assemble and validate the kept-mode state of the full EB circuit.
-
-    Returns (A3, B4) for the plain circuit, or (A3, B5, N1, N3) when the
-    trusted-noise beamsplitter is present.  ``gain`` overrides
-    ``params.gain``; one of the two must be set.
-    """
-    g = gain if gain is not None else params.gain
-    if g is None:
-        raise InvalidParameterError(
-            "build_mdi_state needs a concrete gain; optimize it with optimal_gain first")
-    if g < 0.0:
-        raise InvalidParameterError(f"gain must be >= 0, got {g}")
-    state = _displaced_pair(params, g)
-    state.require_physical(context="feedforward")
-    if noise is None:
-        return state
-    state = tensor(state, epr_state(noise.n_r))       # (A3, B4, N2, N1)
-    state = apply_beamsplitter(state, 1, 2, noise.t_r)  # slot1 <- B5, slot2 <- N3
-    state = partial_trace(state, [0, 1, 3, 2])          # (A3, B5, N1, N3)
-    return state.require_physical(context="added-noise")
+def __getattr__(name: str):
+    # PEP 562: the matrix route, and numpy with it, loads on first use only
+    if name in ("build_mdi_state", "symplectic_eigenvalues"):
+        from . import matrix
+        return getattr(matrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _homodyne_info(a: float, b: float, c: float) -> float:
@@ -561,7 +430,7 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
 def _require_physical_pair(a: float, b: float, c: float, lam2: float) -> None:
     """Physicality of the displaced pair (A3, B4) = (a, b, c) from its smaller
     symplectic eigenvalue, at the tolerance ``GaussianState.require_physical``
-    applies to the same covariance in ``build_mdi_state``."""
+    applies to the same covariance in ``cvmdi.matrix.build_mdi_state``."""
     eff = max(PHYSICALITY_TOL, 64.0 * _EPS * max(1.0, abs(a), abs(b), abs(c)))
     if lam2 < 1.0 - eff:
         raise NumericDomainError(
@@ -583,7 +452,7 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
         a, b, c = _reduced_state(coeffs, g)
         i_ab, chi, lams, clamped = _rate_terms(a, b, c, params.protocol, chi_n)
         _require_physical_pair(a, b, c, lams[1])
-    except (NumericDomainError, StructuralError) as exc:
+    except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc
     return KeyRateReport(
         mutual_info=i_ab,

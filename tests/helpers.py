@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import mp, mpf
 
-from cvmdi.gaussian import (
+from cvmdi.matrix import (
     GaussianState,
     apply_beamsplitter,
     epr_state,

@@ -2,10 +2,10 @@
 
 The key-rate path of ``cvmdi`` works on the reduced Alice-Bob state
 (a, b, c) in scalar arithmetic.  The matrix route the tests check it
-against is assembled from ``cvmdi.gaussian`` (states, beamsplitters,
-partial traces, symplectic spectra) and ``cvmdi.protocols.build_mdi_state``,
-which stay in the library, plus what follows here, which no production path
-runs: conditioning on a homodyne or heterodyne measurement, von Neumann
+against is assembled from ``cvmdi.matrix`` (states, beamsplitters, partial
+traces, symplectic spectra and ``build_mdi_state``), which stays in the
+library but off its import path, plus what follows here, which no
+production path runs: conditioning on a homodyne or heterodyne measurement, von Neumann
 entropies, the conditioning-based Holevo bound, reading (a, b, c) off a
 two-mode covariance, and the reverse, (a, b, c) as a matrix.
 """
@@ -15,13 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from cvmdi.errors import InvalidParameterError, NumericDomainError, StructuralError
-from cvmdi.gaussian import (
-    GaussianState,
-    TwoModeCov,
-    _quad_indices,
-    g_func,
-    symplectic_eigenvalues,
-)
+from cvmdi.gaussian import TwoModeCov, g_func
+from cvmdi.matrix import GaussianState, _quad_indices, symplectic_eigenvalues
 from cvmdi.protocols import TWO_MODE_TOL
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])

@@ -9,20 +9,17 @@ from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
 from cvmdi import InvalidParameterError, NumericDomainError
-from cvmdi.gaussian import (
+from cvmdi.gaussian import TwoModeCov, _two_product, g_func, two_mode_symplectic
+from cvmdi.matrix import (
     GaussianState,
-    TwoModeCov,
-    _two_product,
     apply_beamsplitter,
     epr_state,
-    g_func,
     linear_feedforward,
     partial_trace,
     symplectic_eigenvalues,
     symplectic_form,
     tensor,
     thermal_state,
-    two_mode_symplectic,
 )
 from helpers import c_edge
 from oracle import (

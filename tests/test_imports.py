@@ -1,5 +1,6 @@
 """No file in ``src/cvmdi/`` or ``tests/`` imports a name that it never uses,
-and ``src/cvmdi/`` defines nothing that only tests run.
+``src/cvmdi/`` defines nothing that only tests run, and the key-rate path
+does not load numpy.
 
 No linter is part of the toolchain, so each file is parsed with ``ast``: a
 name that an import binds must be read somewhere in the file or be listed in
@@ -8,19 +9,15 @@ read somewhere outside its own definition and outside ``tests/``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted([*(ROOT / "src" / "cvmdi").glob("*.py"), *(ROOT / "tests").glob("*.py")])
-
-# (file, name) -> why the file keeps an import that it does not use
-ALLOWED = {
-    ("src/cvmdi/protocols.py", "symplectic_eigenvalues"):
-        "bench/tracer.py wraps cvmdi.protocols.symplectic_eigenvalues by name, so the "
-        "module keeps the binding although no key-rate path calls it",
-}
 
 
 def unused_imports(path: Path) -> set[str]:
@@ -41,19 +38,16 @@ def unused_imports(path: Path) -> set[str]:
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
-    rel = str(path.relative_to(ROOT))
-    allowed = {name for (file, name) in ALLOWED if file == rel}
-    assert unused_imports(path) - allowed == set()
+    assert unused_imports(path) == set()
 
 
-@pytest.mark.parametrize("file,name", list(ALLOWED))
-def test_allowed_unused_imports_are_still_unused(file, name):
-    # an exception whose import went, or is now used, is dropped from ALLOWED
-    assert name in unused_imports(ROOT / file), ALLOWED[file, name]
-
-
-# (file, name) -> why src/ keeps a top-level definition that only tests read
-UNREFERENCED = {}
+# (file, name) -> why src/ keeps a top-level definition that nothing outside
+# tests reads by name
+UNREFERENCED = {
+    ("src/cvmdi/protocols.py", "__getattr__"):
+        "PEP 562 hook: Python calls it when bench/tracer.py reads build_mdi_state "
+        "or symplectic_eigenvalues off cvmdi.protocols",
+}
 
 
 def read_names(node: ast.AST) -> set[str]:
@@ -91,3 +85,33 @@ def test_src_defines_only_what_runs_outside_tests():
     # a definition that only tests read belongs in tests/ (tests/oracle.py for
     # the matrix engine); an allow-list entry that is now read goes too
     assert unreferenced_definitions() == set(UNREFERENCED)
+
+
+# A fresh interpreter runs every entry point that needs no matrix, then
+# reads the matrix route's names where the benchmark's tracer binds them.
+NO_NUMPY = """
+import contextlib, io, sys
+import cvmdi
+from cvmdi import cli, protocols
+p = cvmdi.ProtocolParams(v_a=5.04, v_b=5.04, l_ac=5.0, l_bc=0.0, eta=0.9, v_el=0.015)
+assert cvmdi.key_rate(p).key_rate > 0.0
+cvmdi.optimize_added_noise(cvmdi.ProtocolParams(v_a=5.04, v_b=5.04, l_ac=5.0, l_bc=0.0,
+                                                protocol="squeezed-modified"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["keyrate", "--variance", "realistic", "--lac", "5", "--lbc", "0"]) == 0
+    assert cli.main(["compare", "--variance", "realistic", "--detector", "practical",
+                     "--geometry", "most-asymmetric"]) == 0
+loaded = "numpy" in sys.modules
+assert callable(protocols.build_mdi_state) and callable(protocols.symplectic_eigenvalues)
+print(loaded, "numpy" in sys.modules)
+"""
+
+
+def test_key_rate_path_does_not_load_numpy():
+    # numpy loads with the matrix route only, on first use of its names
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]

@@ -19,18 +19,25 @@ from cvmdi import (
 )
 from cvmdi import protocols
 from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
-from cvmdi.gaussian import PHYSICALITY_TOL, GaussianState, epr_state, symplectic_eigenvalues
+from cvmdi import matrix
+from cvmdi.gaussian import PHYSICALITY_TOL
+from cvmdi.matrix import (
+    GaussianState,
+    _displaced_pair,
+    build_mdi_state,
+    cloner_variance,
+    epr_state,
+    symplectic_eigenvalues,
+)
 from cvmdi.protocols import (
     GAIN_TOL,
-    _displaced_pair,
+    TWO_MODE_TOL,
     _gain_coefficients,
     _gain_objective,
     _heterodyne_info,
     _homodyne_info,
     _reduced_state,
     _trusted_noise_conditional,
-    build_mdi_state,
-    cloner_variance,
     gain_bracket,
 )
 from helpers import (
@@ -223,10 +230,43 @@ def test_extract_two_mode_rejects_asymmetry():
         extract_two_mode(GaussianState(np.eye(6)))
 
 
+# Relay-covariance indices of the x-side (a, b0, b1, b2, c0, c1) of
+# _gain_coefficients: A3 = (0, 1), C2 = (2, 3), B3 = (4, 5), D2 = (6, 7).
+X_COEFFS = ((0, 0), (4, 4), (2, 4), (2, 2), (0, 4), (0, 2))
+
+
+def matrix_coefficients(params):
+    """The relay entries that ``_gain_coefficients`` computes, read off the
+    matrix route's relay covariance."""
+    cov = matrix._relay_state(params).cov
+    return tuple(float(cov[i, j]) for i, j in X_COEFFS)
+
+
+def ulps(x, y):
+    """|x - y| in units in the last place of the larger of the two."""
+    return 0.0 if x == y else abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+def within_2_ulp(params):
+    """Each scalar coefficient is within 2 ulp of the matrix route's entry."""
+    return all(ulps(x, y) <= 2.0
+               for x, y in zip(_gain_coefficients(params), matrix_coefficients(params)))
+
+
+def lossless_ideal(params):
+    """Lossless arms and the perfect detector: with v_a = v_b each sum of the
+    relay has two equal terms, so a fused multiply-add cannot change it."""
+    return params.l_ac == params.l_bc == 0.0 and params.eta == 1.0
+
+
 def test_reduced_state_equals_matrix_route():
-    # the scalar (a, b, c)(g) reproduces the feedforward product bit for bit,
-    # including the lossless arms at V = 1e5 where b cancels from ~1e5 terms
+    # the scalar relay runs the matrix route's operations in its order, but
+    # the engine's last bit is set by BLAS fused multiply-adds: every
+    # coefficient is within 2 ulp, and at lossless, ideal points (a, b, c)
+    # equals the feedforward product bit for bit, V = 1e5 included, where b
+    # cancels from ~1e5 terms
     rng = random.Random(20140603)
+    exact = 0
     for _ in range(400):
         v = rng.choice([VARIANCE_PRESETS["ideal"], VARIANCE_PRESETS["realistic"],
                         rng.uniform(1.5, 50.0)])
@@ -236,15 +276,21 @@ def test_reduced_state_equals_matrix_route():
                            l_bc=rng.choice([0.0, rng.uniform(0.0, 10.0)]),
                            eta=eta, v_el=v_el)
         g = rng.uniform(0.0, 3.0)
-        tm = TwoModeCov(*_reduced_state(_gain_coefficients(p), g))
-        assert tm == extract_two_mode(_displaced_pair(p, g))
+        assert within_2_ulp(p), p
+        if lossless_ideal(p):
+            tm = TwoModeCov(*_reduced_state(_gain_coefficients(p), g))
+            assert tm == extract_two_mode(_displaced_pair(p, g)), (p, g)
+            exact += 1
+    assert exact >= 20
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (5, 5), (7, 7), (1, 7), (2, 7)])
 def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
-    # an x/p mismatch of a, b or c is caught per gain; the x-p coupling
-    # (2, 7) once per point, when the gain coefficients are read
-    honest = protocols._relay_state
+    # the kernel computes the x side only and takes the p side as its mirror;
+    # the oracle's reduced state, which the mirror is checked against, must
+    # refuse a relay whose p side does not mirror x: an x/p mismatch of a, b
+    # or c, or the x-p coupling (2, 7)
+    honest = matrix._relay_state
 
     def planted(params):
         cov = honest(params).cov.copy()
@@ -254,92 +300,30 @@ def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
         return GaussianState(cov)
 
     p = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0)
-    protocols._CHANNEL_COEFFS.clear()
-    monkeypatch.setattr(protocols, "_relay_state", planted)
-    try:
-        with pytest.raises(StructuralError):
-            _reduced_state(_gain_coefficients(p), 1.2)
-        # a p side that does not mirror x is checked at every gain, so the
-        # gain search and the key rate at its optimum refuse the point too
-        with pytest.raises(StructuralError):
-            optimal_gain(p)
-        with pytest.raises(StructuralError):
-            key_rate(p)
-    finally:
-        protocols._CHANNEL_COEFFS.clear()
+    monkeypatch.setattr(matrix, "_relay_state", planted)
+    with pytest.raises(StructuralError):
+        extract_two_mode(_displaced_pair(p, 1.2))
+    with pytest.raises(StructuralError):
+        extract_two_mode(build_mdi_state(p, gain=1.2))
 
 
 CHANNEL_FIELDS = ("v_a", "v_b", "l_ac", "l_bc", "alpha", "eps1", "eps2", "eta", "v_el")
 
 
-def counting_relays(monkeypatch) -> list:
-    """Clear the relay cache and count ``_relay_state`` assemblies from here on."""
-    calls = []
-    honest = protocols._relay_state
-
-    def counted(params):
-        calls.append(params)
-        return honest(params)
-
-    protocols._CHANNEL_COEFFS.clear()
-    monkeypatch.setattr(protocols, "_relay_state", counted)
-    return calls
-
-
-def test_relay_is_assembled_once_per_channel(monkeypatch):
-    # protocol, gain and beta do not enter the relay: every variant of one
-    # channel, with the gain fixed or searched, shares one assembly
-    base = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0, eta=0.9, v_el=0.015)
-    calls = counting_relays(monkeypatch)
-    try:
-        want = _gain_coefficients(base)
-        for protocol in protocols.PROTOCOLS:
-            for gain in (None, 0.0, 1.2):
-                for beta in (1.0, 0.95):
-                    p = replace(base, protocol=protocol, gain=gain, beta=beta)
-                    noise = (AddedNoiseParams.from_chi_n(1.0)
-                             if protocol == "squeezed-modified" else None)
-                    assert _gain_coefficients(p) == want
-                    key_rate(p, noise)
-        assert len(calls) == 1
-    finally:
-        protocols._CHANNEL_COEFFS.clear()
-
-
-def test_relay_cache_drops_its_oldest_channel_when_full(monkeypatch):
-    size = protocols._CHANNEL_COEFFS_SIZE
-    channels = [ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.5 * i, l_bc=0.0)
-                for i in range(size + 1)]
-    calls = counting_relays(monkeypatch)
-    try:
-        for p in channels:
-            _gain_coefficients(p)
-        assert len(protocols._CHANNEL_COEFFS) == size
-        _gain_coefficients(channels[-1])
-        assert len(calls) == size + 1
-        _gain_coefficients(channels[0])
-        assert len(calls) == size + 2
-    finally:
-        protocols._CHANNEL_COEFFS.clear()
-
-
 @pytest.mark.parametrize("field", CHANNEL_FIELDS)
-def test_relay_is_assembled_again_for_a_new_channel(monkeypatch, field):
+def test_relay_is_assembled_again_for_a_new_channel(field):
+    # each of the nine channel fields enters the relay: a channel that
+    # differs in one of them gets other coefficients, and both sets match
+    # the matrix route
     base = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0, eta=0.9, v_el=0.015)
     other = replace(base, **{field: getattr(base, field) * 0.5})
-    calls = counting_relays(monkeypatch)
-    try:
-        before = _gain_coefficients(base)
-        after = _gain_coefficients(other)
-        assert len(calls) == 2 and getattr(calls[1], field) == getattr(other, field)
-        assert before != after
-    finally:
-        protocols._CHANNEL_COEFFS.clear()
+    assert _gain_coefficients(base) != _gain_coefficients(other)
+    assert within_2_ulp(base) and within_2_ulp(other)
 
 
 def test_honest_points_mirror_x_and_p():
-    # the per-gain x/p check is skipped when the p-side coefficients mirror
-    # the x side bit for bit, which every honest circuit point does
+    # the kernel computes the x side only: the matrix route's p side must
+    # mirror it, (a, b, -c), with no x-p coupling, within TWO_MODE_TOL
     rng = random.Random(1406)
     for _ in range(500):
         eta, v_el = DETECTOR_PRESETS[rng.choice(sorted(DETECTOR_PRESETS))]
@@ -349,8 +333,12 @@ def test_honest_points_mirror_x_and_p():
                            l_bc=rng.choice([0.0, rng.uniform(0.0, 20.0)]),
                            eps1=rng.uniform(0.0, 0.1), eps2=rng.uniform(0.0, 0.1),
                            eta=eta, v_el=v_el)
-        x_side, p_side = _gain_coefficients(p)
-        assert p_side is None, (p, x_side)
+        g = rng.uniform(0.0, gain_bracket(p))
+        a, b, c = _reduced_state(_gain_coefficients(p), g)
+        cov = _displaced_pair(p, g).cov
+        tol = TWO_MODE_TOL * max(1.0, float(np.abs(cov).max()))
+        assert max(abs(cov[1, 1] - a), abs(cov[3, 3] - b), abs(cov[1, 3] + c)) <= tol, (p, g)
+        assert float(np.abs(cov[0::2, 1::2]).max()) <= tol, (p, g)
 
 
 def test_reduced_state_rejects_cancelled_b():
@@ -732,8 +720,11 @@ def test_key_rate_oracle_agreement_at_10km():
 ])
 def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
     # one evaluation path: at the searched optimum and at a random gain, the
-    # objective the gain search ran, the report at that fixed gain, and
-    # _rate_terms on the matrix route's reduced state give the same float
+    # objective the gain search ran and the report at that fixed gain give
+    # the same float; so does _rate_terms on the matrix route's reduced
+    # state at lossless, ideal points, and elsewhere the relay coefficients
+    # are within 2 ulp of that route's (BLAS fused multiply-adds set its
+    # last bit)
     objectives = []
     search = protocols.golden_section_max
 
@@ -757,6 +748,9 @@ def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
         for g in (g_star, rng.uniform(0.0, gain_bracket(p))):
             k = objective(g)
             assert key_rate(replace(p, gain=g), noise).key_rate == k, (p, g)
+            if not lossless_ideal(p):
+                assert within_2_ulp(p), p
+                continue
             tm = extract_two_mode(_displaced_pair(p, g))
             i_ab, chi, _, _ = protocols._rate_terms(tm.a, tm.b, tm.c, protocol, chi_n)
             assert p.beta * i_ab - chi == k, (p, g)

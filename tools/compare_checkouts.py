@@ -4,8 +4,9 @@
 
 Runs this checkout and OTHER_ROOT, each in a fresh interpreter that imports
 cvmdi from that root's ``src/`` (one BLAS thread), and has each print one
-line per value: the relay covariance (``protocols._relay_state``) at N
-seeded random points, as the hex of its bytes; ``optimize_added_noise`` at
+line per value: the reduced state (a, b, c) of the relay at N seeded random
+points and gains, as ``protocols._reduced_state(protocols._gain_coefficients(p), g)``
+in ``float.hex``, the error where it raises; ``optimize_added_noise`` at
 NOISE_POINTS seeded random squeezed-modified points; K, gain and lambdas at
 every sweep point of ``bench/reference.json`` (only read); the rows of the
 benchmark's table; ``compare_protocols`` for every geometry, variance preset
@@ -13,7 +14,7 @@ and detector preset; and exit code, stdout and stderr of every subcommand on
 this checkout's ``configs/*.json``.  Prints every value that differs, at
 its first differing float or character, then one summary line per category
 (relay, optnoise, sweep, table, compare, cli): values compared, values
-differing, and the largest absolute and relative difference among the
+differing, and the largest absolute, relative and ulp difference among the
 floats that differ.  Exits 1 if any value differs, else 0.
 """
 
@@ -24,8 +25,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 # Seeded random points at which optimize_added_noise is dumped.
@@ -45,7 +44,13 @@ for i in range(n):
     p = protocols.ProtocolParams(v_a=v(), v_b=v(), l_ac=length(), l_bc=length(),
                                  eps1=rng.uniform(0.0, 0.05), eps2=rng.uniform(0.0, 0.05),
                                  **rng.choice([{}, workloads.PRACTICAL]))
-    print(f"relay {i} {p}\t{protocols._relay_state(p).cov.tobytes().hex()}")
+    g = rng.uniform(0.0, 3.0)
+    try:
+        abc = protocols._reduced_state(protocols._gain_coefficients(p), g)
+        got = " ".join(x.hex() for x in abc)
+    except Exception as exc:
+        got = repr((type(exc).__name__, str(exc)))
+    print(f"relay {i} {p} {g!r}\t{got}")
 for i in range(noise_points):
     p = protocols.ProtocolParams(v_a=v(), v_b=v(), l_ac=rng.uniform(0.0, 30.0),
                                  l_bc=length() / 10.0, eps1=rng.uniform(0.0, 0.05),
@@ -100,15 +105,16 @@ NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)
 
 def floats(value: str) -> tuple[str, list[float]]:
     """The text of a value with each number cut out, and the numbers."""
-    if value.startswith("relay"):
-        return "", np.frombuffer(bytes.fromhex(value.split("\t")[1]), dtype=float).tolist()
     body = value.split("\t", 1)[1]
+    if value.startswith("relay") and not body.startswith("("):
+        return "", [float.fromhex(h) for h in body.split()]
     return NUMBER.sub("#", body), [float(m) for m in NUMBER.findall(body)]
 
 
-def float_differences(a: str, b: str) -> list[tuple[float, float]] | None:
-    """(absolute, relative) difference of each pair of floats that differ, or
-    None when the two values differ in more than their numbers."""
+def float_differences(a: str, b: str) -> list[tuple[float, float, float]] | None:
+    """(absolute, relative, ulp) difference of each pair of floats that
+    differ, the ulp of the larger of the two, or None when the two values
+    differ in more than their numbers."""
     (text_a, xs), (text_b, ys) = floats(a), floats(b)
     if text_a != text_b or len(xs) != len(ys):
         return None
@@ -116,7 +122,8 @@ def float_differences(a: str, b: str) -> list[tuple[float, float]] | None:
     for x, y in zip(xs, ys):
         if x != y and not (math.isnan(x) and math.isnan(y)):
             d = abs(x - y)
-            out.append((d, d / max(abs(x), abs(y))) if math.isfinite(d) else (math.inf, math.inf))
+            big = max(abs(x), abs(y))
+            out.append((d, d / big, d / math.ulp(big)) if math.isfinite(d) else (math.inf,) * 3)
     return out
 
 
@@ -137,7 +144,8 @@ def summary(mine: list[str], theirs: list[str]) -> list[str]:
         line = f"{category}: {len(pairs)} values, {len(differing)} differ"
         if diffs:
             line += (f"; largest difference {max(d[0] for d in diffs):.3g} absolute, "
-                     f"{max(d[1] for d in diffs):.3g} relative, over {len(diffs)} floats")
+                     f"{max(d[1] for d in diffs):.3g} relative, {max(d[2] for d in diffs):.3g} "
+                     f"ulp, over {len(diffs)} floats")
         if textual:
             line += f"; {textual} differ in more than their numbers"
         lines.append(line)
@@ -145,12 +153,6 @@ def summary(mine: list[str], theirs: list[str]) -> list[str]:
 
 
 def first_difference(a: str, b: str) -> str:
-    if a.startswith("relay"):
-        x, y = (np.array(floats(s)[1]) for s in (a, b))
-        if x.shape != y.shape:
-            return f"shapes {x.shape} and {y.shape}"
-        i = int(np.flatnonzero(x.view(np.int64) != y.view(np.int64))[0])
-        return f"entry {i}: {x[i]!r} and {y[i]!r}"
     i = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
     return f"character {i}: ...{a[max(0, i - 40):i + 40]!r} and ...{b[max(0, i - 40):i + 40]!r}"
 
@@ -158,7 +160,7 @@ def first_difference(a: str, b: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other", type=Path, help="root of the checkout to compare with")
-    ap.add_argument("--points", type=int, default=3000, help="random relay points")
+    ap.add_argument("--points", type=int, default=3000, help="random relay points and gains")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     mine, theirs = (dump(root.resolve(), args.points, args.seed) for root in (HERE, args.other))

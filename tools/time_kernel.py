@@ -2,7 +2,9 @@
 
     python3 tools/time_kernel.py OTHER_ROOT
 
-Times four layers in this checkout and in OTHER_ROOT: the symplectic pair
+Times five items in this checkout and in OTHER_ROOT.  The first is start-up:
+a fresh ``import cvmdi`` and its first ``key_rate``, once per interpreter.
+Then four layers of the kernel: the symplectic pair
 ``gaussian.two_mode_symplectic`` on the reduced states a gain search
 visits, the gain objective of each protocol (``protocols._gain_objective``)
 over the same gains, and one whole ``optimal_gain`` search, at a point of
@@ -10,15 +12,17 @@ the kind the benchmark's table evaluates: V = 5.04, practical detector,
 L_AC = 10 km, L_BC = 0, and chi_n = 1 for squeezed-modified.  The fourth
 is the paper's table, as the benchmark's ``table`` workload computes it:
 ``analysis.compare_protocols`` at V = 5.04, 'most-asymmetric', with the
-practical detector, each call with an empty relay cache.
+practical detector, each call with an empty relay cache where the library
+has one.
 
 Each of ROUNDS rounds starts one fresh interpreter per checkout, with one
 BLAS thread, and alternates which checkout goes first.  An interpreter
-reports, per item, its best of REPEATS timed loops as microseconds per
-call.  The summary gives each checkout's min and median over the rounds,
-and the ratio of the medians.  On a shared host single timings of the
-same code swing by tens of percent, so one measurement is no comparison.
-Uses only the standard library and numpy; the tests do not run it.
+reports, per kernel item, its best of REPEATS timed loops as microseconds
+per call, and start-up as its one measurement.  The summary gives each
+checkout's min and median over the rounds, and the ratio of the medians.
+On a shared host single timings of the same code swing by tens of
+percent, so one measurement is no comparison.
+Uses only the standard library; the tests do not run it.
 """
 
 import argparse
@@ -37,12 +41,15 @@ CHILD = r'''
 import json, sys, time
 root, repeats = sys.argv[1], int(sys.argv[2])
 sys.path.insert(0, root + "/src")
+t0 = time.perf_counter()
+import cvmdi
+cvmdi.key_rate(cvmdi.ProtocolParams(v_a=5.04, v_b=5.04, l_ac=5.0, l_bc=0.0))
+items = {"import cvmdi, first key_rate": 1e6 * (time.perf_counter() - t0)}
 from cvmdi import AddedNoiseParams, ProtocolParams, analysis, gaussian, protocols
 assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
 eta, v_el = analysis.DETECTOR_PRESETS["practical"]
 base = dict(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, eta=eta, v_el=v_el)
 gains = [0.5 + 2.5 * k / 63 for k in range(64)]
-items = {}
 
 def best(call, n):
     call()
@@ -74,9 +81,11 @@ for protocol, noise in (("squeezed", None), ("coherent", None),
 
     items[f"gain objective, {protocol}"] = best(objectives, len(gains))
 items["optimal_gain, squeezed"] = best(lambda: protocols.optimal_gain(params), 1)
-# the relay cache: a dict per channel where _CHANNEL_COEFFS exists, an lru_cache before
+# the relay cache: a dict per channel where _CHANNEL_COEFFS exists, an lru_cache
+# before it, and nothing to clear where the relay is computed afresh each time
 relays = getattr(protocols, "_CHANNEL_COEFFS", None)
-clear_relays = relays.clear if relays is not None else protocols._gain_coefficients.cache_clear
+clear_relays = (relays.clear if relays is not None
+                else getattr(protocols._gain_coefficients, "cache_clear", lambda: None))
 
 def table():
     clear_relays()
@@ -106,14 +115,14 @@ def main(argv: list[str] | None = None) -> int:
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
             runs[side].append(time_once(roots[side]))
     print(f"us per call over {ROUNDS} rounds, best of {REPEATS} loops each: min / median")
-    print(f"{'':36}{'this checkout':>20}{'other':>20}{'ratio':>8}")
+    print(f"{'':36}{'this checkout':>24}{'other':>24}{'ratio':>8}")
     for item in runs[0][0]:
         cells, medians = [], []
         for side in runs:
             times = [run[item] for run in side]
             medians.append(statistics.median(times))
             cells.append(f"{min(times):.2f} / {medians[-1]:.2f}")
-        print(f"{item:36}{cells[0]:>20}{cells[1]:>20}{medians[0] / medians[1]:>8.3f}")
+        print(f"{item:36}{cells[0]:>24}{cells[1]:>24}{medians[0] / medians[1]:>8.3f}")
     return 0
 
 
