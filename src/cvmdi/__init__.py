@@ -11,13 +11,8 @@ not imported with the package: it is ``cvmdi.matrix``, loaded on first use.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CVMDIError,
-    InvalidParameterError,
-    NumericDomainError,
-    StructuralError,
-)
-from .gaussian import TwoModeCov, g_func, two_mode_symplectic
+from .errors import CVMDIError, InvalidParameterError, NumericDomainError
+from .gaussian import g_func, two_mode_symplectic
 from .protocols import (
     AddedNoiseParams,
     KeyRateReport,
@@ -41,8 +36,8 @@ from .analysis import (
 
 __all__ = [
     "__version__",
-    "CVMDIError", "InvalidParameterError", "NumericDomainError", "StructuralError",
-    "AddedNoiseParams", "KeyRateReport", "ProtocolParams", "TwoModeCov",
+    "CVMDIError", "InvalidParameterError", "NumericDomainError",
+    "AddedNoiseParams", "KeyRateReport", "ProtocolParams",
     "channel_transmittance", "g_func", "key_rate", "optimal_gain", "two_mode_symplectic",
     "ComparisonRow", "ComparisonTable", "MaxDistanceResult",
     "SweepResult", "SweepRow", "SweepSpec",

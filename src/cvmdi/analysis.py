@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import CVMDIError, InvalidParameterError, NumericDomainError, StructuralError
+from .errors import CVMDIError, InvalidParameterError, NumericDomainError
 from .protocols import (
     AddedNoiseParams,
     KeyRateReport,
@@ -94,7 +94,8 @@ class SweepSpec:
             raise InvalidParameterError("chi-n sweeps need protocol 'squeezed-modified'")
         if self.variable == "chi-n" and self.noise is not None:
             raise InvalidParameterError("a chi-n sweep sets chi_n at each point: give it none")
-        check_added_noise(self.base, self.noise)
+        if self.noise is not None:
+            check_added_noise(self.base, self.noise)
 
     @property
     def _end(self) -> float:
@@ -258,10 +259,10 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
        ``optimize_added_noise`` when chi_n is optimised.
 
     A step that gives K > 0 returns it, and a point of known gain becomes
-    the witness.  A witness that raises NumericDomainError or
-    StructuralError counts as K <= 0, so only the searches of steps 2 and 3
-    can raise.  A positive trial thus stands on a point actually evaluated
-    and a non-positive one on the full search, as without steps 1 and 2.
+    the witness.  A witness that raises NumericDomainError counts as
+    K <= 0, so only the searches of steps 2 and 3 can raise.  A positive
+    trial thus stands on a point actually evaluated and a non-positive one
+    on the full search, as without steps 1 and 2.
     With no key at length 0 the result has positive_at_origin False and
     l_star_km = l_ab_km = 0: a protocol without key claims no reach.
     """
@@ -286,7 +287,7 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
             gain, witness_noise = witness
             try:
                 k = key_rate(replace(p, gain=gain), witness_noise).key_rate
-            except (NumericDomainError, StructuralError):
+            except NumericDomainError:
                 k = 0.0
             if k > 0.0:
                 return k

@@ -53,7 +53,7 @@ from .analysis import (
     optimize_added_noise,
     sweep,
 )
-from .errors import CVMDIError, InvalidParameterError, NumericDomainError, StructuralError
+from .errors import CVMDIError, InvalidParameterError, NumericDomainError
 from .protocols import PROTOCOLS, AddedNoiseParams, KeyRateReport, ProtocolParams, key_rate
 
 EXIT_CONFIG = 2
@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _merge(args)
     try:
         return args.func(cfg)
-    except (NumericDomainError, StructuralError) as exc:
+    except NumericDomainError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InvalidParameterError as exc:

@@ -13,7 +13,3 @@ class NumericDomainError(CVMDIError, ArithmeticError):
     """A computation left its numeric domain (unphysical state, singular
     measurement variance, failed eigendecomposition)."""
 
-
-class StructuralError(CVMDIError, RuntimeError):
-    """An assembled covariance matrix violates an expected structural form;
-    signals a circuit-assembly bug rather than bad user input."""

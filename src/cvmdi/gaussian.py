@@ -1,18 +1,17 @@
 """Scalar Gaussian-state algebra in shot-noise units (vacuum variance 1).
 
 The key-rate kernel works on the symmetric two-mode form (a, b, c) of the
-reduced Alice-Bob state, as floats: ``TwoModeCov`` and ``check_two_mode``
-validate it, ``two_mode_symplectic`` gives its symplectic pair, and
-``g_func`` the entropy of one thermal mode.  Everything here uses ``math``
-only.  The multimode matrix engine, which no key-rate path runs, is
-``cvmdi.matrix``; conditioning, entropies and the two-mode matrix form,
-which only tests run, live in ``tests/oracle.py``.
+reduced Alice-Bob state, as floats: ``check_two_mode`` validates it,
+``two_mode_symplectic`` gives its symplectic pair, and ``g_func`` the
+entropy of one thermal mode.  Everything here uses ``math`` only.  The
+multimode matrix engine, which no key-rate path runs, is ``cvmdi.matrix``;
+conditioning, entropies and the two-mode matrix form, which only tests
+run, live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NumericDomainError
 
@@ -29,26 +28,12 @@ _HUGE, _DOWN, _UP = 2.0 ** 500, 2.0 ** -600, 2.0 ** 600
 
 def check_two_mode(a: float, b: float, c: float) -> None:
     """Raise unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL: the validity
-    of the symmetric two-mode form, shared by ``TwoModeCov`` and the scalar
-    key-rate kernel, which works on the floats (a, b, c).  Both tests are
-    written so that NaN fails them."""
+    of the symmetric two-mode form (a, b, c) that the key-rate kernel works
+    on.  Both tests are written so that NaN fails them."""
     if not (a >= 1.0 and b >= 1.0):
         raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
     if not a * b - c * c >= 1.0 - PHYSICALITY_TOL:
         raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
-
-
-@dataclass(frozen=True)
-class TwoModeCov:
-    """Reduced symmetric two-mode form [[a I, c sz], [c sz, b I]], as floats
-    (``tests/oracle.two_mode_state`` builds the matrix)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        check_two_mode(self.a, self.b, self.c)
 
 
 def _two_product(x: float, y: float) -> tuple[float, float]:

@@ -8,9 +8,10 @@ No key-rate path runs this module, and ``import cvmdi`` does not load it
 (nor, with it, numpy).  It is the oracle the tests check the scalar kernel
 against: ``build_mdi_state`` assembles the whole entanglement-based circuit
 of ``protocols`` as covariance matrices, with its four-mode (A3, B5, N1, N3)
-form for ``noise=...``, and ``symplectic_eigenvalues`` certifies it.  The
-benchmark's tracer (``bench/tracer.py``) reads both names off
-``cvmdi.protocols``, whose module ``__getattr__`` loads them from here.
+form for a trusted-noise beamsplitter (t_r, n_r), and
+``symplectic_eigenvalues`` certifies it.  The benchmark's tracer
+(``bench/tracer.py``) reads both names off ``cvmdi.protocols``, whose
+module ``__getattr__`` loads them from here.
 Conditioning, entropies and the two-mode matrix form, which only tests
 run, live in ``tests/oracle.py``.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericDomainError
 from .gaussian import PHYSICALITY_TOL
-from .protocols import AddedNoiseParams, ProtocolParams
+from .protocols import ProtocolParams
 
 SYMMETRY_RTOL = 1e-12
 
@@ -296,13 +297,15 @@ def _displaced_pair(params: ProtocolParams, gain: float) -> GaussianState:
     return linear_feedforward(relay, m)
 
 
-def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = None,
+def build_mdi_state(params: ProtocolParams, noise: tuple[float, float] | None = None,
                     gain: float | None = None) -> GaussianState:
     """Assemble and validate the kept-mode state of the full EB circuit.
 
-    Returns (A3, B4) for the plain circuit, or (A3, B5, N1, N3) when the
-    trusted-noise beamsplitter is present.  ``gain`` overrides
-    ``params.gain``; one of the two must be set.
+    Returns (A3, B4) for the plain circuit, or (A3, B5, N1, N3) when
+    ``noise`` is a trusted-noise beamsplitter (t_r, n_r): half of an EPR
+    pair of variance n_r mixed into B4 at transmissivity t_r, which adds
+    chi_n = (1 - t_r) n_r / t_r.  It needs t_r in (0, 1] and n_r finite and
+    >= 1.  ``gain`` overrides ``params.gain``; one of the two must be set.
     """
     g = gain if gain is not None else params.gain
     if g is None:
@@ -310,11 +313,17 @@ def build_mdi_state(params: ProtocolParams, noise: AddedNoiseParams | None = Non
             "build_mdi_state needs a concrete gain; optimize it with optimal_gain first")
     if g < 0.0:
         raise InvalidParameterError(f"gain must be >= 0, got {g}")
+    if noise is not None:
+        t_r, n_r = noise
+        if not 0.0 < t_r <= 1.0:
+            raise InvalidParameterError(f"t_r must be in (0, 1], got {t_r}")
+        if not 1.0 <= n_r < math.inf:
+            raise InvalidParameterError(f"n_r must be finite and >= 1, got {n_r}")
     state = _displaced_pair(params, g)
     state.require_physical(context="feedforward")
     if noise is None:
         return state
-    state = tensor(state, epr_state(noise.n_r))       # (A3, B4, N2, N1)
-    state = apply_beamsplitter(state, 1, 2, noise.t_r)  # slot1 <- B5, slot2 <- N3
-    state = partial_trace(state, [0, 1, 3, 2])          # (A3, B5, N1, N3)
+    state = tensor(state, epr_state(n_r))         # (A3, B4, N2, N1)
+    state = apply_beamsplitter(state, 1, 2, t_r)  # slot1 <- B5, slot2 <- N3
+    state = partial_trace(state, [0, 1, 3, 2])    # (A3, B5, N1, N3)
     return state.require_physical(context="added-noise")

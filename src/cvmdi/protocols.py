@@ -22,15 +22,19 @@ and ``key_rate`` run these same functions.  A reported point is certified
 physical from the smaller symplectic eigenvalue of (a, b, c), at the
 tolerance of the matrix route's ``GaussianState.require_physical``.
 
+Added noise is its variance chi_n alone (``AddedNoiseParams``): the key
+rate depends on nothing else of the trusted-noise beamsplitter, so no
+realisation of it is built here.
+
 The matrix route is not on the key-rate path and is not loaded with this
 module.  It lives in ``cvmdi.matrix`` (numpy covariance matrices,
-``build_mdi_state`` with its four-mode (A3, B5, N1, N3) circuit for
-``noise=...``), the oracle the tests check the scalar kernel against.  The
-benchmark's tracer (``bench/tracer.py``) binds ``build_mdi_state`` and
-``symplectic_eigenvalues`` in this module, so the module ``__getattr__``
-serves both from ``cvmdi.matrix`` on first use.  The rest of the oracle
-(``extract_two_mode``, ``holevo_generic``, conditioning and entropies)
-lives in ``tests/oracle.py``.
+``build_mdi_state`` with its four-mode (A3, B5, N1, N3) circuit for a
+trusted-noise beamsplitter), the oracle the tests check the scalar kernel
+against.  The benchmark's tracer (``bench/tracer.py``) binds
+``build_mdi_state`` and ``symplectic_eigenvalues`` in this module, so the
+module ``__getattr__`` serves both from ``cvmdi.matrix`` on first use.  The
+rest of the oracle (``extract_two_mode``, ``holevo_generic``, conditioning
+and entropies) lives in ``tests/oracle.py``.
 
 Sign conventions (fixed so the reduced Alice-Bob state has the symmetric
 two-mode form a,b,c with +c on x and -c on p):
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidParameterError, NumericDomainError
-from .gaussian import PHYSICALITY_TOL, TwoModeCov, check_two_mode, g_func, two_mode_symplectic
+from .gaussian import PHYSICALITY_TOL, check_two_mode, g_func, two_mode_symplectic
 from .search import golden_section_max
 
 PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
@@ -131,32 +135,20 @@ _REAL_FIELDS = ("v_a", "v_b", "l_ac", "l_bc", "alpha", "eps1", "eps2", "eta", "v
 
 @dataclass(frozen=True)
 class AddedNoiseParams:
-    """Trusted-noise beamsplitter: EPR of variance n_r mixed in at t_r."""
+    """Trusted Gaussian noise of variance chi_n added to Bob's mode before
+    his homodyne detection (the squeezed-modified protocol)."""
 
-    t_r: float
-    n_r: float
+    chi_n: float
 
     def __post_init__(self):
-        if not 0.0 < self.t_r <= 1.0:
-            raise InvalidParameterError(f"t_r must be in (0, 1], got {self.t_r}")
-        if not 1.0 <= self.n_r < math.inf:
-            raise InvalidParameterError(f"n_r must be finite and >= 1, got {self.n_r}")
-
-    @property
-    def chi_n(self) -> float:
-        return (1.0 - self.t_r) * self.n_r / self.t_r
+        if not 0.0 <= self.chi_n < math.inf:
+            raise InvalidParameterError(f"chi_n must be finite and >= 0, got {self.chi_n}")
 
     @classmethod
     def from_chi_n(cls, chi_n: float) -> "AddedNoiseParams":
-        """Canonical realization of a target added noise.
-
-        n_r = 1 + chi_n with t_r = (1 + chi_n)/(1 + 2 chi_n) keeps n_r >= 1
-        for every chi_n >= 0 and degenerates to the identity at chi_n = 0.
-        The key rate depends on (t_r, n_r) only through chi_n.
-        """
-        if not 0.0 <= chi_n < math.inf:
-            raise InvalidParameterError(f"chi_n must be finite and >= 0, got {chi_n}")
-        return cls(t_r=(1.0 + chi_n) / (1.0 + 2.0 * chi_n), n_r=1.0 + chi_n)
+        """The added noise of variance ``chi_n``, held exactly:
+        ``from_chi_n(x).chi_n == x``."""
+        return cls(chi_n)
 
 
 @dataclass(frozen=True)
@@ -168,7 +160,6 @@ class KeyRateReport:
     key_rate: float
     lambdas: tuple[float, ...]
     gain_used: float
-    reduced: TwoModeCov
     chi_n: float = 0.0
     flags: tuple[str, ...] = ()
 
@@ -244,7 +235,7 @@ def _reduced_state(coeffs: tuple[float, ...], g: float) -> tuple[float, float, f
     TWO_MODE_TOL of the largest of 1, a, b and |c| (the tolerance of the
     oracle's two-mode form), b is not certified and NumericDomainError is
     raised; so it is when b or c overflows.  The result passes
-    ``check_two_mode``, as a ``TwoModeCov`` would.
+    ``check_two_mode``.
     """
     a, b0, b1, b2, c0, c1 = coeffs
     b = (g * b2 + b1) * g + (g * b1 + b0)
@@ -362,36 +353,34 @@ def _rate_terms(a: float, b: float, c: float, protocol: str,
     return i_ab, 0.0, lams, True
 
 
-def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> None:
-    """Raises unless ``noise`` is None or the protocol is squeezed-modified,
-    the only one that takes added noise."""
-    if noise is not None and params.protocol != "squeezed-modified":
+def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> float:
+    """The chi_n that ``noise`` adds to the key rate of ``params``, 0 for None.
+
+    Raises unless the protocol is squeezed-modified exactly when ``noise`` is
+    given: only that protocol takes added noise, and it needs some.
+    """
+    if noise is None:
+        if params.protocol == "squeezed-modified":
+            raise InvalidParameterError(
+                "protocol 'squeezed-modified' needs AddedNoiseParams "
+                "(use AddedNoiseParams.from_chi_n or optimize_added_noise)")
+        return 0.0
+    if params.protocol != "squeezed-modified":
         raise InvalidParameterError(
             f"protocol {params.protocol!r} does not take added-noise parameters")
+    return noise.chi_n
 
 
-def _resolve_noise(params: ProtocolParams,
-                   noise: AddedNoiseParams | None) -> AddedNoiseParams | None:
-    check_added_noise(params, noise)
-    if params.protocol == "squeezed-modified" and noise is None:
-        raise InvalidParameterError(
-            "protocol 'squeezed-modified' needs AddedNoiseParams "
-            "(use AddedNoiseParams.from_chi_n or optimize_added_noise)")
-    return noise
-
-
-def _gain_objective(params: ProtocolParams,
-                    noise: AddedNoiseParams | None) -> Callable[[float], float]:
+def _gain_objective(params: ProtocolParams, chi_n: float) -> Callable[[float], float]:
     """K as a function of the gain, unvalidated and without a report: the
     objective of ``optimal_gain``.
 
-    The point's coefficients, chi_n, beta and protocol are read once, when
-    the objective is built; each call then runs ``_reduced_state`` and
+    The point's coefficients, beta and protocol are read once, when the
+    objective is built; each call then runs ``_reduced_state`` and
     ``_rate_terms``, the arithmetic ``key_rate`` reports at its gain.
     """
     coeffs = _gain_coefficients(params)
     protocol, beta = params.protocol, params.beta
-    chi_n = 0.0 if noise is None else noise.chi_n
 
     def objective(g: float) -> float:
         a, b, c = _reduced_state(coeffs, g)
@@ -415,8 +404,7 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
     objective from ``_gain_objective``, so the per-point work (coefficients,
     their checks, chi_n and beta) is done once, not per gain.
     """
-    noise = _resolve_noise(params, noise)
-    objective = _gain_objective(params, noise)
+    objective = _gain_objective(params, check_added_noise(params, noise))
     hi = gain_bracket(params)
     for _ in range(2):
         g_star = golden_section_max(objective, 0.0, hi, GAIN_TOL)[0]
@@ -444,8 +432,7 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
     that the reduced state at that gain is physical, and evaluates the
     protocol variant selected by ``params.protocol``.
     """
-    noise = _resolve_noise(params, noise)
-    chi_n = 0.0 if noise is None else noise.chi_n
+    chi_n = check_added_noise(params, noise)
     try:
         coeffs = _gain_coefficients(params)
         g = params.gain if params.gain is not None else optimal_gain(params, noise)
@@ -460,7 +447,6 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
         key_rate=params.beta * i_ab - chi,
         lambdas=lams,
         gain_used=g,
-        reduced=TwoModeCov(a, b + chi_n, c),
         chi_n=chi_n,
         flags=("holevo_clamped",) if clamped else (),
     )

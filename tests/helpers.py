@@ -134,7 +134,7 @@ class FullCircuit:
 
 
 def unitary_circuit(params: ProtocolParams, gain: float,
-                    noise: AddedNoiseParams | None = None) -> FullCircuit:
+                    noise: tuple[float, float] | None = None) -> FullCircuit:
     """Build the whole protocol as a pure global state.
 
     Channels and detectors carry their EPR purifications, and the relay
@@ -142,7 +142,8 @@ def unitary_circuit(params: ProtocolParams, gain: float,
     publicly announced quadratures survive as explicit modes (they belong
     to the eavesdropper).  The reduced (alice, bob) state matches the
     production pipeline; entropies of the eve partition give the Holevo
-    bounds without any purity shortcut.
+    bounds without any purity shortcut.  ``noise`` is the trusted-noise
+    beamsplitter (t_r, n_r) of ``cvmdi.matrix.build_mdi_state``.
     """
     state = tensor(epr_state(params.v_a), epr_state(params.v_b))
     idx = {"A3": 0, "A1": 1, "B3": 2, "B1": 3}
@@ -197,16 +198,16 @@ def unitary_circuit(params: ProtocolParams, gain: float,
 
     bob_aux: list[int] = []
     bob = idx["B4"]
-    if noise is not None and noise.t_r < 1.0:
-        n2, n1 = add_epr(noise.n_r)
-        state = apply_beamsplitter(state, idx["B4"], n2, noise.t_r)
+    if noise is not None and noise[0] < 1.0:
+        t_r, n_r = noise
+        n2, n1 = add_epr(n_r)
+        state = apply_beamsplitter(state, idx["B4"], n2, t_r)
         bob_aux = [n1, n2]  # n2 slot now holds N3
     return FullCircuit(state=state, alice=idx["A3"], bob=bob, eve=eve, bob_aux=bob_aux)
 
 
 def oracle_two_mode(circ: FullCircuit) -> tuple[float, float, float]:
-    tm = extract_two_mode(partial_trace(circ.state, [circ.alice, circ.bob]))
-    return tm.a, tm.b, tm.c
+    return extract_two_mode(partial_trace(circ.state, [circ.alice, circ.bob]))
 
 
 def oracle_holevo(circ: FullCircuit, conditioning: str) -> float:
@@ -278,7 +279,7 @@ def _mp_beamsplitter(cov: list[list], mode_i: int, mode_j: int, t) -> list[list]
 
 
 def mp_unitary_circuit(params: ProtocolParams, gain: float,
-                       noise: AddedNoiseParams | None = None, dps: int = 40) -> MpCircuit:
+                       noise: tuple[float, float] | None = None, dps: int = 40) -> MpCircuit:
     """The circuit of ``unitary_circuit``, mode for mode, at ``dps`` digits.
 
     Inputs are taken exactly from their floats and the transmittances
@@ -314,9 +315,10 @@ def mp_unitary_circuit(params: ProtocolParams, gain: float,
         cov = _mp_transform(cov, {bx: {bx: 1, cx: g}, cp: {cp: 1, bp: -g}})
         cov = _mp_transform(cov, {bp: {bp: 1, dp: g}, dx: {dx: 1, bx: -g}})
         eve += [c, d]
-        if noise is not None and noise.t_r < 1.0:
-            n2, _ = _mp_append(cov, _mp_epr(mpf(noise.n_r)))
-            cov = _mp_beamsplitter(cov, b3, n2, mpf(noise.t_r))
+        if noise is not None and noise[0] < 1.0:
+            t_r, n_r = noise
+            n2, _ = _mp_append(cov, _mp_epr(mpf(n_r)))
+            cov = _mp_beamsplitter(cov, b3, n2, mpf(t_r))
     return MpCircuit(cov=cov, alice=a3, bob=b3, eve=eve, dps=dps)
 
 

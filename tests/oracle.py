@@ -7,15 +7,17 @@ traces, symplectic spectra and ``build_mdi_state``), which stays in the
 library but off its import path, plus what follows here, which no
 production path runs: conditioning on a homodyne or heterodyne measurement, von Neumann
 entropies, the conditioning-based Holevo bound, reading (a, b, c) off a
-two-mode covariance, and the reverse, (a, b, c) as a matrix.
+two-mode covariance, and the reverse, (a, b, c) as a matrix.  The key rate
+reads added noise as its variance chi_n alone; the circuits here realise it
+as a beamsplitter (t_r, n_r), canonically ``canonical_realisation(chi_n)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cvmdi.errors import InvalidParameterError, NumericDomainError, StructuralError
-from cvmdi.gaussian import TwoModeCov, g_func
+from cvmdi.errors import InvalidParameterError, NumericDomainError
+from cvmdi.gaussian import check_two_mode, g_func
 from cvmdi.matrix import GaussianState, _quad_indices, symplectic_eigenvalues
 from cvmdi.protocols import TWO_MODE_TOL
 
@@ -26,19 +28,40 @@ def vacuum_state(n_modes: int = 1) -> GaussianState:
     return GaussianState(np.eye(2 * n_modes))
 
 
-def two_mode_state(tm: TwoModeCov) -> GaussianState:
+class AsymmetricFormError(Exception):
+    """A two-mode covariance is not of the symmetric form: the circuit that
+    assembled it has a bug."""
+
+
+def canonical_realisation(chi_n: float) -> tuple[float, float]:
+    """(t_r, n_r) of a trusted-noise beamsplitter that adds ``chi_n``.
+
+    n_r = 1 + chi_n with t_r = (1 + chi_n)/(1 + 2 chi_n) keeps n_r >= 1 for
+    every chi_n >= 0 and degenerates to the identity at chi_n = 0.  Any pair
+    with (1 - t_r) n_r / t_r = chi_n gives the same key rate.
+    """
+    return (1.0 + chi_n) / (1.0 + 2.0 * chi_n), 1.0 + chi_n
+
+
+def realised_chi_n(t_r: float, n_r: float) -> float:
+    """The chi_n that the beamsplitter (t_r, n_r) adds."""
+    return (1.0 - t_r) * n_r / t_r
+
+
+def two_mode_state(a: float, b: float, c: float) -> GaussianState:
     """The covariance [[a I, c sz], [c sz, b I]] of a symmetric two-mode form."""
     return GaussianState(np.block([
-        [tm.a * np.eye(2), tm.c * _SIGMA_Z],
-        [tm.c * _SIGMA_Z, tm.b * np.eye(2)],
+        [a * np.eye(2), c * _SIGMA_Z],
+        [c * _SIGMA_Z, b * np.eye(2)],
     ]))
 
 
-def extract_two_mode(state: GaussianState) -> TwoModeCov:
-    """Read (a, b, c) off a two-mode covariance of the symmetric form.
+def extract_two_mode(state: GaussianState) -> tuple[float, float, float]:
+    """Read (a, b, c) off a two-mode covariance of the symmetric form and
+    check it with ``check_two_mode``.
 
     Any x/p asymmetry or x-p cross coupling beyond TWO_MODE_TOL * max-entry
-    signals a circuit-assembly bug and raises StructuralError.
+    signals a circuit-assembly bug and raises AsymmetricFormError.
     """
     if state.n_modes != 2:
         raise InvalidParameterError(f"expected a two-mode state, got {state.n_modes} modes")
@@ -55,10 +78,12 @@ def extract_two_mode(state: GaussianState) -> TwoModeCov:
     dev = float(np.abs(cov - expected).max())
     tol = TWO_MODE_TOL * scale
     if dev > tol:
-        raise StructuralError(
+        raise AsymmetricFormError(
             f"covariance deviates from the symmetric two-mode form by {dev} "
             f"(tolerance {tol})")
-    return TwoModeCov(a=float(a), b=float(b), c=float(c))
+    a, b, c = float(a), float(b), float(c)
+    check_two_mode(a, b, c)
+    return a, b, c
 
 
 def _split_measured(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ the contract is checked here; ``bench/`` itself is only read.
 import importlib
 import importlib.util
 import inspect
+import itertools
 import random
 from pathlib import Path
 
@@ -76,3 +77,22 @@ def test_sweep_reference_still_holds():
         assert row.report is not None, (case, row.error)
         assert abs(row.report.key_rate - want) <= WORKLOADS.K_TOL_BITS, (
             case, row.report.key_rate, want)
+
+
+def test_cli_workload_check_passes():
+    # the benchmark's own check of its first 12 cli cases, two of each
+    # protocol and format: it rebuilds each row from AddedNoiseParams,
+    # key_rate and the report's fields, so a change to any of them fails here
+    cli = WORKLOADS.Cli(0, WORKLOADS.load_reference())
+    cases = list(itertools.islice(cli.cases(), 12))
+    assert {case[1][:2] for case in cases} == {
+        (fmt, protocol) for protocol, fmt in WORKLOADS.CLI_CASES}
+    for case in cases:
+        assert cli.check(case, cli.run(case)), case[0]
+
+
+def test_table_workload_check_passes():
+    # the benchmark's check of one paper table, edge brackets included
+    table = WORKLOADS.Table(0, WORKLOADS.load_reference())
+    case = next(iter(table.cases()))
+    assert table.check(case, table.run(case))

@@ -518,6 +518,16 @@ def test_csv_and_json_carry_the_same_values(tmp_path, capsys, argv, config):
         assert row == {c: as_cell(cells.get(c), 9) for c in header}  # default precision
 
 
+def test_keyrate_reports_chi_n_as_given(tmp_path, capsys):
+    # at 17 digits the report shows chi_n exactly as given
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"precision": 17}))
+    assert cli.main(["keyrate", "--protocol", "squeezed-modified", "--chi-n", "2",
+                     "--format", "json", "--config", str(path)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["chi_N_snu"] == 2.0
+
+
 def test_csv_rows_have_as_many_fields_as_the_header(tmp_path, capsys):
     # an error row's flags cell carries the failing parameters, commas included
     path = tmp_path / "config.json"

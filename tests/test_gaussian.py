@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
 from cvmdi import InvalidParameterError, NumericDomainError
-from cvmdi.gaussian import TwoModeCov, _two_product, g_func, two_mode_symplectic
+from cvmdi.gaussian import _two_product, check_two_mode, g_func, two_mode_symplectic
 from cvmdi.matrix import (
     GaussianState,
     apply_beamsplitter,
@@ -465,7 +465,7 @@ def test_two_mode_oracle_equivalence_randomized():
             a = b = 1e5  # stress: large balanced variances
         c = t * c_edge(a, b)
         l1, l2 = two_mode_symplectic(a, b, c)
-        lams = symplectic_eigenvalues(two_mode_state(TwoModeCov(a, b, c)))
+        lams = symplectic_eigenvalues(two_mode_state(a, b, c))
         np.testing.assert_allclose(lams, [l1, l2], rtol=1e-9)
 
 
@@ -475,7 +475,7 @@ def test_spectrum_det_identity():
         a = math.exp(rng.uniform(0.0, math.log(50.0)))
         b = math.exp(rng.uniform(0.0, math.log(50.0)))
         c = rng.uniform(0.0, 0.99) * c_edge(a, b)
-        st = two_mode_state(TwoModeCov(a, b, c))
+        st = two_mode_state(a, b, c)
         lams = symplectic_eigenvalues(st)
         det = np.linalg.det(st.cov)
         assert np.prod(lams ** 2) == pytest.approx(det, rel=1e-6)
@@ -518,7 +518,7 @@ def test_g_func_rejects_nan():
                                  (2.0, math.nan, 0.0), (2.0, 2.0, math.nan)])
 def test_two_mode_cov_rejects_nan(abc):
     with pytest.raises(InvalidParameterError):
-        TwoModeCov(*abc)
+        check_two_mode(*abc)
 
 
 def test_g_func_large_argument_accuracy():

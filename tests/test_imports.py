@@ -1,6 +1,6 @@
 """No file in ``src/cvmdi/`` or ``tests/`` imports a name that it never uses,
-``src/cvmdi/`` defines nothing that only tests run, and the key-rate path
-does not load numpy.
+``src/cvmdi/`` defines nothing that only tests run and no exception class
+that it never raises, and the key-rate path does not load numpy.
 
 No linter is part of the toolchain, so each file is parsed with ``ast``: a
 name that an import binds must be read somewhere in the file or be listed in
@@ -85,6 +85,35 @@ def test_src_defines_only_what_runs_outside_tests():
     # a definition that only tests read belongs in tests/ (tests/oracle.py for
     # the matrix engine); an allow-list entry that is now read goes too
     assert unreferenced_definitions() == set(UNREFERENCED)
+
+
+def unraised_errors() -> set[str]:
+    """Exception classes of ``src/cvmdi/errors.py`` that no ``raise`` in
+    ``src/cvmdi/`` names, neither directly nor through a subclass."""
+    src = ROOT / "src" / "cvmdi"
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in ast.parse((src / "errors.py").read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ClassDef)}
+    todo = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in bases:
+                    todo.append(exc.id)
+    live = set()
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(b for b in bases[name] if b in bases)
+    return set(bases) - live
+
+
+def test_every_error_class_is_raised():
+    # an exception type that src/ never raises is dead API: an except clause
+    # naming it catches nothing
+    assert unraised_errors() == set()
 
 
 # A fresh interpreter runs every entry point that needs no matrix, then

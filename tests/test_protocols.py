@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cvmdi import (
     AddedNoiseParams,
@@ -11,8 +12,6 @@ from cvmdi import (
     InvalidParameterError,
     NumericDomainError,
     ProtocolParams,
-    StructuralError,
-    TwoModeCov,
     channel_transmittance,
     key_rate,
     optimal_gain,
@@ -50,7 +49,14 @@ from helpers import (
     reference_abc,
     unitary_circuit,
 )
-from oracle import extract_two_mode, holevo_generic, homodyne_condition
+from oracle import (
+    AsymmetricFormError,
+    canonical_realisation,
+    extract_two_mode,
+    holevo_generic,
+    homodyne_condition,
+    realised_chi_n,
+)
 
 G_HALF = 1.3774437510817343
 
@@ -138,24 +144,47 @@ def test_params_reject_non_finite(field, value):
 
 
 def test_added_noise_params():
-    n = AddedNoiseParams(t_r=0.5, n_r=3.0)
-    assert n.chi_n == pytest.approx(3.0)
-    for chi in (0.0, 0.3, 1.0, 12.5):
-        m = AddedNoiseParams.from_chi_n(chi)
-        assert m.chi_n == pytest.approx(chi, abs=1e-12)
-        assert m.n_r >= 1.0
-    assert AddedNoiseParams.from_chi_n(0.0).t_r == 1.0
-    with pytest.raises(InvalidParameterError):
-        AddedNoiseParams(t_r=0.0, n_r=2.0)
-    with pytest.raises(InvalidParameterError):
-        AddedNoiseParams(t_r=0.5, n_r=0.5)
-    with pytest.raises(InvalidParameterError):
-        AddedNoiseParams.from_chi_n(-0.1)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(InvalidParameterError, match="n_r must be finite"):
-            AddedNoiseParams(t_r=0.5, n_r=bad)
+    for chi in (0.0, 0.3, 1.0, 2.0, 12.5):
+        assert AddedNoiseParams.from_chi_n(chi) == AddedNoiseParams(chi)
+        assert AddedNoiseParams.from_chi_n(chi).chi_n == chi
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
+            AddedNoiseParams(bad)
         with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
             AddedNoiseParams.from_chi_n(bad)
+
+
+MODIFIED_AT_GAIN = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, gain=1.0,
+                                  protocol="squeezed-modified")
+
+
+@given(st.floats(min_value=0.0, allow_infinity=False))
+@example(2.0)
+def test_key_rate_reports_the_chi_n_it_is_given(x):
+    # the report carries chi_n exactly as given
+    try:
+        r = key_rate(MODIFIED_AT_GAIN, AddedNoiseParams.from_chi_n(x))
+    except NumericDomainError:
+        assert x > 1e300  # a (b + chi_n) overflows at the top of the double range
+        return
+    assert r.chi_n == x
+
+
+def test_noise_realisation():
+    # the oracle's canonical beamsplitter realises chi_n with n_r >= 1 and
+    # is the identity at chi_n = 0; build_mdi_state checks any pair it is given
+    for chi in (0.0, 0.3, 1.0, 12.5):
+        t_r, n_r = canonical_realisation(chi)
+        assert realised_chi_n(t_r, n_r) == pytest.approx(chi, abs=1e-12)
+        assert n_r >= 1.0
+    assert canonical_realisation(0.0) == (1.0, 1.0)
+    assert realised_chi_n(0.5, 3.0) == 3.0
+    for t_r in (0.0, 1.5, math.nan):
+        with pytest.raises(InvalidParameterError, match="t_r must be in"):
+            build_mdi_state(IDEAL_10KM, noise=(t_r, 2.0), gain=1.5)
+    for n_r in (0.5, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="n_r must be finite"):
+            build_mdi_state(IDEAL_10KM, noise=(0.5, n_r), gain=1.5)
 
 
 # -------------------------------------------------------------- circuit builder
@@ -168,8 +197,8 @@ def test_build_requires_gain():
 def test_build_output_has_symmetric_form():
     st = build_mdi_state(IDEAL_10KM, gain=1.5)
     assert st.n_modes == 2
-    tm = extract_two_mode(st)  # raises StructuralError if x/p symmetry broken
-    assert tm.a == pytest.approx(1e5)
+    a, _, _ = extract_two_mode(st)  # raises AsymmetricFormError if x/p symmetry broken
+    assert a == pytest.approx(1e5)
     cov = st.cov
     assert cov[0, 0] == pytest.approx(cov[1, 1])
     assert cov[2, 2] == pytest.approx(cov[3, 3])
@@ -185,11 +214,11 @@ def test_build_output_has_symmetric_form():
     (ProtocolParams(v_a=2.0, v_b=2.0, l_ac=0.0, l_bc=0.0), 0.9),
 ])
 def test_build_matches_scalar_reference(params, g):
-    tm = extract_two_mode(build_mdi_state(params, gain=g))
-    a, b, c = reference_abc(params, g)
-    assert tm.a == pytest.approx(a, rel=1e-12)
-    assert tm.b == pytest.approx(b, rel=1e-9)
-    assert tm.c == pytest.approx(c, rel=1e-12)
+    a, b, c = extract_two_mode(build_mdi_state(params, gain=g))
+    a_ref, b_ref, c_ref = reference_abc(params, g)
+    assert a == pytest.approx(a_ref, rel=1e-12)
+    assert b == pytest.approx(b_ref, rel=1e-9)
+    assert c == pytest.approx(c_ref, rel=1e-12)
 
 
 def test_build_matches_full_unitary_circuit():
@@ -198,33 +227,30 @@ def test_build_matches_full_unitary_circuit():
                       (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=0.0,
                                       eta=0.9, v_el=0.015), 1.4)]:
         circ = unitary_circuit(params, g)
-        a, b, c = oracle_two_mode(circ)
-        tm = extract_two_mode(build_mdi_state(params, gain=g))
-        assert tm.a == pytest.approx(a, rel=1e-10)
-        assert tm.b == pytest.approx(b, rel=1e-10)
-        assert tm.c == pytest.approx(c, rel=1e-10)
+        assert extract_two_mode(build_mdi_state(params, gain=g)) == pytest.approx(
+            oracle_two_mode(circ), rel=1e-10)
 
 
 def test_lossless_reduced_state_is_gain_scaled_epr_like():
     p = ProtocolParams(v_a=2.0, v_b=2.0, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0)
-    tm = extract_two_mode(build_mdi_state(p, gain=0.0))
-    assert tm.c == 0.0  # zero gain leaves the halves uncorrelated
+    _, _, c = extract_two_mode(build_mdi_state(p, gain=0.0))
+    assert c == 0.0  # zero gain leaves the halves uncorrelated
     g = optimal_gain(p)
-    tm = extract_two_mode(build_mdi_state(p, gain=g))
-    assert tm.c > 0.0
+    _, _, c = extract_two_mode(build_mdi_state(p, gain=g))
+    assert c > 0.0
 
 
 def test_extract_two_mode_on_plain_epr():
-    tm = extract_two_mode(epr_state(3.0))
-    assert (tm.a, tm.b) == (3.0, 3.0)
-    assert tm.c == pytest.approx(math.sqrt(8.0), rel=1e-15)
+    a, b, c = extract_two_mode(epr_state(3.0))
+    assert (a, b) == (3.0, 3.0)
+    assert c == pytest.approx(math.sqrt(8.0), rel=1e-15)
 
 
 def test_extract_two_mode_rejects_asymmetry():
     cov = epr_state(2.0).cov.copy()
     cov[0, 0] += 1e-3
     cov[1, 1] -= 1e-3
-    with pytest.raises(StructuralError):
+    with pytest.raises(AsymmetricFormError):
         extract_two_mode(GaussianState(cov))
     with pytest.raises(InvalidParameterError):
         extract_two_mode(GaussianState(np.eye(6)))
@@ -278,8 +304,8 @@ def test_reduced_state_equals_matrix_route():
         g = rng.uniform(0.0, 3.0)
         assert within_2_ulp(p), p
         if lossless_ideal(p):
-            tm = TwoModeCov(*_reduced_state(_gain_coefficients(p), g))
-            assert tm == extract_two_mode(_displaced_pair(p, g)), (p, g)
+            assert _reduced_state(_gain_coefficients(p), g) == extract_two_mode(
+                _displaced_pair(p, g)), (p, g)
             exact += 1
     assert exact >= 20
 
@@ -301,9 +327,9 @@ def test_reduced_state_rejects_planted_asymmetry(monkeypatch, i, j):
 
     p = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=7.0, l_bc=1.0)
     monkeypatch.setattr(matrix, "_relay_state", planted)
-    with pytest.raises(StructuralError):
+    with pytest.raises(AsymmetricFormError):
         extract_two_mode(_displaced_pair(p, 1.2))
-    with pytest.raises(StructuralError):
+    with pytest.raises(AsymmetricFormError):
         extract_two_mode(build_mdi_state(p, gain=1.2))
 
 
@@ -387,8 +413,7 @@ def test_no_non_finite_key_rate_is_reported():
             except CVMDIError:
                 continue
             reported += 1
-            numbers = (r.key_rate, r.mutual_info, r.holevo, *r.lambdas, r.gain_used,
-                       r.reduced.a, r.reduced.b, r.reduced.c)
+            numbers = (r.key_rate, r.mutual_info, r.holevo, *r.lambdas, r.gain_used, r.chi_n)
             assert all(map(math.isfinite, numbers)), (p, noise, r)
     assert reported >= 30
 
@@ -402,9 +427,9 @@ def test_key_rate_error_names_the_point_when_gain_is_optimised():
 
 # ----------------------------------------------------------- information measures
 
-def closed_chi(tm, protocol, chi_n=0.0):
-    """Eve's bound from the closed eigenvalue forms, on the pre-noise state ``tm``."""
-    return protocols._rate_terms(tm.a, tm.b, tm.c, protocol, chi_n)[1]
+def closed_chi(abc, protocol, chi_n=0.0):
+    """Eve's bound from the closed eigenvalue forms, on the pre-noise state (a, b, c)."""
+    return protocols._rate_terms(*abc, protocol, chi_n)[1]
 
 
 def test_mutual_information_examples():
@@ -431,7 +456,7 @@ def test_heterodyne_info_bounded_by_twice_homodyne():
 
 
 def test_holevo_uncorrelated_thermal_pair():
-    assert closed_chi(TwoModeCov(2.0, 2.0, 0.0), "squeezed") == pytest.approx(G_HALF, rel=1e-12)
+    assert closed_chi((2.0, 2.0, 0.0), "squeezed") == pytest.approx(G_HALF, rel=1e-12)
 
 
 def test_holevo_closed_vs_generic_on_circuit_states():
@@ -451,19 +476,25 @@ def test_holevo_closed_vs_generic_on_circuit_states():
             holevo_generic(st, 1, "heterodyne"), abs=1e-9)
         # trusted-noise closed form against the 4-mode (A3, B5, N1, N3) state;
         # the matrix route loses ~1e-10 of chi relative at large variances
-        noise = AddedNoiseParams.from_chi_n(10 ** rng.uniform(-3.0, 1.7))
-        st4 = build_mdi_state(p, noise=noise, gain=g)
-        assert closed_chi(tm, "squeezed-modified", noise.chi_n) == pytest.approx(
+        chi_n = 10 ** rng.uniform(-3.0, 1.7)
+        st4 = build_mdi_state(p, noise=canonical_realisation(chi_n), gain=g)
+        assert closed_chi(tm, "squeezed-modified", chi_n) == pytest.approx(
             holevo_generic(st4, 1, "homodyne"), rel=2e-9)
 
 
-def closed_form_holevos(params, noise, g):
-    """(chi, conditioning) of the closed forms at gain g, for the oracle to check."""
+def closed_form_holevos(params, chi_n, g):
+    """(chi, conditioning) of the closed forms at gain g, for the oracle to check;
+    ``chi_n`` None for the plain protocols."""
     tm = extract_two_mode(build_mdi_state(params, gain=g))
-    if noise is None:
+    if chi_n is None:
         return [(closed_chi(tm, "squeezed"), "homodyne"),
                 (closed_chi(tm, "coherent"), "heterodyne")]
-    return [(closed_chi(tm, "squeezed-modified", noise.chi_n), "homodyne")]
+    return [(closed_chi(tm, "squeezed-modified", chi_n), "homodyne")]
+
+
+def realisation(chi_n):
+    """The circuits' trusted-noise beamsplitter for ``chi_n``, None for none."""
+    return None if chi_n is None else canonical_realisation(chi_n)
 
 
 def gains_near_optimum(params):
@@ -487,16 +518,16 @@ def test_holevo_against_eavesdropper_side_oracle():
              (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=0.0,
                              eta=0.9, v_el=0.015), None, 1e-11),
              (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=60.0, l_bc=0.0),
-              AddedNoiseParams.from_chi_n(5.0), 1e-11)]
-    for params, noise, tol in cases:
+              5.0, 1e-11)]
+    for params, chi_n, tol in cases:
         g = optimal_gain(params)  # plain squeezed gain
-        circ = unitary_circuit(params, g, noise)
-        for chi, conditioning in closed_form_holevos(params, noise, g):
+        circ = unitary_circuit(params, g, realisation(chi_n))
+        for chi, conditioning in closed_form_holevos(params, chi_n, g):
             assert chi == pytest.approx(oracle_holevo(circ, conditioning), abs=tol)
-    for noise in (None, AddedNoiseParams.from_chi_n(2.0)):
+    for chi_n in (None, 2.0):
         for g in gains_near_optimum(IDEAL_10KM):
-            circ = mp_unitary_circuit(IDEAL_10KM, g, noise)
-            for chi, conditioning in closed_form_holevos(IDEAL_10KM, noise, g):
+            circ = mp_unitary_circuit(IDEAL_10KM, g, realisation(chi_n))
+            for chi, conditioning in closed_form_holevos(IDEAL_10KM, chi_n, g):
                 assert chi == pytest.approx(mp_oracle_holevo(circ, conditioning), abs=1e-9), g
 
 
@@ -506,7 +537,7 @@ def test_mp_oracle_matches_float_oracle_at_moderate_variance():
     for params, noise in ((ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=2.0,
                                           eta=0.9, v_el=0.015), None),
                           (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=60.0, l_bc=0.0),
-                           AddedNoiseParams.from_chi_n(5.0))):
+                           canonical_realisation(5.0))):
         g = optimal_gain(params)
         circ, mp_circ = unitary_circuit(params, g, noise), mp_unitary_circuit(params, g, noise)
         for conditioning in ("homodyne", "heterodyne"):
@@ -534,13 +565,11 @@ def test_modified_equals_squeezed_as_noise_vanishes():
     for base, tol in ((ProtocolParams(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=10.0), 1e-6),
                       (IDEAL_10KM, 2e-5)):
         g = 1.9
-        k_sq = _gain_objective(replace_protocol(base, "squeezed"), None)(g)
-        noise = AddedNoiseParams(t_r=1.0 - 1e-9, n_r=1.0)
-        k_mod = _gain_objective(replace_protocol(base, "squeezed-modified"), noise)(g)
+        k_sq = _gain_objective(replace_protocol(base, "squeezed"), 0.0)(g)
+        k_mod = _gain_objective(replace_protocol(base, "squeezed-modified"), 1e-9)(g)
         assert abs(k_mod - k_sq) < tol
         # at chi_n = 0 exactly the trusted-noise form is the squeezed one
-        k_zero = _gain_objective(replace_protocol(base, "squeezed-modified"),
-                                 AddedNoiseParams.from_chi_n(0.0))(g)
+        k_zero = _gain_objective(replace_protocol(base, "squeezed-modified"), 0.0)(g)
         assert k_zero == k_sq
 
 
@@ -549,14 +578,13 @@ def test_modified_chi_depends_only_on_chi_n():
                          "squeezed-modified")
     g = 1.25
     chi_target = 3.0
-    realizations = [AddedNoiseParams.from_chi_n(chi_target),
-                    AddedNoiseParams(t_r=0.5, n_r=3.0),
-                    AddedNoiseParams(t_r=0.8, n_r=12.0)]
+    realizations = [canonical_realisation(chi_target), (0.5, 3.0), (0.8, 12.0)]
     ks = []
     oracle_chis = []
     for noise in realizations:
-        assert noise.chi_n == pytest.approx(chi_target, abs=1e-12)
-        ks.append(_gain_objective(p, noise)(g))
+        chi_n = realised_chi_n(*noise)
+        assert chi_n == pytest.approx(chi_target, abs=1e-12)
+        ks.append(_gain_objective(p, chi_n)(g))
         # the production path sees chi_n alone; the invariance it relies on
         # is checked on the 4-mode matrix oracle, which sees (t_r, n_r)
         oracle_chis.append(holevo_generic(build_mdi_state(p, noise=noise, gain=g),
@@ -582,25 +610,23 @@ def test_modified_holevo_invariant_under_noise_realisation(detector):
                            eta=eta, v_el=v_el, protocol="squeezed-modified")
         g = rng.uniform(0.5, 1.5) * math.sqrt(2.0 / (eta * p.t_2))
         chi_n = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
-        realisations = [AddedNoiseParams.from_chi_n(chi_n),
-                        AddedNoiseParams(t_r=1.0 / (1.0 + chi_n), n_r=1.0)]
+        realisations = [canonical_realisation(chi_n), (1.0 / (1.0 + chi_n), 1.0)]
         if chi_n >= 1.0:
-            realisations.append(AddedNoiseParams(t_r=0.5, n_r=chi_n))
+            realisations.append((0.5, chi_n))
         chis = [holevo_generic(build_mdi_state(p, noise=noise, gain=g), 1, "homodyne")
                 for noise in realisations]
-        closed = closed_chi(TwoModeCov(*_reduced_state(_gain_coefficients(p), g)),
-                            "squeezed-modified", chi_n)
+        closed = closed_chi(_reduced_state(_gain_coefficients(p), g), "squeezed-modified", chi_n)
         assert max(chis) - min(chis) < 1e-9, (p, g, chi_n)
         assert all(chi == pytest.approx(closed, abs=1e-9) for chi in chis), (p, g, chi_n)
 
 
 def test_modified_matches_generic_entropy_engine():
     p = replace_protocol(IDEAL_10KM, "squeezed-modified")
-    noise = AddedNoiseParams(t_r=0.99, n_r=1.0)
+    noise = (0.99, 1.0)
     g = 1.8
     st4 = build_mdi_state(p, noise=noise, gain=g)
     tm = extract_two_mode(build_mdi_state(p, gain=g))
-    assert closed_chi(tm, "squeezed-modified", noise.chi_n) == pytest.approx(
+    assert closed_chi(tm, "squeezed-modified", realised_chi_n(*noise)) == pytest.approx(
         holevo_generic(st4, 1, "homodyne"), abs=1e-9)
 
 
@@ -619,11 +645,11 @@ def test_trusted_noise_conditional_spectrum():
     # orders the conditional (A3, N1, N3) spectrum of the matrix oracle
     p = replace_protocol(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=20.0, l_bc=0.0),
                          "squeezed-modified")
-    noise = AddedNoiseParams.from_chi_n(1.5)
+    chi_n = 1.5
     g = 1.3
-    tm = extract_two_mode(build_mdi_state(p, gain=g))
-    lams = _trusted_noise_conditional(tm.a, tm.b, tm.c, noise.chi_n)
-    cond = homodyne_condition(build_mdi_state(p, noise=noise, gain=g), 1, "x")
+    lams = _trusted_noise_conditional(*extract_two_mode(build_mdi_state(p, gain=g)), chi_n)
+    cond = homodyne_condition(
+        build_mdi_state(p, noise=canonical_realisation(chi_n), gain=g), 1, "x")
     np.testing.assert_allclose(lams, symplectic_eigenvalues(cond), rtol=1e-10)
     assert lams[2] == 1.0
 
@@ -751,8 +777,8 @@ def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
             if not lossless_ideal(p):
                 assert within_2_ulp(p), p
                 continue
-            tm = extract_two_mode(_displaced_pair(p, g))
-            i_ab, chi, _, _ = protocols._rate_terms(tm.a, tm.b, tm.c, protocol, chi_n)
+            abc = extract_two_mode(_displaced_pair(p, g))
+            i_ab, chi, _, _ = protocols._rate_terms(*abc, protocol, chi_n)
             assert p.beta * i_ab - chi == k, (p, g)
 
 
@@ -775,17 +801,18 @@ def test_key_rate_modified_report():
                          "squeezed-modified")
     noise = AddedNoiseParams.from_chi_n(2.0)
     r = key_rate(p, noise)
-    assert r.chi_n == pytest.approx(2.0, abs=1e-12)
+    assert r.chi_n == 2.0
     assert len(r.lambdas) == 5
-    assert r.reduced.b == pytest.approx(
-        extract_two_mode(build_mdi_state(p, gain=r.gain_used)).b + 2.0, rel=1e-9)
+    # the noise adds chi_n to Bob's variance in I_AB
+    a, b, c = extract_two_mode(build_mdi_state(p, gain=r.gain_used))
+    assert r.mutual_info == pytest.approx(_homodyne_info(a, b + 2.0, c), rel=1e-9)
 
 
 def test_coherent_protocol_report():
     p = replace_protocol(ProtocolParams(v_a=1e5, v_b=1e5, l_ac=3.0, l_bc=3.0), "coherent")
     r = key_rate(p)
-    tm = r.reduced
-    assert r.mutual_info == pytest.approx(_heterodyne_info(tm.a, tm.b, tm.c), rel=1e-12)
+    tm = _reduced_state(_gain_coefficients(p), r.gain_used)
+    assert r.mutual_info == pytest.approx(_heterodyne_info(*tm), rel=1e-12)
     assert r.holevo == pytest.approx(closed_chi(tm, "coherent"), rel=1e-12)
 
 
@@ -793,7 +820,7 @@ def test_coherent_protocol_report():
 
 def test_optimal_gain_is_local_max():
     g = optimal_gain(IDEAL_10KM)
-    k_of = _gain_objective(IDEAL_10KM, None)
+    k_of = _gain_objective(IDEAL_10KM, 0.0)
     for dg in (-1e-3, 1e-3):
         assert k_of(g + dg) <= k_of(g) + 1e-12
 
@@ -802,7 +829,7 @@ def test_optimal_gain_beats_grid_lossless_limit():
     # relay on Bob's side, ideal detection, essentially infinite source
     p = ProtocolParams(v_a=1e5, v_b=1e5, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0)
     g = optimal_gain(p)
-    k_of = _gain_objective(p, None)
+    k_of = _gain_objective(p, 0.0)
     k_star = k_of(g)
     grid = np.arange(0.0, 10.0 + 1e-12, 0.001)
     k_grid = max(k_of(float(x)) for x in grid)
@@ -811,7 +838,7 @@ def test_optimal_gain_beats_grid_lossless_limit():
 
 def test_optimal_gain_grid_agreement_at_10km():
     g = optimal_gain(IDEAL_10KM)
-    k_of = _gain_objective(IDEAL_10KM, None)
+    k_of = _gain_objective(IDEAL_10KM, 0.0)
     k_star = k_of(g)
     grid = np.linspace(max(g - 0.05, 0.0), g + 0.05, 2001)
     k_grid = max(k_of(float(x)) for x in grid)
@@ -832,13 +859,12 @@ def test_gain_profile_is_unimodal(protocol, chi_n, detector, variance):
     # golden-section search assumes K(g) rises, then falls on [0, gain_bracket]
     eta, v_el = DETECTOR_PRESETS[detector]
     v = VARIANCE_PRESETS[variance]
-    noise = None if chi_n is None else AddedNoiseParams.from_chi_n(chi_n)
     for l_ac in (0.0, 0.5, 5.0, 12.0, 30.0):
         for l_bc in (0.0, 1.0, 5.0):
             p = ProtocolParams(v_a=v, v_b=v, l_ac=l_ac, l_bc=l_bc, eta=eta, v_el=v_el,
                                protocol=protocol)
             grid = np.linspace(0.0, gain_bracket(p), 161)
-            k_of = _gain_objective(p, noise)
+            k_of = _gain_objective(p, 0.0 if chi_n is None else chi_n)
             k = np.array([k_of(float(g)) for g in grid])
             steps = np.sign(np.diff(k))
             steps = steps[steps != 0.0]

@@ -38,7 +38,7 @@ ROUNDS = 10
 REPEATS = 7
 
 CHILD = r'''
-import json, sys, time
+import inspect, json, sys, time
 root, repeats = sys.argv[1], int(sys.argv[2])
 sys.path.insert(0, root + "/src")
 t0 = time.perf_counter()
@@ -70,10 +70,12 @@ def pairs():
         pair(a, b, c)
 
 items["two_mode_symplectic"] = best(pairs, len(states))
-for protocol, noise in (("squeezed", None), ("coherent", None),
-                        ("squeezed-modified", AddedNoiseParams.from_chi_n(1.0))):
+# the objective takes chi_n as a float; a checkout from before took AddedNoiseParams
+takes_chi_n = "chi_n" in inspect.signature(protocols._gain_objective).parameters
+for protocol, chi_n in (("squeezed", 0.0), ("coherent", 0.0), ("squeezed-modified", 1.0)):
     p = ProtocolParams(**base, protocol=protocol)
-    objective = protocols._gain_objective(p, noise)
+    noise = AddedNoiseParams.from_chi_n(chi_n) if chi_n else None
+    objective = protocols._gain_objective(p, chi_n if takes_chi_n else noise)
 
     def objectives():
         for g in gains:
