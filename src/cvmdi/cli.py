@@ -11,9 +11,17 @@ detector names, and the geometry's max-distance mode, are the library's
 (``protocols.PROTOCOLS``, ``analysis.GEOMETRY_MODES``,
 ``analysis.DETECTOR_PRESETS``).
 Configuration comes from defaults, an optional JSON config file, and
-flags, in increasing precedence.  Outputs are deterministic CSV or JSON
-tables.  Every subcommand's metadata is one flat record, the resolved
-configuration with ``tool_version`` (``_resolved_echo``).
+flags, in increasing precedence.  ``READS`` names the settings each
+subcommand reads; any other setting, given as a flag or as a config key,
+exits 2 before anything is computed.  A read that depends on another
+setting still counts: ``maxdist`` reads ``l_bc`` only in the asymmetric
+geometry, and ``sweep`` reads the lengths its variable does not scan.
+All subcommands share one argparse parent, so ``--help`` lists every
+flag and each subcommand's description names the settings it reads;
+per-command parsers would double the cost of building the parser, which
+every call pays.  Outputs are deterministic CSV or JSON tables.  Every
+subcommand's metadata is one flat record, the resolved values of the
+settings it read with ``tool_version`` (``_resolved_echo``).
 
 Every table is written by ``_write`` from rows of JSON-shaped dicts.  The
 headers are spelled in three constants: REPORT_COLUMNS (one key-rate
@@ -83,6 +91,17 @@ DEFAULTS = {
     "precision": 9,
 }
 
+_ALL = frozenset(DEFAULTS)
+# the settings each subcommand reads: its rows change with each of them
+READS = {
+    "keyrate": _ALL - {"geometry", "tol_km", "sweep"},
+    "sweep": _ALL - {"geometry", "tol_km"},
+    "maxdist": _ALL - {"l_ac", "sweep"},  # the scanned length
+    "optnoise": _ALL - {"chi_n", "geometry", "tol_km", "sweep"},
+    "compare": _ALL - {"protocol", "eta", "v_el", "l_ac", "l_bc", "chi_n", "sweep"},
+}
+_DESCRIPTIONS = {c: f"Reads {', '.join(sorted(r))}; any other setting exits 2."
+                 for c, r in READS.items()}  # each subcommand's --help
 _SWEEP_KEYS = {"variable", "start", "stop", "step"}
 
 REPORT_COLUMNS = ["I_AB_bits", "chi_BE_bits", "K_bits",
@@ -94,7 +113,6 @@ COMPARE_COLUMNS = ["protocol", "detector", "l_bc_km", "l_star_km", "l_ab_km",
 
 X_UNITS = {"distance-symmetric": "km", "lac-with-fixed-lbc": "km", "chi-n": "snu"}
 OPTIMIZE = {"optimize": None}
-GIVEN = "_given"  # cfg key of the explicitly set settings; not a setting itself
 
 
 def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
@@ -110,25 +128,20 @@ def load_config(path: str) -> dict:
         _fail_config(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         _fail_config(f"config {path} must hold a JSON object")
-    unknown = set(data) - set(DEFAULTS)
-    if unknown:
-        _fail_config(f"unknown config keys: {', '.join(sorted(unknown))}")
-    sweep_block = data.get("sweep")
-    if sweep_block is not None:
-        if not isinstance(sweep_block, dict):
-            _fail_config("config key 'sweep' must be an object")
-        bad = set(sweep_block) - _SWEEP_KEYS
-        if bad:
-            _fail_config(f"unknown sweep keys: {', '.join(sorted(bad))}")
     return data
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """DEFAULTS overlaid by the config file, then by the flags; cfg[GIVEN]
-    names the settings that the config file or a flag set."""
+    """The settings the command reads: DEFAULTS overlaid by the config file,
+    then by the flags.  Any other setting given exits 2."""
     given = load_config(args.config) if args.config else {}
     given.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
-    return {**DEFAULTS, **given, GIVEN: frozenset(given)}
+    unread = sorted(set(given) - READS[args.command])
+    if unread:
+        _fail_config(f"{args.command} does not read {', '.join(map(repr, unread))}")
+    # compare runs every detector preset unless given one
+    defaults = {**DEFAULTS, "detector": None} if args.command == "compare" else DEFAULTS
+    return {k: given.get(k, defaults[k]) for k in READS[args.command]}
 
 
 def _num(cfg: dict, key: str, names: dict | None = None) -> float | None:
@@ -137,7 +150,7 @@ def _num(cfg: dict, key: str, names: dict | None = None) -> float | None:
     if names and isinstance(val, str) and val in names:
         return names[val]
     try:
-        x = float(val)
+        x = math.nan if isinstance(val, bool) else float(val)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
@@ -153,12 +166,14 @@ def _choice(cfg: dict, key: str, choices) -> str:
 
 
 def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
-    """Checks every setting but the sweep block, then returns the parameter
-    point and its fixed added noise, None when chi_n is 'optimize'.
+    """Checks every setting but the sweep block and tol_km, which the
+    commands that read them parse, then returns the parameter point and its
+    fixed added noise, None when chi_n is 'optimize'.  A setting that cfg
+    lacks takes its default.
     """
+    cfg = {**DEFAULTS, **cfg}
     _choice(cfg, "format", ("csv", "json"))
     _choice(cfg, "geometry", GEOMETRY_MODES)
-    _num(cfg, "tol_km")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         _fail_config(f"out must be a path, got {cfg['out']!r}")
     # a double holds at most 17 significant digits; more would print its
@@ -184,13 +199,8 @@ def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
 
 
 def _resolved_echo(cfg: dict, params: ProtocolParams) -> dict:
-    echo = {k: cfg[k] for k in sorted(DEFAULTS) if k not in ("v_a", "v_b", "eta", "v_el")}
-    echo.update({
-        "v_a": params.v_a, "v_b": params.v_b,
-        "eta": params.eta, "v_el": params.v_el,
-        "tool_version": __version__,
-    })
-    return echo
+    resolved = {"v_a": params.v_a, "v_b": params.v_b, "eta": params.eta, "v_el": params.v_el}
+    return {**{k: resolved.get(k, v) for k, v in cfg.items()}, "tool_version": __version__}
 
 
 def _report(report: KeyRateReport) -> dict:
@@ -276,11 +286,9 @@ def cmd_keyrate(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     params, noise = _resolve(cfg)
     block = cfg["sweep"]
-    if not block:
-        _fail_config("sweep needs a 'sweep' config block with variable/start/stop/step")
-    for field in ("variable", "start", "stop", "step"):
-        if field not in block:
-            _fail_config(f"sweep block is missing '{field}'")
+    if not isinstance(block, dict) or set(block) != _SWEEP_KEYS:
+        _fail_config("sweep needs a 'sweep' config object with the keys variable, start, "
+                     f"stop and step, got {block!r}")
     spec = SweepSpec(block["variable"], start=_num(block, "start"), stop=_num(block, "stop"),
                      step=_num(block, "step"), base=params, noise=noise)
     result = sweep(spec)
@@ -310,10 +318,10 @@ def cmd_optnoise(cfg: dict) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
-    params, _ = _resolve(cfg)
-    given = {"detectors": (cfg["detector"],)} if "detector" in cfg[GIVEN] else {}
+    detector = cfg["detector"]
+    params, _ = _resolve({**cfg, "detector": "perfect" if detector is None else detector})
     table = compare_protocols(params, geometry=cfg["geometry"], tol_km=_num(cfg, "tol_km"),
-                              **given)
+                              detectors=DETECTOR_PRESETS if detector is None else (detector,))
     _write(cfg, params, COMPARE_COLUMNS, [asdict(r) for r in table.rows])
     return 0
 
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("keyrate", cmd_keyrate), ("sweep", cmd_sweep),
                      ("maxdist", cmd_maxdist), ("optnoise", cmd_optnoise),
                      ("compare", cmd_compare)):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[common], description=_DESCRIPTIONS[name])
         p.set_defaults(func=fn)
     return parser
 

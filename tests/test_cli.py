@@ -57,6 +57,14 @@ def shipped_sweep_grid():
     return [float(f"{start + k * step:.{cfg['precision']}g}") for k in range(n)]
 
 
+def exit_code(argv):
+    """cli.main's exit code, also when a configuration error exits through SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def meta_line(text):
     for line in text.splitlines():
         if line.startswith("# config "):
@@ -266,10 +274,10 @@ def test_optnoise_requires_modified_protocol():
     (["maxdist"], "protocol 'squeezed' does not take added-noise parameters"),
     (["sweep", "--config", str(SHIPPED_SWEEP)],
      "protocol 'squeezed' does not take added-noise parameters"),
-    (["optnoise"], "added-noise optimization needs protocol 'squeezed-modified'"),
+    (["optnoise"], "optnoise does not read 'chi_n'"),
 ])
 def test_chi_n_with_a_plain_protocol_exits_2(capsys, argv, message):
-    assert cli.main([*argv, "--protocol", "squeezed", "--chi-n", "2"]) == 2
+    assert exit_code([*argv, "--protocol", "squeezed", "--chi-n", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
@@ -294,9 +302,10 @@ def test_metadata_is_the_resolved_config_record(capsys, command):
         metas[fmt] = meta_line(out) if fmt == "csv" else json.loads(out)["metadata"]
     assert metas["csv"] == {**metas["json"], "format": "csv"}
     meta = metas["json"]
+    assert set(meta) == cli.READS[command] | {"tool_version"}
     assert meta["tool_version"] == cli.__version__
-    assert meta["v_a"] == 5.04 and meta["eta"] == 0.9
-    assert not {"spec", "base", "config"} & set(meta)
+    # compare sets eta per preset row, so its record holds none
+    assert meta["v_a"] == 5.04 and meta.get("eta") == (None if command == "compare" else 0.9)
 
 
 @pytest.mark.parametrize("geometry", ["symmetric", "most-asymmetric"])
@@ -307,7 +316,7 @@ def test_maxdist_geometry_matches_its_compare_row(capsys, geometry):
         assert cli.main(["maxdist", *argv, "--lbc", lbc]) == 0
         results.append(json.loads(capsys.readouterr().out)["result"])
     assert results[0] == results[1]
-    assert cli.main(["compare", *argv, "--lbc", "3"]) == 0
+    assert cli.main(["compare", *argv]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     [row] = [r for r in rows if r["protocol"] == "squeezed"]
     assert row["l_star_km"] == results[0]["l_star_km"]
@@ -322,7 +331,7 @@ def test_compare_table_structure():
     assert {(r["protocol"], r["detector"]) for r in rows} == {
         (p, d) for p in ("coherent", "squeezed", "squeezed-modified")
         for d in ("perfect", "practical")}
-    assert payload["metadata"]["detector"] == "perfect"
+    assert payload["metadata"]["detector"] is None  # every preset ran; each row names its own
     assert payload["metadata"]["tool_version"]
 
 
@@ -445,13 +454,18 @@ def test_maxdist_rejects_bad_tol_km(tol_km):
     ("keyrate", {"precision": 0}),
     ("keyrate", {"format": "xml"}),
     ("maxdist", {"tol_km": "x"}),
-    ("keyrate", {"tol_km": "x"}),
-    ("keyrate", {"geometry": []}),
+    ("compare", {"tol_km": "x"}),
+    ("maxdist", {"geometry": []}),
     ("keyrate", {"out": 7}),
     ("keyrate", {"out": "no-such-directory/row.csv"}),
     ("sweep", {"sweep": {"variable": "distance-symmetric",
                          "start": -math.inf, "stop": 1.0, "step": 1.0}}),
     ("keyrate", {"precision": 18}),
+    ("keyrate", {"gain": True}),
+    ("keyrate", {"l_ac": False}),
+    ("keyrate", {"variance": True}),
+    ("sweep", {"sweep": {"variable": "distance-symmetric",
+                         "start": False, "stop": True, "step": True}}),
 ])
 def test_malformed_config_value_exits_2(tmp_path, command, bad):
     cfg = tmp_path / "bad.json"
@@ -460,6 +474,84 @@ def test_malformed_config_value_exits_2(tmp_path, command, bad):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+# CONTEXT is a point at which each setting a command reads moves that
+# command's output; OTHER holds another value for every setting.
+CONTEXT = {"protocol": "squeezed-modified", "variance": "realistic", "detector": "practical",
+           "v_a": 6.0, "eta": 0.85, "l_ac": 0.5, "l_bc": 0.2, "beta": 0.95,
+           "geometry": "asymmetric", "tol_km": 0.2,
+           "sweep": {"variable": "chi-n", "start": 0.0, "stop": 2.0, "step": 1.0}}
+OTHER = {"protocol": "squeezed", "variance": 8.0, "detector": "perfect", "v_a": 7.0,
+         "v_b": 7.0, "eta": 0.8, "v_el": 0.03, "l_ac": 1.0, "l_bc": 0.4, "alpha": 0.25,
+         "eps1": 0.02, "eps2": 0.02, "beta": 0.9, "gain": 1.2, "chi_n": 10.0,
+         "geometry": "symmetric", "tol_km": 0.1, "format": "json", "out": "rows.out",
+         "precision": 2, "sweep": {"variable": "chi-n", "start": 0.0, "stop": 3.0, "step": 1.0}}
+# compare scans four L_BC per row in the asymmetric geometry
+COMPARE_GEOMETRY = {"geometry": "symmetric"}, {"geometry": "most-asymmetric"}
+FLAGS = {"protocol": "--protocol", "geometry": "--geometry", "detector": "--detector",
+         "variance": "--variance", "l_ac": "--lac", "l_bc": "--lbc", "chi_n": "--chi-n",
+         "gain": "--gain", "beta": "--beta", "format": "--format", "out": "--out",
+         "tol_km": "--tol-km"}
+
+
+def test_every_setting_is_read_by_some_command():
+    assert set(OTHER) == set(cli.DEFAULTS) == set().union(*cli.READS.values())
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c in cli.READS
+                                         for k in sorted(set(cli.DEFAULTS) - cli.READS[c])])
+def test_an_unread_setting_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch,
+                                                        command, key):
+    def computed(cfg):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(cli, "_resolve", computed)  # every command resolves first
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: OTHER[key]}))
+    argvs = [[command, "--config", str(path)]]
+    if key in FLAGS:
+        argvs.append([command, FLAGS[key], str(OTHER[key])])
+    for argv in argvs:
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command} does not read '{key}'\n"
+
+
+def rows_of(text):
+    """A command's output without its record: the CSV lines after the
+    ``# config`` line, or the JSON payload without its metadata."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        del payload["metadata"]
+        return payload
+    return [line for line in text.splitlines() if not line.startswith("# config ")]
+
+
+@pytest.mark.filterwarnings("ignore:added-noise profile not unimodal:RuntimeWarning")
+@pytest.mark.parametrize("command", list(cli.READS))
+def test_the_settings_a_command_reads_are_those_that_move_its_output(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    # With every setting accepted, each one is changed in turn in the
+    # context; the exit code or the rows, the record aside, must move
+    # exactly for the settings of READS[command].
+    reads = cli.READS[command]
+    monkeypatch.setitem(cli.READS, command, frozenset(cli.DEFAULTS))
+    monkeypatch.chdir(tmp_path)
+    context, other = CONTEXT, OTHER
+    if command == "compare":
+        context, other = {**CONTEXT, **COMPARE_GEOMETRY[0]}, {**OTHER, **COMPARE_GEOMETRY[1]}
+
+    def output(cfg):
+        Path("config.json").write_text(json.dumps(cfg))
+        code = exit_code([command, "--config", "config.json"])
+        return code, rows_of(capsys.readouterr().out)
+
+    base = output(context)
+    assert base[0] == 0 and base[1]
+    moved = {key for key in cli.DEFAULTS if output({**context, key: other[key]}) != base}
+    assert moved == reads
 
 
 def json_as_cells(row):

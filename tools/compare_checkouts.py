@@ -10,12 +10,16 @@ in ``float.hex``, the error where it raises; ``optimize_added_noise`` at
 NOISE_POINTS seeded random squeezed-modified points; K, gain and lambdas at
 every sweep point of ``bench/reference.json`` (only read); the rows of the
 benchmark's table; ``compare_protocols`` for every geometry, variance preset
-and detector preset; and exit code, stdout and stderr of every subcommand on
-this checkout's ``configs/*.json``.  Prints every value that differs, at
-its first differing float or character, then one summary line per category
-(relay, optnoise, sweep, table, compare, cli): values compared, values
-differing, and the largest absolute, relative and ulp difference among the
-floats that differ.  Exits 1 if any value differs, else 0.
+and detector preset; and exit code, stdout and stderr of ``sweep`` on
+this checkout's ``configs/*.json`` and of each other subcommand on CLI_ARGV,
+settings that it reads.  The rows of a CLI output (category cli) are
+compared apart from its ``# config`` or ``metadata`` record (category
+record), so that a change to the record alone shows as such.  Prints every
+value that differs, at its first differing float or character, then one
+summary line per category (relay, optnoise, sweep, table, compare, cli,
+record): values compared, values differing, and the largest absolute,
+relative and ulp difference among the floats that differ.  Exits 1 if any
+value differs, else 0.
 """
 
 import argparse
@@ -76,15 +80,32 @@ for geometry in analysis.GEOMETRIES:
         for detector in analysis.DETECTOR_PRESETS:
             for row in analysis.compare_protocols(base, geometry, (detector,)).rows:
                 print(f"compare {geometry} {variance}\t{row!r}")
-for path in sorted(glob.glob(configs + "/*.json")):
-    for command in ("keyrate", "sweep", "maxdist", "optnoise", "compare"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([command, "--config", path])
-            except SystemExit as exc:
-                code = exc.code
-        print(f"cli {command} {path}\t{json.dumps([code, out.getvalue(), err.getvalue()])}")
+CLI_ARGV = [
+    ["keyrate", "--variance", "realistic", "--detector", "practical", "--lac", "2", "--lbc", "1"],
+    ["keyrate", "--protocol", "squeezed-modified", "--chi-n", "2", "--format", "json"],
+    ["maxdist", "--variance", "realistic", "--detector", "practical",
+     "--geometry", "most-asymmetric"],
+    ["optnoise", "--protocol", "squeezed-modified", "--variance", "realistic",
+     "--detector", "practical", "--lac", "11", "--format", "json"],
+    ["compare", "--variance", "realistic", "--geometry", "symmetric", "--tol-km", "0.2"],
+]
+for argv in [["sweep", "--config", p] for p in sorted(glob.glob(configs + "/*.json"))] + CLI_ARGV:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    rows, record = out.getvalue(), None
+    if rows.startswith("# config "):
+        line, _, rows = rows.partition("\n")
+        record = json.loads(line[len("# config "):])
+    elif rows.startswith("{"):
+        payload = json.loads(rows)
+        record = payload.pop("metadata")
+        rows = json.dumps(payload, sort_keys=True)
+    print(f"cli {' '.join(argv)}\t{json.dumps([code, rows, err.getvalue()])}")
+    print(f"record {' '.join(argv)}\t{json.dumps(record, sort_keys=True)}")
 '''
 
 
@@ -97,7 +118,7 @@ def dump(root: Path, points: int, seed: int) -> list[str]:
                           check=True).stdout.splitlines()
 
 
-CATEGORIES = ("relay", "optnoise", "sweep", "table", "compare", "cli")
+CATEGORIES = ("relay", "optnoise", "sweep", "table", "compare", "cli", "record")
 
 # a number not inside a name such as lambda1: the floats of a repr, a CSV or JSON
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
