@@ -115,19 +115,14 @@ X_UNITS = {"distance-symmetric": "km", "lac-with-fixed-lbc": "km", "chi-n": "snu
 OPTIMIZE = {"optimize": None}
 
 
-def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(EXIT_CONFIG)
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _fail_config(f"cannot read config {path}: {exc}")
+        raise InvalidParameterError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
-        _fail_config(f"config {path} must hold a JSON object")
+        raise InvalidParameterError(f"config {path} must hold a JSON object")
     return data
 
 
@@ -138,7 +133,7 @@ def _merge(args: argparse.Namespace) -> dict:
     given.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     unread = sorted(set(given) - READS[args.command])
     if unread:
-        _fail_config(f"{args.command} does not read {', '.join(map(repr, unread))}")
+        raise InvalidParameterError(f"{args.command} does not read {', '.join(map(repr, unread))}")
     # compare runs every detector preset unless given one
     defaults = {**DEFAULTS, "detector": None} if args.command == "compare" else DEFAULTS
     return {k: given.get(k, defaults[k]) for k in READS[args.command]}
@@ -155,13 +150,13 @@ def _num(cfg: dict, key: str, names: dict | None = None) -> float | None:
         x = math.nan
     if not math.isfinite(x):
         choices = "".join(f" or {n!r}" for n in names or ())
-        _fail_config(f"{key} must be a finite number{choices}, got {val!r}")
+        raise InvalidParameterError(f"{key} must be a finite number{choices}, got {val!r}")
     return x
 
 
 def _choice(cfg: dict, key: str, choices) -> str:
     if not isinstance(cfg[key], str) or cfg[key] not in choices:
-        _fail_config(f"{key} must be one of {sorted(choices)}, got {cfg[key]!r}")
+        raise InvalidParameterError(f"{key} must be one of {sorted(choices)}, got {cfg[key]!r}")
     return cfg[key]
 
 
@@ -175,11 +170,12 @@ def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
     _choice(cfg, "format", ("csv", "json"))
     _choice(cfg, "geometry", GEOMETRY_MODES)
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        _fail_config(f"out must be a path, got {cfg['out']!r}")
+        raise InvalidParameterError(f"out must be a path, got {cfg['out']!r}")
     # a double holds at most 17 significant digits; more would print its
     # binary expansion as if it were significant
     if type(cfg["precision"]) is not int or not 1 <= cfg["precision"] <= 17:
-        _fail_config(f"precision must be an integer from 1 to 17, got {cfg['precision']!r}")
+        raise InvalidParameterError(
+            f"precision must be an integer from 1 to 17, got {cfg['precision']!r}")
     variance = _num(cfg, "variance", VARIANCE_PRESETS)
     eta, v_el = DETECTOR_PRESETS[_choice(cfg, "detector", DETECTOR_PRESETS)]
 
@@ -271,7 +267,7 @@ def _write(cfg: dict, params: ProtocolParams, columns: list[str], rows: list[dic
             with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail_config(f"cannot write {cfg['out']}: {exc}")
+            raise InvalidParameterError(f"cannot write {cfg['out']}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -287,8 +283,8 @@ def cmd_sweep(cfg: dict) -> int:
     params, noise = _resolve(cfg)
     block = cfg["sweep"]
     if not isinstance(block, dict) or set(block) != _SWEEP_KEYS:
-        _fail_config("sweep needs a 'sweep' config object with the keys variable, start, "
-                     f"stop and step, got {block!r}")
+        raise InvalidParameterError("sweep needs a 'sweep' config object with the keys "
+                                    f"variable, start, stop and step, got {block!r}")
     spec = SweepSpec(block["variable"], start=_num(block, "start"), stop=_num(block, "stop"),
                      step=_num(block, "step"), base=params, noise=noise)
     result = sweep(spec)
@@ -360,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _merge(args)
     try:
-        return args.func(cfg)
+        return args.func(_merge(args))
     except NumericDomainError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

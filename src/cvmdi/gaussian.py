@@ -1,12 +1,14 @@
 """Scalar Gaussian-state algebra in shot-noise units (vacuum variance 1).
 
-The key-rate kernel works on the symmetric two-mode form (a, b, c) of the
-reduced Alice-Bob state, as floats: ``check_two_mode`` validates it,
-``two_mode_symplectic`` gives its symplectic pair, and ``g_func`` the
-entropy of one thermal mode.  Everything here uses ``math`` only.  The
-multimode matrix engine, which no key-rate path runs, is ``cvmdi.matrix``;
-conditioning, entropies and the two-mode matrix form, which only tests
-run, live in ``tests/oracle.py``.
+The key-rate kernel (``protocols._gain_objective``) works on the symmetric
+two-mode form (a, b, c) of the reduced Alice-Bob state, as floats, and
+checks it itself: ``two_mode_symplectic`` gives its symplectic pair, and
+``g_func`` the entropy of one thermal mode.  Both are called through the
+``protocols`` module globals, where the benchmark's tracer counts them.
+Everything here uses ``math`` only.  The multimode matrix engine, which no
+key-rate path runs, is ``cvmdi.matrix``; the two-mode check, conditioning,
+entropies and the two-mode matrix form, which only tests run, live in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,32 +24,8 @@ PHYSICALITY_TOL = 1e-9
 # Veltkamp's splitter for 53-bit doubles, 2^27 + 1.
 _SPLIT = 134217729.0
 # two_mode_symplectic rescales inputs of magnitude 2^500 and above by 2^-600,
-# which keeps every product and split of ``_two_product`` in range.
+# which keeps every product and split of its error-free products in range.
 _HUGE, _DOWN, _UP = 2.0 ** 500, 2.0 ** -600, 2.0 ** 600
-
-
-def check_two_mode(a: float, b: float, c: float) -> None:
-    """Raise unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL: the validity
-    of the symmetric two-mode form (a, b, c) that the key-rate kernel works
-    on.  Both tests are written so that NaN fails them."""
-    if not (a >= 1.0 and b >= 1.0):
-        raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
-    if not a * b - c * c >= 1.0 - PHYSICALITY_TOL:
-        raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
-
-
-def _two_product(x: float, y: float) -> tuple[float, float]:
-    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's product of
-    Veltkamp-split halves (Numer. Math. 18, 224, 1971).  Error-free while
-    nothing overflows or underflows, so for |x| and |y| in [2^-400, 2^400]."""
-    p = x * y
-    t = _SPLIT * x
-    x_hi = t - (t - x)
-    x_lo = x - x_hi
-    t = _SPLIT * y
-    y_hi = t - (t - y)
-    y_lo = y - y_hi
-    return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
 
 
 def two_mode_symplectic(a: float, b: float, c: float) -> tuple[float, float]:
@@ -71,10 +49,23 @@ def two_mode_symplectic(a: float, b: float, c: float) -> tuple[float, float]:
     with the failing value in the message.
     """
     x, y, z, scale = a, b, c, 1.0
-    if max(abs(a), abs(b), abs(c)) >= _HUGE:
+    if abs(a) >= _HUGE or abs(b) >= _HUGE or abs(c) >= _HUGE:
         x, y, z, scale = a * _DOWN, b * _DOWN, c * _DOWN, _UP
-    p, e = _two_product(x, y)
-    q, f = _two_product(z, z)
+    # Dekker's products of Veltkamp-split halves (Numer. Math. 18, 224,
+    # 1971): x y = p + e and z^2 = q + f exactly, while no product or
+    # split overflows or underflows, so for magnitudes in [2^-400, 2^400]
+    p, q = x * y, z * z
+    t = _SPLIT * x
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    t = _SPLIT * y
+    y_hi = t - (t - y)
+    y_lo = y - y_hi
+    t = _SPLIT * z
+    z_hi = t - (t - z)
+    z_lo = z - z_hi
+    e = ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
+    f = ((z_hi * z_hi - q) + z_hi * z_lo + z_lo * z_hi) + z_lo * z_lo
     big_b = (p - q) + (e - f)
     if not big_b > 0.0:
         raise NumericDomainError(

@@ -7,20 +7,22 @@ Three reverse-reconciliation protocol variants share one relay circuit:
                            into Bob's mode before his homodyne detection.
 * ``coherent``           - both parties heterodyne (coherent-state baseline).
 
-A key rate is evaluated in three steps.  The relay is one quadrature of
-the circuit in plain floats (``_gain_coefficients``): the few entries of
-the gain-independent relay covariance of modes (A3, C2, B3, D2) that the
-displaced pair (A3, B4) reads, its gain coefficients.  Each product and sum
-runs in the order of the matrix route's ``s @ cov @ s.T``.  x and p mirror
-by construction (+c on x, -c on p), so only the x side is computed.  At
-each gain g the reduced Alice-Bob state (a, b, c) is then a scalar
-quadratic in g over those coefficients (``_reduced_state``).  The key rate
-is a closed-form function of the floats (a, b, c), chi_n and the protocol
-(``_rate_terms``), with the trusted-noise Holevo term of Lodewyck et al.,
-PRA 76, 042305 (2007).  The gain search's objective (``_gain_objective``)
-and ``key_rate`` run these same functions.  A reported point is certified
-physical from the smaller symplectic eigenvalue of (a, b, c), at the
-tolerance of the matrix route's ``GaussianState.require_physical``.
+A key rate is evaluated in two steps.  Once per parameter point, the
+relay is one quadrature of the circuit in plain floats
+(``_gain_coefficients``): the few entries of the gain-independent relay
+covariance of modes (A3, C2, B3, D2) that the displaced pair (A3, B4)
+reads, its gain coefficients.  Each product and sum runs in the order of
+the matrix route's ``s @ cov @ s.T``.  x and p mirror by construction (+c
+on x, -c on p), so only the x side is computed.  Then one function of the
+gain, built once per point by ``_gain_objective``, evaluates a gain in one
+frame: the reduced Alice-Bob state (a, b, c), a scalar quadratic in g over
+those coefficients, its guards, and the key rate as a closed-form function
+of (a, b, c), chi_n and the protocol, with the trusted-noise Holevo term
+of Lodewyck et al., PRA 76, 042305 (2007).  The gain search maximises it,
+and ``key_rate`` asks it for the report at the chosen gain, so the kernel
+is written once.  A reported point is certified physical from the smaller
+symplectic eigenvalue of (a, b, c), at the tolerance of the matrix route's
+``GaussianState.require_physical``.
 
 Added noise is its variance chi_n alone (``AddedNoiseParams``): the key
 rate depends on nothing else of the trusted-noise beamsplitter, so no
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidParameterError, NumericDomainError
-from .gaussian import PHYSICALITY_TOL, check_two_mode, g_func, two_mode_symplectic
+from .gaussian import PHYSICALITY_TOL, g_func, two_mode_symplectic
 from .search import golden_section_max
 
 PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
@@ -73,6 +75,8 @@ GAIN_TOL = 1e-6
 TWO_MODE_TOL = 1e-8
 
 _EPS = sys.float_info.epsilon
+_FOUR_EPS = 4.0 * _EPS
+_DET_FLOOR = 1.0 - PHYSICALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -226,131 +230,12 @@ def _gain_coefficients(params: ProtocolParams) -> tuple[float, ...]:
     return v_a, v_b, bc, cc, 0.0, ac
 
 
-def _reduced_state(coeffs: tuple[float, ...], g: float) -> tuple[float, float, float]:
-    """Reduced state (a, b, c) of (A3, B4) at one gain, in scalar arithmetic.
-
-    ``coeffs`` is ``_gain_coefficients(params)``; the operation order is that
-    of the matrix product of ``cvmdi.matrix._displaced_pair``.  When rounding
-    in b, whose terms can cancel from far above its value, exceeds
-    TWO_MODE_TOL of the largest of 1, a, b and |c| (the tolerance of the
-    oracle's two-mode form), b is not certified and NumericDomainError is
-    raised; so it is when b or c overflows.  The result passes
-    ``check_two_mode``.
-    """
-    a, b0, b1, b2, c0, c1 = coeffs
-    b = (g * b2 + b1) * g + (g * b1 + b0)
-    c = c1 * g + c0
-    # an overflow stops here, with the gain in the message, before the eigenvalues
-    if not (abs(b) < math.inf and abs(c) < math.inf):
-        raise NumericDomainError(f"reduced state overflows at gain {g}: b = {b}, c = {c}")
-    tol = TWO_MODE_TOL * max(1.0, abs(a), abs(b), abs(c))
-    err_b = 4.0 * _EPS * (abs(b0) + 2.0 * abs(g * b1) + g * g * abs(b2))
-    if err_b > tol:
-        raise NumericDomainError(
-            f"b = {b} cancels from terms of size {abs(b0) + g * g * abs(b2)}: "
-            f"rounding {err_b} exceeds the tolerance {tol}")
-    check_two_mode(a, b, c)
-    return a, b, c
-
-
 def __getattr__(name: str):
     # PEP 562: the matrix route, and numpy with it, loads on first use only
     if name in ("build_mdi_state", "symplectic_eigenvalues"):
         from . import matrix
         return getattr(matrix, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _homodyne_info(a: float, b: float, c: float) -> float:
-    """Gaussian mutual information for matched homodyne pairs, bits/use."""
-    # an overflowed ab leaves denom infinite or NaN, and both fail the test
-    denom = a * b - c * c
-    if not 0.0 < denom < math.inf:
-        raise NumericDomainError(f"ab - c^2 = {denom} is not positive and finite")
-    return 0.5 * math.log2(a * b / denom)
-
-
-def _heterodyne_info(a: float, b: float, c: float) -> float:
-    """Mutual information for heterodyne on both sides, bits/use: both
-    quadratures measured, at a one-unit vacuum penalty each."""
-    prod = (a + 1.0) * (b + 1.0)
-    denom = prod - c * c
-    if not 0.0 < denom < math.inf:
-        raise NumericDomainError(f"(a+1)(b+1) - c^2 = {denom} is not positive and finite")
-    return math.log2(prod / denom)
-
-
-def _trusted_noise_conditional(a: float, b: float, c: float,
-                               chi_n: float) -> tuple[float, float, float]:
-    """Conditional spectrum of (A3, N1, N3) given Bob's homodyne on B5 (Lodewyck et al.).
-
-    lambda3,4^2 = (A +/- sqrt(A^2 - 4B))/2 and lambda5 = 1, with the
-    smaller root taken from lambda3*lambda4 = sqrt(B) to avoid cancellation.
-    A lambda4 within 1e-9 below 1 is roundoff; further below is unphysical.
-    """
-    det = a * b - c * c
-    big_a = (chi_n * (a * a + b * b - 2.0 * c * c) + a * det + b) / (b + chi_n)
-    big_b = det * (a + det * chi_n) / (b + chi_n)
-    if not big_b > 0.0:
-        raise NumericDomainError(f"trusted-noise conditional B = {big_b} is not positive")
-    disc = big_a * big_a - 4.0 * big_b
-    if disc < -1e-9 * big_a * big_a:
-        raise NumericDomainError(f"trusted-noise conditional discriminant {disc} is negative")
-    lam3 = math.sqrt((big_a + math.sqrt(max(disc, 0.0))) / 2.0)
-    lam4 = math.sqrt(big_b) / lam3
-    if not lam4 >= 1.0 - 1e-9:
-        raise NumericDomainError(f"trusted-noise conditional eigenvalue {lam4} is below 1")
-    return lam3, lam4, 1.0
-
-
-def _rate_terms(a: float, b: float, c: float, protocol: str,
-                chi_n: float = 0.0) -> tuple[float, float, tuple[float, ...], bool]:
-    """(I_AB, chi, lambdas, clamped) of one protocol on the reduced state (a, b, c).
-
-    The trusted noise adds chi_n to Bob's variance in I_AB only.  Eve
-    purifies the channel, not Bob's trusted noise, so the unconditional
-    Holevo term is that of (a, b, c) for every protocol; at chi_n > 0 the
-    conditional term includes the retained noise modes N1, N3.  Every guard
-    is written so that NaN fails it: an overflow anywhere raises
-    NumericDomainError rather than reaching the result.
-    """
-    lam1, lam2 = two_mode_symplectic(a, b, c)
-    if protocol == "coherent":
-        i_ab = _heterodyne_info(a, b, c)
-        lam3 = a - c * c / (b + 1.0)
-        if not lam3 > 0.0:
-            raise NumericDomainError(f"conditional eigenvalue {lam3} is not positive")
-        cond = (lam3,)
-    elif chi_n == 0.0:
-        i_ab = _homodyne_info(a, b, c)
-        lam3_sq = a * (a - c * c / b)
-        if not lam3_sq > 0.0:
-            raise NumericDomainError(f"conditional eigenvalue squared {lam3_sq} is not positive")
-        cond = (math.sqrt(lam3_sq),)
-    else:
-        # a valid (a, b, c) and a finite chi_n >= 0 keep (a, b + chi_n, c) valid
-        i_ab = _homodyne_info(a, b + chi_n, c)
-        cond = _trusted_noise_conditional(a, b, c, chi_n)
-    # an eigenvalue at or below 1 adds g(0) = 0 and is skipped; a NaN is
-    # not <= 1, so it still reaches g_func, which rejects it
-    chi = 0.0
-    try:
-        for lam in (lam1, lam2):
-            if not lam <= 1.0:
-                chi += g_func((lam - 1.0) / 2.0)
-        for lam in cond:
-            if not lam <= 1.0:
-                chi -= g_func((lam - 1.0) / 2.0)
-    except InvalidParameterError:
-        # g_func rejects only NaN here: numeric trouble, reported below
-        chi = math.nan
-    lams = (lam1, lam2, *cond)
-    if chi >= 0.0:
-        return i_ab, chi, lams, False
-    if not chi >= -CHI_CLAMP_TOL:
-        raise NumericDomainError(
-            f"Holevo bound came out {chi}, not >= -{CHI_CLAMP_TOL}: likely a bug or an overflow")
-    return i_ab, 0.0, lams, True
 
 
 def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> float:
@@ -371,21 +256,139 @@ def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) ->
     return noise.chi_n
 
 
-def _gain_objective(params: ProtocolParams, chi_n: float) -> Callable[[float], float]:
-    """K as a function of the gain, unvalidated and without a report: the
-    objective of ``optimal_gain``.
+def _gain_objective(params: ProtocolParams,
+                    chi_n: float) -> Callable[..., float | KeyRateReport]:
+    """K as a function of the gain, unvalidated: the objective of
+    ``optimal_gain``, and with ``report=True`` the ``KeyRateReport`` that
+    ``key_rate`` returns at its gain.
 
-    The point's coefficients, beta and protocol are read once, when the
-    objective is built; each call then runs ``_reduced_state`` and
-    ``_rate_terms``, the arithmetic ``key_rate`` reports at its gain.
+    What the gain leaves unchanged is read once, when the objective is
+    built: the relay coefficients, the protocol's branch, beta and chi_n.
+    A call then runs the whole kernel in one frame, its guards in this
+    order.  The reduced state b = b0 + 2 g b1 + g^2 b2, c = c1 g follows
+    the operation order of ``cvmdi.matrix._displaced_pair``; an overflow in
+    b or c raises NumericDomainError, and so does rounding in b, whose
+    terms can cancel from far above its value, beyond TWO_MODE_TOL of the
+    largest of 1, a, b and |c| (the tolerance of the oracle's two-mode
+    form).  Unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL,
+    InvalidParameterError.  Then the symplectic pair, I_AB and the
+    conditional spectrum: the trusted noise adds chi_n to Bob's variance
+    in I_AB only.  Eve purifies the channel, not Bob's trusted noise, so
+    the unconditional Holevo term is that of (a, b, c) for every protocol;
+    at chi_n > 0 the conditional term includes the retained noise modes
+    N1, N3 (Lodewyck et al.): lambda3,4^2 = (A +/- sqrt(A^2 - 4B))/2 and
+    lambda5 = 1, the smaller root from lambda3 lambda4 = sqrt(B), and a
+    lambda4 within 1e-9 below 1 taken as roundoff.  A chi within
+    CHI_CLAMP_TOL below 0 is clamped to 0 and flagged on the report.  Every
+    guard is written so that NaN fails it: an overflow anywhere raises
+    NumericDomainError rather than reaching the result.
     """
-    coeffs = _gain_coefficients(params)
-    protocol, beta = params.protocol, params.beta
+    a, b0, b1, b2, c0, c1 = _gain_coefficients(params)
+    abs_b0, abs_b2 = abs(b0), abs(b2)
+    top = max(1.0, abs(a))
+    tol_top = TWO_MODE_TOL * top
+    coherent = params.protocol == "coherent"
+    trusted = not coherent and chi_n != 0.0
+    beta = params.beta
+    log2, sqrt, inf = math.log2, math.sqrt, math.inf
 
-    def objective(g: float) -> float:
-        a, b, c = _reduced_state(coeffs, g)
-        i_ab, chi, _, _ = _rate_terms(a, b, c, protocol, chi_n)
-        return beta * i_ab - chi
+    def objective(g: float, report: bool = False):
+        b = (g * b2 + b1) * g + (g * b1 + b0)
+        c = c1 * g + c0
+        # an overflow stops here, with the gain in the message, before the eigenvalues
+        if not (abs(b) < inf and abs(c) < inf):
+            raise NumericDomainError(f"reduced state overflows at gain {g}: b = {b}, c = {c}")
+        err_b = _FOUR_EPS * (abs_b0 + 2.0 * abs(g * b1) + g * g * abs_b2)
+        # err_b > TWO_MODE_TOL * max(top, |b|, |c|), one product at a time: as
+        # rounding is monotone, the same test, and the first almost always settles it
+        if (err_b > tol_top and err_b > TWO_MODE_TOL * abs(b)
+                and err_b > TWO_MODE_TOL * abs(c)):
+            tol = TWO_MODE_TOL * max(top, abs(b), abs(c))
+            raise NumericDomainError(
+                f"b = {b} cancels from terms of size {abs_b0 + g * g * abs_b2}: "
+                f"rounding {err_b} exceeds the tolerance {tol}")
+        if not (a >= 1.0 and b >= 1.0):
+            raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
+        ab, cc = a * b, c * c
+        det = ab - cc
+        if not det >= _DET_FLOOR:
+            raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
+        lam1, lam2 = two_mode_symplectic(a, b, c)
+        lam4 = 1.0
+        if coherent:
+            # heterodyne on both sides: a one-unit vacuum penalty per quadrature
+            prod = (a + 1.0) * (b + 1.0)
+            denom = prod - cc
+            if not 0.0 < denom < inf:
+                raise NumericDomainError(
+                    f"(a+1)(b+1) - c^2 = {denom} is not positive and finite")
+            i_ab = log2(prod / denom)
+            lam3 = a - cc / (b + 1.0)
+            if not lam3 > 0.0:
+                raise NumericDomainError(f"conditional eigenvalue {lam3} is not positive")
+        elif not trusted:
+            # an overflowed ab leaves det infinite or NaN, and both fail the test
+            if not 0.0 < det < inf:
+                raise NumericDomainError(f"ab - c^2 = {det} is not positive and finite")
+            i_ab = 0.5 * log2(ab / det)
+            lam3_sq = a * (a - cc / b)
+            if not lam3_sq > 0.0:
+                raise NumericDomainError(
+                    f"conditional eigenvalue squared {lam3_sq} is not positive")
+            lam3 = sqrt(lam3_sq)
+        else:
+            # a valid (a, b, c) and a finite chi_n >= 0 keep (a, b + chi_n, c) valid
+            b_n = b + chi_n
+            denom = a * b_n - cc
+            if not 0.0 < denom < inf:
+                raise NumericDomainError(f"ab - c^2 = {denom} is not positive and finite")
+            i_ab = 0.5 * log2(a * b_n / denom)
+            big_a = (chi_n * (a * a + b * b - 2.0 * c * c) + a * det + b) / b_n
+            big_b = det * (a + det * chi_n) / b_n
+            if not big_b > 0.0:
+                raise NumericDomainError(
+                    f"trusted-noise conditional B = {big_b} is not positive")
+            disc = big_a * big_a - 4.0 * big_b
+            if disc < -1e-9 * big_a * big_a:
+                raise NumericDomainError(
+                    f"trusted-noise conditional discriminant {disc} is negative")
+            lam3 = sqrt((big_a + sqrt(0.0 if disc < 0.0 else disc)) / 2.0)
+            lam4 = sqrt(big_b) / lam3
+            if not lam4 >= 1.0 - 1e-9:
+                raise NumericDomainError(
+                    f"trusted-noise conditional eigenvalue {lam4} is below 1")
+        # a NaN is not <= 1, so it still reaches g_func, which rejects it
+        chi = 0.0
+        try:
+            if not lam1 <= 1.0:
+                chi += g_func((lam1 - 1.0) / 2.0)
+            if not lam2 <= 1.0:
+                chi += g_func((lam2 - 1.0) / 2.0)
+            if not lam3 <= 1.0:
+                chi -= g_func((lam3 - 1.0) / 2.0)
+            if not lam4 <= 1.0:
+                chi -= g_func((lam4 - 1.0) / 2.0)
+        except InvalidParameterError:
+            # g_func rejects only NaN here: numeric trouble, reported below
+            chi = math.nan
+        flags = ()
+        if not chi >= 0.0:
+            if not chi >= -CHI_CLAMP_TOL:
+                raise NumericDomainError(
+                    f"Holevo bound came out {chi}, not >= -{CHI_CLAMP_TOL}: "
+                    "likely a bug or an overflow")
+            chi, flags = 0.0, ("holevo_clamped",)
+        k = beta * i_ab - chi
+        if not report:
+            return k
+        eff = max(PHYSICALITY_TOL, 64.0 * _EPS * max(top, abs(b), abs(c)))
+        if lam2 < 1.0 - eff:
+            raise NumericDomainError(
+                "unphysical covariance at stage 'feedforward': "
+                f"min symplectic eigenvalue {lam2!r}")
+        lams = (lam1, lam2, lam3, lam4, 1.0) if trusted else (lam1, lam2, lam3)
+        return KeyRateReport(mutual_info=i_ab, holevo=chi, key_rate=k, lambdas=lams,
+                             gain_used=g, chi_n=chi_n, flags=flags)
 
     return objective
 
@@ -415,16 +418,6 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
         f"gain optimum stuck at the search edge {hi / 2.0} even after widening")
 
 
-def _require_physical_pair(a: float, b: float, c: float, lam2: float) -> None:
-    """Physicality of the displaced pair (A3, B4) = (a, b, c) from its smaller
-    symplectic eigenvalue, at the tolerance ``GaussianState.require_physical``
-    applies to the same covariance in ``cvmdi.matrix.build_mdi_state``."""
-    eff = max(PHYSICALITY_TOL, 64.0 * _EPS * max(1.0, abs(a), abs(b), abs(c)))
-    if lam2 < 1.0 - eff:
-        raise NumericDomainError(
-            f"unphysical covariance at stage 'feedforward': min symplectic eigenvalue {lam2!r}")
-
-
 def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> KeyRateReport:
     """Secret key rate K = beta I(A:B) - chi(B:E) for one parameter point.
 
@@ -434,20 +427,8 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> K
     """
     chi_n = check_added_noise(params, noise)
     try:
-        coeffs = _gain_coefficients(params)
+        objective = _gain_objective(params, chi_n)
         g = params.gain if params.gain is not None else optimal_gain(params, noise)
-        a, b, c = _reduced_state(coeffs, g)
-        i_ab, chi, lams, clamped = _rate_terms(a, b, c, params.protocol, chi_n)
-        _require_physical_pair(a, b, c, lams[1])
+        return objective(g, report=True)
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc
-    return KeyRateReport(
-        mutual_info=i_ab,
-        holevo=chi,
-        key_rate=params.beta * i_ab - chi,
-        lambdas=lams,
-        gain_used=g,
-        chi_n=chi_n,
-        flags=("holevo_clamped",) if clamped else (),
-    )
-

@@ -3,9 +3,10 @@
 
 ``bench/tracer.py`` rebinds module globals by name, and ``bench/workloads.py``
 calls the analysis API with fixed keywords and checks every sweep point
-against ``bench/reference.json``.  A rename, a dropped name or a kernel change
-that moves K would break the benchmark without failing any library test, so
-the contract is checked here; ``bench/`` itself is only read.
+against ``bench/reference.json``.  A rename, a dropped name, a layer no
+longer called through its traced binding, or a kernel change that moves K
+would break the benchmark without failing any library test, so the
+contract is checked here; ``bench/`` itself is only read.
 """
 
 import importlib
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from cvmdi import ProtocolParams, analysis
+from cvmdi import AddedNoiseParams, ProtocolParams, analysis
+from cvmdi.protocols import PROTOCOLS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -96,3 +98,28 @@ def test_table_workload_check_passes():
     table = WORKLOADS.Table(0, WORKLOADS.load_reference())
     case = next(iter(table.cases()))
     assert table.check(case, table.run(case))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_tracer_counts_every_layer_of_a_gain_search(protocol):
+    # the tracer counts a layer only while the library calls it through the
+    # module binding the tracer wraps: a refactor that stops doing so reads
+    # 0 in the benchmark's per-layer metrics without failing anything else,
+    # as build_mdi_state and symplectic_eigenvalues already do
+    p = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, eta=0.9, v_el=0.015,
+                       protocol=protocol)
+    noise = AddedNoiseParams.from_chi_n(1.0) if protocol == "squeezed-modified" else None
+    tracer = TRACER_MODULE.Tracer()
+    tracer.install()
+    try:
+        analysis.key_rate(p, noise)
+    finally:
+        tracer.restore()
+    metrics = {name: value for name, (value, _, _) in tracer.summary().items()}
+    assert metrics["protocols.key_rate.calls"] == 1
+    assert metrics["protocols.optimal_gain.calls"] == metrics["search.gain_searches"] == 1
+    assert metrics["search.gain_widenings"] == 0
+    assert metrics["search.gain_evals"] > 0
+    assert metrics["gaussian.g_func.calls"] > 0
+    # one symplectic pair per gain evaluation, and one for the report
+    assert metrics["gaussian.two_mode_symplectic.calls"] == metrics["search.gain_evals"] + 1

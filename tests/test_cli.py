@@ -57,14 +57,6 @@ def shipped_sweep_grid():
     return [float(f"{start + k * step:.{cfg['precision']}g}") for k in range(n)]
 
 
-def exit_code(argv):
-    """cli.main's exit code, also when a configuration error exits through SystemExit."""
-    try:
-        return cli.main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def meta_line(text):
     for line in text.splitlines():
         if line.startswith("# config "):
@@ -277,7 +269,7 @@ def test_optnoise_requires_modified_protocol():
     (["optnoise"], "optnoise does not read 'chi_n'"),
 ])
 def test_chi_n_with_a_plain_protocol_exits_2(capsys, argv, message):
-    assert exit_code([*argv, "--protocol", "squeezed", "--chi-n", "2"]) == 2
+    assert cli.main([*argv, "--protocol", "squeezed", "--chi-n", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
@@ -476,6 +468,30 @@ def test_malformed_config_value_exits_2(tmp_path, command, bad):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["optnoise", "--chi-n", "2"],              # a setting the command does not read
+    ["keyrate", "--config", "missing.json"],   # a config file that cannot be read
+    ["keyrate", "--variance", "x"],            # a malformed value
+    ["sweep"],                                 # no sweep block
+    ["keyrate", "--beta", "2"],                # a value the library rejects
+])
+def test_main_returns_2_for_every_configuration_error(tmp_path, monkeypatch, capsys, argv):
+    # an error the CLI finds itself returns 2 from main, as one the library
+    # raises does: an in-process caller needs no SystemExit handler
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_argparse_errors_still_exit_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["keyrate", "--protocol", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # CONTEXT is a point at which each setting a command reads moves that
 # command's output; OTHER holds another value for every setting.
 CONTEXT = {"protocol": "squeezed-modified", "variance": "realistic", "detector": "practical",
@@ -513,7 +529,7 @@ def test_an_unread_setting_exits_2_before_anything_runs(tmp_path, capsys, monkey
     if key in FLAGS:
         argvs.append([command, FLAGS[key], str(OTHER[key])])
     for argv in argvs:
-        assert exit_code(argv) == 2
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {command} does not read '{key}'\n"
@@ -545,7 +561,7 @@ def test_the_settings_a_command_reads_are_those_that_move_its_output(tmp_path, c
 
     def output(cfg):
         Path("config.json").write_text(json.dumps(cfg))
-        code = exit_code([command, "--config", "config.json"])
+        code = cli.main([command, "--config", "config.json"])
         return code, rows_of(capsys.readouterr().out)
 
     base = output(context)

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
 from cvmdi import InvalidParameterError, NumericDomainError
-from cvmdi.gaussian import _two_product, check_two_mode, g_func, two_mode_symplectic
+from cvmdi.gaussian import g_func, two_mode_symplectic
 from cvmdi.matrix import (
     GaussianState,
     apply_beamsplitter,
@@ -23,9 +23,11 @@ from cvmdi.matrix import (
 )
 from helpers import c_edge
 from oracle import (
+    check_two_mode,
     heterodyne_condition,
     homodyne_condition,
     two_mode_state,
+    two_product,
     vacuum_state,
     von_neumann_entropy,
 )
@@ -448,7 +450,7 @@ _PRODUCT_RANGE = st.floats(2.0 ** -400, 2.0 ** 400)
 @example(2.0 ** -400, 2.0 ** -400, False, True)
 def test_two_product_is_error_free(x, y, neg_x, neg_y):
     x, y = -x if neg_x else x, -y if neg_y else y
-    p, e = _two_product(x, y)
+    p, e = two_product(x, y)
     assert p == x * y
     assert Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
 

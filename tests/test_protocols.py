@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cvmdi import (
     AddedNoiseParams,
@@ -33,10 +33,6 @@ from cvmdi.protocols import (
     TWO_MODE_TOL,
     _gain_coefficients,
     _gain_objective,
-    _heterodyne_info,
-    _homodyne_info,
-    _reduced_state,
-    _trusted_noise_conditional,
     gain_bracket,
 )
 from helpers import (
@@ -53,9 +49,15 @@ from oracle import (
     AsymmetricFormError,
     canonical_realisation,
     extract_two_mode,
+    heterodyne_info,
     holevo_generic,
     homodyne_condition,
+    homodyne_info,
+    rate_terms,
     realised_chi_n,
+    reduced_state,
+    require_physical_pair,
+    trusted_noise_conditional,
 )
 
 G_HALF = 1.3774437510817343
@@ -304,7 +306,7 @@ def test_reduced_state_equals_matrix_route():
         g = rng.uniform(0.0, 3.0)
         assert within_2_ulp(p), p
         if lossless_ideal(p):
-            assert _reduced_state(_gain_coefficients(p), g) == extract_two_mode(
+            assert reduced_state(_gain_coefficients(p), g) == extract_two_mode(
                 _displaced_pair(p, g)), (p, g)
             exact += 1
     assert exact >= 20
@@ -360,7 +362,7 @@ def test_honest_points_mirror_x_and_p():
                            eps1=rng.uniform(0.0, 0.1), eps2=rng.uniform(0.0, 0.1),
                            eta=eta, v_el=v_el)
         g = rng.uniform(0.0, gain_bracket(p))
-        a, b, c = _reduced_state(_gain_coefficients(p), g)
+        a, b, c = reduced_state(_gain_coefficients(p), g)
         cov = _displaced_pair(p, g).cov
         tol = TWO_MODE_TOL * max(1.0, float(np.abs(cov).max()))
         assert max(abs(cov[1, 1] - a), abs(cov[3, 3] - b), abs(cov[1, 3] + c)) <= tol, (p, g)
@@ -429,18 +431,18 @@ def test_key_rate_error_names_the_point_when_gain_is_optimised():
 
 def closed_chi(abc, protocol, chi_n=0.0):
     """Eve's bound from the closed eigenvalue forms, on the pre-noise state (a, b, c)."""
-    return protocols._rate_terms(*abc, protocol, chi_n)[1]
+    return rate_terms(*abc, protocol, chi_n)[1]
 
 
 def test_mutual_information_examples():
-    assert _homodyne_info(2.0, 3.0, 0.0) == 0.0
+    assert homodyne_info(2.0, 3.0, 0.0) == 0.0
     a, b, c = 2.0, 2.0, math.sqrt(3.0)
-    assert _homodyne_info(a, b, c) == pytest.approx(1.0, rel=1e-12)
+    assert homodyne_info(a, b, c) == pytest.approx(1.0, rel=1e-12)
     # algebraic identity: 0.5 log2(a / (a - c^2/b))
     alt = 0.5 * math.log2(a / (a - c ** 2 / b))
-    assert _homodyne_info(a, b, c) == pytest.approx(alt, rel=1e-12)
-    assert _heterodyne_info(a, b, c) == pytest.approx(math.log2(1.5), rel=1e-12)
-    assert _heterodyne_info(5.0, 4.0, 0.0) == 0.0
+    assert homodyne_info(a, b, c) == pytest.approx(alt, rel=1e-12)
+    assert heterodyne_info(a, b, c) == pytest.approx(math.log2(1.5), rel=1e-12)
+    assert heterodyne_info(5.0, 4.0, 0.0) == 0.0
 
 
 def test_heterodyne_info_bounded_by_twice_homodyne():
@@ -452,7 +454,7 @@ def test_heterodyne_info_bounded_by_twice_homodyne():
         a = math.exp(rng.uniform(0.0, math.log(100.0)))
         b = math.exp(rng.uniform(0.0, math.log(100.0)))
         c = rng.uniform(0.0, 0.99) * c_edge(a, b)
-        assert _heterodyne_info(a, b, c) <= 2.0 * _homodyne_info(a, b, c) + 1e-12
+        assert heterodyne_info(a, b, c) <= 2.0 * homodyne_info(a, b, c) + 1e-12
 
 
 def test_holevo_uncorrelated_thermal_pair():
@@ -615,7 +617,7 @@ def test_modified_holevo_invariant_under_noise_realisation(detector):
             realisations.append((0.5, chi_n))
         chis = [holevo_generic(build_mdi_state(p, noise=noise, gain=g), 1, "homodyne")
                 for noise in realisations]
-        closed = closed_chi(_reduced_state(_gain_coefficients(p), g), "squeezed-modified", chi_n)
+        closed = closed_chi(reduced_state(_gain_coefficients(p), g), "squeezed-modified", chi_n)
         assert max(chis) - min(chis) < 1e-9, (p, g, chi_n)
         assert all(chi == pytest.approx(closed, abs=1e-9) for chi in chis), (p, g, chi_n)
 
@@ -637,7 +639,7 @@ def test_modified_matches_generic_entropy_engine():
 ])
 def test_trusted_noise_conditional_domain_errors(a, b, c, chi_n, message):
     with pytest.raises(NumericDomainError, match=message):
-        _trusted_noise_conditional(a, b, c, chi_n)
+        trusted_noise_conditional(a, b, c, chi_n)
 
 
 def test_trusted_noise_conditional_spectrum():
@@ -647,7 +649,7 @@ def test_trusted_noise_conditional_spectrum():
                          "squeezed-modified")
     chi_n = 1.5
     g = 1.3
-    lams = _trusted_noise_conditional(*extract_two_mode(build_mdi_state(p, gain=g)), chi_n)
+    lams = trusted_noise_conditional(*extract_two_mode(build_mdi_state(p, gain=g)), chi_n)
     cond = homodyne_condition(
         build_mdi_state(p, noise=canonical_realisation(chi_n), gain=g), 1, "x")
     np.testing.assert_allclose(lams, symplectic_eigenvalues(cond), rtol=1e-10)
@@ -694,9 +696,9 @@ def test_scalar_physicality_check_uses_the_oracle_tolerance(scale):
     # the same tolerance as GaussianState.require_physical on the pair's
     # covariance: PHYSICALITY_TOL, widened to 64 eps per unit of magnitude
     eff = max(PHYSICALITY_TOL, 64.0 * np.finfo(float).eps * scale)
-    protocols._require_physical_pair(scale, scale, 0.0, 1.0 - 0.5 * eff)
+    require_physical_pair(scale, scale, 0.0, 1.0 - 0.5 * eff)
     with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
-        protocols._require_physical_pair(scale, scale, 0.0, 1.0 - 2.0 * eff)
+        require_physical_pair(scale, scale, 0.0, 1.0 - 2.0 * eff)
     for lam, physical in ((1.0 - 0.5 * eff, True), (1.0 - 2.0 * eff, False)):
         state = GaussianState(np.diag([scale, scale, lam * lam / scale, scale]))
         assert symplectic_eigenvalues(state)[-1] == pytest.approx(lam, rel=1e-12)
@@ -708,12 +710,22 @@ def test_scalar_physicality_check_uses_the_oracle_tolerance(scale):
 
 
 def test_key_rate_refuses_an_unphysical_reported_point(monkeypatch):
-    # a lambda2 planted just below PHYSICALITY_TOL at a fixed gain
+    # a lambda2 planted just below PHYSICALITY_TOL at a fixed gain; at a = 1e5
+    # the tolerance is widened to 64 eps per unit of magnitude, and a lambda2
+    # half of it below 1 passes
+    p = replace(PRACTICAL_10KM, gain=1.9)
+    a, b, c = reduced_state(_gain_coefficients(p), p.gain)
+    eff = 64.0 * np.finfo(float).eps * max(a, b, abs(c))
+    assert eff > PHYSICALITY_TOL
     real = protocols.two_mode_symplectic
-    monkeypatch.setattr(protocols, "two_mode_symplectic",
-                        lambda a, b, c: (real(a, b, c)[0], 1.0 - 1e-8))
-    with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
-        key_rate(replace(PRACTICAL_10KM, gain=1.9))
+    for lam2 in (1.0 - 1e-8, 1.0 - 2.0 * eff, 1.0 - 0.5 * eff):
+        monkeypatch.setattr(protocols, "two_mode_symplectic",
+                            lambda a, b, c, lam2=lam2: (real(a, b, c)[0], lam2))
+        if lam2 > 1.0 - eff:
+            assert key_rate(p).lambdas[1] == lam2
+            continue
+        with pytest.raises(NumericDomainError, match="stage 'feedforward'"):
+            key_rate(p)
 
 
 def test_nan_holevo_term_is_not_clamped(monkeypatch):
@@ -721,7 +733,25 @@ def test_nan_holevo_term_is_not_clamped(monkeypatch):
     # clamped as well, and reported as chi = 0 with flag holevo_clamped
     monkeypatch.setattr(protocols, "two_mode_symplectic", lambda a, b, c: (math.nan, math.nan))
     with pytest.raises(NumericDomainError, match="Holevo bound came out nan"):
-        protocols._rate_terms(5.04, 7.0, 3.0, "squeezed")
+        _gain_objective(PRACTICAL_10KM, 0.0)(1.9)
+
+
+def test_slightly_negative_holevo_is_clamped_and_flagged(monkeypatch):
+    # roundoff can leave chi a little below 0: within CHI_CLAMP_TOL it is
+    # reported as 0 with flag holevo_clamped, further below it raises
+    p = replace(PRACTICAL_10KM, gain=1.9)
+    tol = protocols.CHI_CLAMP_TOL
+    for shortfall in (0.5 * tol, 2.0 * tol):
+        # g of lambda1, lambda2 and the conditional lambda3, in that order
+        terms = iter([0.5, 0.5, 1.0 + shortfall])
+        monkeypatch.setattr(protocols, "g_func", lambda x, terms=terms: next(terms))
+        if shortfall < tol:
+            r = key_rate(p)
+            assert (r.holevo, r.flags) == (0.0, ("holevo_clamped",))
+            assert r.key_rate == p.beta * r.mutual_info
+            continue
+        with pytest.raises(NumericDomainError, match="Holevo bound came out"):
+            key_rate(p)
 
 
 def test_key_rate_positive_inside_cutoff():
@@ -747,7 +777,7 @@ def test_key_rate_oracle_agreement_at_10km():
 def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
     # one evaluation path: at the searched optimum and at a random gain, the
     # objective the gain search ran and the report at that fixed gain give
-    # the same float; so does _rate_terms on the matrix route's reduced
+    # the same float; so does rate_terms on the matrix route's reduced
     # state at lossless, ideal points, and elsewhere the relay coefficients
     # are within 2 ulp of that route's (BLAS fused multiply-adds set its
     # last bit)
@@ -778,8 +808,91 @@ def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
                 assert within_2_ulp(p), p
                 continue
             abc = extract_two_mode(_displaced_pair(p, g))
-            i_ab, chi, _, _ = protocols._rate_terms(*abc, protocol, chi_n)
+            i_ab, chi, _, _ = rate_terms(*abc, protocol, chi_n)
             assert p.beta * i_ab - chi == k, (p, g)
+
+
+def layered_k(p, chi_n, g):
+    """K at gain g from the oracle's layered kernel."""
+    i_ab, chi, _, _ = rate_terms(*reduced_state(_gain_coefficients(p), g), p.protocol, chi_n)
+    return p.beta * i_ab - chi
+
+
+def layered_report(p, chi_n, g):
+    """(K, I_AB, chi, lambdas, clamped) at gain g from the oracle's layered
+    kernel, the reported point's physicality checked."""
+    a, b, c = reduced_state(_gain_coefficients(p), g)
+    i_ab, chi, lams, clamped = rate_terms(a, b, c, p.protocol, chi_n)
+    require_physical_pair(a, b, c, lams[1])
+    return p.beta * i_ab - chi, i_ab, chi, lams, clamped
+
+
+def report_terms(r):
+    return r.key_rate, r.mutual_info, r.holevo, r.lambdas, r.flags == ("holevo_clamped",)
+
+
+def outcome(call):
+    """What call returns, every float as its ``float.hex``, or the class and
+    message of what it raises."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the same class must come out of both
+        return type(exc), str(exc)
+
+    def bits(x):
+        return x.hex() if isinstance(x, float) else tuple(map(bits, x)) if isinstance(
+            x, tuple) else x
+
+    return bits(value)
+
+
+_VARIANCE = st.one_of(st.sampled_from([1.0, 5.04, 1e5]), st.floats(1.0, 1e5))
+_LENGTH = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=300)
+@given(protocol=st.sampled_from(protocols.PROTOCOLS), v_a=_VARIANCE, v_b=_VARIANCE,
+       l_ac=_LENGTH, l_bc=_LENGTH, eps1=st.floats(0.0, 0.1), eps2=st.floats(0.0, 0.1),
+       detector=st.sampled_from(sorted(DETECTOR_PRESETS)), beta=st.floats(0.8, 1.0),
+       chi_n=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), gain_frac=st.floats(0.0, 2.0))
+@example(protocol="squeezed", v_a=5.04, v_b=1e10, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0,
+         detector="perfect", beta=1.0, chi_n=0.0, gain_frac=0.25)      # b cancels
+@example(protocol="coherent", v_a=5.04, v_b=5.04, l_ac=5.0, l_bc=0.0, eps1=0.002,
+         eps2=0.002, detector="perfect", beta=1.0, chi_n=0.0, gain_frac=1e160)  # b overflows
+@example(protocol="squeezed-modified", v_a=1e200, v_b=1e200, l_ac=5.0, l_bc=0.0, eps1=0.002,
+         eps2=0.002, detector="practical", beta=1.0, chi_n=1.0, gain_frac=0.5)  # relay overflows
+@example(protocol="squeezed-modified", v_a=1e5, v_b=1e5, l_ac=0.0, l_bc=0.0, eps1=0.0,
+         eps2=0.0, detector="perfect", beta=1.0, chi_n=1e300, gain_frac=0.5)  # a (b + chi_n)
+@example(protocol="squeezed", v_a=1e150, v_b=5.04, l_ac=1.0, l_bc=1.0, eps1=0.002,
+         eps2=0.002, detector="perfect", beta=1.0, chi_n=0.0, gain_frac=1.0)  # ab - c^2 < 1
+@example(protocol="coherent", v_a=1e154, v_b=1e154, l_ac=1.0, l_bc=1.0, eps1=0.002,
+         eps2=0.002, detector="perfect", beta=1.0, chi_n=0.0, gain_frac=1.0)  # c^2 overflows
+@example(protocol="squeezed", v_a=1.0, v_b=1.0, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0,
+         detector="perfect", beta=1.0, chi_n=0.0, gain_frac=0.0)        # a pure vacuum pair
+def test_one_frame_kernel_equals_layered_kernel_bit_for_bit(protocol, v_a, v_b, l_ac, l_bc,
+                                                            eps1, eps2, detector, beta,
+                                                            chi_n, gain_frac):
+    # the gain objective, its report and key_rate at a fixed gain give the
+    # floats of the oracle's layered kernel bit for bit, and where either
+    # raises, both raise the same class with the same message
+    eta, v_el = DETECTOR_PRESETS[detector]
+    modified = protocol == "squeezed-modified"
+    chi_n = chi_n if modified else 0.0
+    p = ProtocolParams(v_a=v_a, v_b=v_b, l_ac=l_ac, l_bc=l_bc, eps1=eps1, eps2=eps2, eta=eta,
+                       v_el=v_el, beta=beta, protocol=protocol)
+    g = gain_frac * gain_bracket(p)
+    with np.errstate(all="ignore"):
+        assert outcome(lambda: _gain_objective(p, chi_n)(g)) == outcome(
+            lambda: layered_k(p, chi_n, g))
+        want = outcome(lambda: layered_report(p, chi_n, g))
+        got = outcome(lambda: report_terms(_gain_objective(p, chi_n)(g, report=True)))
+        assert got == want
+        fixed = replace(p, gain=g)
+        got = outcome(lambda: report_terms(
+            key_rate(fixed, AddedNoiseParams.from_chi_n(chi_n) if modified else None)))
+    if want[0] is NumericDomainError:
+        want = NumericDomainError, f"{want[1]} [at {fixed}]"
+    assert got == want
 
 
 def test_key_rate_zero_beta_never_positive():
@@ -805,14 +918,14 @@ def test_key_rate_modified_report():
     assert len(r.lambdas) == 5
     # the noise adds chi_n to Bob's variance in I_AB
     a, b, c = extract_two_mode(build_mdi_state(p, gain=r.gain_used))
-    assert r.mutual_info == pytest.approx(_homodyne_info(a, b + 2.0, c), rel=1e-9)
+    assert r.mutual_info == pytest.approx(homodyne_info(a, b + 2.0, c), rel=1e-9)
 
 
 def test_coherent_protocol_report():
     p = replace_protocol(ProtocolParams(v_a=1e5, v_b=1e5, l_ac=3.0, l_bc=3.0), "coherent")
     r = key_rate(p)
-    tm = _reduced_state(_gain_coefficients(p), r.gain_used)
-    assert r.mutual_info == pytest.approx(_heterodyne_info(*tm), rel=1e-12)
+    tm = reduced_state(_gain_coefficients(p), r.gain_used)
+    assert r.mutual_info == pytest.approx(heterodyne_info(*tm), rel=1e-12)
     assert r.holevo == pytest.approx(closed_chi(tm, "coherent"), rel=1e-12)
 
 

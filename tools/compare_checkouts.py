@@ -5,8 +5,13 @@
 Runs this checkout and OTHER_ROOT, each in a fresh interpreter that imports
 cvmdi from that root's ``src/`` (one BLAS thread), and has each print one
 line per value: the reduced state (a, b, c) of the relay at N seeded random
-points and gains, as ``protocols._reduced_state(protocols._gain_coefficients(p), g)``
-in ``float.hex``, the error where it raises; ``optimize_added_noise`` at
+points and gains, as ``reduced_state(protocols._gain_coefficients(p), g)``
+in ``float.hex``, the error where it raises, where ``reduced_state`` is
+``protocols._reduced_state`` in a checkout that has it and else the same
+function of its ``tests/oracle.py``; at each of those points and gains,
+the fixed-gain ``key_rate`` report of each protocol (K, I_AB, chi, the
+lambdas and the flags; squeezed-modified at a seeded chi_n, 0 or not) or
+its error; ``optimize_added_noise`` at
 NOISE_POINTS seeded random squeezed-modified points; K, gain and lambdas at
 every sweep point of ``bench/reference.json`` (only read); the rows of the
 benchmark's table; ``compare_protocols`` for every geometry, variance preset
@@ -16,8 +21,8 @@ settings that it reads.  The rows of a CLI output (category cli) are
 compared apart from its ``# config`` or ``metadata`` record (category
 record), so that a change to the record alone shows as such.  Prints every
 value that differs, at its first differing float or character, then one
-summary line per category (relay, optnoise, sweep, table, compare, cli,
-record): values compared, values differing, and the largest absolute,
+summary line per category (relay, kernel, optnoise, sweep, table, compare,
+cli, record): values compared, values differing, and the largest absolute,
 relative and ulp difference among the floats that differ.  Exits 1 if any
 value differs, else 0.
 """
@@ -39,9 +44,16 @@ import contextlib, glob, io, json, random, sys
 root, configs, n, noise_points, seed = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:6])
 sys.path[:0] = [root + "/src", root + "/bench"]
 import workloads
-from cvmdi import analysis, cli, protocols
+from dataclasses import replace
+from cvmdi import AddedNoiseParams, analysis, cli, protocols
 assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
-rng = random.Random(seed)
+# a checkout whose kernel runs in one frame keeps the layered reduced state
+# in its test oracle, the same function
+reduced_state = getattr(protocols, "_reduced_state", None)
+if reduced_state is None:
+    sys.path.insert(0, root + "/tests")
+    from oracle import reduced_state
+rng, noise_rng = random.Random(seed), random.Random(seed + 1)
 v = lambda: rng.choice([5.04, 1e5, rng.uniform(1.0, 50.0)])
 length = lambda: rng.choice([0.0, rng.uniform(0.0, 50.0)])
 for i in range(n):
@@ -50,11 +62,22 @@ for i in range(n):
                                  **rng.choice([{}, workloads.PRACTICAL]))
     g = rng.uniform(0.0, 3.0)
     try:
-        abc = protocols._reduced_state(protocols._gain_coefficients(p), g)
+        abc = reduced_state(protocols._gain_coefficients(p), g)
         got = " ".join(x.hex() for x in abc)
     except Exception as exc:
         got = repr((type(exc).__name__, str(exc)))
     print(f"relay {i} {p} {g!r}\t{got}")
+    chi_n = noise_rng.choice([0.0, noise_rng.uniform(0.0, 10.0)])
+    for protocol in protocols.PROTOCOLS:
+        modified = protocol == "squeezed-modified"
+        try:
+            r = protocols.key_rate(replace(p, gain=g, protocol=protocol),
+                                   AddedNoiseParams.from_chi_n(chi_n) if modified else None)
+            got = " ".join(x.hex() for x in (r.key_rate, r.mutual_info, r.holevo, *r.lambdas))
+            got += f" {r.flags}"
+        except Exception as exc:
+            got = repr((type(exc).__name__, str(exc)))
+        print(f"kernel {i} {protocol} {chi_n if modified else 0.0!r}\t{got}")
 for i in range(noise_points):
     p = protocols.ProtocolParams(v_a=v(), v_b=v(), l_ac=rng.uniform(0.0, 30.0),
                                  l_bc=length() / 10.0, eps1=rng.uniform(0.0, 0.05),
@@ -118,7 +141,7 @@ def dump(root: Path, points: int, seed: int) -> list[str]:
                           check=True).stdout.splitlines()
 
 
-CATEGORIES = ("relay", "optnoise", "sweep", "table", "compare", "cli", "record")
+CATEGORIES = ("relay", "kernel", "optnoise", "sweep", "table", "compare", "cli", "record")
 
 # a number not inside a name such as lambda1: the floats of a repr, a CSV or JSON
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -127,8 +150,9 @@ NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)
 def floats(value: str) -> tuple[str, list[float]]:
     """The text of a value with each number cut out, and the numbers."""
     body = value.split("\t", 1)[1]
-    if value.startswith("relay") and not body.startswith("("):
-        return "", [float.fromhex(h) for h in body.split()]
+    if value.startswith(("relay", "kernel")) and not body.startswith("("):
+        hexes, _, flags = body.partition(" (")
+        return flags, [float.fromhex(h) for h in hexes.split()]
     return NUMBER.sub("#", body), [float(m) for m in NUMBER.findall(body)]
 
 

@@ -6,11 +6,13 @@ Times five items in this checkout and in OTHER_ROOT.  The first is start-up:
 a fresh ``import cvmdi`` and its first ``key_rate``, once per interpreter.
 Then four layers of the kernel: the symplectic pair
 ``gaussian.two_mode_symplectic`` on the reduced states a gain search
-visits, the gain objective of each protocol (``protocols._gain_objective``)
-over the same gains, and one whole ``optimal_gain`` search, at a point of
-the kind the benchmark's table evaluates: V = 5.04, practical detector,
-L_AC = 10 km, L_BC = 0, and chi_n = 1 for squeezed-modified.  The fourth
-is the paper's table, as the benchmark's ``table`` workload computes it:
+visits (from ``protocols._reduced_state``, or in a checkout without it
+the same function of its ``tests/oracle.py``), the gain objective of each
+protocol (``protocols._gain_objective``) over the same gains, and one
+whole ``optimal_gain`` search, at a point of the kind the benchmark's
+table evaluates: V = 5.04, practical detector, L_AC = 10 km, L_BC = 0,
+and chi_n = 1 for squeezed-modified.  The fourth is the paper's table,
+as the benchmark's ``table`` workload computes it:
 ``analysis.compare_protocols`` at V = 5.04, 'most-asymmetric', with the
 practical detector, each call with an empty relay cache where the library
 has one.
@@ -21,7 +23,10 @@ reports, per kernel item, its best of REPEATS timed loops as microseconds
 per call, and start-up as its one measurement.  The summary gives each
 checkout's min and median over the rounds, and the ratio of the medians.
 On a shared host single timings of the same code swing by tens of
-percent, so one measurement is no comparison.
+percent, so one measurement is no comparison.  With PYTHONDONTWRITEBYTECODE
+set, a checkout whose bytecode is not cached yet, as a changed checkout's
+usually is not, compiles its modules in every interpreter, which inflates
+its start-up row; unset it, or compile both checkouts first.
 Uses only the standard library; the tests do not run it.
 """
 
@@ -62,7 +67,13 @@ def best(call, n):
 
 params = ProtocolParams(**base)
 coeffs = protocols._gain_coefficients(params)
-states = [protocols._reduced_state(coeffs, g) for g in gains]
+# a checkout whose kernel runs in one frame keeps the layered reduced state
+# in its test oracle, the same function
+reduced_state = getattr(protocols, "_reduced_state", None)
+if reduced_state is None:
+    sys.path.insert(0, root + "/tests")
+    from oracle import reduced_state
+states = [reduced_state(coeffs, g) for g in gains]
 pair = gaussian.two_mode_symplectic
 
 def pairs():
