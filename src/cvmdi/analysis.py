@@ -7,6 +7,13 @@ optimised, per point (``key_rate_at_best_noise``) or per trial length
 around the best grid point; an optimum at a bracket edge costs one probe
 instead of a refinement.
 
+Each of ``optimize_added_noise``, ``max_distance`` and
+``key_rate_at_best_noise`` makes one memo (``protocols.key_rate``) and
+passes it to every ``key_rate`` call it makes, so their gain searches at
+one channel compute each gain's gain-only half of the kernel once.  The
+memo is dropped when the call returns.  A key rate at a given chi_n,
+such as a sweep point's, searches one gain at one channel and keeps none.
+
 ``max_distance`` reads only the sign of K at each trial length, so a trial
 stops at the first evaluated point with K > 0.  It tries, in order: the
 gain and noise of the last such point (one evaluation at a fixed gain);
@@ -147,10 +154,12 @@ def _optimizes_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> 
 def key_rate_at_best_noise(params: ProtocolParams,
                            noise: AddedNoiseParams | None = None) -> KeyRateReport:
     """``key_rate(params, noise)``; for the squeezed-modified protocol given
-    no noise, at the chi_n* of ``optimize_added_noise``."""
+    no noise, at the chi_n* of ``optimize_added_noise``, which shares its
+    memo with that last ``key_rate``."""
     if _optimizes_noise(params, noise):
-        chi_star, _ = optimize_added_noise(params)
-        noise = AddedNoiseParams.from_chi_n(chi_star)
+        memo = {}
+        chi_star, _ = optimize_added_noise(params, memo=memo)
+        return key_rate(params, AddedNoiseParams.from_chi_n(chi_star), memo=memo)
     return key_rate(params, noise)
 
 
@@ -166,7 +175,8 @@ def sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-def optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
+def optimize_added_noise(params: ProtocolParams, *,
+                         memo: dict | None = None) -> tuple[float, float]:
     """Best trusted added noise at this geometry: returns (chi_n*, K*).
 
     K is first evaluated on a grid of CHI_N_GRID_POINTS evenly spaced
@@ -191,12 +201,18 @@ def optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
     L_BC = 0 with the practical detector, K(chi_n = 100) = +2.2e-6 while
     K(50) = -9.7e-7, so the modified row of a max-distance table gives the
     reach with chi_n <= 50, which can be shorter than the protocol's.
+
+    Every ``key_rate`` call shares ``memo`` (a fresh one when None; see
+    ``protocols.key_rate``): the gain searches of all chi_n run over one
+    bracket at one channel, so they revisit gains until their optima part.
     """
     if params.protocol != "squeezed-modified":
         raise InvalidParameterError("added-noise optimization needs protocol 'squeezed-modified'")
+    if memo is None:
+        memo = {}
 
     def objective(chi: float) -> float:
-        return key_rate(params, AddedNoiseParams.from_chi_n(chi)).key_rate
+        return key_rate(params, AddedNoiseParams.from_chi_n(chi), memo=memo).key_rate
 
     lo, hi = CHI_N_BRACKET
     n = CHI_N_GRID_POINTS
@@ -262,7 +278,8 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     the witness.  A witness that raises NumericDomainError counts as
     K <= 0, so only the searches of steps 2 and 3 can raise.  A positive
     trial thus stands on a point actually evaluated and a non-positive one
-    on the full search, as without steps 1 and 2.
+    on the full search, as without steps 1 and 2.  All three steps, at
+    every trial length, share one memo (``protocols.key_rate``).
     With no key at length 0 the result has positive_at_origin False and
     l_star_km = l_ab_km = 0: a protocol without key claims no reach.
     """
@@ -277,6 +294,7 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
             return replace(params, l_ac=length, l_bc=length)
         return replace(params, l_ac=length)
 
+    memo = {}
     witness = None  # (gain, noise) of the last evaluated point with K > 0
     chi_last = CHI_N_BRACKET[0]  # chi_n* of the last full optimisation
 
@@ -286,19 +304,19 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
         if witness is not None:
             gain, witness_noise = witness
             try:
-                k = key_rate(replace(p, gain=gain), witness_noise).key_rate
+                k = key_rate(replace(p, gain=gain), witness_noise, memo=memo).key_rate
             except NumericDomainError:
                 k = 0.0
             if k > 0.0:
                 return k
         trial_noise = AddedNoiseParams.from_chi_n(chi_last) if optimize_noise else noise
-        report = key_rate(p, trial_noise)
+        report = key_rate(p, trial_noise, memo=memo)
         if report.key_rate > 0.0:
             witness = report.gain_used, trial_noise
             return report.key_rate
         if not optimize_noise:
             return report.key_rate
-        chi_last, k = optimize_added_noise(p)
+        chi_last, k = optimize_added_noise(p, memo=memo)
         return k
 
     if k_of(0.0) <= 0.0:
@@ -347,10 +365,12 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     trial length of every row runs as ``max_distance`` runs it: the last
     positive point's gain and noise at a fixed gain, then (modified
     protocol) the last chi_n* with the gain searched, from chi_n = 0 at
-    length 0, then the full search, stopping at the first K > 0.  The rows
-    share relay assemblies where their channels coincide: the squeezed and
-    modified rows at a common length, whatever the gain.  Every detector
-    name is checked before any search runs.
+    length 0, then the full search, stopping at the first K > 0.  Within a
+    row, every search at a trial length shares the relay coefficients and
+    each gain's gain-only half of the kernel through that row's
+    ``max_distance`` memo; rows share nothing, not even where their
+    channels coincide.  Every detector name is checked before any search
+    runs.
     """
     base = at_geometry(base, geometry)
     mode = GEOMETRY_MODES[geometry]

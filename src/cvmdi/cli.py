@@ -306,8 +306,9 @@ def cmd_maxdist(cfg: dict) -> int:
 
 def cmd_optnoise(cfg: dict) -> int:
     params, _ = _resolve(cfg)
-    chi_star, k_star = optimize_added_noise(params)
-    report = key_rate(params, AddedNoiseParams.from_chi_n(chi_star))
+    memo = {}
+    chi_star, k_star = optimize_added_noise(params, memo=memo)
+    report = key_rate(params, AddedNoiseParams.from_chi_n(chi_star), memo=memo)
     row = {"chi_n_star_snu": chi_star, "K_star_bits": k_star, "report": _report(report)}
     _write(cfg, params, ["chi_n_star_snu", "K_star_bits", *REPORT_COLUMNS], [row], key="result")
     return 0

@@ -20,9 +20,17 @@ those coefficients, its guards, and the key rate as a closed-form function
 of (a, b, c), chi_n and the protocol, with the trusted-noise Holevo term
 of Lodewyck et al., PRA 76, 042305 (2007).  The gain search maximises it,
 and ``key_rate`` asks it for the report at the chosen gain, so the kernel
-is written once.  A reported point is certified physical from the smaller
-symplectic eigenvalue of (a, b, c), at the tolerance of the matrix route's
-``GaussianState.require_physical``.
+is written once.  Its first half (the reduced state, its guards, the
+symplectic pair and their two entropies) reads only the channel and the
+gain.  A search that evaluates many gains at one channel passes
+``key_rate`` a memo, a dict keyed by the channel, that holds the relay
+coefficients and each gain's first half for every call of that search,
+whatever the protocol or chi_n; ``cvmdi.analysis`` makes one per
+``optimize_added_noise``, ``max_distance`` or ``key_rate_at_best_noise``
+call and drops it when the call returns.  A single-point call passes
+none and stores nothing.  A reported point is certified physical from the
+smaller symplectic eigenvalue of (a, b, c), at the tolerance of the matrix
+route's ``GaussianState.require_physical``.
 
 Added noise is its variance chi_n alone (``AddedNoiseParams``): the key
 rate depends on nothing else of the trusted-noise beamsplitter, so no
@@ -256,8 +264,8 @@ def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) ->
     return noise.chi_n
 
 
-def _gain_objective(params: ProtocolParams,
-                    chi_n: float) -> Callable[..., float | KeyRateReport]:
+def _gain_objective(params: ProtocolParams, chi_n: float,
+                    memo: dict | None = None) -> Callable[..., float | KeyRateReport]:
     """K as a function of the gain, unvalidated: the objective of
     ``optimal_gain``, and with ``report=True`` the ``KeyRateReport`` that
     ``key_rate`` returns at its gain.
@@ -267,7 +275,7 @@ def _gain_objective(params: ProtocolParams,
     A call then runs the whole kernel in one frame, its guards in this
     order.  The reduced state b = b0 + 2 g b1 + g^2 b2, c = c1 g follows
     the operation order of ``cvmdi.matrix._displaced_pair``; an overflow in
-    b or c raises NumericDomainError, and so does rounding in b, whose
+    b, c or c^2 raises NumericDomainError, and so does rounding in b, whose
     terms can cancel from far above its value, beyond TWO_MODE_TOL of the
     largest of 1, a, b and |c| (the tolerance of the oracle's two-mode
     form).  Unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL,
@@ -282,8 +290,26 @@ def _gain_objective(params: ProtocolParams,
     CHI_CLAMP_TOL below 0 is clamped to 0 and flagged on the report.  Every
     guard is written so that NaN fails it: an overflow anywhere raises
     NumericDomainError rather than reaching the result.
+
+    The kernel's first half, up to the Holevo terms of lambda1 and lambda2,
+    depends on the channel and the gain only.  Given a ``memo`` (a dict,
+    keyed by the nine fields ``_gain_coefficients`` reads), the relay
+    coefficients and each gain's first half are stored there and reused by
+    every objective built on the same memo at the same channel, whatever
+    its protocol, beta or chi_n.  A
+    stored half is the floats the call computed, so a hit changes no bit;
+    a gain whose first half raised is not stored and raises again.
     """
-    a, b0, b1, b2, c0, c1 = _gain_coefficients(params)
+    if memo is None:
+        coeffs, known = _gain_coefficients(params), None
+    else:
+        channel = (params.v_a, params.v_b, params.l_ac, params.l_bc, params.alpha,
+                   params.eps1, params.eps2, params.eta, params.v_el)
+        entry = memo.get(channel)
+        if entry is None:
+            entry = memo[channel] = _gain_coefficients(params), {}
+        coeffs, known = entry
+    a, b0, b1, b2, c0, c1 = coeffs
     abs_b0, abs_b2 = abs(b0), abs(b2)
     top = max(1.0, abs(a))
     tol_top = TWO_MODE_TOL * top
@@ -293,27 +319,46 @@ def _gain_objective(params: ProtocolParams,
     log2, sqrt, inf = math.log2, math.sqrt, math.inf
 
     def objective(g: float, report: bool = False):
-        b = (g * b2 + b1) * g + (g * b1 + b0)
-        c = c1 * g + c0
-        # an overflow stops here, with the gain in the message, before the eigenvalues
-        if not (abs(b) < inf and abs(c) < inf):
-            raise NumericDomainError(f"reduced state overflows at gain {g}: b = {b}, c = {c}")
-        err_b = _FOUR_EPS * (abs_b0 + 2.0 * abs(g * b1) + g * g * abs_b2)
-        # err_b > TWO_MODE_TOL * max(top, |b|, |c|), one product at a time: as
-        # rounding is monotone, the same test, and the first almost always settles it
-        if (err_b > tol_top and err_b > TWO_MODE_TOL * abs(b)
-                and err_b > TWO_MODE_TOL * abs(c)):
-            tol = TWO_MODE_TOL * max(top, abs(b), abs(c))
-            raise NumericDomainError(
-                f"b = {b} cancels from terms of size {abs_b0 + g * g * abs_b2}: "
-                f"rounding {err_b} exceeds the tolerance {tol}")
-        if not (a >= 1.0 and b >= 1.0):
-            raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
-        ab, cc = a * b, c * c
-        det = ab - cc
-        if not det >= _DET_FLOOR:
-            raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
-        lam1, lam2 = two_mode_symplectic(a, b, c)
+        terms = None if known is None else known.get(g)
+        if terms is None:
+            b = (g * b2 + b1) * g + (g * b1 + b0)
+            c = c1 * g + c0
+            # an overflow stops here, with the gain in the message, before the eigenvalues
+            if not (abs(b) < inf and abs(c) < inf):
+                raise NumericDomainError(
+                    f"reduced state overflows at gain {g}: b = {b}, c = {c}")
+            err_b = _FOUR_EPS * (abs_b0 + 2.0 * abs(g * b1) + g * g * abs_b2)
+            # err_b > TWO_MODE_TOL * max(top, |b|, |c|), one product at a time: as
+            # rounding is monotone, the same test, and the first almost always settles it
+            if (err_b > tol_top and err_b > TWO_MODE_TOL * abs(b)
+                    and err_b > TWO_MODE_TOL * abs(c)):
+                tol = TWO_MODE_TOL * max(top, abs(b), abs(c))
+                raise NumericDomainError(
+                    f"b = {b} cancels from terms of size {abs_b0 + g * g * abs_b2}: "
+                    f"rounding {err_b} exceeds the tolerance {tol}")
+            if not (a >= 1.0 and b >= 1.0):
+                raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
+            ab, cc = a * b, c * c
+            if cc == inf:
+                raise NumericDomainError(f"reduced state overflows: c^2 = {cc} at c = {c}")
+            det = ab - cc
+            if not det >= _DET_FLOOR:
+                raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {det}")
+            lam1, lam2 = two_mode_symplectic(a, b, c)
+            # a NaN is not <= 1, so it still reaches g_func, which rejects it
+            chi = 0.0
+            try:
+                if not lam1 <= 1.0:
+                    chi += g_func((lam1 - 1.0) / 2.0)
+                if not lam2 <= 1.0:
+                    chi += g_func((lam2 - 1.0) / 2.0)
+            except InvalidParameterError:
+                # g_func rejects only NaN here: numeric trouble, reported below
+                chi = math.nan
+            if known is not None:
+                known[g] = b, c, ab, cc, det, lam1, lam2, chi
+        else:
+            b, c, ab, cc, det, lam1, lam2, chi = terms
         lam4 = 1.0
         if coherent:
             # heterodyne on both sides: a one-unit vacuum penalty per quadrature
@@ -357,19 +402,12 @@ def _gain_objective(params: ProtocolParams,
             if not lam4 >= 1.0 - 1e-9:
                 raise NumericDomainError(
                     f"trusted-noise conditional eigenvalue {lam4} is below 1")
-        # a NaN is not <= 1, so it still reaches g_func, which rejects it
-        chi = 0.0
         try:
-            if not lam1 <= 1.0:
-                chi += g_func((lam1 - 1.0) / 2.0)
-            if not lam2 <= 1.0:
-                chi += g_func((lam2 - 1.0) / 2.0)
             if not lam3 <= 1.0:
                 chi -= g_func((lam3 - 1.0) / 2.0)
             if not lam4 <= 1.0:
                 chi -= g_func((lam4 - 1.0) / 2.0)
         except InvalidParameterError:
-            # g_func rejects only NaN here: numeric trouble, reported below
             chi = math.nan
         flags = ()
         if not chi >= 0.0:
@@ -398,16 +436,18 @@ def gain_bracket(params: ProtocolParams) -> float:
     return 4.0 * math.sqrt(2.0 / (params.eta * params.t_2))
 
 
-def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> float:
+def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
+                 memo: dict | None = None) -> float:
     """Key-rate-maximizing displacement gain, by golden-section search.
 
     Searches [0, 4 sqrt(2/(eta T2))] to tolerance 1e-6; if the optimum
     lands on the upper edge the bracket is doubled once, after which an
     edge optimum raises NumericDomainError.  Both searches share one
     objective from ``_gain_objective``, so the per-point work (coefficients,
-    their checks, chi_n and beta) is done once, not per gain.
+    their checks, chi_n and beta) is done once, not per gain.  A ``memo``
+    is passed to that objective (see ``key_rate``).
     """
-    objective = _gain_objective(params, check_added_noise(params, noise))
+    objective = _gain_objective(params, check_added_noise(params, noise), memo)
     hi = gain_bracket(params)
     for _ in range(2):
         g_star = golden_section_max(objective, 0.0, hi, GAIN_TOL)[0]
@@ -418,17 +458,25 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None) 
         f"gain optimum stuck at the search edge {hi / 2.0} even after widening")
 
 
-def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None) -> KeyRateReport:
+def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
+             memo: dict | None = None) -> KeyRateReport:
     """Secret key rate K = beta I(A:B) - chi(B:E) for one parameter point.
 
     Optimizes the displacement gain unless ``params.gain`` is set, checks
     that the reduced state at that gain is physical, and evaluates the
     protocol variant selected by ``params.protocol``.
+
+    ``memo``, an initially empty dict, lets the calls of one search share
+    the kernel's gain-only half (``_gain_objective``): pass the same dict
+    to every ``key_rate`` and ``optimal_gain`` call of the search, and drop
+    it with the search.  It changes no result, only how often the relay
+    coefficients and each gain's symplectic pair are computed.
     """
     chi_n = check_added_noise(params, noise)
     try:
-        objective = _gain_objective(params, chi_n)
-        g = params.gain if params.gain is not None else optimal_gain(params, noise)
+        objective = _gain_objective(params, chi_n, memo)
+        g = (params.gain if params.gain is not None
+             else optimal_gain(params, noise, memo=memo))
         return objective(g, report=True)
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc

@@ -175,11 +175,17 @@ def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) 
 def check_two_mode(a: float, b: float, c: float) -> None:
     """Raise unless a, b >= 1 and ab - c^2 >= 1 - PHYSICALITY_TOL: the validity
     of the symmetric two-mode form (a, b, c) that the key-rate kernel works
-    on.  Both tests are written so that NaN fails them."""
+    on.  Both tests are written so that NaN fails them.  Between them, a
+    finite c whose square overflows raises NumericDomainError: numeric
+    trouble, not an unphysical input."""
     if not (a >= 1.0 and b >= 1.0):
         raise InvalidParameterError(f"mode variances must be >= 1, got a={a}, b={b}")
-    if not a * b - c * c >= 1.0 - PHYSICALITY_TOL:
-        raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {a * b - c ** 2}")
+    cc = c * c
+    if cc == math.inf:
+        raise NumericDomainError(f"reduced state overflows: c^2 = {cc} at c = {c}")
+    det = a * b - cc
+    if not det >= 1.0 - PHYSICALITY_TOL:
+        raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {det}")
 
 
 def two_product(x: float, y: float) -> tuple[float, float]:

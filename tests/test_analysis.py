@@ -356,7 +356,7 @@ def test_warm_start_falls_back_when_the_optimum_moves(monkeypatch):
     # K(L, chi_n) = 1 - L/10 - (chi_n - L)^2: the optimum chi_n* = L moves
     # with L, so the probe at the last chi_n* is non-positive from 1 km on,
     # while K*(L) = 1 - L/10 stays positive up to 10 km
-    def fake(params, noise=None):
+    def fake(params, noise=None, **kwargs):
         return SimpleNamespace(key_rate=1.0 - params.l_ac / 10.0
                                - (noise.chi_n - params.l_ac) ** 2, gain_used=1.0)
 
@@ -379,7 +379,7 @@ def test_witness_falls_back_when_the_optimal_gain_moves(monkeypatch):
     # 10 km; each trial falls back to the full gain search
     witness_rates = []
 
-    def fake(params, noise=None):
+    def fake(params, noise=None, **kwargs):
         length = params.l_ac
         if params.gain is None:
             return SimpleNamespace(key_rate=1.0 - length / 10.0, gain_used=length)
@@ -401,11 +401,11 @@ def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol)
     # trial, and the search gives the reach of the full search, not an error
     raised = []
 
-    def no_fixed_gain(params, noise=None):
+    def no_fixed_gain(params, noise=None, **kwargs):
         if params.gain is not None:
             raised.append(params.l_ac)
             raise NumericDomainError("planted")
-        return key_rate(params, noise)
+        return key_rate(params, noise, **kwargs)
 
     p = replace(REALISTIC, protocol=protocol)
     want = reference_max_distance(p, mode="fixed-lbc")
@@ -421,9 +421,9 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
     searches = []
     honest = protocols.optimal_gain
 
-    def counted(params, noise=None):
+    def counted(params, noise=None, **kwargs):
         searches.append(params)
-        return honest(params, noise)
+        return honest(params, noise, **kwargs)
 
     monkeypatch.setattr(protocols, "optimal_gain", counted)
     table = compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),

@@ -420,6 +420,18 @@ def test_overflow_stderr_holds_only_the_numeric_error(argv):
     assert len(lines) == 1 and lines[0].startswith("numeric error:"), res.stderr
 
 
+def test_c_squared_overflow_exits_3():
+    # at V = 1e154 and this gain c ~ 4e154: c^2 overflows, and formatting the
+    # unphysical-form message from it raised OverflowError, a traceback, exit 1
+    res = run_cli("keyrate", "--variance", "1e154", "--lac", "1", "--lbc", "1",
+                  "--gain", "5.65")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith("numeric error: reduced state overflows: c^2 = inf")
+
+
 def test_length_underflow_exits_3_and_a_long_length_still_runs():
     # 10^(-0.2 * 1e6 / 10) underflows to 0: a valid length, a numeric limit
     res = run_cli("keyrate", "--lac", "1e6")

@@ -866,7 +866,7 @@ _LENGTH = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
 @example(protocol="squeezed", v_a=1e150, v_b=5.04, l_ac=1.0, l_bc=1.0, eps1=0.002,
          eps2=0.002, detector="perfect", beta=1.0, chi_n=0.0, gain_frac=1.0)  # ab - c^2 < 1
 @example(protocol="coherent", v_a=1e154, v_b=1e154, l_ac=1.0, l_bc=1.0, eps1=0.002,
-         eps2=0.002, detector="perfect", beta=1.0, chi_n=0.0, gain_frac=1.0)  # c^2 overflows
+         eps2=0.002, detector="perfect", beta=1.0, chi_n=0.0, gain_frac=1.0)  # ab, c^2 overflow
 @example(protocol="squeezed", v_a=1.0, v_b=1.0, l_ac=0.0, l_bc=0.0, eps1=0.0, eps2=0.0,
          detector="perfect", beta=1.0, chi_n=0.0, gain_frac=0.0)        # a pure vacuum pair
 def test_one_frame_kernel_equals_layered_kernel_bit_for_bit(protocol, v_a, v_b, l_ac, l_bc,
@@ -874,25 +874,35 @@ def test_one_frame_kernel_equals_layered_kernel_bit_for_bit(protocol, v_a, v_b, 
                                                             chi_n, gain_frac):
     # the gain objective, its report and key_rate at a fixed gain give the
     # floats of the oracle's layered kernel bit for bit, and where either
-    # raises, both raise the same class with the same message
+    # raises, both raise the same class with the same message; so do all
+    # three through a memo that the other protocols (and the modified one
+    # at another chi_n) have already evaluated at this channel and gain
     eta, v_el = DETECTOR_PRESETS[detector]
     modified = protocol == "squeezed-modified"
     chi_n = chi_n if modified else 0.0
     p = ProtocolParams(v_a=v_a, v_b=v_b, l_ac=l_ac, l_bc=l_bc, eps1=eps1, eps2=eps2, eta=eta,
                        v_el=v_el, beta=beta, protocol=protocol)
     g = gain_frac * gain_bracket(p)
+    fixed = replace(p, gain=g)
+    noise = AddedNoiseParams.from_chi_n(chi_n) if modified else None
+    warmers = [(q, 1.0 if q == "squeezed-modified" else 0.0)
+               for q in protocols.PROTOCOLS if q != protocol]
+    if modified:
+        warmers.append((protocol, 2.0 * chi_n + 1.0))
     with np.errstate(all="ignore"):
-        assert outcome(lambda: _gain_objective(p, chi_n)(g)) == outcome(
-            lambda: layered_k(p, chi_n, g))
+        want_k = outcome(lambda: layered_k(p, chi_n, g))
         want = outcome(lambda: layered_report(p, chi_n, g))
-        got = outcome(lambda: report_terms(_gain_objective(p, chi_n)(g, report=True)))
-        assert got == want
-        fixed = replace(p, gain=g)
-        got = outcome(lambda: report_terms(
-            key_rate(fixed, AddedNoiseParams.from_chi_n(chi_n) if modified else None)))
-    if want[0] is NumericDomainError:
-        want = NumericDomainError, f"{want[1]} [at {fixed}]"
-    assert got == want
+        want_rate = ((NumericDomainError, f"{want[1]} [at {fixed}]")
+                     if want[0] is NumericDomainError else want)
+        warm = {}
+        for q, warm_chi_n in warmers:
+            outcome(lambda: _gain_objective(replace(p, protocol=q), warm_chi_n, warm)(g))
+        for memo in (None, warm):
+            assert outcome(lambda: _gain_objective(p, chi_n, memo)(g)) == want_k
+            got = outcome(lambda: report_terms(_gain_objective(p, chi_n, memo)(g, report=True)))
+            assert got == want
+            got = outcome(lambda: report_terms(key_rate(fixed, noise, memo=memo)))
+            assert got == want_rate
 
 
 def test_key_rate_zero_beta_never_positive():

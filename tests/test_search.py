@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvmdi.analysis as analysis_mod
+from cvmdi import protocols
 from cvmdi import AddedNoiseParams, ProtocolParams, key_rate, optimize_added_noise
 from cvmdi.analysis import (
     CHI_N_BRACKET,
@@ -189,7 +190,7 @@ def synthetic_key_rate(monkeypatch, k_of_chi):
     """Route optimize_added_noise to K = k_of_chi(chi_n); returns the chi_n asked for."""
     asked = []
 
-    def fake(params, noise=None):
+    def fake(params, noise=None, **kwargs):
         asked.append(noise.chi_n)
         return SimpleNamespace(key_rate=k_of_chi(noise.chi_n))
 
@@ -272,15 +273,41 @@ def test_real_edge_optimum_costs_twelve_key_rates(monkeypatch):
     calls = []
     real = analysis_mod.key_rate
 
-    def counting(params, noise=None):
+    def counting(params, noise=None, **kwargs):
         calls.append(noise.chi_n)
-        return real(params, noise)
+        return real(params, noise, **kwargs)
 
     monkeypatch.setattr(analysis_mod, "key_rate", counting)
     p = preset_params("squeezed-modified", "practical", "realistic", l_ac=16.0, l_bc=0.0)
     chi_star, _ = optimize_added_noise(p)
     assert chi_star == HI
     assert len(calls) == CHI_N_GRID_POINTS + 1
+
+
+@pytest.mark.parametrize("l_ac", [11.0, 13.875, 16.0])
+def test_added_noise_search_pairs_each_gain_once(monkeypatch, l_ac):
+    # the gain searches of one chi_n optimisation run over one bracket at one
+    # channel and share a memo: each gain they visit costs one symplectic
+    # pair, however many searches visit it and whatever their chi_n
+    pairs, gains = [], []
+    pair, search = protocols.two_mode_symplectic, protocols.golden_section_max
+
+    def counted_pair(a, b, c):
+        pairs.append((a, b, c))
+        return pair(a, b, c)
+
+    def spy(f, *args):
+        def visit(g):
+            gains.append(g)
+            return f(g)
+
+        return search(visit, *args)
+
+    monkeypatch.setattr(protocols, "two_mode_symplectic", counted_pair)
+    monkeypatch.setattr(protocols, "golden_section_max", spy)
+    optimize_added_noise(preset_params("squeezed-modified", "practical", "realistic",
+                                       l_ac=l_ac, l_bc=0.0))
+    assert len(pairs) == len(set(gains)) < len(gains) / 2
 
 
 def random_modified_points(seed, count):
