@@ -3,22 +3,26 @@ distances, added-noise optimization, and protocol comparison tables.
 
 The squeezed-modified protocol given no added noise has its chi_n
 optimised, per point (``key_rate_at_best_noise``) or per trial length
-(``max_distance``).  ``optimize_added_noise`` grids chi_n, then refines
-around the best grid point; an optimum at a bracket edge costs one probe
-instead of a refinement.
+(``max_distance``).  ``optimize_added_noise`` grids chi_n over
+CHI_N_GRID, then refines around the best grid point; an optimum at the
+lower grid edge costs one probe instead of a refinement, and one at the
+upper edge two, unless K rises past it, where the search continues over
+the rest of the half-line.
 
 Each of ``optimize_added_noise``, ``max_distance`` and
 ``key_rate_at_best_noise`` makes one memo (``protocols.key_rate``) and
-passes it to every ``key_rate`` call it makes, so their gain searches at
-one channel compute each gain's gain-only half of the kernel once.  The
-memo is dropped when the call returns.  A key rate at a given chi_n,
-such as a sweep point's, searches one gain at one channel and keeps none.
+passes it to every gain search it makes, so their gain searches at one
+channel compute each gain's gain-only half of the kernel once.  The memo
+is dropped when the call returns.  A key rate at a given chi_n, such as a
+sweep point's, searches one gain at one channel and keeps none.
 
 ``max_distance`` reads only the sign of K at each trial length, so a trial
-stops at the first evaluated point with K > 0.  It tries, in order: the
-gain and noise of the last such point (one evaluation at a fixed gain);
-then, for the modified protocol, the last chi_n* with the gain searched,
-starting from chi_n = 0 at length 0; then the full search.
+stops at the first evaluated point that proves K > 0.  It tries, in
+order: the gain and noise of the last such point (one evaluation at a
+fixed gain); then K with the gain searched; then, when chi_n is
+optimised, the slope D = lim chi_n K as chi_n -> inf
+(``protocols.noise_limit_slope``) with the gain searched.  At beta = 1,
+K at chi_n = 0 and D decide the sign of K* between them.
 
 The paper's three geometries are the keys of ``GEOMETRY_MODES``, which maps
 each to the ``max_distance`` mode that scans it; ``at_geometry`` pins
@@ -34,11 +38,13 @@ from typing import Iterable
 
 from .errors import CVMDIError, InvalidParameterError, NumericDomainError
 from .protocols import (
+    NOISE_LIMIT,
     AddedNoiseParams,
     KeyRateReport,
     ProtocolParams,
     check_added_noise,
     key_rate,
+    noise_limit_slope,
 )
 from .search import golden_section_max, positive_edge
 
@@ -48,9 +54,12 @@ GEOMETRY_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
                   "most-asymmetric": "fixed-lbc"}
 GEOMETRIES = tuple(GEOMETRY_MODES)
 
-CHI_N_BRACKET = (0.0, 50.0)
+# optimize_added_noise grids chi_n over this span and refines inside it,
+# then searches w = chi_n/(1 + chi_n) past its upper edge to CHI_N_W_TOL
+CHI_N_GRID = (0.0, 50.0)
 CHI_N_TOL = 1e-4
 CHI_N_GRID_POINTS = 11
+CHI_N_W_TOL = 1e-6
 
 SCAN_STEP_KM = 1.0
 SCAN_CAP_KM = 500.0
@@ -180,27 +189,36 @@ def optimize_added_noise(params: ProtocolParams, *,
     """Best trusted added noise at this geometry: returns (chi_n*, K*).
 
     K is first evaluated on a grid of CHI_N_GRID_POINTS evenly spaced
-    chi_n over CHI_N_BRACKET.  Golden section then refines to CHI_N_TOL only
+    chi_n over CHI_N_GRID.  Golden section then refines to CHI_N_TOL only
     inside the two grid cells around the best grid point (one cell at a
-    bracket edge), reusing the two grid values that bound them; the result
+    grid edge), reusing the two grid values that bound them; the result
     is the better of that refinement and the best grid point.  A grid with
     more than one strict local maximum means the profile is not unimodal,
     and a RuntimeWarning says so.  chi_n* = 0 is a legal boundary optimum.
 
-    A best grid point at a bracket edge is first certified with one probe,
+    A best grid point at a grid edge is first certified with one probe,
     CHI_N_TOL inside that edge: if K there is not above the edge value, the
-    edge is returned as it stands, without refinement.  This rests on the
-    unimodality golden section already assumes: a profile that does not rise
-    one tolerance inside the edge peaks within CHI_N_TOL of it, which is the
-    accuracy the refinement promises.  Only a probe that rises runs it.  A
-    peak that close to the edge can still lie above the edge value, so K*
-    may be lower than a refinement landing nearer that peak would report.
+    edge is the best point of the grid's span, without refinement.  This
+    rests on the unimodality golden section already assumes: a profile that
+    does not rise one tolerance inside the edge peaks within CHI_N_TOL of
+    it, which is the accuracy the refinement promises.  Only a probe that
+    rises runs it.  A peak that close to the edge can still lie above the
+    edge value, so K* may be lower than a refinement landing nearer that
+    peak would report.
 
-    The bracket caps chi_n*, and the cap often binds: an edge is the
-    optimum at most random points.  At V = 5.04, L_AC = 13.875 km,
-    L_BC = 0 with the practical detector, K(chi_n = 100) = +2.2e-6 while
-    K(50) = -9.7e-7, so the modified row of a max-distance table gives the
-    reach with chi_n <= 50, which can be shorter than the protocol's.
+    The grid's span is no cap.  At its upper edge a second probe, CHI_N_TOL
+    past it, asks whether K still rises there; if so, golden section
+    searches w = chi_n/(1 + chi_n) from that edge to w = 1, the limit
+    chi_n -> inf, to CHI_N_W_TOL (``_past_the_grid``).  So the table's
+    modified row has chi_n* = 110.9 at V = 5.04, L_AC = 13.875 km,
+    L_BC = 0 with the practical detector, where K(100) = +2.2e-6 while
+    K(50) = -9.7e-7.  The result is always a finite chi_n and its K.
+    Where K still rises within CHI_N_W_TOL of the limit, K* is a supremum
+    that no finite chi_n attains, whose sign is that of the slope D of
+    ``protocols.noise_limit_slope``; a RuntimeWarning says so, and the
+    best point searched is returned.  Those points lie near
+    chi_n = 3.3e6, where K is still resolved in doubles: near 1e8 at
+    V = 1e5, the rounding of its terms reaches K.
 
     Every ``key_rate`` call shares ``memo`` (a fresh one when None; see
     ``protocols.key_rate``): the gain searches of all chi_n run over one
@@ -214,7 +232,7 @@ def optimize_added_noise(params: ProtocolParams, *,
     def objective(chi: float) -> float:
         return key_rate(params, AddedNoiseParams.from_chi_n(chi), memo=memo).key_rate
 
-    lo, hi = CHI_N_BRACKET
+    lo, hi = CHI_N_GRID
     n = CHI_N_GRID_POINTS
     step = (hi - lo) / (n - 1)
     grid = [lo + i * step for i in range(n)]
@@ -229,6 +247,8 @@ def optimize_added_noise(params: ProtocolParams, *,
     if best in (0, n - 1):
         inside = grid[best] + (CHI_N_TOL if best == 0 else -CHI_N_TOL)
         if not objective(inside) > vals[best]:
+            if best == n - 1 and objective(hi + CHI_N_TOL) > vals[best]:
+                return _past_the_grid(objective, hi, vals[best])
             return grid[best], vals[best]
     known = dict(zip(grid, vals))
     sub_lo, sub_hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
@@ -239,6 +259,33 @@ def optimize_added_noise(params: ProtocolParams, *,
     return best_x, best_f
 
 
+def _past_the_grid(objective, chi_lo: float, k_lo: float) -> tuple[float, float]:
+    """Best (chi_n, K) at chi_n >= chi_lo, where K = k_lo and rises: golden
+    section over w = chi_n/(1 + chi_n) on [w(chi_lo), 1] to CHI_N_W_TOL.
+
+    w = 1 is the limit chi_n -> inf.  K vanishes there, so it is no point
+    to return: the search ranks it below every finite chi_n.  Where the
+    best point lies within CHI_N_W_TOL of it, a RuntimeWarning says that K
+    still rises at the end of the search.
+    """
+    w_lo = chi_lo / (1.0 + chi_lo)
+
+    def k_of(w: float) -> float:
+        if w == w_lo:
+            return k_lo
+        return -math.inf if w == 1.0 else objective(w / (1.0 - w))
+
+    w, k = golden_section_max(k_of, w_lo, 1.0, CHI_N_W_TOL)
+    if w == w_lo:
+        return chi_lo, k
+    chi = w / (1.0 - w)
+    if 1.0 - w <= CHI_N_W_TOL:
+        warnings.warn(
+            f"added-noise optimum at the limit: K still rises at chi_n = {chi:.6g}, "
+            f"the largest searched, where K = {k:.6g}", RuntimeWarning)
+    return chi, k
+
+
 @dataclass(frozen=True)
 class MaxDistanceResult:
     l_star_km: float
@@ -247,6 +294,16 @@ class MaxDistanceResult:
     positive_at_origin: bool
     capped: bool = False
     tol_km: float = 0.05
+
+
+def _rate_at(params: ProtocolParams, noise: AddedNoiseParams | None,
+             memo: dict) -> tuple[float, float]:
+    """(K, gain) of ``key_rate``, or (D, gain) of ``noise_limit_slope`` at
+    ``NOISE_LIMIT``: either way a value with the sign of K at ``noise``."""
+    if noise is not None and noise.chi_n == math.inf:
+        return noise_limit_slope(params, memo=memo)
+    report = key_rate(params, noise, memo=memo)
+    return report.key_rate, report.gain_used
 
 
 def max_distance(params: ProtocolParams, mode: str = "symmetric",
@@ -262,24 +319,38 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     and bisected to `tol_km`, which must be positive and finite; this
     assumes K non-increasing in the scanned length.
 
-    The search reads only the sign of K*(L), the maximum of K over the
-    gain (and over chi_n when it is optimised).  Any evaluated point with
-    K > 0 proves K*(L) > 0, so each trial stops at the first one:
+    The search reads only the sign of K*(L), the supremum of K over the
+    gain (and over chi_n when it is optimised).  For optimised chi_n at
+    beta = 1, K*(L) > 0 exactly when K at chi_n = 0 or the slope
+    D = lim chi_n K as chi_n -> inf is positive at some gain (tested
+    against a wide log grid of chi_n): a positive D makes K positive at
+    every large enough chi_n.  So each trial stops at the first of these
+    that proves K*(L) > 0:
 
-    1. the witness: the gain and noise of the last evaluated point with
-       K > 0, at this length and that fixed gain (one kernel evaluation);
-    2. for the optimised modified protocol, the chi_n* of the last full
-       optimisation (chi_n = 0, the squeezed protocol, before the first),
-       with the gain searched;
-    3. the full search: ``key_rate`` with the gain searched, or
-       ``optimize_added_noise`` when chi_n is optimised.
+    1. the witness: the gain and noise of the last point that proved it,
+       at this length and that fixed gain (one kernel evaluation), where
+       the noise may be the limit, whose D is evaluated;
+    2. ``key_rate`` with the gain searched, at chi_n = 0 when it is
+       optimised;
+    3. for optimised chi_n only, ``protocols.noise_limit_slope``: D with
+       the gain searched.
 
-    A step that gives K > 0 returns it, and a point of known gain becomes
-    the witness.  A witness that raises NumericDomainError counts as
-    K <= 0, so only the searches of steps 2 and 3 can raise.  A positive
-    trial thus stands on a point actually evaluated and a non-positive one
-    on the full search, as without steps 1 and 2.  All three steps, at
-    every trial length, share one memo (``protocols.key_rate``).
+    A step that proves K*(L) > 0 returns a positive value, and its gain and
+    noise become the witness.  A witness that raises NumericDomainError
+    counts as K <= 0, so only the searches of steps 2 and 3 can raise, and
+    step 3 runs only where steps 1 and 2 did not decide.  A fixed
+    ``params.gain`` is kept in every search.  A positive trial thus stands
+    on a point actually evaluated and a non-positive one on the searches.
+
+    At beta < 1 the rule fails, as trusted noise can give key at
+    intermediate chi_n only: at V_A = 6, V_B = 5.04, eta = 0.85,
+    beta = 0.95, L_AC = 3 km and L_BC = 0.2 km, K(0) and D are negative but
+    K(chi_n = 0.5) is positive.  So there a trial that all three steps
+    leave non-positive ends with ``optimize_added_noise``, whose chi_n* and
+    its searched gain become the witness when K* > 0.
+
+    Every step, at every trial length, shares one memo
+    (``protocols.key_rate``).
     With no key at length 0 the result has positive_at_origin False and
     l_star_km = l_ab_km = 0: a protocol without key claims no reach.
     """
@@ -295,28 +366,34 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
         return replace(params, l_ac=length)
 
     memo = {}
-    witness = None  # (gain, noise) of the last evaluated point with K > 0
-    chi_last = CHI_N_BRACKET[0]  # chi_n* of the last full optimisation
+    witness = None  # (gain, noise) of the last point that proved K* > 0
+    trials = (AddedNoiseParams(0.0), NOISE_LIMIT) if optimize_noise else (noise,)
+    # K(0) <= 0 and D <= 0 leave K* <= 0 only at beta = 1
+    full_search = optimize_noise and params.beta != 1.0
 
     def k_of(length: float) -> float:
-        nonlocal witness, chi_last
+        """A value with the sign of K*(length): K, or D at the limit."""
+        nonlocal witness
         p = geometry(length)
         if witness is not None:
             gain, witness_noise = witness
             try:
-                k = key_rate(replace(p, gain=gain), witness_noise, memo=memo).key_rate
+                k = _rate_at(replace(p, gain=gain), witness_noise, memo)[0]
             except NumericDomainError:
                 k = 0.0
             if k > 0.0:
                 return k
-        trial_noise = AddedNoiseParams.from_chi_n(chi_last) if optimize_noise else noise
-        report = key_rate(p, trial_noise, memo=memo)
-        if report.key_rate > 0.0:
-            witness = report.gain_used, trial_noise
-            return report.key_rate
-        if not optimize_noise:
-            return report.key_rate
-        chi_last, k = optimize_added_noise(p, memo=memo)
+        for trial_noise in trials:
+            k, gain = _rate_at(p, trial_noise, memo)
+            if k > 0.0:
+                witness = gain, trial_noise
+                return k
+        if not full_search:
+            return k
+        chi_star, k = optimize_added_noise(p, memo=memo)
+        if k > 0.0:
+            found = AddedNoiseParams(chi_star)
+            witness = key_rate(p, found, memo=memo).gain_used, found
         return k
 
     if k_of(0.0) <= 0.0:
@@ -362,10 +439,11 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     in ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
     row with key at the origin outranks one without, then the longer total
     wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  Every
-    trial length of every row runs as ``max_distance`` runs it: the last
-    positive point's gain and noise at a fixed gain, then (modified
-    protocol) the last chi_n* with the gain searched, from chi_n = 0 at
-    length 0, then the full search, stopping at the first K > 0.  Within a
+    trial length of every row runs as ``max_distance`` runs it: the gain
+    and noise of the last point that proved K* > 0, at that fixed gain,
+    then K with the gain searched (at chi_n = 0 for the modified protocol),
+    then for the modified protocol the slope D of the limit chi_n -> inf
+    with the gain searched, stopping at the first that is positive.  Within a
     row, every search at a trial length shares the relay coefficients and
     each gain's gain-only half of the kernel through that row's
     ``max_distance`` memo; rows share nothing, not even where their

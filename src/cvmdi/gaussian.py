@@ -2,9 +2,11 @@
 
 The key-rate kernel (``protocols._gain_objective``) works on the symmetric
 two-mode form (a, b, c) of the reduced Alice-Bob state, as floats, and
-checks it itself: ``two_mode_symplectic`` gives its symplectic pair, and
-``g_func`` the entropy of one thermal mode.  Both are called through the
-``protocols`` module globals, where the benchmark's tracer counts them.
+checks it itself: ``two_mode_symplectic`` gives its symplectic pair,
+``g_func`` the entropy of one thermal mode, and ``g_slope`` the weight of
+a symplectic eigenvalue in the slope of the chi_n -> inf limit.  The first
+two are called through the ``protocols`` module globals, where the
+benchmark's tracer counts them.
 Everything here uses ``math`` only.  The multimode matrix engine, which no
 key-rate path runs, is ``cvmdi.matrix``; the two-mode check, conditioning,
 entropies and the two-mode matrix form, which only tests run, live in
@@ -87,12 +89,35 @@ def g_func(x: float) -> float:
 
     (x+1) log2(x+1) - x log2 x, continuous at 0.  Written via log1p so the
     large-x cancellation between the two terms never occurs; the absolute
-    error stays below 1e-12 bits out to x = 1e12 and beyond.  NaN fails the
-    x >= 0 test.
+    error stays below 1e-12 bits out to x = 1e12 and beyond.  Where 1/x
+    overflows (x below about 5.6e-309), log1p(1/x) is taken as
+    log1p(x) - log(x), so a subnormal x gives its tiny entropy, not inf.
+    NaN fails the x >= 0 test.
     """
     if not x >= 0.0:
         raise InvalidParameterError(f"g_func argument must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return x * math.log1p(1.0 / x) / LN2 + math.log2(x + 1.0)
+    inv = 1.0 / x
+    log_inv = math.log1p(x) - math.log(x) if inv == math.inf else math.log1p(inv)
+    return x * log_inv / LN2 + math.log2(x + 1.0)
+
+
+def g_slope(x: float) -> float:
+    """(lambda^2 - 1) dG/dlambda in bits, where G(lambda) = g_func(x) is the
+    entropy of a mode of symplectic eigenvalue lambda = 2x + 1.
+
+    That is (lambda^2 - 1) log2((lambda + 1)/(lambda - 1)) / 2
+    = 2 x (x + 1) log2(1 + 1/x), 0 at x = 0, with the log1p of ``g_func``
+    and its guard for an x whose 1/x overflows.  It is the weight of an
+    eigenvalue in the chi_n -> inf slope of the trusted-noise key rate
+    (``protocols._gain_objective``).  NaN fails the x >= 0 test.
+    """
+    if not x >= 0.0:
+        raise InvalidParameterError(f"g_slope argument must be >= 0, got {x}")
+    if x == 0.0:
+        return 0.0
+    inv = 1.0 / x
+    log_inv = math.log1p(x) - math.log(x) if inv == math.inf else math.log1p(inv)
+    return 2.0 * (x + 1.0) * (x * log_inv) / LN2
 

@@ -36,6 +36,28 @@ Added noise is its variance chi_n alone (``AddedNoiseParams``): the key
 rate depends on nothing else of the trusted-noise beamsplitter, so no
 realisation of it is built here.
 
+As chi_n -> inf, K vanishes like D/chi_n, and the sign of the slope
+D = lim chi_n K decides the sign of K at every large enough chi_n
+(``noise_limit_slope``; chi_n = inf is ``NOISE_LIMIT``).  The kernel gives
+D from the first half alone.  With e = 1/chi_n, beta I_AB = beta c^2 e /
+(2 a ln 2) + O(e^2), and the conditional pair (lambda3, lambda4) tends to
+the pair (l1, l2) = (lambda1, lambda2) of (a, b, c) linearly in e: at
+e = 0 the e-derivatives of lambda3^2 and lambda4^2 are
+x1 = l1 (l1^2 - 1)(a l2 - b l1)/s and x2 = l2 (l2^2 - 1)(b l2 - a l1)/s,
+with s = l1^2 - l2^2.  With G(l) the entropy of a mode of symplectic
+eigenvalue l and h(l) = (l^2 - 1) G'(l) = (l^2 - 1) log2((l + 1)/(l - 1))/2
+(``gaussian.g_slope``), D = beta c^2/(2 a ln 2) + h(l1) x1/(2 l1 (l1^2 - 1))
++ h(l2) x2/(2 l2 (l2^2 - 1)).  Put d = |a - b|,
+sigma = l1 + l2 and w = a + b + sigma.  For a >= b, a l2 - b l1 =
+-2 d c^2/w, b l2 - a l1 = -d w/2 and s = sigma d, so
+
+    D = beta c^2/(2 a ln 2) - h(l1) c^2/(sigma w) - h(l2) w/(4 sigma),
+
+and for a < b the two factors c^2/(sigma w) and w/(4 sigma) swap.  No 1/s
+and no difference of large terms remains, so the symmetric pair (a = b)
+and a pure one (l2 = 1, h = 0) need no special case.  The form with 1/s,
+evaluated in doubles, cancels: at V = 1e5 it got the sign of D wrong.
+
 The matrix route is not on the key-rate path and is not loaded with this
 module.  It lives in ``cvmdi.matrix`` (numpy covariance matrices,
 ``build_mdi_state`` with its four-mode (A3, B5, N1, N3) circuit for a
@@ -68,7 +90,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidParameterError, NumericDomainError
-from .gaussian import PHYSICALITY_TOL, g_func, two_mode_symplectic
+from .gaussian import LN2, PHYSICALITY_TOL, g_func, g_slope, two_mode_symplectic
 from .search import golden_section_max
 
 PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
@@ -148,19 +170,27 @@ _REAL_FIELDS = ("v_a", "v_b", "l_ac", "l_bc", "alpha", "eps1", "eps2", "eta", "v
 @dataclass(frozen=True)
 class AddedNoiseParams:
     """Trusted Gaussian noise of variance chi_n added to Bob's mode before
-    his homodyne detection (the squeezed-modified protocol)."""
+    his homodyne detection (the squeezed-modified protocol).
+
+    chi_n = inf (``NOISE_LIMIT``) is the limit chi_n -> inf, where K
+    vanishes at every gain: ``key_rate`` rejects it, and ``optimal_gain``
+    and ``noise_limit_slope`` take the slope D = lim chi_n K there instead.
+    """
 
     chi_n: float
 
     def __post_init__(self):
-        if not 0.0 <= self.chi_n < math.inf:
-            raise InvalidParameterError(f"chi_n must be finite and >= 0, got {self.chi_n}")
+        if not self.chi_n >= 0.0:
+            raise InvalidParameterError(f"chi_n must be >= 0, got {self.chi_n}")
 
     @classmethod
     def from_chi_n(cls, chi_n: float) -> "AddedNoiseParams":
         """The added noise of variance ``chi_n``, held exactly:
         ``from_chi_n(x).chi_n == x``."""
         return cls(chi_n)
+
+
+NOISE_LIMIT = AddedNoiseParams(math.inf)
 
 
 @dataclass(frozen=True)
@@ -286,7 +316,9 @@ def _gain_objective(params: ProtocolParams, chi_n: float,
     at chi_n > 0 the conditional term includes the retained noise modes
     N1, N3 (Lodewyck et al.): lambda3,4^2 = (A +/- sqrt(A^2 - 4B))/2 and
     lambda5 = 1, the smaller root from lambda3 lambda4 = sqrt(B), and a
-    lambda4 within 1e-9 below 1 taken as roundoff.  A chi within
+    lambda4 within 1e-9 below 1 taken as roundoff.  At chi_n = inf the
+    objective is the slope D of the module docstring instead, from the
+    first half, and has no report.  A chi within
     CHI_CLAMP_TOL below 0 is clamped to 0 and flagged on the report.  Every
     guard is written so that NaN fails it: an overflow anywhere raises
     NumericDomainError rather than reaching the result.
@@ -315,6 +347,7 @@ def _gain_objective(params: ProtocolParams, chi_n: float,
     tol_top = TWO_MODE_TOL * top
     coherent = params.protocol == "coherent"
     trusted = not coherent and chi_n != 0.0
+    limit = trusted and chi_n == math.inf
     beta = params.beta
     log2, sqrt, inf = math.log2, math.sqrt, math.inf
 
@@ -381,6 +414,19 @@ def _gain_objective(params: ProtocolParams, chi_n: float,
                 raise NumericDomainError(
                     f"conditional eigenvalue squared {lam3_sq} is not positive")
             lam3 = sqrt(lam3_sq)
+        elif limit:
+            # the slope D = lim chi_n K; its two factors swap when a < b
+            sigma = lam1 + lam2
+            w = a + b + sigma
+            f1, f2 = cc / (sigma * w), w / (4.0 * sigma)
+            if a < b:
+                f1, f2 = f2, f1
+            d = beta * cc / (2.0 * a * LN2)
+            if not lam1 <= 1.0:
+                d -= g_slope((lam1 - 1.0) / 2.0) * f1
+            if not lam2 <= 1.0:
+                d -= g_slope((lam2 - 1.0) / 2.0) * f2
+            return d
         else:
             # a valid (a, b, c) and a finite chi_n >= 0 keep (a, b + chi_n, c) valid
             b_n = b + chi_n
@@ -445,7 +491,9 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None, 
     edge optimum raises NumericDomainError.  Both searches share one
     objective from ``_gain_objective``, so the per-point work (coefficients,
     their checks, chi_n and beta) is done once, not per gain.  A ``memo``
-    is passed to that objective (see ``key_rate``).
+    is passed to that objective (see ``key_rate``).  At ``NOISE_LIMIT``,
+    where K vanishes at every gain, the objective is the slope D instead
+    (``noise_limit_slope``).
     """
     objective = _gain_objective(params, check_added_noise(params, noise), memo)
     hi = gain_bracket(params)
@@ -473,10 +521,34 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
     coefficients and each gain's symplectic pair are computed.
     """
     chi_n = check_added_noise(params, noise)
+    if chi_n == math.inf:
+        raise InvalidParameterError(
+            "K vanishes at chi_n = inf; noise_limit_slope gives its sign at large chi_n")
     try:
         objective = _gain_objective(params, chi_n, memo)
         g = (params.gain if params.gain is not None
              else optimal_gain(params, noise, memo=memo))
         return objective(g, report=True)
+    except NumericDomainError as exc:
+        raise type(exc)(f"{exc} [at {params}]") from exc
+
+
+def noise_limit_slope(params: ProtocolParams, *,
+                      memo: dict | None = None) -> tuple[float, float]:
+    """(D, gain): the slope D = lim chi_n K as chi_n -> inf of the
+    squeezed-modified protocol, at ``params.gain`` or, unless that is set,
+    maximised over the gain by ``optimal_gain`` at ``NOISE_LIMIT``.
+
+    K = D/chi_n + O(1/chi_n^2), so K > 0 at every large enough chi_n
+    exactly when D > 0 (``_gain_objective`` gives D in closed form).
+    ``memo`` is shared as in ``key_rate``, and a NumericDomainError carries
+    the parameter point as there.
+    """
+    check_added_noise(params, NOISE_LIMIT)
+    try:
+        objective = _gain_objective(params, math.inf, memo)
+        g = (params.gain if params.gain is not None
+             else optimal_gain(params, NOISE_LIMIT, memo=memo))
+        return objective(g), g
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc

@@ -31,7 +31,7 @@ from cvmdi.matrix import (
 )
 from cvmdi import analysis
 from cvmdi.analysis import (
-    CHI_N_BRACKET,
+    CHI_N_GRID,
     CHI_N_GRID_POINTS,
     CHI_N_TOL,
     SCAN_CAP_KM,
@@ -56,7 +56,7 @@ def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float
     def objective(chi: float) -> float:
         return key_rate(params, AddedNoiseParams.from_chi_n(chi)).key_rate
 
-    lo, hi = CHI_N_BRACKET
+    lo, hi = CHI_N_GRID
     n = CHI_N_GRID_POINTS
     step = (hi - lo) / (n - 1)
     grid = [lo + i * step for i in range(n)]

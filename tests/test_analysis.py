@@ -344,30 +344,79 @@ def counting(monkeypatch, name):
 
 
 def test_warm_start_reoptimises_only_on_non_positive_probes(monkeypatch):
-    # the paper's most-asymmetric practical row: of its trial lengths only
-    # length 0 and those with a non-positive probe run the full chi_n search
+    # the paper's most-asymmetric practical row: only the trial lengths
+    # where neither the witness nor K at chi_n = 0 is positive search the
+    # slope of the limit, and none runs the full chi_n search
+    slopes = counting(monkeypatch, "noise_limit_slope")
     calls = counting(monkeypatch, "optimize_added_noise")
     res = max_distance(REALISTIC_MOD, mode="fixed-lbc")
-    assert res.l_star_km == pytest.approx(13.84, abs=0.05)
-    assert len(calls) <= 5
+    assert res.l_star_km == 13.875
+    searched = [params for params, in slopes if params.gain is None]
+    assert len(searched) == 5 and calls == []
+    for params in searched:
+        assert key_rate(params, AddedNoiseParams(0.0)).key_rate <= 0.0
 
 
-def test_warm_start_falls_back_when_the_optimum_moves(monkeypatch):
-    # K(L, chi_n) = 1 - L/10 - (chi_n - L)^2: the optimum chi_n* = L moves
-    # with L, so the probe at the last chi_n* is non-positive from 1 km on,
-    # while K*(L) = 1 - L/10 stays positive up to 10 km
-    def fake(params, noise=None, **kwargs):
-        return SimpleNamespace(key_rate=1.0 - params.l_ac / 10.0
-                               - (noise.chi_n - params.l_ac) ** 2, gain_used=1.0)
+def test_limit_witness_falls_back_when_its_slope_turns(monkeypatch):
+    # K(L, 0) = -1 at every length, and the slope D(L, g) = 1 - L/10 -
+    # 10 |g - L| peaks at the gain g* = L: the limit witness, at the gain
+    # of the last positive trial, gives D <= 0 from 1 km on, while
+    # D*(L) = 1 - L/10 stays positive up to 10 km; each trial falls back to
+    # the gain search of D
+    witness_slopes = []
 
-    monkeypatch.setattr(analysis_mod, "key_rate", fake)
-    calls = counting(monkeypatch, "optimize_added_noise")
+    def fake_rate(params, noise=None, **kwargs):
+        return SimpleNamespace(key_rate=-1.0, gain_used=1.0)
+
+    def fake_slope(params, **kwargs):
+        length = params.l_ac
+        if params.gain is None:
+            return 1.0 - length / 10.0, length
+        d = 1.0 - length / 10.0 - 10.0 * abs(params.gain - length)
+        witness_slopes.append(d)
+        return d, params.gain
+
+    monkeypatch.setattr(analysis_mod, "key_rate", fake_rate)
+    monkeypatch.setattr(analysis_mod, "noise_limit_slope", fake_slope)
     res = max_distance(REALISTIC_MOD, mode="fixed-lbc")
-    # a probe-only search would stop below 1 km
-    assert len(calls) > 1
+    assert len(witness_slopes) == 13 and max(witness_slopes) <= 0.0
     assert res.positive_at_origin
     assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
-    assert res == reference_max_distance(REALISTIC_MOD, mode="fixed-lbc")
+
+
+def test_max_distance_keeps_a_fixed_gain_in_both_searches(monkeypatch):
+    # a fixed gain is the gain of every search of every trial, K's and D's
+    gains = []
+    for name in ("key_rate", "noise_limit_slope"):
+        original = getattr(analysis_mod, name)
+
+        def spy(params, *args, original=original, **kwargs):
+            gains.append(params.gain)
+            return original(params, *args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, name, spy)
+    res = max_distance(replace(REALISTIC_MOD, gain=1.2), mode="fixed-lbc")
+    assert set(gains) == {1.2}
+    assert res == reference_max_distance(replace(REALISTIC_MOD, gain=1.2), mode="fixed-lbc")
+    assert res != max_distance(REALISTIC_MOD, mode="fixed-lbc")
+
+
+def test_max_distance_below_beta_1_keeps_the_full_search(monkeypatch):
+    # at beta < 1 trusted noise can help at intermediate chi_n only: here
+    # K(0) and D are negative at 3 km while K(chi_n = 0.5) is positive, so
+    # there the rule does not hold; the full chi_n search decides such a
+    # trial, and a positive point it finds becomes the witness, which
+    # reaches at least as far as the full search at every trial
+    p = replace(REALISTIC_MOD, v_a=6.0, eta=0.85, beta=0.95, l_ac=3.0, l_bc=0.2)
+    assert key_rate(p, AddedNoiseParams(0.0)).key_rate < 0.0
+    assert protocols.noise_limit_slope(p)[0] < 0.0
+    assert key_rate(p, AddedNoiseParams(0.5)).key_rate > 0.0
+    want = reference_max_distance(p, mode="fixed-lbc")
+    calls = counting(monkeypatch, "optimize_added_noise")
+    got = max_distance(p, mode="fixed-lbc")
+    assert calls and got.l_star_km >= want.l_star_km
+    at_reach = replace(p, l_ac=got.l_star_km)
+    assert max(key_rate(at_reach, AddedNoiseParams(0.1 * i)).key_rate for i in range(40)) > 0.0
 
 
 # ------------------------------------------------ witness probes across trials
@@ -397,27 +446,80 @@ def test_witness_falls_back_when_the_optimal_gain_moves(monkeypatch):
 
 @pytest.mark.parametrize("protocol", ["squeezed", "squeezed-modified"])
 def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol):
-    # a key_rate that raises at every fixed gain: the witness never proves a
-    # trial, and the search gives the reach of the full search, not an error
+    # a key_rate and a limit slope that raise at every fixed gain: the
+    # witness never proves a trial, and the search gives the reach of the
+    # full search, not an error
     raised = []
 
-    def no_fixed_gain(params, noise=None, **kwargs):
-        if params.gain is not None:
-            raised.append(params.l_ac)
-            raise NumericDomainError("planted")
-        return key_rate(params, noise, **kwargs)
+    def no_fixed_gain(honest):
+        def call(params, *args, **kwargs):
+            if params.gain is not None:
+                raised.append(params.l_ac)
+                raise NumericDomainError("planted")
+            return honest(params, *args, **kwargs)
+
+        return call
 
     p = replace(REALISTIC, protocol=protocol)
     want = reference_max_distance(p, mode="fixed-lbc")
-    monkeypatch.setattr(analysis_mod, "key_rate", no_fixed_gain)
+    monkeypatch.setattr(analysis_mod, "key_rate", no_fixed_gain(key_rate))
+    monkeypatch.setattr(analysis_mod, "noise_limit_slope",
+                        no_fixed_gain(protocols.noise_limit_slope))
     assert max_distance(p, mode="fixed-lbc") == want
     assert len(raised) == 13
 
 
+def test_paper_table_widens_no_gain_search(monkeypatch):
+    # every gain search of the paper's table, the five of the limit's slope
+    # too, runs through optimal_gain and ends inside its first bracket: the
+    # slope's optimal gains (1.226 to 1.239) lie far below the bracket's
+    # edge, 4 sqrt(2/(eta T2)) = 5.96
+    searches, calls, optima = [], [], []
+    honest_search, honest_gain = protocols.golden_section_max, protocols.optimal_gain
+
+    def search(f, lo, hi, tol):
+        searches.append(hi)
+        return honest_search(f, lo, hi, tol)
+
+    def gain(params, noise=None, **kwargs):
+        calls.append(params)
+        g = honest_gain(params, noise, **kwargs)
+        if noise is protocols.NOISE_LIMIT:
+            optima.append((g, protocols.gain_bracket(params)))
+        return g
+
+    monkeypatch.setattr(protocols, "golden_section_max", search)
+    monkeypatch.setattr(protocols, "optimal_gain", gain)
+    compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),
+                      geometry="most-asymmetric", detectors=("practical",))
+    assert len(searches) == len(calls) == 21 and len(optima) == 5
+    assert all(g < hi / 4.0 for g, hi in optima)
+
+
+def test_a_slope_search_that_raises_stops_only_an_undecided_trial(monkeypatch):
+    # a slope search that ends in NumericDomainError, as a widening that
+    # finds no optimum would, aborts the search at the first trial that
+    # the witness and K at chi_n = 0 left undecided (16 km), and at no
+    # trial before it
+    asked = []
+
+    def stuck(params, **kwargs):
+        asked.append(params.l_ac)
+        if params.gain is None:
+            raise NumericDomainError("gain optimum stuck at the search edge")
+        return protocols.noise_limit_slope(params, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "noise_limit_slope", stuck)
+    with pytest.raises(NumericDomainError, match="stuck"):
+        max_distance(REALISTIC_MOD, mode="fixed-lbc")
+    assert asked == [16.0]
+
+
 def test_paper_table_halves_the_gain_searches(monkeypatch):
     # the paper's most-asymmetric practical table: a full gain search per
-    # trial length made 101 of them; the witness and the chi_n = 0 probe at
-    # length 0 leave at most 55, and the rows are unchanged
+    # trial length made 101 of them, and the witness with the chi_n*
+    # warm start 51; the witness, K at chi_n = 0 and the slope of the limit
+    # leave 21, each through optimal_gain, the limit's too
     searches = []
     honest = protocols.optimal_gain
 
@@ -430,5 +532,5 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
                               geometry="most-asymmetric", detectors=("practical",))
     assert [(r.protocol, r.l_star_km, r.positive_at_origin) for r in table.rows] == [
         ("coherent", 0.0, False), ("squeezed", 10.5, True),
-        ("squeezed-modified", 13.84375, True)]
-    assert len(searches) <= 55
+        ("squeezed-modified", 13.875, True)]
+    assert len(searches) <= 21

@@ -450,6 +450,14 @@ def test_maxdist_rejects_bad_tol_km(tol_km):
     assert "tol_km" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["keyrate", "maxdist"])
+def test_chi_n_inf_exits_2(capsys, command):
+    # the library takes chi_n = inf as the limit chi_n -> inf; the CLI
+    # takes no such setting, so a chi_n that is not finite is a bad value
+    assert cli.main([command, "--protocol", "squeezed-modified", "--chi-n", "inf"]) == 2
+    assert "chi_n must be a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,bad", [
     ("keyrate", {"variance": None}),
     ("keyrate", {"variance": [1]}),

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
 from cvmdi import InvalidParameterError, NumericDomainError
-from cvmdi.gaussian import g_func, two_mode_symplectic
+from cvmdi.gaussian import LN2, g_func, g_slope, two_mode_symplectic
 from cvmdi.matrix import (
     GaussianState,
     apply_beamsplitter,
@@ -521,6 +521,55 @@ def test_g_func_rejects_nan():
 def test_two_mode_cov_rejects_nan(abc):
     with pytest.raises(InvalidParameterError):
         check_two_mode(*abc)
+
+
+def mp_g(x):
+    x = mpf(x)
+    return (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2)
+
+
+def mp_g_slope(x):
+    x = mpf(x)
+    return 2 * x * (x + 1) * mp.log(1 + 1 / x, 2)
+
+
+# 1/x overflows below 1/DBL_MAX, about 5.56e-309: the subnormals and a few normals
+OVERFLOWING = [5e-324, 1e-320, 1e-310, 1e-309, 5.5e-309]
+FINITE = [5.6e-309, 1e-308, 2.3e-308, 1e-300, 1e-16]
+
+
+@pytest.mark.parametrize("x", OVERFLOWING)
+def test_entropies_where_one_over_x_overflows(x):
+    # log1p(1/x) is taken as log1p(x) - log(x): the entropy of a subnormal
+    # mean photon number is itself tiny, never inf
+    assert 1.0 / x == math.inf
+    with mp.workdps(40):
+        for f, ref in ((g_func, mp_g), (g_slope, mp_g_slope)):
+            want = ref(x)
+            assert abs(f(x) - float(want)) <= 1e-14 * float(want) + 5e-323, (f, x)
+
+
+@pytest.mark.parametrize("x", FINITE)
+def test_entropies_where_one_over_x_is_finite(x):
+    # every x whose 1/x is finite takes log1p(1/x) as before, bit for bit
+    assert 1.0 / x < math.inf
+    assert g_func(x) == x * math.log1p(1.0 / x) / LN2 + math.log2(x + 1.0)
+    assert g_slope(x) == 2.0 * (x + 1.0) * (x * math.log1p(1.0 / x)) / LN2
+    with mp.workdps(40):
+        assert g_func(x) == pytest.approx(float(mp_g(x)), rel=1e-14)
+        assert g_slope(x) == pytest.approx(float(mp_g_slope(x)), rel=1e-14)
+
+
+def test_g_slope_values():
+    # (lambda^2 - 1) log2((lambda + 1)/(lambda - 1)) / 2 at lambda = 2x + 1
+    assert g_slope(0.0) == 0.0
+    assert g_slope(1.0) == 4.0
+    assert g_slope(0.5) == pytest.approx(3.0 * math.log2(3.0) / 2.0, rel=1e-15)
+    with mp.workdps(40):
+        assert g_slope(1e12) == pytest.approx(float(mp_g_slope(1e12)), rel=1e-14)
+    for bad in (-1e-12, math.nan):
+        with pytest.raises(InvalidParameterError, match="g_slope argument must be >= 0"):
+            g_slope(bad)
 
 
 def test_g_func_large_argument_accuracy():

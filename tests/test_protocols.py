@@ -149,11 +149,15 @@ def test_added_noise_params():
     for chi in (0.0, 0.3, 1.0, 2.0, 12.5):
         assert AddedNoiseParams.from_chi_n(chi) == AddedNoiseParams(chi)
         assert AddedNoiseParams.from_chi_n(chi).chi_n == chi
-    for bad in (-0.1, math.inf, math.nan):
-        with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
+    for bad in (-0.1, -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="chi_n must be >= 0"):
             AddedNoiseParams(bad)
-        with pytest.raises(InvalidParameterError, match="chi_n must be finite"):
+        with pytest.raises(InvalidParameterError, match="chi_n must be >= 0"):
             AddedNoiseParams.from_chi_n(bad)
+    # chi_n = inf is the limit, which only the gain search and the slope take
+    assert AddedNoiseParams(math.inf) == protocols.NOISE_LIMIT
+    with pytest.raises(InvalidParameterError, match="K vanishes at chi_n = inf"):
+        key_rate(MODIFIED_AT_GAIN, protocols.NOISE_LIMIT)
 
 
 MODIFIED_AT_GAIN = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, gain=1.0,

@@ -3,8 +3,10 @@
 ``positive_edge`` needs K(L) > 0 to hold on a prefix of [0, cap]: it checks
 the sign only at doubling trials and bisection midpoints.
 ``optimize_added_noise`` refines chi_n only around its best grid point, so
-the chi_n profile must be unimodal on the bracket; at a bracket edge it
-trusts one probe CHI_N_TOL inside, so K must rise toward that edge.
+the chi_n profile must be unimodal on the grid's span; at a grid edge it
+trusts one probe CHI_N_TOL inside, so K must rise toward that edge, and at
+the upper edge one more CHI_N_TOL past it, which decides whether the search
+goes on towards the limit chi_n -> inf.
 """
 
 import math
@@ -20,9 +22,10 @@ import cvmdi.analysis as analysis_mod
 from cvmdi import protocols
 from cvmdi import AddedNoiseParams, ProtocolParams, key_rate, optimize_added_noise
 from cvmdi.analysis import (
-    CHI_N_BRACKET,
+    CHI_N_GRID,
     CHI_N_GRID_POINTS,
     CHI_N_TOL,
+    CHI_N_W_TOL,
     DETECTOR_PRESETS,
     SCAN_CAP_KM,
     SCAN_STEP_KM,
@@ -169,8 +172,8 @@ def test_key_rate_non_increasing_in_symmetric_distance(protocol, detector, varia
 @pytest.mark.parametrize("variance", sorted(VARIANCE_PRESETS))
 @pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
 def test_chi_n_profile_is_unimodal(detector, variance):
-    # the chi_n refinement assumes K(chi_n) rises, then falls on the bracket
-    grid = np.linspace(*CHI_N_BRACKET, 101)
+    # the chi_n refinement assumes K(chi_n) rises, then falls on the grid's span
+    grid = np.linspace(*CHI_N_GRID, 101)
     for l_ac in (0.0, 5.0, 12.0, 30.0):
         for l_bc in (0.0, 1.0, 5.0):
             p = preset_params("squeezed-modified", detector, variance, l_ac=l_ac, l_bc=l_bc)
@@ -229,10 +232,10 @@ def test_chi_n_grid_with_two_peaks_warns(monkeypatch):
 
 # ------------------------------------------------- the edge certificate
 
-LO, HI = CHI_N_BRACKET
+LO, HI = CHI_N_GRID
 
 
-@pytest.mark.parametrize("slope,edge,inward", [(1.0, HI, -1.0), (-1.0, LO, 1.0)])
+@pytest.mark.parametrize("slope,edge,inward", [(-1.0, LO, 1.0)])
 def test_edge_optimum_costs_one_probe(monkeypatch, slope, edge, inward):
     asked = synthetic_key_rate(monkeypatch, lambda chi: slope * chi)
     assert optimize_added_noise(MODIFIED) == (edge, slope * edge)
@@ -254,7 +257,8 @@ def test_peak_within_tolerance_of_an_edge_returns_the_edge(monkeypatch, edge, in
     chi_star, k_star = optimize_added_noise(MODIFIED)
     assert chi_star == edge and k_star == k_of_chi(edge)
     assert abs(chi_star - peak) <= CHI_N_TOL
-    assert len(asked) == CHI_N_GRID_POINTS + 1
+    # the upper edge also probes CHI_N_TOL past the grid, where K falls
+    assert len(asked) == CHI_N_GRID_POINTS + (1 if edge == LO else 2)
 
 
 @pytest.mark.parametrize("edge,inward", [(LO, 1.0), (HI, -1.0)])
@@ -267,21 +271,64 @@ def test_peak_beyond_the_probe_is_refined(monkeypatch, edge, inward):
     assert len(asked) > CHI_N_GRID_POINTS + 1
 
 
-def test_real_edge_optimum_costs_twelve_key_rates(monkeypatch):
-    # the table's most-asymmetric practical point past the plain protocol's
-    # reach: chi_n* is the upper edge, certified by the probe
-    calls = []
-    real = analysis_mod.key_rate
+def w_of(chi):
+    return chi / (1.0 + chi)
 
-    def counting(params, noise=None, **kwargs):
-        calls.append(noise.chi_n)
-        return real(params, noise, **kwargs)
 
-    monkeypatch.setattr(analysis_mod, "key_rate", counting)
-    p = preset_params("squeezed-modified", "practical", "realistic", l_ac=16.0, l_bc=0.0)
-    chi_star, _ = optimize_added_noise(p)
-    assert chi_star == HI
-    assert len(calls) == CHI_N_GRID_POINTS + 1
+def test_rise_past_the_grid_is_searched_to_the_limit(monkeypatch):
+    # K = chi_n rises without end: past the grid, the search in
+    # w = chi_n/(1 + chi_n) ends within CHI_N_W_TOL of the limit, returns
+    # the best finite point it evaluated, and says so
+    asked = synthetic_key_rate(monkeypatch, lambda chi: chi)
+    with pytest.warns(RuntimeWarning, match="added-noise optimum at the limit"):
+        chi_star, k_star = optimize_added_noise(MODIFIED)
+    assert k_star == chi_star == max(asked)
+    assert 1.0 - w_of(chi_star) <= CHI_N_W_TOL
+    assert asked[CHI_N_GRID_POINTS:CHI_N_GRID_POINTS + 2] == [HI - CHI_N_TOL, HI + CHI_N_TOL]
+    # the probes, then golden section from w(50) = 50/51 down to CHI_N_W_TOL:
+    # two interior points and one per step of 0.618 from 1/51 to 1e-6
+    assert len(asked) == CHI_N_GRID_POINTS + 2 + 2 + 21
+
+
+@pytest.mark.parametrize("peak", [60.0, 1e3, 1e5])
+def test_peak_past_the_grid_is_found_in_w(monkeypatch, peak):
+    # K peaks at chi_n = peak past the grid's upper edge and vanishes as
+    # chi_n -> inf; the search finds it to CHI_N_W_TOL in w, with no warning
+    asked = synthetic_key_rate(monkeypatch, lambda chi: -(w_of(chi) - w_of(peak)) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi_star, k_star = optimize_added_noise(MODIFIED)
+    assert abs(w_of(chi_star) - w_of(peak)) <= CHI_N_W_TOL
+    assert k_star == max(-(w_of(chi) - w_of(peak)) ** 2 for chi in asked)
+
+
+def test_peak_within_tolerance_past_the_grid_returns_the_edge(monkeypatch):
+    # K rises to a peak 5e-5 past the upper edge: the probe CHI_N_TOL past
+    # the edge is lower, so the edge is returned, within CHI_N_TOL of the peak
+    peak = HI + 5e-5
+    asked = synthetic_key_rate(monkeypatch, lambda chi: -abs(chi - peak))
+    assert optimize_added_noise(MODIFIED) == (HI, -abs(HI - peak))
+    assert len(asked) == CHI_N_GRID_POINTS + 2
+
+
+def test_real_rise_past_the_grid():
+    # the table's most-asymmetric practical row: at its reach, 13.875 km, K
+    # is negative at chi_n = 50 but peaks near 111; 0.05 km further, the
+    # slope of the limit is negative, and K rises towards 0 from below up
+    # to the end of the search
+    p = preset_params("squeezed-modified", "practical", "realistic", l_ac=13.875, l_bc=0.0)
+    assert k_bits(p, HI) < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi_star, k_star = optimize_added_noise(p)
+    assert 100.0 < chi_star < 125.0 and k_star > 2e-6
+    assert k_star >= max(k_bits(p, chi) for chi in (100.0, 111.0, 125.0)) - 1e-15
+    beyond = preset_params("squeezed-modified", "practical", "realistic", l_ac=13.925,
+                           l_bc=0.0)
+    assert protocols.noise_limit_slope(beyond)[0] < 0.0
+    with pytest.warns(RuntimeWarning, match="added-noise optimum at the limit"):
+        chi_star, k_star = optimize_added_noise(beyond)
+    assert 1.0 - w_of(chi_star) <= CHI_N_W_TOL and -1e-9 < k_star < 0.0
 
 
 @pytest.mark.parametrize("l_ac", [11.0, 13.875, 16.0])
@@ -325,22 +372,28 @@ def random_modified_points(seed, count):
 
 
 def test_edge_certificate_matches_the_full_refinement():
-    # A point's result can differ from the full refinement only where the
-    # probe certified an edge whose true peak lies within CHI_N_TOL of it:
-    # the refinement may then land nearer that peak, a higher K at a chi_n
-    # within the tolerance both promise.  Everywhere else K* is not lower.
-    identical = edges = 0
+    # A point's result can differ from the full refinement of the grid's
+    # span only where the probe certified an edge whose true peak lies
+    # within CHI_N_TOL of it: the refinement may then land nearer that
+    # peak, a higher K at a chi_n within the tolerance both promise; or
+    # where K rises past the upper edge, which the refinement cannot leave.
+    # Everywhere else K* is not lower.
+    identical = edges = past = 0
     for p in random_modified_points(2024, 150):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = optimize_added_noise(p)
         want = reference_optimize_added_noise(p)
+        assert got[1] >= want[1] - 1e-12 or got[0] in CHI_N_GRID, (p, got, want)
+        if got[0] > HI:
+            past += 1
+            assert abs(want[0] - HI) <= CHI_N_TOL, (p, got, want)
+            continue
         identical += got == want
-        edges += got[0] in CHI_N_BRACKET
+        edges += got[0] in CHI_N_GRID
         assert abs(got[0] - want[0]) <= CHI_N_TOL, (p, got, want)
-        if not (got[0] in CHI_N_BRACKET and got[0] != want[0]):
-            assert got[1] >= want[1] - 1e-12, (p, got, want)
-    assert edges >= 80 and identical >= 140, (edges, identical)
+    assert edges + past >= 80 and identical + past >= 140, (edges, past, identical)
+    assert past >= 40, past
 
 
 def test_key_rate_rises_toward_a_certified_edge():
