@@ -3,11 +3,9 @@ distances, added-noise optimization, and protocol comparison tables.
 
 The squeezed-modified protocol given no added noise has its chi_n
 optimised, per point (``key_rate_at_best_noise``) or per trial length
-(``max_distance``).  ``optimize_added_noise`` grids chi_n over
-CHI_N_GRID, then refines around the best grid point; an optimum at the
-lower grid edge costs one probe instead of a refinement, and one at the
-upper edge two, unless K rises past it, where the search continues over
-the rest of the half-line.
+(``max_distance``).  ``optimize_added_noise`` searches the whole
+half-line chi_n >= 0 as w = chi_n/(1 + chi_n) on [0, 1]: a grid in w,
+then one golden refinement around its best point.
 
 Each of ``optimize_added_noise``, ``max_distance`` and
 ``key_rate_at_best_noise`` makes one memo (``protocols.key_rate``) and
@@ -54,10 +52,7 @@ GEOMETRY_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
                   "most-asymmetric": "fixed-lbc"}
 GEOMETRIES = tuple(GEOMETRY_MODES)
 
-# optimize_added_noise grids chi_n over this span and refines inside it,
-# then searches w = chi_n/(1 + chi_n) past its upper edge to CHI_N_W_TOL
-CHI_N_GRID = (0.0, 50.0)
-CHI_N_TOL = 1e-4
+# optimize_added_noise grids w = chi_n/(1 + chi_n) over [0, 1], then refines w to CHI_N_W_TOL
 CHI_N_GRID_POINTS = 11
 CHI_N_W_TOL = 1e-6
 
@@ -188,36 +183,27 @@ def optimize_added_noise(params: ProtocolParams, *,
                          memo: dict | None = None) -> tuple[float, float]:
     """Best trusted added noise at this geometry: returns (chi_n*, K*).
 
-    K is first evaluated on a grid of CHI_N_GRID_POINTS evenly spaced
-    chi_n over CHI_N_GRID.  Golden section then refines to CHI_N_TOL only
-    inside the two grid cells around the best grid point (one cell at a
-    grid edge), reusing the two grid values that bound them; the result
-    is the better of that refinement and the best grid point.  A grid with
-    more than one strict local maximum means the profile is not unimodal,
-    and a RuntimeWarning says so.  chi_n* = 0 is a legal boundary optimum.
+    The search runs over w = chi_n/(1 + chi_n), which maps the half-line
+    chi_n >= 0 onto [0, 1], w = 1 being the limit chi_n -> inf.  K is
+    evaluated on CHI_N_GRID_POINTS evenly spaced w (chi_n = 0, 1/9, 1/4,
+    ..., 9, and the limit).  K vanishes at the limit, so it is no point to
+    return: the limit ranks below every finite point and is not evaluated.
+    A grid with more than one strict local maximum means the profile is
+    not unimodal, and a RuntimeWarning says so.  Golden section then
+    refines w to CHI_N_W_TOL inside the two grid cells around the best grid
+    point (one cell at w = 0), reusing the grid values that bound them; the
+    result is the better of that refinement and the best grid point, as
+    ``(w/(1 - w), K)``.  chi_n* = 0 is a legal boundary optimum.
 
-    A best grid point at a grid edge is first certified with one probe,
-    CHI_N_TOL inside that edge: if K there is not above the edge value, the
-    edge is the best point of the grid's span, without refinement.  This
-    rests on the unimodality golden section already assumes: a profile that
-    does not rise one tolerance inside the edge peaks within CHI_N_TOL of
-    it, which is the accuracy the refinement promises.  Only a probe that
-    rises runs it.  A peak that close to the edge can still lie above the
-    edge value, so K* may be lower than a refinement landing nearer that
-    peak would report.
-
-    The grid's span is no cap.  At its upper edge a second probe, CHI_N_TOL
-    past it, asks whether K still rises there; if so, golden section
-    searches w = chi_n/(1 + chi_n) from that edge to w = 1, the limit
-    chi_n -> inf, to CHI_N_W_TOL (``_past_the_grid``).  So the table's
-    modified row has chi_n* = 110.9 at V = 5.04, L_AC = 13.875 km,
-    L_BC = 0 with the practical detector, where K(100) = +2.2e-6 while
-    K(50) = -9.7e-7.  The result is always a finite chi_n and its K.
-    Where K still rises within CHI_N_W_TOL of the limit, K* is a supremum
-    that no finite chi_n attains, whose sign is that of the slope D of
-    ``protocols.noise_limit_slope``; a RuntimeWarning says so, and the
+    So the table's modified row has chi_n* = 110.9 at V = 5.04,
+    L_AC = 13.875 km, L_BC = 0 with the practical detector, where
+    K(100) = +2.2e-6 while K(50) = -9.7e-7; and at beta < 1 the search
+    finds a positive hump near chi_n = 1 whose neighbours are negative.
+    Where the best point lies within CHI_N_W_TOL of the limit, K* is a
+    supremum that no finite chi_n attains, whose sign is that of the slope
+    D of ``protocols.noise_limit_slope``; a RuntimeWarning says so, and the
     best point searched is returned.  Those points lie near
-    chi_n = 3.3e6, where K is still resolved in doubles: near 1e8 at
+    chi_n = 3.6e6, where K is still resolved in doubles: near 1e8 at
     V = 1e5, the rounding of its terms reaches K.
 
     Every ``key_rate`` call shares ``memo`` (a fresh one when None; see
@@ -229,55 +215,26 @@ def optimize_added_noise(params: ProtocolParams, *,
     if memo is None:
         memo = {}
 
-    def objective(chi: float) -> float:
-        return key_rate(params, AddedNoiseParams.from_chi_n(chi), memo=memo).key_rate
+    def k_of(w: float) -> float:
+        if w == 1.0:
+            return -math.inf
+        return key_rate(params, AddedNoiseParams.from_chi_n(w / (1.0 - w)), memo=memo).key_rate
 
-    lo, hi = CHI_N_GRID
     n = CHI_N_GRID_POINTS
-    step = (hi - lo) / (n - 1)
-    grid = [lo + i * step for i in range(n)]
-    vals = [objective(x) for x in grid]
+    grid = [i / (n - 1) for i in range(n)]
+    vals = [k_of(w) for w in grid]
     best = max(range(n), key=vals.__getitem__)
-    peaks = [grid[i] for i in range(n)
-             if (i == 0 or vals[i] > vals[i - 1]) and (i == n - 1 or vals[i] > vals[i + 1])]
+    peaks = [grid[i] / (1.0 - grid[i]) for i in range(n - 1)  # the limit is none
+             if (i == 0 or vals[i] > vals[i - 1]) and vals[i] > vals[i + 1]]
     if len(peaks) > 1:
         warnings.warn(
             f"added-noise profile not unimodal: grid maxima at chi_n={peaks}; "
-            f"best grid point chi_n={grid[best]}", RuntimeWarning)
-    if best in (0, n - 1):
-        inside = grid[best] + (CHI_N_TOL if best == 0 else -CHI_N_TOL)
-        if not objective(inside) > vals[best]:
-            if best == n - 1 and objective(hi + CHI_N_TOL) > vals[best]:
-                return _past_the_grid(objective, hi, vals[best])
-            return grid[best], vals[best]
+            f"best grid point chi_n={grid[best] / (1.0 - grid[best])}", RuntimeWarning)
     known = dict(zip(grid, vals))
-    sub_lo, sub_hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
-    best_x, best_f = golden_section_max(
-        lambda chi: known[chi] if chi in known else objective(chi), sub_lo, sub_hi, CHI_N_TOL)
-    if vals[best] > best_f:
-        best_x, best_f = grid[best], vals[best]
-    return best_x, best_f
-
-
-def _past_the_grid(objective, chi_lo: float, k_lo: float) -> tuple[float, float]:
-    """Best (chi_n, K) at chi_n >= chi_lo, where K = k_lo and rises: golden
-    section over w = chi_n/(1 + chi_n) on [w(chi_lo), 1] to CHI_N_W_TOL.
-
-    w = 1 is the limit chi_n -> inf.  K vanishes there, so it is no point
-    to return: the search ranks it below every finite chi_n.  Where the
-    best point lies within CHI_N_W_TOL of it, a RuntimeWarning says that K
-    still rises at the end of the search.
-    """
-    w_lo = chi_lo / (1.0 + chi_lo)
-
-    def k_of(w: float) -> float:
-        if w == w_lo:
-            return k_lo
-        return -math.inf if w == 1.0 else objective(w / (1.0 - w))
-
-    w, k = golden_section_max(k_of, w_lo, 1.0, CHI_N_W_TOL)
-    if w == w_lo:
-        return chi_lo, k
+    w, k = golden_section_max(lambda w: known[w] if w in known else k_of(w),
+                              grid[max(best - 1, 0)], grid[min(best + 1, n - 1)], CHI_N_W_TOL)
+    if vals[best] > k:
+        w, k = grid[best], vals[best]
     chi = w / (1.0 - w)
     if 1.0 - w <= CHI_N_W_TOL:
         warnings.warn(
@@ -347,7 +304,10 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     beta = 0.95, L_AC = 3 km and L_BC = 0.2 km, K(0) and D are negative but
     K(chi_n = 0.5) is positive.  So there a trial that all three steps
     leave non-positive ends with ``optimize_added_noise``, whose chi_n* and
-    its searched gain become the witness when K* > 0.
+    its searched gain become the witness when K* > 0.  Its grid in
+    w = chi_n/(1 + chi_n) has points at chi_n = 2/3, 1 and 1.5, so it finds
+    such a hump: with L_AC scanned, that point reaches 3.5 km, as does the
+    full search at every trial length.
 
     Every step, at every trial length, shares one memo
     (``protocols.key_rate``).

@@ -84,34 +84,27 @@ class GaussianState:
 
 
 def thermal_state(v: float) -> GaussianState:
-    """Single thermal mode of quadrature variance v >= 1: the covariance v I,
-    the same bytes as ``v * np.eye(2)`` for finite v."""
+    """Single thermal mode of quadrature variance v >= 1: the covariance v I."""
     if v < 1.0:
         raise InvalidParameterError(f"thermal variance must be >= 1, got {v}")
-    cov = np.zeros((2, 2))
-    cov[0, 0] = cov[1, 1] = v
-    return GaussianState(cov)
+    return GaussianState(np.diag((v, v)))
 
 
 def epr_state(v: float) -> GaussianState:
     """Two-mode squeezed vacuum with marginal variance v >= 1.
 
     Covariance [[v I, s sz], [s sz, v I]] with s = sqrt(v^2 - 1): x
-    quadratures correlated +s, p quadratures -s.  The entries are written
-    into zeros, the same bytes as the ``np.block`` of those four blocks.
-    Raises NumericDomainError when v^2 - 1 is not finite (v^2 overflows).
+    quadratures correlated +s, p quadratures -s.  Raises NumericDomainError
+    when v^2 - 1 is not finite (v^2 overflows).
     """
     if v < 1.0:
         raise InvalidParameterError(f"EPR variance must be >= 1, got {v}")
     s_sq = v * v - 1.0
     if not s_sq < math.inf:
         raise NumericDomainError(f"EPR variance {v}: v^2 - 1 = {s_sq} is not finite")
-    s = math.sqrt(s_sq)
-    cov = np.zeros((4, 4))
-    cov[0, 0] = cov[1, 1] = cov[2, 2] = cov[3, 3] = v
-    cov[0, 2] = cov[2, 0] = s
-    cov[1, 3] = cov[3, 1] = -s
-    return GaussianState(cov)
+    vi = v * np.eye(2)
+    ssz = math.sqrt(s_sq) * np.diag((1.0, -1.0))
+    return GaussianState(np.block([[vi, ssz], [ssz, vi]]))
 
 
 def tensor(state_a: GaussianState, state_b: GaussianState) -> GaussianState:
@@ -131,19 +124,15 @@ def _quad_indices(modes: Iterable[int]) -> list[int]:
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Reduced state over the listed modes, in the requested order.
-
-    Keeping the first k modes in order is a slice of the covariance; any
-    other selection is gathered with ``np.ix_``.  Both give the same bytes.
-    """
+    """Reduced state over the listed modes, in the requested order: the
+    covariance rows and columns of their quadratures, gathered with
+    ``np.ix_``."""
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise InvalidParameterError(f"duplicate mode indices in {keep}")
     for m in keep:
         if not 0 <= m < state.n_modes:
             raise InvalidParameterError(f"mode index {m} out of range for {state.n_modes} modes")
-    if keep == list(range(len(keep))):
-        return GaussianState(state.cov[:2 * len(keep), :2 * len(keep)])
     idx = _quad_indices(keep)
     return GaussianState(state.cov[np.ix_(idx, idx)])
 

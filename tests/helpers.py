@@ -8,8 +8,8 @@ be evaluated from the eavesdropper's side directly.  The same circuit is
 also built in mpmath arithmetic, for variances at which the eavesdropper's
 entropies cannot be taken in double precision.  The max-distance search is
 redone with the full search at every trial length (the gain, and chi_n when
-it is optimised), and the chi_n optimisation with a golden refinement after
-every grid, edge optima too.
+it is optimised), and the chi_n optimisation as a grid and a golden
+refinement in chi_n itself, rather than in w = chi_n/(1 + chi_n).
 """
 
 from __future__ import annotations
@@ -30,14 +30,7 @@ from cvmdi.matrix import (
     tensor,
 )
 from cvmdi import analysis
-from cvmdi.analysis import (
-    CHI_N_GRID,
-    CHI_N_GRID_POINTS,
-    CHI_N_TOL,
-    SCAN_CAP_KM,
-    SCAN_STEP_KM,
-    MaxDistanceResult,
-)
+from cvmdi.analysis import SCAN_CAP_KM, SCAN_STEP_KM, MaxDistanceResult
 from cvmdi.protocols import ProtocolParams, AddedNoiseParams, key_rate
 from cvmdi.search import golden_section_max, positive_edge
 from oracle import (
@@ -49,23 +42,22 @@ from oracle import (
 
 
 def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
-    """``optimize_added_noise`` as it was before the edge probe: the grid,
-    then golden section over the cells around the best grid point, whether
-    or not that point is a bracket edge.  No unimodality warning."""
+    """The chi_n optimisation as a plain search in chi_n itself: K on 11
+    evenly spaced chi_n over [0, 50], then golden section over the cells
+    around the best grid point, whether or not that point is a grid edge.
+    It never looks past chi_n = 50.  No unimodality warning."""
 
     def objective(chi: float) -> float:
         return key_rate(params, AddedNoiseParams.from_chi_n(chi)).key_rate
 
-    lo, hi = CHI_N_GRID
-    n = CHI_N_GRID_POINTS
-    step = (hi - lo) / (n - 1)
-    grid = [lo + i * step for i in range(n)]
+    n = 11
+    grid = [5.0 * i for i in range(n)]
     vals = [objective(x) for x in grid]
     best = max(range(n), key=vals.__getitem__)
     known = dict(zip(grid, vals))
     best_x, best_f = golden_section_max(
         lambda chi: known[chi] if chi in known else objective(chi),
-        grid[max(best - 1, 0)], grid[min(best + 1, n - 1)], CHI_N_TOL)
+        grid[max(best - 1, 0)], grid[min(best + 1, n - 1)], 1e-4)
     if vals[best] > best_f:
         best_x, best_f = grid[best], vals[best]
     return best_x, best_f

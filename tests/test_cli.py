@@ -578,6 +578,10 @@ def test_the_settings_a_command_reads_are_those_that_move_its_output(tmp_path, c
     context, other = CONTEXT, OTHER
     if command == "compare":
         context, other = {**CONTEXT, **COMPARE_GEOMETRY[0]}, {**OTHER, **COMPARE_GEOMETRY[1]}
+    if command == "maxdist":
+        # at L_BC = 0.2 it reaches 3.5 km, L_AB = 3.7 km, which two digits
+        # print whole, so precision would not move them; at 0.25, 3.25 km
+        context = {**CONTEXT, "l_bc": 0.25}
 
     def output(cfg):
         Path("config.json").write_text(json.dumps(cfg))

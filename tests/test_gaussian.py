@@ -150,32 +150,6 @@ def test_mirrored_signed_zero_pair_is_symmetrised_as_before():
     assert not np.signbit(cov[0, 1]) and not np.signbit(cov[1, 0])
 
 
-@given(st.floats(min_value=1.0, max_value=1e154))
-@example(1.0)
-@example(5.04)
-@example(1e5)
-def test_epr_state_matches_the_block_construction(v):
-    s = math.sqrt(v * v - 1.0)
-    block = np.block([[v * np.eye(2), s * SZ], [s * SZ, v * np.eye(2)]])
-    assert epr_state(v).cov.tobytes() == block.tobytes()
-
-
-@given(st.floats(min_value=1.0, allow_infinity=False))
-@example(1.0)
-@example(1.15)
-def test_thermal_state_matches_the_scaled_identity(v):
-    assert thermal_state(v).cov.tobytes() == (v * np.eye(2)).tobytes()
-
-
-@given(square_matrices(st.floats(-1e6, 1e6)), st.data())
-def test_partial_trace_prefix_matches_the_gathered_path(m, data):
-    state = GaussianState(mirrored(m))
-    k = data.draw(st.integers(0, state.n_modes))
-    idx = [q for mode in range(k) for q in (2 * mode, 2 * mode + 1)]
-    gathered = GaussianState(state.cov[np.ix_(idx, idx)]).cov
-    assert partial_trace(state, range(k)).cov.tobytes() == gathered.tobytes()
-
-
 # --------------------------------------------------------------- beamsplitter
 
 def test_beamsplitter_identity_transmissivity():

@@ -2,11 +2,11 @@
 
 ``positive_edge`` needs K(L) > 0 to hold on a prefix of [0, cap]: it checks
 the sign only at doubling trials and bisection midpoints.
-``optimize_added_noise`` refines chi_n only around its best grid point, so
-the chi_n profile must be unimodal on the grid's span; at a grid edge it
-trusts one probe CHI_N_TOL inside, so K must rise toward that edge, and at
-the upper edge one more CHI_N_TOL past it, which decides whether the search
-goes on towards the limit chi_n -> inf.
+``optimize_added_noise`` grids w = chi_n/(1 + chi_n) over [0, 1], w = 1
+being the limit chi_n -> inf, and refines w only around its best grid point,
+so the chi_n profile must be unimodal over the whole half-line.  The tests
+below check that assumption on real points, the search's mechanics on
+synthetic profiles, and its K* against a plain search in chi_n.
 """
 
 import math
@@ -22,9 +22,7 @@ import cvmdi.analysis as analysis_mod
 from cvmdi import protocols
 from cvmdi import AddedNoiseParams, ProtocolParams, key_rate, optimize_added_noise
 from cvmdi.analysis import (
-    CHI_N_GRID,
     CHI_N_GRID_POINTS,
-    CHI_N_TOL,
     CHI_N_W_TOL,
     DETECTOR_PRESETS,
     SCAN_CAP_KM,
@@ -172,12 +170,14 @@ def test_key_rate_non_increasing_in_symmetric_distance(protocol, detector, varia
 @pytest.mark.parametrize("variance", sorted(VARIANCE_PRESETS))
 @pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
 def test_chi_n_profile_is_unimodal(detector, variance):
-    # the chi_n refinement assumes K(chi_n) rises, then falls on the grid's span
-    grid = np.linspace(*CHI_N_GRID, 101)
+    # the refinement in w = chi_n/(1 + chi_n) assumes K rises, then falls
+    # over the whole half-line: w on [0, 1), out to within 1e-6 of the limit
+    w = np.concatenate([np.linspace(0.0, 0.99, 100), 1.0 - np.logspace(-3, -6, 4)])
+    chi_n = w / (1.0 - w)
     for l_ac in (0.0, 5.0, 12.0, 30.0):
         for l_bc in (0.0, 1.0, 5.0):
             p = preset_params("squeezed-modified", detector, variance, l_ac=l_ac, l_bc=l_bc)
-            k = np.array([k_bits(p, float(chi)) for chi in grid])
+            k = np.array([k_bits(p, float(chi)) for chi in chi_n])
             steps = np.sign(np.diff(k))
             steps = steps[steps != 0.0]
             assert not np.any((steps[:-1] < 0.0) & (steps[1:] > 0.0)), (l_ac, l_bc)
@@ -201,15 +201,19 @@ def synthetic_key_rate(monkeypatch, k_of_chi):
     return asked
 
 
+def w_of(chi):
+    return chi / (1.0 + chi)
+
+
 def test_chi_n_refinement_evaluates_each_point_once(monkeypatch):
     asked = synthetic_key_rate(monkeypatch, lambda chi: -(chi - 7.3) ** 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         chi_star, k_star = optimize_added_noise(MODIFIED)
-    assert chi_star == pytest.approx(7.3, abs=analysis_mod.CHI_N_TOL)
+    assert w_of(chi_star) == pytest.approx(w_of(7.3), abs=CHI_N_W_TOL)
     assert k_star == pytest.approx(0.0, abs=1e-8)
     assert len({round(chi, 9) for chi in asked}) == len(asked)
-    # the grid, then a refinement of two 5-wide cells to 1e-4
+    # the grid's finite points, then a refinement of two 0.1-wide cells in w
     assert len(asked) < CHI_N_GRID_POINTS + 30
 
 
@@ -219,81 +223,53 @@ def test_chi_n_boundary_optimum_is_kept(monkeypatch):
 
 
 def test_chi_n_grid_with_two_peaks_warns(monkeypatch):
-    # peaks near 10 and 40: the better one (40) is refined, and the grid
-    # shows two strict local maxima
-    synthetic_key_rate(monkeypatch, lambda chi: max(1.0 - abs(chi - 10.0) / 4.0,
-                                                    2.0 - abs(chi - 40.5) / 4.0))
+    # peaks at w = 0.2 and w = 0.705 (chi_n = 0.25 and 2.39), which the
+    # grid of w in steps of 0.1 shows as two strict local maxima; the better
+    # one (0.705) is refined
+    synthetic_key_rate(monkeypatch, lambda chi: max(1.0 - abs(w_of(chi) - 0.2) / 0.04,
+                                                    2.0 - abs(w_of(chi) - 0.705) / 0.04))
     with pytest.warns(RuntimeWarning, match="not unimodal"):
         chi_star, k_star = optimize_added_noise(MODIFIED)
-    assert chi_star == pytest.approx(40.5, abs=1e-3)
+    assert w_of(chi_star) == pytest.approx(0.705, abs=1e-5)
     assert k_star == pytest.approx(2.0, abs=1e-3)
 
 
-
-# ------------------------------------------------- the edge certificate
-
-LO, HI = CHI_N_GRID
-
-
-@pytest.mark.parametrize("slope,edge,inward", [(-1.0, LO, 1.0)])
-def test_edge_optimum_costs_one_probe(monkeypatch, slope, edge, inward):
-    asked = synthetic_key_rate(monkeypatch, lambda chi: slope * chi)
-    assert optimize_added_noise(MODIFIED) == (edge, slope * edge)
-    assert len(asked) == CHI_N_GRID_POINTS + 1
-    assert asked[-1] == pytest.approx(edge + inward * CHI_N_TOL, abs=1e-12)
-
-
-@pytest.mark.parametrize("edge,inward", [(LO, 1.0), (HI, -1.0)])
-def test_peak_within_tolerance_of_an_edge_returns_the_edge(monkeypatch, edge, inward):
-    # the probe, CHI_N_TOL inside, is no higher than the edge: the peak at
-    # half a tolerance inside is within CHI_N_TOL of the edge returned
-    peak = edge + inward * 5e-5
-
-    def k_of_chi(chi):
-        outward = (peak - chi) * inward
-        return -outward if outward >= 0.0 else 3.0 * outward
-
-    asked = synthetic_key_rate(monkeypatch, k_of_chi)
-    chi_star, k_star = optimize_added_noise(MODIFIED)
-    assert chi_star == edge and k_star == k_of_chi(edge)
-    assert abs(chi_star - peak) <= CHI_N_TOL
-    # the upper edge also probes CHI_N_TOL past the grid, where K falls
-    assert len(asked) == CHI_N_GRID_POINTS + (1 if edge == LO else 2)
-
-
-@pytest.mark.parametrize("edge,inward", [(LO, 1.0), (HI, -1.0)])
+@pytest.mark.parametrize("edge,inward", [(0.0, 1.0), (1.0, -1.0)])
 def test_peak_beyond_the_probe_is_refined(monkeypatch, edge, inward):
+    # a peak 0.01 in w inside either end of [0, 1] is refined to CHI_N_W_TOL,
+    # neither returned at chi_n = 0 nor reported at the limit
     peak = edge + inward * 0.01
-    asked = synthetic_key_rate(monkeypatch, lambda chi: -(chi - peak) ** 2)
-    chi_star, _ = optimize_added_noise(MODIFIED)
-    assert chi_star != edge
-    assert abs(chi_star - peak) <= CHI_N_TOL
-    assert len(asked) > CHI_N_GRID_POINTS + 1
-
-
-def w_of(chi):
-    return chi / (1.0 + chi)
+    asked = synthetic_key_rate(monkeypatch, lambda chi: -(w_of(chi) - peak) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi_star, _ = optimize_added_noise(MODIFIED)
+    assert abs(w_of(chi_star) - peak) <= CHI_N_W_TOL
+    assert len(asked) > CHI_N_GRID_POINTS
 
 
 def test_rise_past_the_grid_is_searched_to_the_limit(monkeypatch):
-    # K = chi_n rises without end: past the grid, the search in
-    # w = chi_n/(1 + chi_n) ends within CHI_N_W_TOL of the limit, returns
-    # the best finite point it evaluated, and says so
+    # K = chi_n rises without end: the grid's best finite point is its last,
+    # chi_n = 9, and the refinement of the cells around it ends within
+    # CHI_N_W_TOL of the limit, returns the best finite point it evaluated,
+    # and says so
     asked = synthetic_key_rate(monkeypatch, lambda chi: chi)
     with pytest.warns(RuntimeWarning, match="added-noise optimum at the limit"):
         chi_star, k_star = optimize_added_noise(MODIFIED)
     assert k_star == chi_star == max(asked)
     assert 1.0 - w_of(chi_star) <= CHI_N_W_TOL
-    assert asked[CHI_N_GRID_POINTS:CHI_N_GRID_POINTS + 2] == [HI - CHI_N_TOL, HI + CHI_N_TOL]
-    # the probes, then golden section from w(50) = 50/51 down to CHI_N_W_TOL:
-    # two interior points and one per step of 0.618 from 1/51 to 1e-6
-    assert len(asked) == CHI_N_GRID_POINTS + 2 + 2 + 21
+    finite = CHI_N_GRID_POINTS - 1  # the limit is not evaluated
+    assert asked[:finite] == pytest.approx([w / (1.0 - w) for w in
+                                            (i / finite for i in range(finite))])
+    # golden section over w in [0.8, 1] reuses both edges: two interior
+    # points and one per step of 0.618 from 0.2 down to 1e-6
+    assert len(asked) == finite + 2 + 26
 
 
 @pytest.mark.parametrize("peak", [60.0, 1e3, 1e5])
 def test_peak_past_the_grid_is_found_in_w(monkeypatch, peak):
-    # K peaks at chi_n = peak past the grid's upper edge and vanishes as
-    # chi_n -> inf; the search finds it to CHI_N_W_TOL in w, with no warning
+    # K peaks at chi_n = peak, past the last finite grid point (chi_n = 9),
+    # and vanishes as chi_n -> inf; the search finds it to CHI_N_W_TOL in w,
+    # with no warning
     asked = synthetic_key_rate(monkeypatch, lambda chi: -(w_of(chi) - w_of(peak)) ** 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -302,22 +278,13 @@ def test_peak_past_the_grid_is_found_in_w(monkeypatch, peak):
     assert k_star == max(-(w_of(chi) - w_of(peak)) ** 2 for chi in asked)
 
 
-def test_peak_within_tolerance_past_the_grid_returns_the_edge(monkeypatch):
-    # K rises to a peak 5e-5 past the upper edge: the probe CHI_N_TOL past
-    # the edge is lower, so the edge is returned, within CHI_N_TOL of the peak
-    peak = HI + 5e-5
-    asked = synthetic_key_rate(monkeypatch, lambda chi: -abs(chi - peak))
-    assert optimize_added_noise(MODIFIED) == (HI, -abs(HI - peak))
-    assert len(asked) == CHI_N_GRID_POINTS + 2
-
-
 def test_real_rise_past_the_grid():
     # the table's most-asymmetric practical row: at its reach, 13.875 km, K
     # is negative at chi_n = 50 but peaks near 111; 0.05 km further, the
     # slope of the limit is negative, and K rises towards 0 from below up
     # to the end of the search
     p = preset_params("squeezed-modified", "practical", "realistic", l_ac=13.875, l_bc=0.0)
-    assert k_bits(p, HI) < 0.0
+    assert k_bits(p, 50.0) < 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         chi_star, k_star = optimize_added_noise(p)
@@ -329,6 +296,21 @@ def test_real_rise_past_the_grid():
     with pytest.warns(RuntimeWarning, match="added-noise optimum at the limit"):
         chi_star, k_star = optimize_added_noise(beyond)
     assert 1.0 - w_of(chi_star) <= CHI_N_W_TOL and -1e-9 < k_star < 0.0
+
+
+# V_A = 6, beta = 0.95: K(chi_n) is negative at 0, at 5 and past 50, with
+# a positive hump near chi_n = 1 that a chi_n grid in steps of 5 misses
+HUMP = ProtocolParams(v_a=6.0, v_b=5.04, l_ac=3.375, l_bc=0.2, eta=0.85, v_el=0.015,
+                      beta=0.95, protocol="squeezed-modified")
+
+
+def test_positive_hump_between_chi_grid_points_is_found():
+    assert max(k_bits(HUMP, chi) for chi in (0.0, 5.0, 50.0)) < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi_star, k_star = optimize_added_noise(HUMP)
+    assert k_star > 0.0
+    assert chi_star == pytest.approx(0.943, abs=0.05)
 
 
 @pytest.mark.parametrize("l_ac", [11.0, 13.875, 16.0])
@@ -371,53 +353,13 @@ def random_modified_points(seed, count):
                                         DETECTOR_PRESETS[rng.choice(("perfect", "practical"))])))
 
 
-def test_edge_certificate_matches_the_full_refinement():
-    # A point's result can differ from the full refinement of the grid's
-    # span only where the probe certified an edge whose true peak lies
-    # within CHI_N_TOL of it: the refinement may then land nearer that
-    # peak, a higher K at a chi_n within the tolerance both promise; or
-    # where K rises past the upper edge, which the refinement cannot leave.
-    # Everywhere else K* is not lower.
-    identical = edges = past = 0
-    for p in random_modified_points(2024, 150):
+def test_added_noise_search_is_no_lower_than_the_chi_grid_reference():
+    # At every point K* is at least that of the plain search in chi_n over
+    # [0, 50] (tests/helpers.py), up to the gain search's 1e-12, with no
+    # exemption at chi_n = 0 or at the reference's upper end.
+    for i, p in enumerate(random_modified_points(2024, 150)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = optimize_added_noise(p)
         want = reference_optimize_added_noise(p)
-        assert got[1] >= want[1] - 1e-12 or got[0] in CHI_N_GRID, (p, got, want)
-        if got[0] > HI:
-            past += 1
-            assert abs(want[0] - HI) <= CHI_N_TOL, (p, got, want)
-            continue
-        identical += got == want
-        edges += got[0] in CHI_N_GRID
-        assert abs(got[0] - want[0]) <= CHI_N_TOL, (p, got, want)
-    assert edges + past >= 80 and identical + past >= 140, (edges, past, identical)
-    assert past >= 40, past
-
-
-def test_key_rate_rises_toward_a_certified_edge():
-    # The certificate's unimodality condition on real points whose best grid
-    # point is an edge.  Sampled across that edge's grid cell, inner grid
-    # point first, K rises and then may fall, never the reverse; and where
-    # the probe CHI_N_TOL inside is no higher than the edge, so the edge is
-    # returned unrefined, K rises all the way to the edge.  Both up to 1e-12.
-    step = (HI - LO) / (CHI_N_GRID_POINTS - 1)
-    edge_points = certified = 0
-    for p in random_modified_points(7, 40):
-        grid = np.linspace(LO, HI, CHI_N_GRID_POINTS)
-        best = int(np.argmax([k_bits(p, float(chi)) for chi in grid]))
-        if best not in (0, CHI_N_GRID_POINTS - 1):
-            continue
-        edge_points += 1
-        edge, inward = (LO, 1.0) if best == 0 else (HI, -1.0)
-        cell = edge + inward * np.linspace(step, 0.0, 21)
-        k = np.array([k_bits(p, float(chi)) for chi in cell])
-        rises = np.diff(k)
-        falls = np.flatnonzero(rises < -1e-12)
-        if falls.size:
-            assert np.all(rises[falls[0]:] <= 1e-12), (p, k)
-        if not k_bits(p, edge + inward * CHI_N_TOL) > k[-1]:
-            certified += 1
-            assert falls.size == 0, (p, k)
-    assert edge_points >= 20 and certified >= 10, (edge_points, certified)
+        assert got[1] >= want[1] - 1e-12, (i, p, got, want)

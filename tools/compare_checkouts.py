@@ -23,8 +23,9 @@ record), so that a change to the record alone shows as such.  Prints every
 value that differs, at its first differing float or character, then one
 summary line per category (relay, kernel, optnoise, sweep, table, compare,
 cli, record): values compared, values differing, and the largest absolute,
-relative and ulp difference among the floats that differ.  Exits 1 if any
-value differs, else 0.
+relative and ulp difference among the floats that differ; for optnoise also
+at how many points K* is lower here than in OTHER_ROOT, and by how much at
+most.  Exits 1 if any value differs, else 0.
 """
 
 import argparse
@@ -172,9 +173,21 @@ def float_differences(a: str, b: str) -> list[tuple[float, float, float]] | None
     return out
 
 
+def k_star_drops(pairs: list[tuple[str, str]]) -> list[float]:
+    """By how much each optnoise K* here is below the other checkout's,
+    where it is: a (chi_n*, K*) pair on both sides, not an error."""
+    drops = []
+    for a, b in pairs:
+        (text_a, xs), (text_b, ys) = floats(a), floats(b)
+        if text_a == text_b == "(#, #)" and xs[1] < ys[1]:
+            drops.append(ys[1] - xs[1])
+    return drops
+
+
 def summary(mine: list[str], theirs: list[str]) -> list[str]:
     """One line per category: values compared, values differing, and the
-    largest differences among the floats that differ."""
+    largest differences among the floats that differ; for optnoise, the
+    points where K* is lower here."""
     lines = []
     for category in CATEGORIES:
         pairs = [(a, b) for a, b in zip(mine, theirs) if a.split(None, 1)[0] == category]
@@ -193,6 +206,11 @@ def summary(mine: list[str], theirs: list[str]) -> list[str]:
                      f"ulp, over {len(diffs)} floats")
         if textual:
             line += f"; {textual} differ in more than their numbers"
+        if category == "optnoise":
+            drops = k_star_drops(differing)
+            line += f"; K* lower here at {len(drops)}"
+            if drops:
+                line += f", by at most {max(drops):.3g}"
         lines.append(line)
     return lines
 

@@ -16,7 +16,9 @@ and chi_n = 1 for squeezed-modified.  The fourth is one
 modified trial, V = 5.04, practical detector, L_AC = 14 km, L_BC = 0:
 gain searches at one channel, which share one memo in a checkout whose
 kernel keeps one (twelve where chi_n stops at 50, 36 where K, still
-rising at 50, is searched towards the limit chi_n -> inf).  The fifth is the table's modified row alone,
+rising at 50, is searched towards the limit chi_n -> inf past a chi_n
+grid, 38 where one grid and one refinement in w = chi_n/(1 + chi_n)
+span the half-line).  The fifth is the table's modified row alone,
 ``analysis.max_distance`` of squeezed-modified at V = 5.04 with the
 practical detector in the 'most-asymmetric' geometry (L_BC = 0, mode
 'fixed-lbc'), where the added-noise search decides the reach.  The sixth
