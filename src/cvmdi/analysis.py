@@ -20,7 +20,14 @@ order: the gain and noise of the last such point (one evaluation at a
 fixed gain); then K with the gain searched; then, when chi_n is
 optimised, the slope D = lim chi_n K as chi_n -> inf
 (``protocols.noise_limit_slope``) with the gain searched.  At beta = 1,
-K at chi_n = 0 and D decide the sign of K* between them.
+K at chi_n = 0 and D decide the sign of K* between them.  These gain
+searches run Brent's method (``search.brent_max``, through ``_rate_at``):
+about 14 kernel evaluations each where golden section takes 37, to the
+same GAIN_TOL.  A trial reads only the sign, which the two searches agree
+on.  Every gain this module reports (a sweep point, ``optimize_added_noise``,
+``key_rate_at_best_noise``) is still golden's (``protocols.optimal_gain``):
+``bench/reference.json`` pins its bits at the V = 1e5, L = 0 sweep points,
+until a re-recorded reference (ROADMAP item 1) lets Brent serve both.
 
 The paper's three geometries are the keys of ``GEOMETRY_MODES``, which maps
 each to the ``max_distance`` mode that scans it; ``at_geometry`` pins
@@ -256,10 +263,12 @@ class MaxDistanceResult:
 def _rate_at(params: ProtocolParams, noise: AddedNoiseParams | None,
              memo: dict) -> tuple[float, float]:
     """(K, gain) of ``key_rate``, or (D, gain) of ``noise_limit_slope`` at
-    ``NOISE_LIMIT``: either way a value with the sign of K at ``noise``."""
+    ``NOISE_LIMIT``: either way a value with the sign of K at ``noise``.
+    Unless ``params.gain`` is set, the gain is searched by Brent's method
+    (``brent=True``)."""
     if noise is not None and noise.chi_n == math.inf:
-        return noise_limit_slope(params, memo=memo)
-    report = key_rate(params, noise, memo=memo)
+        return noise_limit_slope(params, memo=memo, brent=True)
+    report = key_rate(params, noise, memo=memo, brent=True)
     return report.key_rate, report.gain_used
 
 
@@ -291,6 +300,14 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
        optimised;
     3. for optimised chi_n only, ``protocols.noise_limit_slope``: D with
        the gain searched.
+
+    Steps 2 and 3 search the gain by Brent's method (``search.brent_max``)
+    rather than ``optimal_gain``'s golden section: the same bracket,
+    GAIN_TOL and widening, in about 14 kernel evaluations instead of 37.
+    The two searches give K* the same sign wherever |K*| > 1e-8, so a
+    reach moves only where a trial's |K*| is below that, at no row of the
+    paper's tables; the witness's gain may differ in its last digits.
+    The full chi_n search below still runs golden section.
 
     A step that proves K*(L) > 0 returns a positive value, and its gain and
     noise become the witness.  A witness that raises NumericDomainError
@@ -403,7 +420,8 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     and noise of the last point that proved K* > 0, at that fixed gain,
     then K with the gain searched (at chi_n = 0 for the modified protocol),
     then for the modified protocol the slope D of the limit chi_n -> inf
-    with the gain searched, stopping at the first that is positive.  Within a
+    with the gain searched, stopping at the first that is positive, each
+    gain search by Brent's method as in ``max_distance``.  Within a
     row, every search at a trial length shares the relay coefficients and
     each gain's gain-only half of the kernel through that row's
     ``max_distance`` memo; rows share nothing, not even where their

@@ -32,6 +32,15 @@ none and stores nothing.  A reported point is certified physical from the
 smaller symplectic eigenvalue of (a, b, c), at the tolerance of the matrix
 route's ``GaussianState.require_physical``.
 
+Two gain searches share one bracket, GAIN_TOL and widening rule
+(``_search_gain``).  ``optimal_gain``'s golden section gives every
+reported gain, because ``bench/reference.json`` pins its bits.  Brent's
+method (``search.brent_max``, about 14 evaluations where golden takes 37)
+runs under the ``brent=True`` of ``key_rate`` and ``noise_limit_slope``,
+which only the distance trials of ``cvmdi.analysis`` pass: they read the
+sign of K alone.  Once the reference is re-recorded (ROADMAP item 1),
+Brent serves every search and the keyword goes.
+
 Added noise is its variance chi_n alone (``AddedNoiseParams``): the key
 rate depends on nothing else of the trusted-noise beamsplitter, so no
 realisation of it is built here.
@@ -91,7 +100,7 @@ from typing import Callable
 
 from .errors import InvalidParameterError, NumericDomainError
 from .gaussian import LN2, PHYSICALITY_TOL, g_func, g_slope, two_mode_symplectic
-from .search import golden_section_max
+from .search import brent_max, golden_section_max
 
 PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
 
@@ -482,6 +491,21 @@ def gain_bracket(params: ProtocolParams) -> float:
     return 4.0 * math.sqrt(2.0 / (params.eta * params.t_2))
 
 
+def _search_gain(objective: Callable[[float], float], params: ProtocolParams,
+                 maximize: Callable[..., tuple[float, float]]) -> float:
+    """The gain ``maximize`` finds for ``objective`` on [0, gain_bracket],
+    to GAIN_TOL; an optimum on the upper edge doubles the bracket once,
+    after which NumericDomainError."""
+    hi = gain_bracket(params)
+    for _ in range(2):
+        g_star = maximize(objective, 0.0, hi, GAIN_TOL)[0]
+        if g_star < hi - 2.0 * GAIN_TOL:
+            return g_star
+        hi *= 2.0
+    raise NumericDomainError(
+        f"gain optimum stuck at the search edge {hi / 2.0} even after widening")
+
+
 def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
                  memo: dict | None = None) -> float:
     """Key-rate-maximizing displacement gain, by golden-section search.
@@ -494,20 +518,20 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None, 
     is passed to that objective (see ``key_rate``).  At ``NOISE_LIMIT``,
     where K vanishes at every gain, the objective is the slope D instead
     (``noise_limit_slope``).
+
+    Every reported gain comes from here (sweep points, ``keyrate``,
+    ``optnoise``), and ``bench/reference.json`` pins the golden search's
+    bits at its V = 1e5, L = 0 sweep points.  So golden section stays
+    here until a re-recorded reference (ROADMAP item 1) lets ``brent_max``
+    take its place, the ``brent`` keyword of ``key_rate`` and
+    ``noise_limit_slope`` go, and ``golden_section_max`` with them.
     """
     objective = _gain_objective(params, check_added_noise(params, noise), memo)
-    hi = gain_bracket(params)
-    for _ in range(2):
-        g_star = golden_section_max(objective, 0.0, hi, GAIN_TOL)[0]
-        if g_star < hi - 2.0 * GAIN_TOL:
-            return g_star
-        hi *= 2.0
-    raise NumericDomainError(
-        f"gain optimum stuck at the search edge {hi / 2.0} even after widening")
+    return _search_gain(objective, params, golden_section_max)
 
 
 def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
-             memo: dict | None = None) -> KeyRateReport:
+             memo: dict | None = None, brent: bool = False) -> KeyRateReport:
     """Secret key rate K = beta I(A:B) - chi(B:E) for one parameter point.
 
     Optimizes the displacement gain unless ``params.gain`` is set, checks
@@ -519,6 +543,13 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
     to every ``key_rate`` and ``optimal_gain`` call of the search, and drop
     it with the search.  It changes no result, only how often the relay
     coefficients and each gain's symplectic pair are computed.
+
+    ``brent=True`` searches the gain by ``search.brent_max`` on this call's
+    objective instead of calling ``optimal_gain``: about 14 kernel
+    evaluations where golden section takes 37, with the same GAIN_TOL and
+    the same widening.  Only ``analysis.max_distance``'s trials pass it,
+    as they read the sign of K alone; a reported gain stays golden's
+    (``optimal_gain``).
     """
     chi_n = check_added_noise(params, noise)
     if chi_n == math.inf:
@@ -526,29 +557,33 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
             "K vanishes at chi_n = inf; noise_limit_slope gives its sign at large chi_n")
     try:
         objective = _gain_objective(params, chi_n, memo)
-        g = (params.gain if params.gain is not None
-             else optimal_gain(params, noise, memo=memo))
+        g = params.gain
+        if g is None:
+            g = (_search_gain(objective, params, brent_max) if brent
+                 else optimal_gain(params, noise, memo=memo))
         return objective(g, report=True)
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc
 
 
-def noise_limit_slope(params: ProtocolParams, *,
-                      memo: dict | None = None) -> tuple[float, float]:
+def noise_limit_slope(params: ProtocolParams, *, memo: dict | None = None,
+                      brent: bool = False) -> tuple[float, float]:
     """(D, gain): the slope D = lim chi_n K as chi_n -> inf of the
     squeezed-modified protocol, at ``params.gain`` or, unless that is set,
     maximised over the gain by ``optimal_gain`` at ``NOISE_LIMIT``.
 
     K = D/chi_n + O(1/chi_n^2), so K > 0 at every large enough chi_n
     exactly when D > 0 (``_gain_objective`` gives D in closed form).
-    ``memo`` is shared as in ``key_rate``, and a NumericDomainError carries
-    the parameter point as there.
+    ``memo`` and ``brent`` act as in ``key_rate``, and a NumericDomainError
+    carries the parameter point as there.
     """
     check_added_noise(params, NOISE_LIMIT)
     try:
         objective = _gain_objective(params, math.inf, memo)
-        g = (params.gain if params.gain is not None
-             else optimal_gain(params, NOISE_LIMIT, memo=memo))
+        g = params.gain
+        if g is None:
+            g = (_search_gain(objective, params, brent_max) if brent
+                 else optimal_gain(params, NOISE_LIMIT, memo=memo))
         return objective(g), g
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc

@@ -473,29 +473,44 @@ def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol)
 
 def test_paper_table_widens_no_gain_search(monkeypatch):
     # every gain search of the paper's table, the five of the limit's slope
-    # too, runs through optimal_gain and ends inside its first bracket: the
+    # too, is a trial's Brent search and ends inside its first bracket: the
     # slope's optimal gains (1.226 to 1.239) lie far below the bracket's
-    # edge, 4 sqrt(2/(eta T2)) = 5.96
-    searches, calls, optima = [], [], []
-    honest_search, honest_gain = protocols.golden_section_max, protocols.optimal_gain
+    # edge, 4 sqrt(2/(eta T2)) = 5.96; and no golden search runs
+    searches, calls, optima, golden = [], [], [], []
+    honest_brent, honest_golden = protocols.brent_max, protocols.golden_section_max
 
-    def search(f, lo, hi, tol):
-        searches.append(hi)
-        return honest_search(f, lo, hi, tol)
+    def brent(f, lo, hi, tol):
+        best = honest_brent(f, lo, hi, tol)
+        searches.append((best[0], hi))
+        return best
 
-    def gain(params, noise=None, **kwargs):
-        calls.append(params)
-        g = honest_gain(params, noise, **kwargs)
-        if noise is protocols.NOISE_LIMIT:
-            optima.append((g, protocols.gain_bracket(params)))
-        return g
+    def golden_search(*args):
+        golden.append(args)
+        return honest_golden(*args)
 
-    monkeypatch.setattr(protocols, "golden_section_max", search)
-    monkeypatch.setattr(protocols, "optimal_gain", gain)
+    def searched(name):
+        honest = getattr(analysis_mod, name)
+
+        def call(params, *args, **kwargs):
+            out = honest(params, *args, **kwargs)
+            if params.gain is None:
+                calls.append(params)
+                if name == "noise_limit_slope":
+                    optima.append((out[1], protocols.gain_bracket(params)))
+            return out
+
+        monkeypatch.setattr(analysis_mod, name, call)
+
+    monkeypatch.setattr(protocols, "brent_max", brent)
+    monkeypatch.setattr(protocols, "golden_section_max", golden_search)
+    searched("key_rate")
+    searched("noise_limit_slope")
     compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),
                       geometry="most-asymmetric", detectors=("practical",))
     assert len(searches) == len(calls) == 21 and len(optima) == 5
+    assert all(g < hi - 2.0 * protocols.GAIN_TOL for g, hi in searches)
     assert all(g < hi / 4.0 for g, hi in optima)
+    assert golden == []
 
 
 def test_a_slope_search_that_raises_stops_only_an_undecided_trial(monkeypatch):
@@ -521,18 +536,31 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
     # the paper's most-asymmetric practical table: a full gain search per
     # trial length made 101 of them, and the witness with the chi_n*
     # warm start 51; the witness, K at chi_n = 0 and the slope of the limit
-    # leave 21, each through optimal_gain, the limit's too
-    searches = []
-    honest = protocols.optimal_gain
+    # leave 21, each a trial's Brent search, the limit's too; with golden
+    # section's 37 evaluations per search the table made 824 kernel
+    # evaluations, with Brent's about 14 it makes 339
+    searches, evals = [], []
+    honest, honest_objective = protocols.brent_max, protocols._gain_objective
 
-    def counted(params, noise=None, **kwargs):
-        searches.append(params)
-        return honest(params, noise, **kwargs)
+    def counted(f, lo, hi, tol):
+        searches.append(hi)
+        return honest(f, lo, hi, tol)
 
-    monkeypatch.setattr(protocols, "optimal_gain", counted)
+    def objective(*args, **kwargs):
+        f = honest_objective(*args, **kwargs)
+
+        def evaluated(*a, **kw):
+            evals.append(a)
+            return f(*a, **kw)
+
+        return evaluated
+
+    monkeypatch.setattr(protocols, "brent_max", counted)
+    monkeypatch.setattr(protocols, "_gain_objective", objective)
     table = compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),
                               geometry="most-asymmetric", detectors=("practical",))
     assert [(r.protocol, r.l_star_km, r.positive_at_origin) for r in table.rows] == [
         ("coherent", 0.0, False), ("squeezed", 10.5, True),
         ("squeezed-modified", 13.875, True)]
     assert len(searches) <= 21
+    assert len(evals) <= 360

@@ -2,26 +2,29 @@
 
     python3 tools/time_kernel.py OTHER_ROOT
 
-Times seven items in this checkout and in OTHER_ROOT.  The first is start-up:
-a fresh ``import cvmdi`` and its first ``key_rate``, once per interpreter.
-Then six layers of the kernel: the symplectic pair
+Times eight items in this checkout and in OTHER_ROOT.  The first is
+start-up: a fresh ``import cvmdi`` and its first ``key_rate``, once per
+interpreter.  Then seven layers of the kernel: the symplectic pair
 ``gaussian.two_mode_symplectic`` on the reduced states a gain search
 visits (from ``protocols._reduced_state``, or in a checkout without it
 the same function of its ``tests/oracle.py``), the gain objective of each
-protocol (``protocols._gain_objective``) over the same gains, and one
-whole ``optimal_gain`` search, at a point of the kind the benchmark's
-table evaluates: V = 5.04, practical detector, L_AC = 10 km, L_BC = 0,
-and chi_n = 1 for squeezed-modified.  The fourth is one
+protocol (``protocols._gain_objective``) over the same gains, one whole
+``optimal_gain`` search, and one whole gain search as a distance trial
+runs it: ``search.brent_max`` on a fresh objective over the same bracket
+to the same GAIN_TOL, or ``optimal_gain`` again in a checkout without
+``brent_max``, whose trials ran golden section.  These are at a point of
+the kind the benchmark's table evaluates: V = 5.04, practical detector,
+L_AC = 10 km, L_BC = 0, and chi_n = 1 for squeezed-modified.  The fifth is one
 ``analysis.optimize_added_noise`` call at the table's non-positive
 modified trial, V = 5.04, practical detector, L_AC = 14 km, L_BC = 0:
 gain searches at one channel, which share one memo in a checkout whose
 kernel keeps one (twelve where chi_n stops at 50, 36 where K, still
 rising at 50, is searched towards the limit chi_n -> inf past a chi_n
 grid, 38 where one grid and one refinement in w = chi_n/(1 + chi_n)
-span the half-line).  The fifth is the table's modified row alone,
+span the half-line).  The sixth is the table's modified row alone,
 ``analysis.max_distance`` of squeezed-modified at V = 5.04 with the
 practical detector in the 'most-asymmetric' geometry (L_BC = 0, mode
-'fixed-lbc'), where the added-noise search decides the reach.  The sixth
+'fixed-lbc'), where the added-noise search decides the reach.  The seventh
 is the paper's table, as the benchmark's ``table`` workload computes it:
 ``analysis.compare_protocols`` at V = 5.04, 'most-asymmetric', with the
 practical detector.  These three start each call with an empty relay
@@ -62,7 +65,7 @@ t0 = time.perf_counter()
 import cvmdi
 cvmdi.key_rate(cvmdi.ProtocolParams(v_a=5.04, v_b=5.04, l_ac=5.0, l_bc=0.0))
 items = {"import cvmdi, first key_rate": 1e6 * (time.perf_counter() - t0)}
-from cvmdi import AddedNoiseParams, ProtocolParams, analysis, gaussian, protocols
+from cvmdi import AddedNoiseParams, ProtocolParams, analysis, gaussian, protocols, search
 assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
 eta, v_el = analysis.DETECTOR_PRESETS["practical"]
 base = dict(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, eta=eta, v_el=v_el)
@@ -106,6 +109,17 @@ for protocol, chi_n in (("squeezed", 0.0), ("coherent", 0.0), ("squeezed-modifie
 
     items[f"gain objective, {protocol}"] = best(objectives, len(gains))
 items["optimal_gain, squeezed"] = best(lambda: protocols.optimal_gain(params), 1)
+# a distance trial's gain search: Brent's method where search.brent_max exists,
+# and before it the golden search of optimal_gain, which the trials then ran
+brent_max = getattr(search, "brent_max", None)
+if brent_max is None:
+    def trial_search():
+        protocols.optimal_gain(params)
+else:
+    def trial_search():
+        brent_max(protocols._gain_objective(params, 0.0), 0.0, protocols.gain_bracket(params),
+                  protocols.GAIN_TOL)
+items["gain search, Brent (distance trial), squeezed"] = best(trial_search, 1)
 # the relay cache: a dict per channel where _CHANNEL_COEFFS exists, an lru_cache
 # before it, and nothing to clear where the relay is computed afresh each time
 relays = getattr(protocols, "_CHANNEL_COEFFS", None)
@@ -158,14 +172,14 @@ def main(argv: list[str] | None = None) -> int:
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
             runs[side].append(time_once(roots[side]))
     print(f"us per call over {ROUNDS} rounds, best of {REPEATS} loops each: min / median")
-    print(f"{'':36}{'this checkout':>24}{'other':>24}{'ratio':>8}")
+    print(f"{'':46}{'this checkout':>24}{'other':>24}{'ratio':>8}")
     for item in runs[0][0]:
         cells, medians = [], []
         for side in runs:
             times = [run[item] for run in side]
             medians.append(statistics.median(times))
             cells.append(f"{min(times):.2f} / {medians[-1]:.2f}")
-        print(f"{item:36}{cells[0]:>24}{cells[1]:>24}{medians[0] / medians[1]:>8.3f}")
+        print(f"{item:46}{cells[0]:>24}{cells[1]:>24}{medians[0] / medians[1]:>8.3f}")
     return 0
 
 
