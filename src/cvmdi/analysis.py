@@ -29,9 +29,10 @@ on.  Every gain this module reports (a sweep point, ``optimize_added_noise``,
 ``bench/reference.json`` pins its bits at the V = 1e5, L = 0 sweep points,
 until a re-recorded reference (ROADMAP item 1) lets Brent serve both.
 
-The paper's three geometries are the keys of ``GEOMETRY_MODES``, which maps
-each to the ``max_distance`` mode that scans it; ``at_geometry`` pins
-L_BC = 0 for 'most-asymmetric'.  The CLI reads both from here.
+``max_distance`` and ``compare_protocols`` take one of the paper's three
+geometries (``GEOMETRIES``): 'symmetric' scans d = L_AC = L_BC,
+'asymmetric' scans L_AC at a given L_BC, and 'most-asymmetric' scans L_AC
+at L_BC = 0.  The CLI reads the names from here.
 """
 
 from __future__ import annotations
@@ -54,10 +55,7 @@ from .protocols import (
 from .search import golden_section_max, positive_edge
 
 SWEEP_VARIABLES = ("distance-symmetric", "lac-with-fixed-lbc", "chi-n")
-# Geometry -> max_distance mode; 'most-asymmetric' scans at L_BC = 0 (at_geometry).
-GEOMETRY_MODES = {"symmetric": "symmetric", "asymmetric": "fixed-lbc",
-                  "most-asymmetric": "fixed-lbc"}
-GEOMETRIES = tuple(GEOMETRY_MODES)
+GEOMETRIES = ("symmetric", "asymmetric", "most-asymmetric")
 
 # optimize_added_noise grids w = chi_n/(1 + chi_n) over [0, 1], then refines w to CHI_N_W_TOL
 CHI_N_GRID_POINTS = 11
@@ -254,7 +252,7 @@ def optimize_added_noise(params: ProtocolParams, *,
 class MaxDistanceResult:
     l_star_km: float
     l_ab_km: float
-    mode: str
+    l_bc_km: float | None
     positive_at_origin: bool
     capped: bool = False
     tol_km: float = 0.05
@@ -272,13 +270,16 @@ def _rate_at(params: ProtocolParams, noise: AddedNoiseParams | None,
     return report.key_rate, report.gain_used
 
 
-def max_distance(params: ProtocolParams, mode: str = "symmetric",
+def max_distance(params: ProtocolParams, geometry: str = "symmetric",
                  noise: AddedNoiseParams | None = None,
                  tol_km: float = 0.05) -> MaxDistanceResult:
     """Largest channel length with positive key rate.
 
-    mode 'symmetric' scans d = L_AC = L_BC (total L_AB = 2d); mode
-    'fixed-lbc' scans L_AC at the configured L_BC.  The squeezed-modified
+    The geometry is one of ``GEOMETRIES``: 'symmetric' scans
+    d = L_AC = L_BC (total L_AB = 2d, l_bc_km None); 'asymmetric' scans
+    L_AC at ``params.l_bc``; 'most-asymmetric' scans L_AC at L_BC = 0,
+    whatever ``params.l_bc`` is.  In these two the result's l_bc_km is the
+    L_BC scanned at, and L_AB = L_AC + L_BC.  The squeezed-modified
     protocol uses `noise` as given, or maximizes K over chi_n at each
     trial length when `noise` is None; the plain protocols take no noise.
     The edge is bracketed by trials at 1, 2, 4, ... km (SCAN_CAP_KM last)
@@ -331,14 +332,17 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     With no key at length 0 the result has positive_at_origin False and
     l_star_km = l_ab_km = 0: a protocol without key claims no reach.
     """
-    if mode not in ("symmetric", "fixed-lbc"):
-        raise InvalidParameterError(f"unknown max-distance mode {mode!r}")
+    if geometry not in GEOMETRIES:
+        raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
     if not 0.0 < tol_km < math.inf:
         raise InvalidParameterError(f"tol_km must be positive and finite, got {tol_km}")
+    if geometry == "most-asymmetric":
+        params = replace(params, l_bc=0.0)
+    l_bc = None if geometry == "symmetric" else params.l_bc
     optimize_noise = _optimizes_noise(params, noise)
 
-    def geometry(length: float) -> ProtocolParams:
-        if mode == "symmetric":
+    def at_length(length: float) -> ProtocolParams:
+        if l_bc is None:
             return replace(params, l_ac=length, l_bc=length)
         return replace(params, l_ac=length)
 
@@ -351,7 +355,7 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
     def k_of(length: float) -> float:
         """A value with the sign of K*(length): K, or D at the limit."""
         nonlocal witness
-        p = geometry(length)
+        p = at_length(length)
         if witness is not None:
             gain, witness_noise = witness
             try:
@@ -374,10 +378,10 @@ def max_distance(params: ProtocolParams, mode: str = "symmetric",
         return k
 
     if k_of(0.0) <= 0.0:
-        return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)
+        return MaxDistanceResult(0.0, 0.0, l_bc, positive_at_origin=False, tol_km=tol_km)
     edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, SCAN_CAP_KM)
-    l_ab = 2.0 * edge if mode == "symmetric" else edge + params.l_bc
-    return MaxDistanceResult(edge, l_ab, mode, positive_at_origin=True,
+    l_ab = 2.0 * edge if l_bc is None else edge + l_bc
+    return MaxDistanceResult(edge, l_ab, l_bc, positive_at_origin=True,
                              capped=capped, tol_km=tol_km)
 
 
@@ -397,39 +401,20 @@ class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
 
 
-def at_geometry(params: ProtocolParams, geometry: str) -> ProtocolParams:
-    """``params`` as ``geometry`` scans them: L_BC pinned to 0 for
-    'most-asymmetric', unchanged for the others."""
-    if geometry not in GEOMETRY_MODES:
-        raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
-    return replace(params, l_bc=0.0) if geometry == "most-asymmetric" else params
-
-
 def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
                       detectors: Iterable[str] = tuple(DETECTOR_PRESETS),
                       tol_km: float = 0.05) -> ComparisonTable:
-    """Max-distance table over protocols x detector presets.
+    """Max-distance table over protocols x detector presets x L_BC.
 
-    Each row is ``max_distance`` in the mode ``GEOMETRY_MODES[geometry]``:
-    'symmetric' scans d = L_AC = L_BC; 'most-asymmetric' scans L_AC at
-    the L_BC = 0 of ``at_geometry``; 'asymmetric' scans L_AC at each L_BC
-    in ASYMMETRIC_LBC_KM and keeps the best row per (protocol, detector): a
-    row with key at the origin outranks one without, then the longer total
-    wins, and the first row in ASYMMETRIC_LBC_KM order wins ties.  Every
-    trial length of every row runs as ``max_distance`` runs it: the gain
-    and noise of the last point that proved K* > 0, at that fixed gain,
-    then K with the gain searched (at chi_n = 0 for the modified protocol),
-    then for the modified protocol the slope D of the limit chi_n -> inf
-    with the gain searched, stopping at the first that is positive, each
-    gain search by Brent's method as in ``max_distance``.  Within a
-    row, every search at a trial length shares the relay coefficients and
-    each gain's gain-only half of the kernel through that row's
-    ``max_distance`` memo; rows share nothing, not even where their
-    channels coincide.  Every detector name is checked before any search
-    runs.
+    Each row is ``max_distance`` of one protocol and detector preset in
+    ``geometry``, and its l_bc_km is the L_BC that search scanned at.  The
+    'asymmetric' geometry gives one row per L_BC in ASYMMETRIC_LBC_KM, in
+    that order; the others give one row, at ``base.l_bc``.  Rows share
+    nothing, not even where their channels coincide.  The geometry and
+    every detector name are checked before any search runs.
     """
-    base = at_geometry(base, geometry)
-    mode = GEOMETRY_MODES[geometry]
+    if geometry not in GEOMETRIES:
+        raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
     detectors = tuple(detectors)
     for det in detectors:
         if det not in DETECTOR_PRESETS:
@@ -439,15 +424,9 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     for protocol in ("coherent", "squeezed", "squeezed-modified"):
         for det in detectors:
             eta, v_el = DETECTOR_PRESETS[det]
-            best = None
             for l_bc in lbcs:
                 p = replace(base, protocol=protocol, eta=eta, v_el=v_el, l_bc=l_bc)
-                res = max_distance(p, mode=mode, tol_km=tol_km)
-                row = ComparisonRow(protocol, det, l_bc if mode == "fixed-lbc" else None,
-                                    res.l_star_km, res.l_ab_km,
-                                    res.positive_at_origin, res.capped)
-                if best is None or ((row.positive_at_origin, row.l_ab_km)
-                                    > (best.positive_at_origin, best.l_ab_km)):
-                    best = row
-            rows.append(best)
+                res = max_distance(p, geometry, tol_km=tol_km)
+                rows.append(ComparisonRow(protocol, det, res.l_bc_km, res.l_star_km,
+                                          res.l_ab_km, res.positive_at_origin, res.capped))
     return ComparisonTable(rows=tuple(rows))

@@ -7,9 +7,9 @@ chi_n when the squeezed-modified protocol is given none (``--chi-n``
 unset or 'optimize'); a ``chi-n`` sweep gives it at each point.  Only
 that protocol takes added noise: a number for ``--chi-n`` with another
 protocol, or on a ``chi-n`` sweep, exits 2.  The protocol, geometry and
-detector names, and the geometry's max-distance mode, are the library's
-(``protocols.PROTOCOLS``, ``analysis.GEOMETRY_MODES``,
-``analysis.DETECTOR_PRESETS``).
+detector names are the library's (``protocols.PROTOCOLS``,
+``analysis.GEOMETRIES``, ``analysis.DETECTOR_PRESETS``), and so is what a
+geometry scans: ``maxdist`` and ``compare`` pass it to ``analysis``.
 Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  ``READS`` names the settings each
 subcommand reads; any other setting, given as a flag or as a config key,
@@ -51,10 +51,9 @@ from dataclasses import asdict
 from . import __version__
 from .analysis import (
     DETECTOR_PRESETS,
-    GEOMETRY_MODES,
+    GEOMETRIES,
     VARIANCE_PRESETS,
     SweepSpec,
-    at_geometry,
     compare_protocols,
     key_rate_at_best_noise,
     max_distance,
@@ -107,7 +106,7 @@ _SWEEP_KEYS = {"variable", "start", "stop", "step"}
 REPORT_COLUMNS = ["I_AB_bits", "chi_BE_bits", "K_bits",
                   "lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
                   "gain", "chi_N_snu", "flags"]
-MAXDIST_COLUMNS = ["l_star_km", "l_ab_km", "mode", "positive_at_origin", "capped", "tol_km"]
+MAXDIST_COLUMNS = ["l_star_km", "l_ab_km", "l_bc_km", "positive_at_origin", "capped", "tol_km"]
 COMPARE_COLUMNS = ["protocol", "detector", "l_bc_km", "l_star_km", "l_ab_km",
                    "positive_at_origin", "capped"]
 
@@ -168,7 +167,7 @@ def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
     """
     cfg = {**DEFAULTS, **cfg}
     _choice(cfg, "format", ("csv", "json"))
-    _choice(cfg, "geometry", GEOMETRY_MODES)
+    _choice(cfg, "geometry", GEOMETRIES)
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise InvalidParameterError(f"out must be a path, got {cfg['out']!r}")
     # a double holds at most 17 significant digits; more would print its
@@ -297,9 +296,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_maxdist(cfg: dict) -> int:
     params, noise = _resolve(cfg)
-    geometry = cfg["geometry"]
-    res = max_distance(at_geometry(params, geometry), mode=GEOMETRY_MODES[geometry],
-                       noise=noise, tol_km=_num(cfg, "tol_km"))
+    res = max_distance(params, cfg["geometry"], noise=noise, tol_km=_num(cfg, "tol_km"))
     _write(cfg, params, MAXDIST_COLUMNS, [asdict(res)], key="result")
     return 0
 
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--protocol", choices=PROTOCOLS)
-    common.add_argument("--geometry", choices=GEOMETRY_MODES)
+    common.add_argument("--geometry", choices=GEOMETRIES)
     common.add_argument("--detector", choices=DETECTOR_PRESETS)
     common.add_argument("--variance", help="'ideal', 'realistic', or a number (shot-noise units)")
     common.add_argument("--lac", dest="l_ac", type=float, metavar="KM",

@@ -63,27 +63,29 @@ def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float
     return best_x, best_f
 
 
-def reference_max_distance(params: ProtocolParams, mode: str = "symmetric",
+def reference_max_distance(params: ProtocolParams, geometry: str = "symmetric",
                            tol_km: float = 0.05,
                            cap_km: float = SCAN_CAP_KM) -> MaxDistanceResult:
     """``max_distance`` with the full search at every trial length, as it
     was before the warm starts: ``key_rate`` with the gain searched for the
     plain protocols, ``optimize_added_noise`` for squeezed-modified.  Both
     are looked up in ``cvmdi.analysis`` at call time, so a test's
-    substitute for them is used here too."""
+    substitute for them is used here too.  The geometry's scan is spelled
+    here again: d = L_AC = L_BC for 'symmetric', L_AC at ``params.l_bc``
+    for 'asymmetric' and at L_BC = 0 for 'most-asymmetric'."""
+    l_bc = {"symmetric": None, "asymmetric": params.l_bc, "most-asymmetric": 0.0}[geometry]
 
     def k_of(length: float) -> float:
-        p = (replace(params, l_ac=length, l_bc=length) if mode == "symmetric"
-             else replace(params, l_ac=length))
+        p = replace(params, l_ac=length, l_bc=length if l_bc is None else l_bc)
         if p.protocol == "squeezed-modified":
             return analysis.optimize_added_noise(p)[1]
         return analysis.key_rate(p).key_rate
 
     if k_of(0.0) <= 0.0:
-        return MaxDistanceResult(0.0, 0.0, mode, positive_at_origin=False, tol_km=tol_km)
+        return MaxDistanceResult(0.0, 0.0, l_bc, positive_at_origin=False, tol_km=tol_km)
     edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, cap_km)
-    l_ab = 2.0 * edge if mode == "symmetric" else edge + params.l_bc
-    return MaxDistanceResult(edge, l_ab, mode, positive_at_origin=True,
+    l_ab = 2.0 * edge if l_bc is None else edge + l_bc
+    return MaxDistanceResult(edge, l_ab, l_bc, positive_at_origin=True,
                              capped=capped, tol_km=tol_km)
 
 

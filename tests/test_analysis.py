@@ -182,7 +182,7 @@ def test_optimize_added_noise_requires_modified():
 
 def test_max_distance_brackets_the_edge():
     p = replace(REALISTIC, protocol="squeezed")
-    res = max_distance(p, mode="fixed-lbc", tol_km=0.05)
+    res = max_distance(p, geometry="asymmetric", tol_km=0.05)
     assert res.positive_at_origin and not res.capped
     k_lo = key_rate(replace(p, l_ac=res.l_star_km - res.tol_km)).key_rate
     k_hi = key_rate(replace(p, l_ac=res.l_star_km + res.tol_km)).key_rate
@@ -192,29 +192,34 @@ def test_max_distance_brackets_the_edge():
 
 def test_max_distance_symmetric_total_is_doubled():
     p = ProtocolParams(v_a=1e5, v_b=1e5, l_ac=0, l_bc=0)
-    res = max_distance(p, mode="symmetric")
+    res = max_distance(p, geometry="symmetric")
     assert res.l_ab_km == pytest.approx(2.0 * res.l_star_km)
+    assert res.l_bc_km is None
 
 
 def test_max_distance_zero_at_origin_flag():
-    # no key at the origin: no reach, also not the fixed L_BC of the geometry
+    # no key at the origin: no reach, also not the fixed L_BC of the geometry,
+    # which is the given one, or 0 in the most-asymmetric geometry
     dead = replace(REALISTIC, beta=0.0, l_bc=5.0)
-    for mode in ("symmetric", "fixed-lbc"):
-        res = max_distance(dead, mode=mode)
-        assert (res.l_star_km, res.l_ab_km) == (0.0, 0.0), mode
+    scanned_lbc = {"symmetric": None, "asymmetric": 5.0, "most-asymmetric": 0.0}
+    for geometry in analysis_mod.GEOMETRIES:
+        res = max_distance(dead, geometry=geometry)
+        assert (res.l_star_km, res.l_ab_km) == (0.0, 0.0), geometry
+        assert res.l_bc_km == scanned_lbc[geometry]
         assert not res.positive_at_origin
 
 
 def test_max_distance_deterministic():
     p = replace(REALISTIC, protocol="squeezed")
-    r1 = max_distance(p, mode="fixed-lbc")
-    r2 = max_distance(p, mode="fixed-lbc")
+    r1 = max_distance(p, geometry="asymmetric")
+    r2 = max_distance(p, geometry="asymmetric")
     assert r1 == r2
 
 
 def test_max_distance_argument_errors():
-    with pytest.raises(InvalidParameterError):
-        max_distance(REALISTIC, mode="diagonal")
+    for geometry in ("diagonal", "fixed-lbc"):
+        with pytest.raises(InvalidParameterError, match=geometry):
+            max_distance(REALISTIC, geometry=geometry)
     with pytest.raises(InvalidParameterError):
         max_distance(REALISTIC, noise=AddedNoiseParams.from_chi_n(1.0))
     for tol_km in (0.0, -1.0, math.nan):
@@ -255,13 +260,27 @@ def test_compare_protocols_symmetric_geometry():
 
 
 def test_compare_asymmetric_row_without_key_claims_no_reach():
-    # coherent states with the practical detector have no key at any L_BC of
-    # the grid: the row keeps the first L_BC and reports no reach
+    # the asymmetric table has one row per protocol and L_BC, in
+    # ASYMMETRIC_LBC_KM order, each max_distance at that L_BC; its L_BC = 0
+    # rows are the most-asymmetric table's; coherent states with the
+    # practical detector have no key at any L_BC and claim no reach
     table = compare_protocols(REALISTIC, geometry="asymmetric", detectors=("practical",))
-    by_proto = {r.protocol: r for r in table.rows}
-    assert by_proto["coherent"] == ComparisonRow("coherent", "practical", 0.0, 0.0, 0.0,
-                                                 False, False)
-    assert by_proto["squeezed"].positive_at_origin
+    protocols_ = ("coherent", "squeezed", "squeezed-modified")
+    assert [(r.protocol, r.detector, r.l_bc_km) for r in table.rows] == [
+        (p, "practical", l_bc) for p in protocols_ for l_bc in analysis_mod.ASYMMETRIC_LBC_KM]
+    for row in table.rows:
+        res = max_distance(replace(REALISTIC, protocol=row.protocol, l_bc=row.l_bc_km),
+                           geometry="asymmetric")
+        assert row == ComparisonRow(row.protocol, "practical", res.l_bc_km, res.l_star_km,
+                                    res.l_ab_km, res.positive_at_origin, res.capped)
+    most = compare_protocols(REALISTIC, geometry="most-asymmetric", detectors=("practical",))
+    assert [r for r in table.rows if r.l_bc_km == 0.0] == list(most.rows)
+    for row in table.rows:
+        if row.protocol == "coherent":
+            assert row == ComparisonRow("coherent", "practical", row.l_bc_km, 0.0, 0.0,
+                                        False, False)
+    assert all(r.positive_at_origin for r in table.rows
+               if r.protocol == "squeezed" and r.l_bc_km < 5.0)
 
 
 def test_abstract_claims_as_orderings():
@@ -284,6 +303,16 @@ def test_abstract_claims_as_orderings():
 def test_compare_protocols_rejects_unknown_geometry():
     with pytest.raises(InvalidParameterError):
         compare_protocols(REALISTIC, geometry="ring")
+
+
+@pytest.mark.parametrize("geometry,detectors", [("ring", ("perfect",)), ("fixed-lbc", ()),
+                                                ("asymmetric", ("practical", "bogus"))])
+def test_compare_protocols_rejects_a_bad_name_before_any_key_rate(monkeypatch, geometry,
+                                                                  detectors):
+    rates = counting(monkeypatch, "key_rate")
+    with pytest.raises(InvalidParameterError):
+        compare_protocols(REALISTIC, geometry=geometry, detectors=detectors)
+    assert rates == []
 
 
 def test_compare_protocols_checks_every_detector_before_searching(monkeypatch):
@@ -310,10 +339,10 @@ def test_sweep_spec_rejects_added_noise_on_a_plain_protocol():
 
 # ------------------------------------------------- warm-started chi_n search
 
-@pytest.mark.parametrize("mode,l_bc", [("symmetric", 0.0), ("fixed-lbc", 0.0),
-                                       ("fixed-lbc", 2.0)])
+@pytest.mark.parametrize("geometry,l_bc", [("symmetric", 0.0), ("asymmetric", 0.0),
+                                           ("asymmetric", 2.0)])
 @pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
-def test_warm_start_matches_full_search_at_every_trial(detector, mode, l_bc):
+def test_warm_start_matches_full_search_at_every_trial(detector, geometry, l_bc):
     # every protocol at both variance presets: the witness and chi_n* probes
     # decide no trial differently from the full search at every length
     eta, v_el = DETECTOR_PRESETS[detector]
@@ -321,8 +350,8 @@ def test_warm_start_matches_full_search_at_every_trial(detector, mode, l_bc):
         for protocol in ("coherent", "squeezed", "squeezed-modified"):
             p = replace(REALISTIC, v_a=v, v_b=v, eta=eta, v_el=v_el, l_bc=l_bc,
                         protocol=protocol)
-            got = max_distance(p, mode=mode)
-            want = reference_max_distance(p, mode=mode)
+            got = max_distance(p, geometry=geometry)
+            want = reference_max_distance(p, geometry=geometry)
             if protocol == "squeezed-modified":
                 assert got.positive_at_origin
             assert ((got.l_star_km, got.l_ab_km, got.positive_at_origin, got.capped)
@@ -349,7 +378,7 @@ def test_warm_start_reoptimises_only_on_non_positive_probes(monkeypatch):
     # slope of the limit, and none runs the full chi_n search
     slopes = counting(monkeypatch, "noise_limit_slope")
     calls = counting(monkeypatch, "optimize_added_noise")
-    res = max_distance(REALISTIC_MOD, mode="fixed-lbc")
+    res = max_distance(REALISTIC_MOD, geometry="asymmetric")
     assert res.l_star_km == 13.875
     searched = [params for params, in slopes if params.gain is None]
     assert len(searched) == 5 and calls == []
@@ -378,7 +407,7 @@ def test_limit_witness_falls_back_when_its_slope_turns(monkeypatch):
 
     monkeypatch.setattr(analysis_mod, "key_rate", fake_rate)
     monkeypatch.setattr(analysis_mod, "noise_limit_slope", fake_slope)
-    res = max_distance(REALISTIC_MOD, mode="fixed-lbc")
+    res = max_distance(REALISTIC_MOD, geometry="asymmetric")
     assert len(witness_slopes) == 13 and max(witness_slopes) <= 0.0
     assert res.positive_at_origin
     assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
@@ -395,10 +424,10 @@ def test_max_distance_keeps_a_fixed_gain_in_both_searches(monkeypatch):
             return original(params, *args, **kwargs)
 
         monkeypatch.setattr(analysis_mod, name, spy)
-    res = max_distance(replace(REALISTIC_MOD, gain=1.2), mode="fixed-lbc")
+    res = max_distance(replace(REALISTIC_MOD, gain=1.2), geometry="asymmetric")
     assert set(gains) == {1.2}
-    assert res == reference_max_distance(replace(REALISTIC_MOD, gain=1.2), mode="fixed-lbc")
-    assert res != max_distance(REALISTIC_MOD, mode="fixed-lbc")
+    assert res == reference_max_distance(replace(REALISTIC_MOD, gain=1.2), geometry="asymmetric")
+    assert res != max_distance(REALISTIC_MOD, geometry="asymmetric")
 
 
 def test_max_distance_below_beta_1_keeps_the_full_search(monkeypatch):
@@ -412,9 +441,9 @@ def test_max_distance_below_beta_1_keeps_the_full_search(monkeypatch):
     assert key_rate(p, AddedNoiseParams(0.0)).key_rate < 0.0
     assert protocols.noise_limit_slope(p)[0] < 0.0
     assert key_rate(p, AddedNoiseParams(0.5)).key_rate > 0.0
-    want = reference_max_distance(p, mode="fixed-lbc")
+    want = reference_max_distance(p, geometry="asymmetric")
     calls = counting(monkeypatch, "optimize_added_noise")
-    got = max_distance(p, mode="fixed-lbc")
+    got = max_distance(p, geometry="asymmetric")
     assert calls and got == want
     assert got.l_star_km == 3.5
     at_reach = replace(p, l_ac=got.l_star_km)
@@ -440,10 +469,10 @@ def test_witness_falls_back_when_the_optimal_gain_moves(monkeypatch):
 
     monkeypatch.setattr(analysis_mod, "key_rate", fake)
     p = replace(REALISTIC, protocol="squeezed")
-    res = max_distance(p, mode="fixed-lbc")
+    res = max_distance(p, geometry="asymmetric")
     assert len(witness_rates) == 13 and max(witness_rates) <= 0.0
     assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
-    assert res == reference_max_distance(p, mode="fixed-lbc")
+    assert res == reference_max_distance(p, geometry="asymmetric")
 
 
 @pytest.mark.parametrize("protocol", ["squeezed", "squeezed-modified"])
@@ -463,11 +492,11 @@ def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol)
         return call
 
     p = replace(REALISTIC, protocol=protocol)
-    want = reference_max_distance(p, mode="fixed-lbc")
+    want = reference_max_distance(p, geometry="asymmetric")
     monkeypatch.setattr(analysis_mod, "key_rate", no_fixed_gain(key_rate))
     monkeypatch.setattr(analysis_mod, "noise_limit_slope",
                         no_fixed_gain(protocols.noise_limit_slope))
-    assert max_distance(p, mode="fixed-lbc") == want
+    assert max_distance(p, geometry="asymmetric") == want
     assert len(raised) == 13
 
 
@@ -528,7 +557,7 @@ def test_a_slope_search_that_raises_stops_only_an_undecided_trial(monkeypatch):
 
     monkeypatch.setattr(analysis_mod, "noise_limit_slope", stuck)
     with pytest.raises(NumericDomainError, match="stuck"):
-        max_distance(REALISTIC_MOD, mode="fixed-lbc")
+        max_distance(REALISTIC_MOD, geometry="asymmetric")
     assert asked == [16.0]
 
 

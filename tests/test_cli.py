@@ -300,18 +300,31 @@ def test_metadata_is_the_resolved_config_record(capsys, command):
     assert meta["v_a"] == 5.04 and meta.get("eta") == (None if command == "compare" else 0.9)
 
 
-@pytest.mark.parametrize("geometry", ["symmetric", "most-asymmetric"])
+@pytest.mark.parametrize("geometry", ["symmetric", "asymmetric", "most-asymmetric"])
 def test_maxdist_geometry_matches_its_compare_row(capsys, geometry):
+    # maxdist in a geometry gives the compare row of its protocol, detector
+    # and L_BC; symmetric and most-asymmetric read no --lbc, and
+    # most-asymmetric scans at L_BC = 0 whatever --lbc says
     argv = [*QUICK, "--geometry", geometry, "--format", "json"]
-    results = []
-    for lbc in ("0", "3"):
+    results = {}
+    for lbc in ("0", "2", "3"):
         assert cli.main(["maxdist", *argv, "--lbc", lbc]) == 0
-        results.append(json.loads(capsys.readouterr().out)["result"])
-    assert results[0] == results[1]
+        results[lbc] = json.loads(capsys.readouterr().out)["result"]
     assert cli.main(["compare", *argv]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    [row] = [r for r in rows if r["protocol"] == "squeezed"]
-    assert row["l_star_km"] == results[0]["l_star_km"]
+    squeezed = {r["l_bc_km"]: r for r in rows if r["protocol"] == "squeezed"}
+    if geometry == "asymmetric":
+        assert list(squeezed) == [0.0, 1.0, 2.0, 5.0]
+        want = {"0": squeezed[0.0], "2": squeezed[2.0]}
+        assert results["3"]["l_bc_km"] == 3.0
+    else:
+        assert results["0"] == results["2"] == results["3"]
+        assert results["3"]["l_bc_km"] == (None if geometry == "symmetric" else 0.0)
+        want = {"0": squeezed[results["0"]["l_bc_km"]]}
+    for lbc, row in want.items():
+        assert row.pop("detector") == "practical"
+        del row["protocol"]
+        assert {k: results[lbc][k] for k in row} == row, lbc
 
 
 def test_compare_table_structure():
@@ -523,7 +536,8 @@ OTHER = {"protocol": "squeezed", "variance": 8.0, "detector": "perfect", "v_a": 
          "eps1": 0.02, "eps2": 0.02, "beta": 0.9, "gain": 1.2, "chi_n": 10.0,
          "geometry": "symmetric", "tol_km": 0.1, "format": "json", "out": "rows.out",
          "precision": 2, "sweep": {"variable": "chi-n", "start": 0.0, "stop": 3.0, "step": 1.0}}
-# compare scans four L_BC per row in the asymmetric geometry
+# compare gives four rows per protocol and detector in the asymmetric
+# geometry, one per L_BC of ASYMMETRIC_LBC_KM, and reads no --lbc in any
 COMPARE_GEOMETRY = {"geometry": "symmetric"}, {"geometry": "most-asymmetric"}
 FLAGS = {"protocol": "--protocol", "geometry": "--geometry", "detector": "--detector",
          "variance": "--variance", "l_ac": "--lac", "l_bc": "--lbc", "chi_n": "--chi-n",

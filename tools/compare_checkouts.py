@@ -19,13 +19,19 @@ and detector preset; and exit code, stdout and stderr of ``sweep`` on
 this checkout's ``configs/*.json`` and of each other subcommand on CLI_ARGV,
 settings that it reads.  The rows of a CLI output (category cli) are
 compared apart from its ``# config`` or ``metadata`` record (category
-record), so that a change to the record alone shows as such.  Prints every
-value that differs, at its first differing float or character, then one
-summary line per category (relay, kernel, optnoise, sweep, table, compare,
-cli, record): values compared, values differing, and the largest absolute,
-relative and ulp difference among the floats that differ; for optnoise also
-at how many points K* is lower here than in OTHER_ROOT, and by how much at
-most.  Exits 1 if any value differs, else 0.
+record), so that a change to the record alone shows as such.
+
+Each value carries a label, and the two checkouts' values are paired by
+label, not by position: a compare row's label is its geometry, variance,
+protocol, detector and ``l_bc_km``, so a checkout that tabulates more
+L_BC per row pairs the rows both have and lists the others.  Prints every
+label that only one checkout has, every value that differs, at its first
+differing float or character, then one summary line per category (relay,
+kernel, optnoise, sweep, table, compare, cli, record): values compared,
+values differing, and the largest absolute, relative and ulp difference
+among the floats that differ; for optnoise also at how many points K* is
+lower here than in OTHER_ROOT, and by how much at most.  Exits 1 if any
+value differs or any label is on one side only, else 0.
 """
 
 import argparse
@@ -97,13 +103,14 @@ for g, grid in enumerate(reference["sweep"]):
             r = sweep.run((g, j, k)).rows[0].report
             print(f"sweep {g} {j} {k}\t{(r.key_rate, r.gain_used, r.lambdas)!r}")
 for row in workloads.Table(0, reference).run(None).rows:
-    print(f"table\t{row!r}")
+    print(f"table {row.protocol} {row.detector}\t{row!r}")
 for geometry in analysis.GEOMETRIES:
     for variance, v_ab in analysis.VARIANCE_PRESETS.items():
         base = protocols.ProtocolParams(v_a=v_ab, v_b=v_ab, l_ac=0.0, l_bc=0.0)
         for detector in analysis.DETECTOR_PRESETS:
             for row in analysis.compare_protocols(base, geometry, (detector,)).rows:
-                print(f"compare {geometry} {variance}\t{row!r}")
+                print(f"compare {geometry} {variance} {row.protocol} {row.detector} "
+                      f"{row.l_bc_km}\t{row!r}")
 CLI_ARGV = [
     ["keyrate", "--variance", "realistic", "--detector", "practical", "--lac", "2", "--lbc", "1"],
     ["keyrate", "--protocol", "squeezed-modified", "--chi-n", "2", "--format", "json"],
@@ -140,6 +147,17 @@ def dump(root: Path, points: int, seed: int) -> list[str]:
             str(NOISE_POINTS), str(seed)]
     return subprocess.run(argv, cwd=root, env=env, stdout=subprocess.PIPE, text=True,
                           check=True).stdout.splitlines()
+
+
+def by_label(lines: list[str]) -> dict[str, str]:
+    """Each value line by its label, the text before its first tab."""
+    values = {}
+    for line in lines:
+        label = line.split("\t", 1)[0]
+        if label in values:
+            raise SystemExit(f"two values labelled {label!r}")
+        values[label] = line
+    return values
 
 
 CATEGORIES = ("relay", "kernel", "optnoise", "sweep", "table", "compare", "cli", "record")
@@ -184,14 +202,14 @@ def k_star_drops(pairs: list[tuple[str, str]]) -> list[float]:
     return drops
 
 
-def summary(mine: list[str], theirs: list[str]) -> list[str]:
+def summary(pairs: list[tuple[str, str]]) -> list[str]:
     """One line per category: values compared, values differing, and the
     largest differences among the floats that differ; for optnoise, the
     points where K* is lower here."""
     lines = []
     for category in CATEGORIES:
-        pairs = [(a, b) for a, b in zip(mine, theirs) if a.split(None, 1)[0] == category]
-        differing = [(a, b) for a, b in pairs if a != b]
+        in_category = [(a, b) for a, b in pairs if a.split(None, 1)[0] == category]
+        differing = [(a, b) for a, b in in_category if a != b]
         diffs, textual = [], 0
         for a, b in differing:
             found = float_differences(a, b)
@@ -199,7 +217,7 @@ def summary(mine: list[str], theirs: list[str]) -> list[str]:
                 textual += 1
             else:
                 diffs.extend(found)
-        line = f"{category}: {len(pairs)} values, {len(differing)} differ"
+        line = f"{category}: {len(in_category)} values, {len(differing)} differ"
         if diffs:
             line += (f"; largest difference {max(d[0] for d in diffs):.3g} absolute, "
                      f"{max(d[1] for d in diffs):.3g} relative, {max(d[2] for d in diffs):.3g} "
@@ -226,18 +244,25 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--points", type=int, default=3000, help="random relay points and gains")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    mine, theirs = (dump(root.resolve(), args.points, args.seed) for root in (HERE, args.other))
+    mine, theirs = (by_label(dump(root.resolve(), args.points, args.seed))
+                    for root in (HERE, args.other))
+    for side, values, other in (("here", mine, theirs), (f"in {args.other}", theirs, mine)):
+        for label in values:
+            if label not in other:
+                print(f"only {side}: {label}")
+    pairs = [(a, theirs[label]) for label, a in mine.items() if label in theirs]
     differ = 0
-    for n, (a, b) in enumerate(zip(mine, theirs)):
+    for a, b in pairs:
         if a != b:
             differ += 1
-            print(f"differ at value {n}, {a.split(chr(9))[0]}: {first_difference(a, b)}")
-    print("\n".join(summary(mine, theirs)))
-    if len(mine) != len(theirs):
-        print(f"{len(mine)} values here, {len(theirs)} in {args.other}")
-        return 1
+            print(f"differ at {a.split(chr(9))[0]}: {first_difference(a, b)}")
+    print("\n".join(summary(pairs)))
+    one_sided = len(mine) + len(theirs) - 2 * len(pairs)
+    if one_sided:
+        print(f"{len(mine)} values here, {len(theirs)} in {args.other}, {len(pairs)} paired")
     if differ:
-        print(f"differ: {differ} of {len(mine)} values")
+        print(f"differ: {differ} of {len(pairs)} paired values")
+    if differ or one_sided:
         return 1
     print(f"identical: {len(mine)} values ({args.points} relays, {NOISE_POINTS} noise optima, "
           f"seed {args.seed})")

@@ -23,12 +23,13 @@ rising at 50, is searched towards the limit chi_n -> inf past a chi_n
 grid, 38 where one grid and one refinement in w = chi_n/(1 + chi_n)
 span the half-line).  The sixth is the table's modified row alone,
 ``analysis.max_distance`` of squeezed-modified at V = 5.04 with the
-practical detector in the 'most-asymmetric' geometry (L_BC = 0, mode
-'fixed-lbc'), where the added-noise search decides the reach.  The seventh
-is the paper's table, as the benchmark's ``table`` workload computes it:
-``analysis.compare_protocols`` at V = 5.04, 'most-asymmetric', with the
-practical detector.  These three start each call with an empty relay
-cache where the library has one.
+practical detector in the 'most-asymmetric' geometry (L_BC = 0; mode
+'fixed-lbc' in a checkout whose ``max_distance`` takes a mode, the one with
+``analysis.GEOMETRY_MODES``), where the added-noise search decides the
+reach.  The seventh is the paper's table, as the benchmark's ``table``
+workload computes it: ``analysis.compare_protocols`` at V = 5.04,
+'most-asymmetric', with the practical detector.  These three start each
+call with an empty relay cache where the library has one.
 
 Each of ROUNDS rounds starts one fresh interpreter per checkout, with one
 BLAS thread, and alternates which checkout goes first.  An interpreter
@@ -135,11 +136,13 @@ def added_noise():
 
 items["optimize_added_noise, modified at 14 km"] = best(added_noise, 1)
 row = ProtocolParams(**dict(base, l_ac=0.0), protocol="squeezed-modified")
+# in a checkout with GEOMETRY_MODES, max_distance took a mode, not a geometry
+scan = "fixed-lbc" if hasattr(analysis, "GEOMETRY_MODES") else "most-asymmetric"
 
 
 def modified_row():
     clear_relays()
-    analysis.max_distance(row, "fixed-lbc")
+    analysis.max_distance(row, scan)
 
 items["max_distance, modified row"] = best(modified_row, 1)
 
