@@ -16,15 +16,16 @@ sweep point's, searches one gain at one channel and keeps none.
 
 ``max_distance`` reads only the sign of K at each trial length, so a trial
 stops at the first evaluated point that proves K > 0.  It tries, in
-order: the gain and noise of the last such point (one evaluation at a
-fixed gain); then K with the gain searched; then, when chi_n is
+order: the last such point's evaluation again, at its gain (one kernel
+evaluation); then K with the gain searched; then, when chi_n is
 optimised, the slope D = lim chi_n K as chi_n -> inf
 (``protocols.noise_limit_slope``) with the gain searched.  At beta = 1,
 K at chi_n = 0 and D decide the sign of K* between them.  These gain
-searches run Brent's method (``search.brent_max``, through ``_rate_at``):
-about 14 kernel evaluations each where golden section takes 37, to the
-same GAIN_TOL.  A trial reads only the sign, which the two searches agree
-on.  Every gain this module reports (a sweep point, ``optimize_added_noise``,
+searches run Brent's method (``search.brent_max``; ``key_rate`` with
+``brent=True``, and ``noise_limit_slope`` always): about 14 kernel
+evaluations each where golden section takes 37, to the same GAIN_TOL.  A
+trial reads only the sign, which the two searches agree on.  Every gain
+this module reports (a sweep point, ``optimize_added_noise``,
 ``key_rate_at_best_noise``) is still golden's (``protocols.optimal_gain``):
 ``bench/reference.json`` pins its bits at the V = 1e5, L = 0 sweep points,
 until a re-recorded reference (ROADMAP item 1) lets Brent serve both.
@@ -44,7 +45,6 @@ from typing import Iterable
 
 from .errors import CVMDIError, InvalidParameterError, NumericDomainError
 from .protocols import (
-    NOISE_LIMIT,
     AddedNoiseParams,
     KeyRateReport,
     ProtocolParams,
@@ -258,18 +258,6 @@ class MaxDistanceResult:
     tol_km: float = 0.05
 
 
-def _rate_at(params: ProtocolParams, noise: AddedNoiseParams | None,
-             memo: dict) -> tuple[float, float]:
-    """(K, gain) of ``key_rate``, or (D, gain) of ``noise_limit_slope`` at
-    ``NOISE_LIMIT``: either way a value with the sign of K at ``noise``.
-    Unless ``params.gain`` is set, the gain is searched by Brent's method
-    (``brent=True``)."""
-    if noise is not None and noise.chi_n == math.inf:
-        return noise_limit_slope(params, memo=memo, brent=True)
-    report = key_rate(params, noise, memo=memo, brent=True)
-    return report.key_rate, report.gain_used
-
-
 def max_distance(params: ProtocolParams, geometry: str = "symmetric",
                  noise: AddedNoiseParams | None = None,
                  tol_km: float = 0.05) -> MaxDistanceResult:
@@ -294,9 +282,9 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     every large enough chi_n.  So each trial stops at the first of these
     that proves K*(L) > 0:
 
-    1. the witness: the gain and noise of the last point that proved it,
-       at this length and that fixed gain (one kernel evaluation), where
-       the noise may be the limit, whose D is evaluated;
+    1. the witness: the step that last proved it, K at its chi_n or D,
+       evaluated at this length and the gain it proved it at (one kernel
+       evaluation);
     2. ``key_rate`` with the gain searched, at chi_n = 0 when it is
        optimised;
     3. for optimised chi_n only, ``protocols.noise_limit_slope``: D with
@@ -310,8 +298,8 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     paper's tables; the witness's gain may differ in its last digits.
     The full chi_n search below still runs golden section.
 
-    A step that proves K*(L) > 0 returns a positive value, and its gain and
-    noise become the witness.  A witness that raises NumericDomainError
+    A step that proves K*(L) > 0 returns a positive value, and it and its
+    gain become the witness.  A witness that raises NumericDomainError
     counts as K <= 0, so only the searches of steps 2 and 3 can raise, and
     step 3 runs only where steps 1 and 2 did not decide.  A fixed
     ``params.gain`` is kept in every search.  A positive trial thus stands
@@ -321,8 +309,8 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     intermediate chi_n only: at V_A = 6, V_B = 5.04, eta = 0.85,
     beta = 0.95, L_AC = 3 km and L_BC = 0.2 km, K(0) and D are negative but
     K(chi_n = 0.5) is positive.  So there a trial that all three steps
-    leave non-positive ends with ``optimize_added_noise``, whose chi_n* and
-    its searched gain become the witness when K* > 0.  Its grid in
+    leave non-positive ends with ``optimize_added_noise``, whose K at chi_n*
+    and its searched gain become the witness when K* > 0.  Its grid in
     w = chi_n/(1 + chi_n) has points at chi_n = 2/3, 1 and 1.5, so it finds
     such a hump: with L_AC scanned, that point reaches 3.5 km, as does the
     full search at every trial length.
@@ -347,8 +335,19 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
         return replace(params, l_ac=length)
 
     memo = {}
-    witness = None  # (gain, noise) of the last point that proved K* > 0
-    trials = (AddedNoiseParams(0.0), NOISE_LIMIT) if optimize_noise else (noise,)
+
+    def rate_at(trial_noise: AddedNoiseParams | None):
+        """The trial (K, gain) of ``key_rate`` at ``trial_noise``."""
+        def trial(p: ProtocolParams) -> tuple[float, float]:
+            report = key_rate(p, trial_noise, memo=memo, brent=True)
+            return report.key_rate, report.gain_used
+        return trial
+
+    def slope(p: ProtocolParams) -> tuple[float, float]:
+        return noise_limit_slope(p, memo=memo)
+
+    trials = (rate_at(AddedNoiseParams(0.0)), slope) if optimize_noise else (rate_at(noise),)
+    witness = None  # (gain, trial) of the last point that proved K* > 0
     # K(0) <= 0 and D <= 0 leave K* <= 0 only at beta = 1
     full_search = optimize_noise and params.beta != 1.0
 
@@ -357,24 +356,24 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
         nonlocal witness
         p = at_length(length)
         if witness is not None:
-            gain, witness_noise = witness
+            gain, trial = witness
             try:
-                k = _rate_at(replace(p, gain=gain), witness_noise, memo)[0]
+                k = trial(replace(p, gain=gain))[0]
             except NumericDomainError:
                 k = 0.0
             if k > 0.0:
                 return k
-        for trial_noise in trials:
-            k, gain = _rate_at(p, trial_noise, memo)
+        for trial in trials:
+            k, gain = trial(p)
             if k > 0.0:
-                witness = gain, trial_noise
+                witness = gain, trial
                 return k
         if not full_search:
             return k
         chi_star, k = optimize_added_noise(p, memo=memo)
         if k > 0.0:
             found = AddedNoiseParams(chi_star)
-            witness = key_rate(p, found, memo=memo).gain_used, found
+            witness = key_rate(p, found, memo=memo).gain_used, rate_at(found)
         return k
 
     if k_of(0.0) <= 0.0:

@@ -36,22 +36,24 @@ Two gain searches share one bracket, GAIN_TOL and widening rule
 (``_search_gain``).  ``optimal_gain``'s golden section gives every
 reported gain, because ``bench/reference.json`` pins its bits.  Brent's
 method (``search.brent_max``, about 14 evaluations where golden takes 37)
-runs under the ``brent=True`` of ``key_rate`` and ``noise_limit_slope``,
-which only the distance trials of ``cvmdi.analysis`` pass: they read the
-sign of K alone.  Once the reference is re-recorded (ROADMAP item 1),
-Brent serves every search and the keyword goes.
+searches the gain of the slope D below, which is never reported, and of
+K under the ``brent=True`` of ``key_rate``, which only the distance trials
+of ``cvmdi.analysis`` pass: they read the sign of K alone.  Once the
+reference is re-recorded (ROADMAP item 1), Brent serves every search and
+the keyword goes.
 
-Added noise is its variance chi_n alone (``AddedNoiseParams``): the key
-rate depends on nothing else of the trusted-noise beamsplitter, so no
-realisation of it is built here.
+Added noise is its variance chi_n alone, finite and >= 0
+(``AddedNoiseParams``): the key rate depends on nothing else of the
+trusted-noise beamsplitter, so no realisation of it is built here.
 
 As chi_n -> inf, K vanishes like D/chi_n, and the sign of the slope
-D = lim chi_n K decides the sign of K at every large enough chi_n
-(``noise_limit_slope``; chi_n = inf is ``NOISE_LIMIT``).  The kernel gives
-D from the first half alone.  With e = 1/chi_n, beta I_AB = beta c^2 e /
-(2 a ln 2) + O(e^2), and the conditional pair (lambda3, lambda4) tends to
-the pair (l1, l2) = (lambda1, lambda2) of (a, b, c) linearly in e: at
-e = 0 the e-derivatives of lambda3^2 and lambda4^2 are
+D = lim chi_n K decides the sign of K at every large enough chi_n.
+``noise_limit_slope`` is the one entry to that limit; no AddedNoiseParams
+names it.  The kernel gives D from the first half alone.  With
+e = 1/chi_n, beta I_AB = beta c^2 e / (2 a ln 2) + O(e^2), and the
+conditional pair (lambda3, lambda4) tends to the pair
+(l1, l2) = (lambda1, lambda2) of (a, b, c) linearly in e: at e = 0 the
+e-derivatives of lambda3^2 and lambda4^2 are
 x1 = l1 (l1^2 - 1)(a l2 - b l1)/s and x2 = l2 (l2^2 - 1)(b l2 - a l1)/s,
 with s = l1^2 - l2^2.  With G(l) the entropy of a mode of symplectic
 eigenvalue l and h(l) = (l^2 - 1) G'(l) = (l^2 - 1) log2((l + 1)/(l - 1))/2
@@ -178,28 +180,24 @@ _REAL_FIELDS = ("v_a", "v_b", "l_ac", "l_bc", "alpha", "eps1", "eps2", "eta", "v
 
 @dataclass(frozen=True)
 class AddedNoiseParams:
-    """Trusted Gaussian noise of variance chi_n added to Bob's mode before
-    his homodyne detection (the squeezed-modified protocol).
+    """Trusted Gaussian noise of finite variance chi_n >= 0 added to Bob's
+    mode before his homodyne detection (the squeezed-modified protocol).
 
-    chi_n = inf (``NOISE_LIMIT``) is the limit chi_n -> inf, where K
-    vanishes at every gain: ``key_rate`` rejects it, and ``optimal_gain``
-    and ``noise_limit_slope`` take the slope D = lim chi_n K there instead.
+    The limit chi_n -> inf, where K vanishes at every gain, is no noise to
+    add: ``noise_limit_slope`` gives the slope D = lim chi_n K there.
     """
 
     chi_n: float
 
     def __post_init__(self):
-        if not self.chi_n >= 0.0:
-            raise InvalidParameterError(f"chi_n must be >= 0, got {self.chi_n}")
+        if not 0.0 <= self.chi_n < math.inf:
+            raise InvalidParameterError(f"chi_n must be >= 0 and finite, got {self.chi_n}")
 
     @classmethod
     def from_chi_n(cls, chi_n: float) -> "AddedNoiseParams":
         """The added noise of variance ``chi_n``, held exactly:
         ``from_chi_n(x).chi_n == x``."""
         return cls(chi_n)
-
-
-NOISE_LIMIT = AddedNoiseParams(math.inf)
 
 
 @dataclass(frozen=True)
@@ -515,16 +513,14 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None, 
     edge optimum raises NumericDomainError.  Both searches share one
     objective from ``_gain_objective``, so the per-point work (coefficients,
     their checks, chi_n and beta) is done once, not per gain.  A ``memo``
-    is passed to that objective (see ``key_rate``).  At ``NOISE_LIMIT``,
-    where K vanishes at every gain, the objective is the slope D instead
-    (``noise_limit_slope``).
+    is passed to that objective (see ``key_rate``).
 
     Every reported gain comes from here (sweep points, ``keyrate``,
     ``optnoise``), and ``bench/reference.json`` pins the golden search's
     bits at its V = 1e5, L = 0 sweep points.  So golden section stays
     here until a re-recorded reference (ROADMAP item 1) lets ``brent_max``
-    take its place, the ``brent`` keyword of ``key_rate`` and
-    ``noise_limit_slope`` go, and ``golden_section_max`` with them.
+    take its place, the ``brent`` keyword of ``key_rate`` go, and
+    ``golden_section_max`` with them.
     """
     objective = _gain_objective(params, check_added_noise(params, noise), memo)
     return _search_gain(objective, params, golden_section_max)
@@ -536,7 +532,9 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
 
     Optimizes the displacement gain unless ``params.gain`` is set, checks
     that the reduced state at that gain is physical, and evaluates the
-    protocol variant selected by ``params.protocol``.
+    protocol variant selected by ``params.protocol``, at the finite chi_n of
+    ``noise`` for squeezed-modified (``noise_limit_slope`` serves the
+    limit chi_n -> inf).
 
     ``memo``, an initially empty dict, lets the calls of one search share
     the kernel's gain-only half (``_gain_objective``): pass the same dict
@@ -552,9 +550,6 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
     (``optimal_gain``).
     """
     chi_n = check_added_noise(params, noise)
-    if chi_n == math.inf:
-        raise InvalidParameterError(
-            "K vanishes at chi_n = inf; noise_limit_slope gives its sign at large chi_n")
     try:
         objective = _gain_objective(params, chi_n, memo)
         g = params.gain
@@ -566,24 +561,24 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
         raise type(exc)(f"{exc} [at {params}]") from exc
 
 
-def noise_limit_slope(params: ProtocolParams, *, memo: dict | None = None,
-                      brent: bool = False) -> tuple[float, float]:
+def noise_limit_slope(params: ProtocolParams, *, memo: dict | None = None) -> tuple[float, float]:
     """(D, gain): the slope D = lim chi_n K as chi_n -> inf of the
     squeezed-modified protocol, at ``params.gain`` or, unless that is set,
-    maximised over the gain by ``optimal_gain`` at ``NOISE_LIMIT``.
+    maximised over the gain by Brent's method (``search.brent_max``), with
+    ``optimal_gain``'s bracket, GAIN_TOL and widening.
 
     K = D/chi_n + O(1/chi_n^2), so K > 0 at every large enough chi_n
-    exactly when D > 0 (``_gain_objective`` gives D in closed form).
-    ``memo`` and ``brent`` act as in ``key_rate``, and a NumericDomainError
-    carries the parameter point as there.
+    exactly when D > 0 (``_gain_objective`` gives D in closed form).  Only
+    the protocol that takes added noise has the limit.  ``memo`` acts as in
+    ``key_rate``, and a NumericDomainError carries the parameter point as
+    there.
     """
-    check_added_noise(params, NOISE_LIMIT)
+    check_added_noise(params, AddedNoiseParams(0.0))
     try:
         objective = _gain_objective(params, math.inf, memo)
         g = params.gain
         if g is None:
-            g = (_search_gain(objective, params, brent_max) if brent
-                 else optimal_gain(params, NOISE_LIMIT, memo=memo))
+            g = _search_gain(objective, params, brent_max)
         return objective(g), g
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc

@@ -316,6 +316,14 @@ def mp_unitary_circuit(params: ProtocolParams, gain: float,
     return MpCircuit(cov=cov, alice=a3, bob=b3, eve=eve, dps=dps)
 
 
+def mp_g(x):
+    """The entropy in bits of a thermal mode of mean photon number x, in
+    mpmath at the working precision: g(x) = (x + 1) log2(x + 1) - x log2 x,
+    0 at x <= 0 (the vacuum, or a symplectic eigenvalue rounded below 1)."""
+    x = mpf(x)
+    return (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2) if x > 0 else mpf(0)
+
+
 def _mp_entropy(cov: list[list], modes: list[int]):
     """Von Neumann entropy in bits from the symplectic spectrum of the modes' block.
 
@@ -330,12 +338,7 @@ def _mp_entropy(cov: list[list], modes: list[int]):
     chol = mp.cholesky(mp.matrix([[cov[i][j] for j in idx] for i in idx]))
     k = chol.T * omega * chol
     lams = sorted(mp.sqrt(abs(e)) for e in mp.eigsy(k.T * k, eigvals_only=True))[::2]
-    total = mpf(0)
-    for lam in lams:
-        x = (lam - 1) / 2
-        if x > 0:
-            total += (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2)
-    return total
+    return sum((mp_g((lam - 1) / 2) for lam in lams), mpf(0))
 
 
 def mp_oracle_holevo(circ: MpCircuit, conditioning: str) -> float:

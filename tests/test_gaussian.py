@@ -21,7 +21,7 @@ from cvmdi.matrix import (
     tensor,
     thermal_state,
 )
-from helpers import c_edge
+from helpers import c_edge, mp_g
 from oracle import (
     check_two_mode,
     heterodyne_condition,
@@ -495,11 +495,6 @@ def test_g_func_rejects_nan():
 def test_two_mode_cov_rejects_nan(abc):
     with pytest.raises(InvalidParameterError):
         check_two_mode(*abc)
-
-
-def mp_g(x):
-    x = mpf(x)
-    return (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2)
 
 
 def mp_g_slope(x):

@@ -20,18 +20,14 @@ from mpmath import mp, mpf
 from cvmdi import AddedNoiseParams, InvalidParameterError, ProtocolParams, key_rate, protocols
 from cvmdi.analysis import DETECTOR_PRESETS
 from cvmdi.protocols import (
-    NOISE_LIMIT,
     _gain_coefficients,
     _gain_objective,
+    _search_gain,
     noise_limit_slope,
 )
-from helpers import c_edge
+from cvmdi.search import brent_max
+from helpers import c_edge, mp_g
 from oracle import reduced_state
-
-
-def mp_thermal_entropy(lam):
-    x = (lam - 1) / 2
-    return (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2) if x > 0 else mpf(0)
 
 
 def mp_key_rate(a, b, c, chi_n, beta=1.0):
@@ -48,8 +44,8 @@ def mp_key_rate(a, b, c, chi_n, beta=1.0):
     big_b = det * (a + det * chi_n) / b_n
     lam3 = mp.sqrt((big_a + mp.sqrt(big_a * big_a - 4 * big_b)) / 2)
     lam4 = mp.sqrt(big_b) / lam3
-    return mpf(beta) * i_ab - (mp_thermal_entropy(lam1) + mp_thermal_entropy(lam2)
-                               - mp_thermal_entropy(lam3) - mp_thermal_entropy(lam4))
+    g1, g2, g3, g4 = (mp_g((lam - 1) / 2) for lam in (lam1, lam2, lam3, lam4))
+    return mpf(beta) * i_ab - (g1 + g2 - g3 - g4)
 
 
 def mp_slope(a, b, c, beta=1.0):
@@ -141,17 +137,17 @@ def test_slope_equals_chi_n_times_k_at_1e12(v, detector, l_ac, gain_frac):
 
 
 def test_noise_limit_slope_searches_or_keeps_the_gain():
-    # the slope is the kernel's at the gain optimal_gain finds at the limit,
-    # or at a fixed gain; key_rate refuses the limit, and the slope takes
-    # only the modified protocol
-    p, g, _ = relay_point(5.04, "practical", 13.875, 0.0, 1.0)
-    with pytest.raises(InvalidParameterError, match="K vanishes at chi_n = inf"):
-        key_rate(replace(p, gain=g), NOISE_LIMIT)
-    with pytest.raises(InvalidParameterError, match="does not take added-noise parameters"):
-        noise_limit_slope(replace(p, protocol="squeezed"))
+    # the slope is the kernel's at the gain Brent's method finds for it, or
+    # at a fixed gain; it is the one entry to the limit, which no added
+    # noise holds, and it takes only the modified protocol
+    p, _, _ = relay_point(5.04, "practical", 13.875, 0.0, 1.0)
+    for protocol in ("squeezed", "coherent"):
+        with pytest.raises(InvalidParameterError,
+                           match="does not take added-noise parameters"):
+            noise_limit_slope(replace(p, protocol=protocol))
     d, g_star = noise_limit_slope(p)
     assert d == _gain_objective(p, math.inf)(g_star)
-    assert g_star == protocols.optimal_gain(p, NOISE_LIMIT)
+    assert g_star == _search_gain(_gain_objective(p, math.inf), p, brent_max)
     assert noise_limit_slope(replace(p, gain=1.1)) == (_gain_objective(p, math.inf)(1.1), 1.1)
 
 

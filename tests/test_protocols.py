@@ -17,7 +17,7 @@ from cvmdi import (
     optimal_gain,
 )
 from cvmdi import protocols
-from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS
+from cvmdi.analysis import DETECTOR_PRESETS, VARIANCE_PRESETS, SweepSpec, max_distance
 from cvmdi import matrix
 from cvmdi.gaussian import PHYSICALITY_TOL
 from cvmdi.matrix import (
@@ -149,15 +149,22 @@ def test_added_noise_params():
     for chi in (0.0, 0.3, 1.0, 2.0, 12.5):
         assert AddedNoiseParams.from_chi_n(chi) == AddedNoiseParams(chi)
         assert AddedNoiseParams.from_chi_n(chi).chi_n == chi
-    for bad in (-0.1, -math.inf, math.nan):
-        with pytest.raises(InvalidParameterError, match="chi_n must be >= 0"):
-            AddedNoiseParams(bad)
-        with pytest.raises(InvalidParameterError, match="chi_n must be >= 0"):
-            AddedNoiseParams.from_chi_n(bad)
-    # chi_n = inf is the limit, which only the gain search and the slope take
-    assert AddedNoiseParams(math.inf) == protocols.NOISE_LIMIT
-    with pytest.raises(InvalidParameterError, match="K vanishes at chi_n = inf"):
-        key_rate(MODIFIED_AT_GAIN, protocols.NOISE_LIMIT)
+    # values outside [0, inf): test_added_noise_is_a_finite_variance
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan, -1.0, -0.1, -math.inf])
+def test_added_noise_is_a_finite_variance(x):
+    # chi_n = inf is the limit, no noise to add (only noise_limit_slope
+    # takes it): neither constructor holds it or a value below 0, so no
+    # max-distance search or sweep can be handed one
+    for make in (AddedNoiseParams, AddedNoiseParams.from_chi_n):
+        with pytest.raises(InvalidParameterError, match="chi_n must be >= 0 and finite"):
+            make(x)
+    base = replace(MODIFIED_AT_GAIN, gain=None)
+    with pytest.raises(InvalidParameterError, match="chi_n must be >= 0 and finite"):
+        max_distance(base, "most-asymmetric", noise=AddedNoiseParams.from_chi_n(x))
+    with pytest.raises(InvalidParameterError, match="chi_n must be >= 0 and finite"):
+        SweepSpec("lac-with-fixed-lbc", 0.0, 1.0, 1.0, base, noise=AddedNoiseParams(x))
 
 
 MODIFIED_AT_GAIN = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=10.0, l_bc=0.0, gain=1.0,

@@ -201,9 +201,13 @@ def test_brent_gain_search_median_evaluations():
 
 def searched_rate(p, chi_n, brent):
     """K with the gain searched, or D at chi_n = inf; by Brent's method or
-    by golden section (``optimal_gain``)."""
+    by golden section (``optimal_gain``, or for D its search on D's
+    objective)."""
     if chi_n == math.inf:
-        return protocols.noise_limit_slope(p, brent=brent)[0]
+        if brent:
+            return protocols.noise_limit_slope(p)[0]
+        objective = protocols._gain_objective(p, math.inf)
+        return objective(protocols._search_gain(objective, p, golden_section_max))
     noise = AddedNoiseParams(chi_n) if p.protocol == "squeezed-modified" else None
     return key_rate(p, noise, brent=brent).key_rate
 

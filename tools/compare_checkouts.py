@@ -7,8 +7,7 @@ cvmdi from that root's ``src/`` (one BLAS thread), and has each print one
 line per value: the reduced state (a, b, c) of the relay at N seeded random
 points and gains, as ``reduced_state(protocols._gain_coefficients(p), g)``
 in ``float.hex``, the error where it raises, where ``reduced_state`` is
-``protocols._reduced_state`` in a checkout that has it and else the same
-function of its ``tests/oracle.py``; at each of those points and gains,
+that of the checkout's ``tests/oracle.py``; at each of those points and gains,
 the fixed-gain ``key_rate`` report of each protocol (K, I_AB, chi, the
 lambdas and the flags; squeezed-modified at a seeded chi_n, 0 or not) or
 its error; ``optimize_added_noise`` at
@@ -49,17 +48,12 @@ NOISE_POINTS = 150
 DUMP = r'''
 import contextlib, glob, io, json, random, sys
 root, configs, n, noise_points, seed = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:6])
-sys.path[:0] = [root + "/src", root + "/bench"]
+sys.path[:0] = [root + "/src", root + "/bench", root + "/tests"]
 import workloads
 from dataclasses import replace
 from cvmdi import AddedNoiseParams, analysis, cli, protocols
+from oracle import reduced_state
 assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
-# a checkout whose kernel runs in one frame keeps the layered reduced state
-# in its test oracle, the same function
-reduced_state = getattr(protocols, "_reduced_state", None)
-if reduced_state is None:
-    sys.path.insert(0, root + "/tests")
-    from oracle import reduced_state
 rng, noise_rng = random.Random(seed), random.Random(seed + 1)
 v = lambda: rng.choice([5.04, 1e5, rng.uniform(1.0, 50.0)])
 length = lambda: rng.choice([0.0, rng.uniform(0.0, 50.0)])
