@@ -14,17 +14,19 @@ channel compute each gain's gain-only half of the kernel once.  The memo
 is dropped when the call returns.  A key rate at a given chi_n, such as a
 sweep point's, searches one gain at one channel and keeps none.
 
-``max_distance`` reads only the sign of K at each trial length, so a trial
-stops at the first evaluated point that proves K > 0.  It tries, in
-order: the last such point's evaluation again, at its gain (one kernel
-evaluation); then K with the gain searched; then, when chi_n is
-optimised, the slope D = lim chi_n K as chi_n -> inf
-(``protocols.noise_limit_slope``) with the gain searched.  At beta = 1,
-K at chi_n = 0 and D decide the sign of K* between them.  These gain
-searches run Brent's method (``search.brent_max``; ``key_rate`` with
-``brent=True``, and ``noise_limit_slope`` always): about 14 kernel
-evaluations each where golden section takes 37, to the same GAIN_TOL.  A
-trial reads only the sign, which the two searches agree on.  Every gain
+``max_distance`` decides each trial length by the sign of K alone, so a
+trial stops at the first evaluated point that proves K > 0; the value
+only steers the choice of the next length.  It tries, in order: the last
+such point's evaluation again, at its gain (one kernel evaluation); then K
+with the gain searched; then, when chi_n is optimised, the slope
+D = lim chi_n K as chi_n -> inf (``protocols.noise_limit_slope``) with
+the gain searched.  At beta = 1, K at chi_n = 0 and D decide the sign of
+K* between them.  Neither is searched again at or past a length where its
+search came out non-positive.  These gain searches run Brent's method
+(``search.brent_max``; ``key_rate`` with ``brent=True``, and
+``noise_limit_slope`` always): about 14 kernel evaluations each where
+golden section takes 37, to the same GAIN_TOL.  A trial is decided by the
+sign, which the two searches agree on.  Every gain
 this module reports (a sweep point, ``optimize_added_noise``,
 ``key_rate_at_best_noise``) is still golden's (``protocols.optimal_gain``):
 ``bench/reference.json`` pins its bits at the V = 1e5, L = 0 sweep points,
@@ -271,11 +273,14 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     protocol uses `noise` as given, or maximizes K over chi_n at each
     trial length when `noise` is None; the plain protocols take no noise.
     The edge is bracketed by trials at 1, 2, 4, ... km (SCAN_CAP_KM last)
-    and bisected to `tol_km`, which must be positive and finite; this
-    assumes K non-increasing in the scanned length.
+    and found to `tol_km`, which must be positive and finite, on the grid
+    of a bisection of that bracket (``search.positive_edge``): the reach
+    is the largest point of that grid with K*(L) > 0.  This assumes K*
+    non-increasing in the scanned length.
 
-    The search reads only the sign of K*(L), the supremum of K over the
-    gain (and over chi_n when it is optimised).  For optimised chi_n at
+    Each trial is decided by the sign of K*(L), the supremum of K over the
+    gain (and over chi_n when it is optimised); the values of K and D only
+    steer where ``positive_edge`` tries next.  For optimised chi_n at
     beta = 1, K*(L) > 0 exactly when K at chi_n = 0 or the slope
     D = lim chi_n K as chi_n -> inf is positive at some gain (tested
     against a wide log grid of chi_n): a positive D makes K positive at
@@ -297,6 +302,13 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     reach moves only where a trial's |K*| is below that, at no row of the
     paper's tables; the witness's gain may differ in its last digits.
     The full chi_n search below still runs golden section.
+
+    Steps 2 and 3 each stand for one trial kind, K at chi_n = 0 (or at
+    the given noise) and D.  Once a kind's gain search comes out
+    non-positive at a length L, it is neither searched nor evaluated as
+    the witness at any length >= L in the same call: as K*, D* does not
+    rise with length (tests/test_search.py checks both).  In the paper's
+    table this spares the modified row's K(0) searches past 12.5625 km.
 
     A step that proves K*(L) > 0 returns a positive value, and it and its
     gain become the witness.  A witness that raises NumericDomainError
@@ -347,6 +359,8 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
         return noise_limit_slope(p, memo=memo)
 
     trials = (rate_at(AddedNoiseParams(0.0)), slope) if optimize_noise else (rate_at(noise),)
+    # the shortest length at which each trial kind's search came out non-positive
+    dead_from = dict.fromkeys(trials, math.inf)
     witness = None  # (gain, trial) of the last point that proved K* > 0
     # K(0) <= 0 and D <= 0 leave K* <= 0 only at beta = 1
     full_search = optimize_noise and params.beta != 1.0
@@ -355,7 +369,8 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
         """A value with the sign of K*(length): K, or D at the limit."""
         nonlocal witness
         p = at_length(length)
-        if witness is not None:
+        k = 0.0  # where every kind has failed at a shorter length
+        if witness is not None and length < dead_from.get(witness[1], math.inf):
             gain, trial = witness
             try:
                 k = trial(replace(p, gain=gain))[0]
@@ -364,10 +379,13 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
             if k > 0.0:
                 return k
         for trial in trials:
+            if length >= dead_from[trial]:
+                continue
             k, gain = trial(p)
             if k > 0.0:
                 witness = gain, trial
                 return k
+            dead_from[trial] = length
         if not full_search:
             return k
         chi_star, k = optimize_added_noise(p, memo=memo)

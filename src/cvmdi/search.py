@@ -1,5 +1,7 @@
 """One-dimensional search utilities: golden-section and Brent maximization,
-and the double-then-bisect positivity-edge finder used for maximal distances."""
+and the positivity-edge finder used for maximal distances, which brackets
+the edge by doubling and closes the bracket by false position on the grid
+of its bisection."""
 
 from __future__ import annotations
 
@@ -126,27 +128,82 @@ def positive_edge(f: Callable[[float], float], step: float, tol: float,
     """Largest L with f(L) > 0, assuming f(0) > 0 and f non-increasing.
 
     The edge is bracketed by doubling: f is tried at step, 2 step,
-    4 step, ..., with `cap` as the last trial.  Bisection then tightens the
-    bracket to `tol`.  For tol < step, a bracket [2^k step, 2^(k+1) step]
-    bisects onto the same grid of step / 2^m points as the bracket
-    [j step, (j+1) step] of a scan in `step` increments, so for
-    non-increasing f the edge equals that scan's, in about log2(edge/step)
-    trials instead of edge/step.  (A bracket that ends at `cap` can land on
-    another grid.)  Bisection also stops when lo and hi are adjacent floats,
-    so a `tol` below their spacing cannot loop forever.  Returns (edge,
-    capped): capped is True when f(cap) > 0.
+    4 step, ..., with `cap` as the last trial.  The result is then the
+    bisection's of that bracket: the largest positive point of the grid of
+    midpoints that bisecting the bracket evaluates, down to cells no wider
+    than `tol` or with adjacent floats as ends, so that a `tol` below their
+    spacing cannot loop forever.  For tol < step, a bracket
+    [2^k step, 2^(k+1) step] bisects onto the same grid of step / 2^m
+    points as the bracket [j step, (j+1) step] of a scan in `step`
+    increments, so for non-increasing f the edge equals that scan's.  (A
+    bracket that ends at `cap` can land on another grid.)
+
+    The grid is searched in fewer trials than the bisection makes where f
+    is smooth.  Each trial goes where false position on the last positive
+    and the last non-positive value puts the edge (M. Dowell and
+    P. Jarratt, BIT 11, 168 (1971)), snapped onto the grid: the
+    bisection's bracket is halved, with no evaluation, towards the
+    estimate down to the bisection's last cell, whose lower end is tried,
+    or its upper end where the lower end is known positive.  The midpoint
+    the bisection would try next is tried instead while no positive value
+    is known (the bracket [0, step]), where the values give no finite
+    estimate, after two interpolated steps in a row that did not halve the
+    interval between the known values, and where one more interpolated
+    step could take the trials past twice the bisection's.  A midpoint step
+    decides at least one of the bisection's midpoints, so the search makes
+    at most twice the bisection's trials (the safeguard of R. P. Brent,
+    *Algorithms for Minimization without Derivatives* (1973), ch. 4).
+    After each trial the bisection's bracket is advanced through every
+    midpoint whose sign the known values imply, and the search stops where
+    the bisection stops.  So every length tried is one the bisection could
+    try, and for non-increasing f the result is the bisection's, bit for
+    bit.  Returns (edge, capped): capped is True when f(cap) > 0.
     """
     lo, hi = 0.0, min(step, cap)
-    while f(hi) > 0.0:
+    f_lo = None  # no positive value is known at 0
+    spare = 1  # twice the trials the bisection makes so far, less those made
+    while (f_hi := f(hi)) > 0.0:
         if hi >= cap:
             return cap, True
-        lo, hi = hi, min(2.0 * hi, cap)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: a tol below their spacing
-            break
-        if f(mid) > 0.0:
-            lo = mid
+        lo, hi, f_lo = hi, min(2.0 * hi, cap), f_hi
+        spare += 1
+    # [a, b] is the bisection's bracket; lo and hi, the nearest points
+    # evaluated on either side of the edge, lie inside it
+    a, b = lo, hi
+    misses = 0  # interpolated steps in a row that did not halve [lo, hi]
+    while True:
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:  # adjacent floats: a tol below their spacing
+                return a, False
+            if mid <= lo:
+                a = mid
+            elif mid >= hi:
+                b = mid
+            else:
+                break
+            spare += 2
         else:
-            hi = mid
-    return lo, False
+            return a, False
+        width = hi - lo
+        trial = mid
+        if misses < 2 and spare > 0 and f_lo is not None and math.isfinite(f_lo - f_hi):
+            estimate = lo + width * (f_lo / (f_lo - f_hi))
+            # halve the bracket towards the estimate down to its last cell
+            c, d = a, b
+            while d - c > tol:
+                m = 0.5 * (c + d)
+                if m == c or m == d:
+                    break
+                if m <= estimate and m < hi:
+                    c = m
+                else:
+                    d = m
+            trial = c if c > lo else d
+        spare -= 1
+        f_trial = f(trial)
+        if f_trial > 0.0:
+            lo, f_lo = trial, f_trial
+        else:
+            hi, f_hi = trial, f_trial
+        misses = 0 if trial == mid or hi - lo <= 0.5 * width else misses + 1

@@ -7,9 +7,10 @@ environment and announcement-purification mode so that Holevo bounds can
 be evaluated from the eavesdropper's side directly.  The same circuit is
 also built in mpmath arithmetic, for variances at which the eavesdropper's
 entropies cannot be taken in double precision.  The max-distance search is
-redone with the full search at every trial length (the gain, and chi_n when
-it is optimised), and the chi_n optimisation as a grid and a golden
-refinement in chi_n itself, rather than in w = chi_n/(1 + chi_n).
+redone on a plain bisection with the full search at every trial length (the
+gain, and chi_n when it is optimised), and the chi_n optimisation as a grid
+and a golden refinement in chi_n itself, rather than in
+w = chi_n/(1 + chi_n).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from cvmdi.matrix import (
 from cvmdi import analysis
 from cvmdi.analysis import SCAN_CAP_KM, SCAN_STEP_KM, MaxDistanceResult
 from cvmdi.protocols import ProtocolParams, AddedNoiseParams, key_rate
-from cvmdi.search import golden_section_max, positive_edge
+from cvmdi.search import golden_section_max
 from oracle import (
     extract_two_mode,
     heterodyne_condition,
@@ -63,16 +64,40 @@ def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float
     return best_x, best_f
 
 
+def bisect_edge(f, step: float, tol: float, cap: float) -> tuple[float, bool]:
+    """Largest L with f(L) > 0 for non-increasing f with f(0) > 0, by plain
+    bisection: f is tried at step, 2 step, 4 step, ..., with `cap` last,
+    then the bracket is bisected until it is no wider than `tol` or its
+    ends are adjacent floats.  Returns (edge, capped), capped True when
+    f(cap) > 0.  ``search.positive_edge`` must give the same, bit for bit,
+    for every non-increasing f."""
+    lo, hi = 0.0, min(step, cap)
+    while f(hi) > 0.0:
+        if hi >= cap:
+            return cap, True
+        lo, hi = hi, min(2.0 * hi, cap)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
 def reference_max_distance(params: ProtocolParams, geometry: str = "symmetric",
                            tol_km: float = 0.05,
                            cap_km: float = SCAN_CAP_KM) -> MaxDistanceResult:
     """``max_distance`` with the full search at every trial length, as it
-    was before the warm starts: ``key_rate`` with the gain searched for the
-    plain protocols, ``optimize_added_noise`` for squeezed-modified.  Both
-    are looked up in ``cvmdi.analysis`` at call time, so a test's
-    substitute for them is used here too.  The geometry's scan is spelled
-    here again: d = L_AC = L_BC for 'symmetric', L_AC at ``params.l_bc``
-    for 'asymmetric' and at L_BC = 0 for 'most-asymmetric'."""
+    was before the warm starts, on a plain bisection (``bisect_edge``):
+    ``key_rate`` with the gain searched for the plain protocols,
+    ``optimize_added_noise`` for squeezed-modified.  Both are looked up in
+    ``cvmdi.analysis`` at call time, so a test's substitute for them is
+    used here too.  The geometry's scan is spelled here again:
+    d = L_AC = L_BC for 'symmetric', L_AC at ``params.l_bc`` for
+    'asymmetric' and at L_BC = 0 for 'most-asymmetric'."""
     l_bc = {"symmetric": None, "asymmetric": params.l_bc, "most-asymmetric": 0.0}[geometry]
 
     def k_of(length: float) -> float:
@@ -83,7 +108,7 @@ def reference_max_distance(params: ProtocolParams, geometry: str = "symmetric",
 
     if k_of(0.0) <= 0.0:
         return MaxDistanceResult(0.0, 0.0, l_bc, positive_at_origin=False, tol_km=tol_km)
-    edge, capped = positive_edge(k_of, SCAN_STEP_KM, tol_km, cap_km)
+    edge, capped = bisect_edge(k_of, SCAN_STEP_KM, tol_km, cap_km)
     l_ab = 2.0 * edge if l_bc is None else edge + l_bc
     return MaxDistanceResult(edge, l_ab, l_bc, positive_at_origin=True,
                              capped=capped, tol_km=tol_km)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -381,7 +382,7 @@ def test_warm_start_reoptimises_only_on_non_positive_probes(monkeypatch):
     res = max_distance(REALISTIC_MOD, geometry="asymmetric")
     assert res.l_star_km == 13.875
     searched = [params for params, in slopes if params.gain is None]
-    assert len(searched) == 5 and calls == []
+    assert len(searched) == 4 and calls == []
     for params in searched:
         assert key_rate(params, AddedNoiseParams(0.0)).key_rate <= 0.0
 
@@ -408,7 +409,7 @@ def test_limit_witness_falls_back_when_its_slope_turns(monkeypatch):
     monkeypatch.setattr(analysis_mod, "key_rate", fake_rate)
     monkeypatch.setattr(analysis_mod, "noise_limit_slope", fake_slope)
     res = max_distance(REALISTIC_MOD, geometry="asymmetric")
-    assert len(witness_slopes) == 13 and max(witness_slopes) <= 0.0
+    assert len(witness_slopes) == 7 and max(witness_slopes) <= 0.0
     assert res.positive_at_origin
     assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
 
@@ -470,7 +471,7 @@ def test_witness_falls_back_when_the_optimal_gain_moves(monkeypatch):
     monkeypatch.setattr(analysis_mod, "key_rate", fake)
     p = replace(REALISTIC, protocol="squeezed")
     res = max_distance(p, geometry="asymmetric")
-    assert len(witness_rates) == 13 and max(witness_rates) <= 0.0
+    assert len(witness_rates) == 7 and max(witness_rates) <= 0.0
     assert res.l_star_km == pytest.approx(10.0, abs=res.tol_km)
     assert res == reference_max_distance(p, geometry="asymmetric")
 
@@ -479,7 +480,8 @@ def test_witness_falls_back_when_the_optimal_gain_moves(monkeypatch):
 def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol):
     # a key_rate and a limit slope that raise at every fixed gain: the
     # witness never proves a trial, and the search gives the reach of the
-    # full search, not an error
+    # full search, not an error; it is tried once at every distance trial
+    # after the origin's, 8 in the squeezed row and 9 in the modified one
     raised = []
 
     def no_fixed_gain(honest):
@@ -497,13 +499,13 @@ def test_witness_probe_that_raises_counts_as_non_positive(monkeypatch, protocol)
     monkeypatch.setattr(analysis_mod, "noise_limit_slope",
                         no_fixed_gain(protocols.noise_limit_slope))
     assert max_distance(p, geometry="asymmetric") == want
-    assert len(raised) == 13
+    assert len(raised) == {"squeezed": 8, "squeezed-modified": 9}[protocol]
 
 
 def test_paper_table_widens_no_gain_search(monkeypatch):
-    # every gain search of the paper's table, the five of the limit's slope
+    # every gain search of the paper's table, the four of the limit's slope
     # too, is a trial's Brent search and ends inside its first bracket: the
-    # slope's optimal gains (1.226 to 1.239) lie far below the bracket's
+    # slope's optimal gains (1.226 to 1.238) lie far below the bracket's
     # edge, 4 sqrt(2/(eta T2)) = 5.96; and no golden search runs
     searches, calls, optima, golden = [], [], [], []
     honest_brent, honest_golden = protocols.brent_max, protocols.golden_section_max
@@ -536,10 +538,46 @@ def test_paper_table_widens_no_gain_search(monkeypatch):
     searched("noise_limit_slope")
     compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),
                       geometry="most-asymmetric", detectors=("practical",))
-    assert len(searches) == len(calls) == 21 and len(optima) == 5
+    assert len(searches) == len(calls) == 12 and len(optima) == 4
     assert all(g < hi - 2.0 * protocols.GAIN_TOL for g, hi in searches)
     assert all(g < hi / 4.0 for g, hi in optima)
     assert golden == []
+
+
+@pytest.mark.parametrize("protocol", ["squeezed", "squeezed-modified"])
+def test_a_trial_kind_that_failed_is_not_tried_further(monkeypatch, protocol):
+    # K* and D* do not rise with length: once a gain search of K at
+    # chi_n = 0 (or of D) comes out non-positive at L, that call searches it
+    # at no length >= L, nor evaluates it there as the witness.  In the
+    # modified row K(0) fails at 16 km and again at 12.5625 km, and only D
+    # is searched after it; the reach stays the full search's
+    asked = []
+
+    def spy(name):
+        honest = getattr(analysis_mod, name)
+
+        def call(params, *args, **kwargs):
+            out = honest(params, *args, **kwargs)
+            k = out.key_rate if name == "key_rate" else out[0]
+            asked.append((name, params.l_ac, params.gain is None, k))
+            return out
+
+        monkeypatch.setattr(analysis_mod, name, call)
+
+    spy("key_rate")
+    spy("noise_limit_slope")
+    p = replace(REALISTIC, protocol=protocol)
+    res = max_distance(p, geometry="asymmetric")
+    failed = [(i, name, length) for i, (name, length, searched, k) in enumerate(asked)
+              if searched and k <= 0.0]
+    assert failed
+    for i, name, length in failed:
+        assert all(later < length for other, later, _, _ in asked[i + 1:] if other == name)
+    if protocol == "squeezed-modified":
+        key_searches = [length for name, length, searched, _ in asked
+                        if name == "key_rate" and searched]
+        assert key_searches == [0.0, 16.0, 12.5625]
+    assert res == reference_max_distance(p, geometry="asymmetric")
 
 
 def test_a_slope_search_that_raises_stops_only_an_undecided_trial(monkeypatch):
@@ -565,9 +603,13 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
     # the paper's most-asymmetric practical table: a full gain search per
     # trial length made 101 of them, and the witness with the chi_n*
     # warm start 51; the witness, K at chi_n = 0 and the slope of the limit
-    # leave 21, each a trial's Brent search, the limit's too; with golden
+    # left 21, each a trial's Brent search, the limit's too; with golden
     # section's 37 evaluations per search the table made 824 kernel
-    # evaluations, with Brent's about 14 it makes 339
+    # evaluations, with Brent's about 14 it made 339, the witnesses' too.
+    # False position on the bisection's grid takes 17 distance trials where
+    # bisection took 26, and no trial searches K at chi_n = 0 or D past a
+    # length where that search came out non-positive: 12 gain searches and
+    # 195 kernel evaluations
     searches, evals = [], []
     honest, honest_objective = protocols.brent_max, protocols._gain_objective
 
@@ -591,5 +633,35 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
     assert [(r.protocol, r.l_star_km, r.positive_at_origin) for r in table.rows] == [
         ("coherent", 0.0, False), ("squeezed", 10.5, True),
         ("squeezed-modified", 13.875, True)]
-    assert len(searches) <= 21
-    assert len(evals) <= 360
+    assert len(searches) <= 12
+    assert len(evals) <= 195
+
+
+def test_six_paper_tables_gain_searches(monkeypatch):
+    # every geometry at both variance presets, both detectors: plain
+    # bisection with every trial kind searched at every length made 621
+    # gain searches, 823 distance trials; false position on its grid, with
+    # a failed kind dropped for longer lengths, makes 422 and 581
+    searches, trials = [], []
+    honest_brent, honest_edge = protocols.brent_max, analysis_mod.positive_edge
+
+    def counted(f, lo, hi, tol):
+        searches.append(hi)
+        return honest_brent(f, lo, hi, tol)
+
+    def edge(f, *args):
+        def trial(length):
+            trials.append(length)
+            return f(length)
+
+        return honest_edge(trial, *args)
+
+    monkeypatch.setattr(protocols, "brent_max", counted)
+    monkeypatch.setattr(analysis_mod, "positive_edge", edge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for geometry in ("symmetric", "asymmetric", "most-asymmetric"):
+            for v in VARIANCE_PRESETS.values():
+                compare_protocols(replace(REALISTIC, v_a=v, v_b=v), geometry=geometry)
+    assert len(searches) <= 422
+    assert len(trials) <= 581

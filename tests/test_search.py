@@ -7,7 +7,10 @@ on the gain objective against the golden search that every reported gain
 still comes from.
 
 ``positive_edge`` needs K(L) > 0 to hold on a prefix of [0, cap]: it checks
-the sign only at doubling trials and bisection midpoints.
+the sign only at doubling trials and at points of the grid that bisecting
+their bracket would evaluate, chosen by false position, and infers the
+sign at the rest.  For every non-increasing profile it must return the
+plain bisection's edge (``tests/helpers.bisect_edge``), bit for bit.
 ``optimize_added_noise`` grids w = chi_n/(1 + chi_n) over [0, 1], w = 1
 being the limit chi_n -> inf, and refines w only around its best grid point,
 so the chi_n profile must be unimodal over the whole half-line.  The tests
@@ -38,7 +41,7 @@ from cvmdi.analysis import (
     VARIANCE_PRESETS,
 )
 from cvmdi.search import brent_max, golden_section_max, positive_edge
-from helpers import reference_optimize_added_noise
+from helpers import bisect_edge, reference_optimize_added_noise
 
 PROTOCOLS = ("coherent", "squeezed", "squeezed-modified")
 
@@ -115,6 +118,104 @@ def test_positive_edge_in_the_last_bracket(edge, cap, kind):
     assert not capped
     assert f(got) > 0.0 >= f(got + tol)
     assert got == pytest.approx(scan_edge(f, SCAN_STEP_KM, tol, cap)[0], abs=tol)
+
+
+def doubling_trials(f, step, cap):
+    """The doubling phase of the edge search: (lo, hi, trials) of its last
+    bracket, as both searches make it."""
+    lo, hi, trials = 0.0, min(step, cap), []
+    while True:
+        trials.append(hi)
+        if f(hi) <= 0.0 or hi >= cap:
+            return lo, hi, trials
+        lo, hi = hi, min(2.0 * hi, cap)
+
+
+def is_bisection_node(x, lo, hi, tol):
+    """Whether bisecting [lo, hi] to `tol` can evaluate x: a midpoint met on
+    the way down towards x before the bisection's stop."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return False
+        if x == mid:
+            return True
+        if x < mid:
+            hi = mid
+        else:
+            lo = mid
+    return False
+
+
+@st.composite
+def non_increasing_profiles(draw):
+    """A non-increasing f with f(0) > 0: piecewise-linear, step,
+    hockey-stick (one slope up to its edge, another past it) or
+    exponential, with an edge anywhere up to past SCAN_CAP_KM."""
+    kind = draw(st.sampled_from(("piecewise-linear", "step", "hockey-stick", "exponential")))
+    edge = draw(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 600.0)))
+    scale = st.floats(1e-4, 1e2)
+    if kind == "step":
+        return lambda x: 1.0 if x <= edge else -1.0
+    if kind == "hockey-stick":
+        near, far = draw(scale), draw(scale)
+        return lambda x: (near if x <= edge else far) * (edge - x)
+    if kind == "exponential":
+        rate = draw(st.floats(1e-3, 3.0))
+        return lambda x: math.exp(-rate * x) - math.exp(-rate * edge)
+    knots = sorted(draw(st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6)))
+    drops = draw(st.lists(scale, min_size=len(knots), max_size=len(knots)))
+    values = [1.0 + drops[0] - sum(drops[1:i + 1]) for i in range(len(knots))]
+
+    def f(x):
+        if x <= knots[0]:
+            return values[0]
+        for x0, x1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
+            if x <= x1:
+                return v0 if x1 == x0 else v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        return values[-1]
+
+    return f
+
+
+@settings(max_examples=500, deadline=None)
+@given(f=non_increasing_profiles(), tol=st.floats(1e-3, 1.0),
+       cap=st.one_of(st.just(SCAN_CAP_KM), st.floats(0.5, 600.0)))
+def test_positive_edge_is_the_bisection(f, tol, cap):
+    # the same edge as plain bisection, bit for bit, from lengths that
+    # bisection could evaluate, in at most twice its trials
+    f_new, new_calls = counted(f)
+    f_ref, ref_calls = counted(f)
+    assert positive_edge(f_new, SCAN_STEP_KM, tol, cap) == bisect_edge(f_ref, SCAN_STEP_KM,
+                                                                        tol, cap)
+    lo, hi, doubling = doubling_trials(f, SCAN_STEP_KM, cap)
+    assert new_calls[:len(doubling)] == doubling
+    assert all(is_bisection_node(x, lo, hi, tol) for x in new_calls[len(doubling):])
+    assert len(set(new_calls)) == len(new_calls)
+    assert len(new_calls) <= 2 * len(ref_calls)
+
+
+@pytest.mark.parametrize("tol", [0.05, 1e-3])
+@pytest.mark.parametrize("edge", [4.5, 6.2, 13.84, 100.0, 255.9, 499.0])
+def test_positive_edge_on_a_line_takes_two_trials_past_the_doubling(edge, tol):
+    # false position puts a straight line's edge inside the cell it lies in:
+    # its lower end is positive, its upper end is not, and bisection's
+    # log2(width/tol) trials shrink to those two
+    f, calls = counted(profile("linear", edge))
+    assert positive_edge(f, SCAN_STEP_KM, tol, SCAN_CAP_KM) == bisect_edge(
+        profile("linear", edge), SCAN_STEP_KM, tol, SCAN_CAP_KM)
+    doubling = doubling_trials(profile("linear", edge), SCAN_STEP_KM, SCAN_CAP_KM)[2]
+    assert len(calls) == len(doubling) + 2
+
+
+@pytest.mark.parametrize("above,below", [(math.inf, -1.0), (1e308, -1e308), (1.0, -math.inf),
+                                         (1.0, math.nan)])
+def test_positive_edge_with_values_that_give_no_estimate(above, below):
+    # an infinite, NaN or overflowing difference of the values gives false
+    # position no estimate: the bisection's own midpoint is tried instead
+    f = lambda x: above if x < 5.3 else below
+    assert positive_edge(f, SCAN_STEP_KM, 0.05, SCAN_CAP_KM) == bisect_edge(
+        f, SCAN_STEP_KM, 0.05, SCAN_CAP_KM) == (5.28125, False)
 
 
 # ------------------------------------------------------------ the maximizers
@@ -281,6 +382,36 @@ def test_key_rate_non_increasing_in_symmetric_distance(protocol, detector, varia
     k_near = k_bits(preset_params(protocol, detector, variance, l_ac=near, l_bc=near), chi_n)
     k_far = k_bits(preset_params(protocol, detector, variance, l_ac=far, l_bc=far), chi_n)
     assert k_far <= k_near + K_SEARCH_SLACK
+
+
+# The trials of max_distance stop searching the slope D of the limit
+# chi_n -> inf from the first length at which its gain search comes out
+# non-positive, as they do K at chi_n = 0: D* must not rise with length either.
+
+@pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
+@settings(max_examples=40)
+@given(variance=st.sampled_from(sorted(VARIANCE_PRESETS)), l1=lengths, l2=lengths,
+       l_bc=st.floats(min_value=0.0, max_value=5.0))
+def test_limit_slope_non_increasing_in_lac(detector, variance, l1, l2, l_bc):
+    near, far = sorted((l1, l2))
+    d_near = protocols.noise_limit_slope(
+        preset_params("squeezed-modified", detector, variance, l_ac=near, l_bc=l_bc))[0]
+    d_far = protocols.noise_limit_slope(
+        preset_params("squeezed-modified", detector, variance, l_ac=far, l_bc=l_bc))[0]
+    assert d_far <= d_near + K_SEARCH_SLACK
+
+
+@pytest.mark.parametrize("detector", sorted(DETECTOR_PRESETS))
+@settings(max_examples=40)
+@given(variance=st.sampled_from(sorted(VARIANCE_PRESETS)),
+       d1=st.floats(min_value=0.0, max_value=40.0), d2=st.floats(min_value=0.0, max_value=40.0))
+def test_limit_slope_non_increasing_in_symmetric_distance(detector, variance, d1, d2):
+    near, far = sorted((d1, d2))
+    d_near = protocols.noise_limit_slope(
+        preset_params("squeezed-modified", detector, variance, l_ac=near, l_bc=near))[0]
+    d_far = protocols.noise_limit_slope(
+        preset_params("squeezed-modified", detector, variance, l_ac=far, l_bc=far))[0]
+    assert d_far <= d_near + K_SEARCH_SLACK
 
 
 # ------------------------------------------------------- unimodal chi_n profile

@@ -2,9 +2,9 @@
 
     python3 tools/time_kernel.py OTHER_ROOT
 
-Times eight items in this checkout and in OTHER_ROOT.  The first is
+Times eleven items in this checkout and in OTHER_ROOT.  The first is
 start-up: a fresh ``import cvmdi`` and its first ``key_rate``, once per
-interpreter.  Then seven layers of the kernel: the symplectic pair
+interpreter.  Then six items of the kernel: the symplectic pair
 ``gaussian.two_mode_symplectic`` on the reduced states a gain search
 visits (from ``reduced_state`` of the checkout's ``tests/oracle.py``),
 the gain objective of each protocol (``protocols._gain_objective``) over
@@ -13,16 +13,24 @@ search as a distance trial runs it: ``search.brent_max`` on a fresh
 objective over the same bracket to the same GAIN_TOL.  These are at a
 point of the kind the benchmark's table evaluates: V = 5.04, practical
 detector, L_AC = 10 km, L_BC = 0, and chi_n = 1 for squeezed-modified.
-The fifth is one ``analysis.optimize_added_noise`` call at the table's
-non-positive modified trial, V = 5.04, practical detector, L_AC = 14 km,
+Then four items of the searches above the kernel.  One
+``analysis.optimize_added_noise`` call just past the reach of the
+table's modified row, V = 5.04, practical detector, L_AC = 14 km,
 L_BC = 0: one grid and one refinement in w = chi_n/(1 + chi_n), whose
-gain searches at one channel share one memo.  The sixth is the table's
-modified row alone, ``analysis.max_distance`` of squeezed-modified at
-V = 5.04 with the practical detector in the 'most-asymmetric' geometry
-(L_BC = 0), where the added-noise search decides the reach.  The seventh
-is the paper's table, as the benchmark's ``table`` workload computes it:
+gain searches at one channel share one memo.  The table's modified row
+alone, ``analysis.max_distance`` of squeezed-modified at V = 5.04 with the
+practical detector in the 'most-asymmetric' geometry (L_BC = 0), where K
+at chi_n = 0 and the slope D of the limit chi_n -> inf decide each
+trial; the added-noise search runs only at beta < 1.  The paper's table,
+as the benchmark's ``table`` workload computes it:
 ``analysis.compare_protocols`` at V = 5.04, 'most-asymmetric', with the
-practical detector.
+practical detector.  And the six paper tables: ``compare_protocols`` in
+each geometry at each variance preset, with both detectors.
+
+Each checkout also reports, from one untimed run of the benchmark's
+table, its distance trials and its gain searches, counted by wrapping
+the objective that ``analysis.max_distance`` hands to ``positive_edge``
+and ``protocols.brent_max``.
 
 Each of ROUNDS rounds starts one fresh interpreter per checkout, with one
 BLAS thread, and alternates which checkout goes first.  An interpreter
@@ -110,7 +118,35 @@ items["max_distance, modified row"] = best(
 table = ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0)
 items["compare_protocols, paper table"] = best(
     lambda: analysis.compare_protocols(table, "most-asymmetric", ("practical",)), 1)
-print(json.dumps(items))
+variances = (5.04, 1e5)
+
+
+def six_tables():
+    for geometry in ("symmetric", "asymmetric", "most-asymmetric"):
+        for v in variances:
+            analysis.compare_protocols(ProtocolParams(v_a=v, v_b=v, l_ac=0.0, l_bc=0.0), geometry)
+
+items["compare_protocols, six paper tables"] = best(six_tables, 1)
+counts = {"distance trials": 0, "gain searches": 0}
+edge, brent = analysis.positive_edge, protocols.brent_max
+
+
+def counted_edge(f, *args):
+    def trial(length):
+        counts["distance trials"] += 1
+        return f(length)
+
+    return edge(trial, *args)
+
+
+def counted_brent(*args):
+    counts["gain searches"] += 1
+    return brent(*args)
+
+
+analysis.positive_edge, protocols.brent_max = counted_edge, counted_brent
+analysis.compare_protocols(table, "most-asymmetric", ("practical",))
+print(json.dumps({"times": items, "counts": counts}))
 '''
 
 
@@ -127,10 +163,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("other", type=Path, help="root of the checkout to compare with")
     args = ap.parse_args(argv)
     roots = (HERE, args.other.resolve())
-    runs = ([], [])
+    runs, counts = ([], []), [None, None]
     for r in range(ROUNDS):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            runs[side].append(time_once(roots[side]))
+            out = time_once(roots[side])
+            runs[side].append(out["times"])
+            counts[side] = out["counts"]
     print(f"us per call over {ROUNDS} rounds, best of {REPEATS} loops each: min / median")
     print(f"{'':46}{'this checkout':>24}{'other':>24}{'ratio':>8}")
     for item in runs[0][0]:
@@ -140,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             medians.append(statistics.median(times))
             cells.append(f"{min(times):.2f} / {medians[-1]:.2f}")
         print(f"{item:46}{cells[0]:>24}{cells[1]:>24}{medians[0] / medians[1]:>8.3f}")
+    print("the benchmark's table, counted once")
+    for item in counts[0]:
+        print(f"{item:46}{counts[0][item]:>24}{counts[1].get(item, '-'):>24}")
     return 0
 
 
