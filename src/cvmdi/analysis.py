@@ -11,8 +11,11 @@ Each of ``optimize_added_noise``, ``max_distance`` and
 ``key_rate_at_best_noise`` makes one memo (``protocols.key_rate``) and
 passes it to every gain search it makes, so their gain searches at one
 channel compute each gain's gain-only half of the kernel once.  The memo
-is dropped when the call returns.  A key rate at a given chi_n, such as a
-sweep point's, searches one gain at one channel and keeps none.
+is dropped when the call returns.  ``compare_protocols`` makes one per
+group of rows that scan one channel, which those rows' trials share with
+their outcomes (``_Scan``), and drops it with the table.  A key rate at a
+given chi_n, such as a sweep point's, searches one gain at one channel and
+keeps none.
 
 ``max_distance`` decides each trial length by the sign of K alone, so a
 trial stops at the first evaluated point that proves K > 0; the value
@@ -42,7 +45,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .errors import CVMDIError, InvalidParameterError, NumericDomainError
@@ -306,9 +310,11 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     Steps 2 and 3 each stand for one trial kind, K at chi_n = 0 (or at
     the given noise) and D.  Once a kind's gain search comes out
     non-positive at a length L, it is neither searched nor evaluated as
-    the witness at any length >= L in the same call: as K*, D* does not
-    rise with length (tests/test_search.py checks both).  In the paper's
-    table this spares the modified row's K(0) searches past 12.5625 km.
+    the witness at any length >= L in the same call, nor in the other rows
+    of its ``compare_protocols`` group: as K*, D* does not rise with length
+    (tests/test_search.py checks both).  In the paper's table the modified
+    row runs no K(0) trial of its own: it reads those up to 8 km from the
+    squeezed row, whose K(0) search came out non-positive at 10.53125 km.
 
     A step that proves K*(L) > 0 returns a positive value, and it and its
     gain become the witness.  A witness that raises NumericDomainError
@@ -328,10 +334,39 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     full search at every trial length.
 
     Every step, at every trial length, shares one memo
-    (``protocols.key_rate``).
+    (``protocols.key_rate``), and a trial already evaluated at one length
+    and gain is not run again.  Each call starts with no trials and a
+    fresh memo; ``compare_protocols`` lets the rows of one channel share
+    both (``_Scan``).
     With no key at length 0 the result has positive_at_origin False and
     l_star_km = l_ab_km = 0: a protocol without key claims no reach.
     """
+    return _max_distance(params, geometry, noise, tol_km, _Scan())
+
+
+@dataclass
+class _Scan:
+    """The distance trials of the rows that scan one channel.
+
+    A trial kind is what the gain objective computes, (coherent, chi_n):
+    K of the coherent protocol (chi_n = 0), K at a chi_n, which at
+    chi_n = 0 is one kind for squeezed and squeezed-modified, or the slope
+    D at chi_n = inf.  ``outcomes`` holds the (K, gain) of every trial
+    evaluated, keyed by (kind, length, gain), the gain None where it was
+    searched; ``dead_from`` the shortest length at which each kind's gain
+    search came out non-positive; ``memo`` the one memo of every gain
+    search of the rows (``protocols.key_rate``).  Rows that share one must
+    have the same geometry, channel, beta and fixed gain.
+    """
+
+    outcomes: dict = field(default_factory=dict)
+    dead_from: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
+
+
+def _max_distance(params: ProtocolParams, geometry: str, noise: AddedNoiseParams | None,
+                  tol_km: float, scan: _Scan) -> MaxDistanceResult:
+    """``max_distance`` on the trials of ``scan``, which it reads and extends."""
     if geometry not in GEOMETRIES:
         raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
     if not 0.0 < tol_km < math.inf:
@@ -340,58 +375,68 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
         params = replace(params, l_bc=0.0)
     l_bc = None if geometry == "symmetric" else params.l_bc
     optimize_noise = _optimizes_noise(params, noise)
+    takes_noise = params.protocol == "squeezed-modified"
+    if optimize_noise:
+        kinds = ((False, 0.0), (False, math.inf))
+    else:
+        kinds = ((params.protocol == "coherent", check_added_noise(params, noise)),)
 
-    def at_length(length: float) -> ProtocolParams:
+    def at_length(length: float, gain: float | None) -> ProtocolParams:
         if l_bc is None:
-            return replace(params, l_ac=length, l_bc=length)
-        return replace(params, l_ac=length)
+            return replace(params, l_ac=length, l_bc=length, gain=gain)
+        return replace(params, l_ac=length, gain=gain)
 
-    memo = {}
+    memo = scan.memo
 
-    def rate_at(trial_noise: AddedNoiseParams | None):
-        """The trial (K, gain) of ``key_rate`` at ``trial_noise``."""
-        def trial(p: ProtocolParams) -> tuple[float, float]:
-            report = key_rate(p, trial_noise, memo=memo, brent=True)
-            return report.key_rate, report.gain_used
-        return trial
+    def trial(kind: tuple[bool, float], length: float,
+              gain: float | None) -> tuple[float, float]:
+        """(K, gain) of ``kind`` at ``length``, at ``gain`` or searched when
+        None; (D, gain) at chi_n = inf."""
+        key = kind, length, gain
+        outcome = scan.outcomes.get(key)
+        if outcome is None:
+            p, chi_n = at_length(length, gain), kind[1]
+            if chi_n == math.inf:
+                outcome = noise_limit_slope(p, memo=memo)
+            else:
+                report = key_rate(p, AddedNoiseParams(chi_n) if takes_noise else None,
+                                  memo=memo, brent=True)
+                outcome = report.key_rate, report.gain_used
+            scan.outcomes[key] = outcome
+        return outcome
 
-    def slope(p: ProtocolParams) -> tuple[float, float]:
-        return noise_limit_slope(p, memo=memo)
-
-    trials = (rate_at(AddedNoiseParams(0.0)), slope) if optimize_noise else (rate_at(noise),)
-    # the shortest length at which each trial kind's search came out non-positive
-    dead_from = dict.fromkeys(trials, math.inf)
-    witness = None  # (gain, trial) of the last point that proved K* > 0
+    dead_from = scan.dead_from
+    witness = None  # (gain, kind) of the last point that proved K* > 0
     # K(0) <= 0 and D <= 0 leave K* <= 0 only at beta = 1
     full_search = optimize_noise and params.beta != 1.0
 
     def k_of(length: float) -> float:
         """A value with the sign of K*(length): K, or D at the limit."""
         nonlocal witness
-        p = at_length(length)
         k = 0.0  # where every kind has failed at a shorter length
         if witness is not None and length < dead_from.get(witness[1], math.inf):
-            gain, trial = witness
+            gain, kind = witness
             try:
-                k = trial(replace(p, gain=gain))[0]
+                k = trial(kind, length, gain)[0]
             except NumericDomainError:
                 k = 0.0
             if k > 0.0:
                 return k
-        for trial in trials:
-            if length >= dead_from[trial]:
+        for kind in kinds:
+            if length >= dead_from.get(kind, math.inf):
                 continue
-            k, gain = trial(p)
+            k, gain = trial(kind, length, params.gain)
             if k > 0.0:
-                witness = gain, trial
+                witness = gain, kind
                 return k
-            dead_from[trial] = length
+            dead_from[kind] = length
         if not full_search:
             return k
+        p = at_length(length, params.gain)
         chi_star, k = optimize_added_noise(p, memo=memo)
         if k > 0.0:
             found = AddedNoiseParams(chi_star)
-            witness = key_rate(p, found, memo=memo).gain_used, rate_at(found)
+            witness = key_rate(p, found, memo=memo).gain_used, (False, chi_star)
         return k
 
     if k_of(0.0) <= 0.0:
@@ -426,9 +471,21 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
     Each row is ``max_distance`` of one protocol and detector preset in
     ``geometry``, and its l_bc_km is the L_BC that search scanned at.  The
     'asymmetric' geometry gives one row per L_BC in ASYMMETRIC_LBC_KM, in
-    that order; the others give one row, at ``base.l_bc``.  Rows share
-    nothing, not even where their channels coincide.  The geometry and
-    every detector name are checked before any search runs.
+    that order; the others give one row, at ``base.l_bc``.  The geometry
+    and every detector name are checked before any search runs.
+
+    The rows of one detector and L_BC scan one channel, so they share
+    their distance trials (``_Scan``): a trial of a kind already evaluated
+    at that length and gain is not run again, and a kind's search is not
+    run at or past a length where it came out non-positive in any of them.
+    K at chi_n = 0 is one kind for the squeezed and the squeezed-modified
+    row, so the modified row searches it only where the squeezed row did
+    not.  A shared outcome is the float the same objective and search
+    give, and a shared non-positive length rests on K* not rising with
+    length, as in ``max_distance``; the reach is the largest positive point
+    of the bisection's grid whatever the lengths tried, so each row is the
+    ``max_distance`` of its params alone.  Rows of different channels
+    share nothing.
     """
     if geometry not in GEOMETRIES:
         raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
@@ -437,13 +494,13 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
         if det not in DETECTOR_PRESETS:
             raise InvalidParameterError(f"unknown detector preset {det!r}")
     lbcs = ASYMMETRIC_LBC_KM if geometry == "asymmetric" else (base.l_bc,)
-    rows = []
+    rows, scans = [], defaultdict(_Scan)
     for protocol in ("coherent", "squeezed", "squeezed-modified"):
         for det in detectors:
             eta, v_el = DETECTOR_PRESETS[det]
             for l_bc in lbcs:
                 p = replace(base, protocol=protocol, eta=eta, v_el=v_el, l_bc=l_bc)
-                res = max_distance(p, geometry, tol_km=tol_km)
+                res = _max_distance(p, geometry, None, tol_km, scans[det, l_bc])
                 rows.append(ComparisonRow(protocol, det, res.l_bc_km, res.l_star_km,
                                           res.l_ab_km, res.positive_at_origin, res.capped))
     return ComparisonTable(rows=tuple(rows))

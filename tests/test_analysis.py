@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -317,14 +318,15 @@ def test_compare_protocols_rejects_a_bad_name_before_any_key_rate(monkeypatch, g
 
 
 def test_compare_protocols_checks_every_detector_before_searching(monkeypatch):
+    # the rows run through max_distance's private seam, which takes a scan
     searches = []
-    real = analysis_mod.max_distance
+    real = analysis_mod._max_distance
 
     def counted(*args, **kwargs):
         searches.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis_mod, "max_distance", counted)
+    monkeypatch.setattr(analysis_mod, "_max_distance", counted)
     with pytest.raises(InvalidParameterError, match="bogus"):
         compare_protocols(REALISTIC, detectors=("perfect", "bogus"))
     assert searches == []
@@ -506,7 +508,9 @@ def test_paper_table_widens_no_gain_search(monkeypatch):
     # every gain search of the paper's table, the four of the limit's slope
     # too, is a trial's Brent search and ends inside its first bracket: the
     # slope's optimal gains (1.226 to 1.238) lie far below the bracket's
-    # edge, 4 sqrt(2/(eta T2)) = 5.96; and no golden search runs
+    # edge, 4 sqrt(2/(eta T2)) = 5.96; and no golden search runs.  The
+    # modified row's K at chi_n = 0 comes from the squeezed row's trials,
+    # so no search is asked for twice
     searches, calls, optima, golden = [], [], [], []
     honest_brent, honest_golden = protocols.brent_max, protocols.golden_section_max
 
@@ -538,7 +542,7 @@ def test_paper_table_widens_no_gain_search(monkeypatch):
     searched("noise_limit_slope")
     compare_protocols(ProtocolParams(v_a=5.04, v_b=5.04, l_ac=0.0, l_bc=0.0),
                       geometry="most-asymmetric", detectors=("practical",))
-    assert len(searches) == len(calls) == 12 and len(optima) == 4
+    assert len(searches) == len(calls) == 9 and len(optima) == 4
     assert all(g < hi - 2.0 * protocols.GAIN_TOL for g, hi in searches)
     assert all(g < hi / 4.0 for g, hi in optima)
     assert golden == []
@@ -609,7 +613,8 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
     # False position on the bisection's grid takes 17 distance trials where
     # bisection took 26, and no trial searches K at chi_n = 0 or D past a
     # length where that search came out non-positive: 12 gain searches and
-    # 195 kernel evaluations
+    # 195 kernel evaluations.  The modified row reuses the squeezed row's
+    # K(0) trials, searches and witnesses alike: 9 and 145
     searches, evals = [], []
     honest, honest_objective = protocols.brent_max, protocols._gain_objective
 
@@ -633,15 +638,17 @@ def test_paper_table_halves_the_gain_searches(monkeypatch):
     assert [(r.protocol, r.l_star_km, r.positive_at_origin) for r in table.rows] == [
         ("coherent", 0.0, False), ("squeezed", 10.5, True),
         ("squeezed-modified", 13.875, True)]
-    assert len(searches) <= 12
-    assert len(evals) <= 195
+    assert len(searches) <= 9
+    assert len(evals) <= 145
 
 
 def test_six_paper_tables_gain_searches(monkeypatch):
     # every geometry at both variance presets, both detectors: plain
     # bisection with every trial kind searched at every length made 621
     # gain searches, 823 distance trials; false position on its grid, with
-    # a failed kind dropped for longer lengths, makes 422 and 581
+    # a failed kind dropped for longer lengths, made 422 and 581; rows of
+    # one channel sharing their trials make 326 gain searches in as many
+    # trials
     searches, trials = [], []
     honest_brent, honest_edge = protocols.brent_max, analysis_mod.positive_edge
 
@@ -663,5 +670,96 @@ def test_six_paper_tables_gain_searches(monkeypatch):
         for geometry in ("symmetric", "asymmetric", "most-asymmetric"):
             for v in VARIANCE_PRESETS.values():
                 compare_protocols(replace(REALISTIC, v_a=v, v_b=v), geometry=geometry)
-    assert len(searches) <= 422
+    assert len(searches) <= 326
     assert len(trials) <= 581
+
+
+# ------------------------------------------- rows of one channel share trials
+
+def _row_alone(base: ProtocolParams, geometry: str, row: ComparisonRow):
+    """``max_distance`` of the params ``compare_protocols`` gave ``row``."""
+    eta, v_el = DETECTOR_PRESETS[row.detector]
+    l_bc = base.l_bc if row.l_bc_km is None else row.l_bc_km
+    p = replace(base, protocol=row.protocol, eta=eta, v_el=v_el, l_bc=l_bc)
+    return max_distance(p, geometry=geometry)
+
+
+@pytest.mark.parametrize("geometry", ["symmetric", "asymmetric", "most-asymmetric"])
+@pytest.mark.parametrize("base", [replace(REALISTIC, v_a=v, v_b=v)
+                                  for v in VARIANCE_PRESETS.values()]
+                         + [replace(REALISTIC, beta=0.95), replace(REALISTIC, gain=1.2)],
+                         ids=["realistic", "ideal", "beta=0.95", "gain=1.2"])
+def test_sharing_trials_changes_no_row(geometry, base):
+    # the six paper tables, both detectors, and a base below beta = 1 and
+    # one at a fixed gain: each row is field for field what max_distance
+    # gives for that row's params alone.  eps1 = 0.002 keeps every row off
+    # the V = 1e5, eps1 = 0, L_BC = 0 points where K* near the edge is
+    # about 1e-10 and its computed sign flips along L
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = compare_protocols(base, geometry=geometry).rows
+        assert len(rows) == 3 * 2 * (4 if geometry == "asymmetric" else 1)
+        for row in rows:
+            res = _row_alone(base, geometry, row)
+            assert ((row.l_bc_km, row.l_star_km, row.l_ab_km, row.positive_at_origin, row.capped)
+                    == (res.l_bc_km, res.l_star_km, res.l_ab_km, res.positive_at_origin,
+                        res.capped)), row
+
+
+def _counting_brent(monkeypatch) -> list:
+    searches = []
+    honest = protocols.brent_max
+
+    def counted(*args):
+        searches.append(args[2])
+        return honest(*args)
+
+    monkeypatch.setattr(protocols, "brent_max", counted)
+    return searches
+
+
+@pytest.mark.parametrize("first,second", [
+    ((REALISTIC, "most-asymmetric"), (REALISTIC, "asymmetric")),
+    ((REALISTIC, "most-asymmetric"), (replace(REALISTIC, v_a=1e5, v_b=1e5), "most-asymmetric")),
+])
+def test_a_table_leaves_no_trials_to_the_next(monkeypatch, first, second):
+    # the asymmetric table's L_BC = 0 rows scan the most-asymmetric table's
+    # channel: were trials kept past a call, the later table would make
+    # fewer searches.  Each table, after the other in either order, gives
+    # the rows and the Brent search count of its call before
+    searches = _counting_brent(monkeypatch)
+
+    def table(base, geometry):
+        searches.clear()
+        rows = compare_protocols(base, geometry=geometry, detectors=("practical",)).rows
+        return rows, len(searches)
+
+    fresh = table(*first), table(*second)
+    assert table(*first) == fresh[0]
+    assert table(*second) == fresh[1]
+    assert table(*first) == fresh[0]
+
+
+def test_max_distance_calls_share_no_trials(monkeypatch):
+    # in one table the modified row takes K at chi_n = 0 from the squeezed
+    # row; two max_distance calls share nothing, in either order
+    searches = _counting_brent(monkeypatch)
+
+    def alone(params):
+        searches.clear()
+        return max_distance(params, geometry="most-asymmetric"), len(searches)
+
+    squeezed = replace(REALISTIC, protocol="squeezed")
+    fresh_modified = alone(REALISTIC_MOD)
+    fresh_squeezed = alone(squeezed)
+    assert alone(REALISTIC_MOD) == fresh_modified
+    assert alone(squeezed) == fresh_squeezed
+
+
+def test_max_distance_signature_is_unchanged():
+    # the scan that rows of one table share enters by a private seam only
+    kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    params = inspect.signature(max_distance).parameters.values()
+    assert [(p.name, p.default, p.kind) for p in params] == [
+        ("params", inspect.Parameter.empty, kind), ("geometry", "symmetric", kind),
+        ("noise", None, kind), ("tol_km", 0.05, kind)]

@@ -14,16 +14,20 @@ its error; ``optimize_added_noise`` at
 NOISE_POINTS seeded random squeezed-modified points; K, gain and lambdas at
 every sweep point of ``bench/reference.json`` (only read); the rows of the
 benchmark's table; ``compare_protocols`` for every geometry, variance preset
-and detector preset; and exit code, stdout and stderr of ``sweep`` on
-this checkout's ``configs/*.json`` and of each other subcommand on CLI_ARGV,
-settings that it reads.  The rows of a CLI output (category cli) are
-compared apart from its ``# config`` or ``metadata`` record (category
-record), so that a change to the record alone shows as such.
+and detector preset, and again for every geometry and variance preset, with
+both detectors in one table, at beta = 0.95 (the added-noise search's
+witness) and at a fixed gain of 1.2; and exit code, stdout and stderr of
+``sweep`` on this checkout's ``configs/*.json`` and of each other
+subcommand on CLI_ARGV, settings that it reads.  The rows of a CLI output
+(category cli) are compared apart from its ``# config`` or ``metadata``
+record (category record), so that a change to the record alone shows as
+such.
 
 Each value carries a label, and the two checkouts' values are paired by
 label, not by position: a compare row's label is its geometry, variance,
-protocol, detector and ``l_bc_km``, so a checkout that tabulates more
-L_BC per row pairs the rows both have and lists the others.  Prints every
+setting (beta or gain, if any), protocol, detector and ``l_bc_km``, so a
+checkout that tabulates more L_BC per row pairs the rows both have and
+lists the others.  Prints every
 label that only one checkout has, every value that differs, at its first
 differing float or character, then one summary line per category (relay,
 kernel, optnoise, sweep, table, compare, cli, record): values compared,
@@ -104,6 +108,10 @@ for geometry in analysis.GEOMETRIES:
         for detector in analysis.DETECTOR_PRESETS:
             for row in analysis.compare_protocols(base, geometry, (detector,)).rows:
                 print(f"compare {geometry} {variance} {row.protocol} {row.detector} "
+                      f"{row.l_bc_km}\t{row!r}")
+        for variant, setting in (("beta=0.95", {"beta": 0.95}), ("gain=1.2", {"gain": 1.2})):
+            for row in analysis.compare_protocols(replace(base, **setting), geometry).rows:
+                print(f"compare {geometry} {variance} {variant} {row.protocol} {row.detector} "
                       f"{row.l_bc_km}\t{row!r}")
 CLI_ARGV = [
     ["keyrate", "--variance", "realistic", "--detector", "practical", "--lac", "2", "--lbc", "1"],

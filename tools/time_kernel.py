@@ -28,9 +28,11 @@ practical detector.  And the six paper tables: ``compare_protocols`` in
 each geometry at each variance preset, with both detectors.
 
 Each checkout also reports, from one untimed run of the benchmark's
-table, its distance trials and its gain searches, counted by wrapping
-the objective that ``analysis.max_distance`` hands to ``positive_edge``
-and ``protocols.brent_max``.
+table, its distance trials, its gain searches and its ``key_rate`` calls,
+counted by wrapping the objective that ``analysis.max_distance`` hands to
+``positive_edge``, ``protocols.brent_max`` and ``analysis.key_rate``; and,
+where the rows of one channel share their trials (``analysis._Scan``),
+the trials answered from that shared record instead of run.
 
 Each of ROUNDS rounds starts one fresh interpreter per checkout, with one
 BLAS thread, and alternates which checkout goes first.  An interpreter
@@ -127,8 +129,8 @@ def six_tables():
             analysis.compare_protocols(ProtocolParams(v_a=v, v_b=v, l_ac=0.0, l_bc=0.0), geometry)
 
 items["compare_protocols, six paper tables"] = best(six_tables, 1)
-counts = {"distance trials": 0, "gain searches": 0}
-edge, brent = analysis.positive_edge, protocols.brent_max
+counts = {"distance trials": 0, "gain searches": 0, "key_rate calls": 0}
+edge, brent, rate = analysis.positive_edge, protocols.brent_max, analysis.key_rate
 
 
 def counted_edge(f, *args):
@@ -144,7 +146,24 @@ def counted_brent(*args):
     return brent(*args)
 
 
+def counted_rate(*args, **kwargs):
+    counts["key_rate calls"] += 1
+    return rate(*args, **kwargs)
+
+
+if hasattr(analysis, "_Scan"):
+    counts["trials answered from the shared record"] = 0
+
+    class Outcomes(dict):
+        def get(self, key, default=None):
+            got = super().get(key, default)
+            counts["trials answered from the shared record"] += got is not None
+            return got
+
+    scan = analysis._Scan
+    analysis._Scan = lambda: scan(outcomes=Outcomes())
 analysis.positive_edge, protocols.brent_max = counted_edge, counted_brent
+analysis.key_rate = counted_rate
 analysis.compare_protocols(table, "most-asymmetric", ("practical",))
 print(json.dumps({"times": items, "counts": counts}))
 '''
