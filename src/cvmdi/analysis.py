@@ -38,7 +38,8 @@ until a re-recorded reference (ROADMAP item 1) lets Brent serve both.
 ``max_distance`` and ``compare_protocols`` take one of the paper's three
 geometries (``GEOMETRIES``): 'symmetric' scans d = L_AC = L_BC,
 'asymmetric' scans L_AC at a given L_BC, and 'most-asymmetric' scans L_AC
-at L_BC = 0.  The CLI reads the names from here.
+at L_BC = 0, each point of a scan built by ``_at_length``.  The CLI reads
+the names from here.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ from .protocols import (
 )
 from .search import golden_section_max, positive_edge
 
-SWEEP_VARIABLES = ("distance-symmetric", "lac-with-fixed-lbc", "chi-n")
 GEOMETRIES = ("symmetric", "asymmetric", "most-asymmetric")
+SWEEP_GEOMETRIES = {"distance-symmetric": "symmetric", "lac-with-fixed-lbc": "asymmetric"}
+SWEEP_VARIABLES = (*SWEEP_GEOMETRIES, "chi-n")
 
 # optimize_added_noise grids w = chi_n/(1 + chi_n) over [0, 1], then refines w to CHI_N_W_TOL
 CHI_N_GRID_POINTS = 11
@@ -83,6 +85,8 @@ VARIANCE_PRESETS = {"ideal": 1e5, "realistic": 5.04}
 class SweepSpec:
     """One-dimensional sweep request.
 
+    Its distance variables are the 'symmetric' and 'asymmetric' scans of
+    ``max_distance``, by ``SWEEP_GEOMETRIES``, at the lengths of the grid.
     A squeezed-modified base with ``noise`` None has chi_n optimised at
     each point, except on a ``chi-n`` sweep, whose points give it: that
     sweep takes no ``noise``, and nor do the other protocols.
@@ -154,12 +158,15 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _point_params(spec: SweepSpec, x: float) -> tuple[ProtocolParams, AddedNoiseParams | None]:
-    if spec.variable == "distance-symmetric":
-        return replace(spec.base, l_ac=x, l_bc=x), spec.noise
-    if spec.variable == "lac-with-fixed-lbc":
-        return replace(spec.base, l_ac=x), spec.noise
-    return spec.base, AddedNoiseParams.from_chi_n(x)
+def _at_length(params: ProtocolParams, geometry: str, length: float, **fields) -> ProtocolParams:
+    """The point of ``geometry``'s scan at ``length``, with ``fields`` also
+    replaced: L_AC = L_BC = length ('symmetric'), or L_AC = length at
+    ``params.l_bc`` ('asymmetric') or at L_BC = 0 ('most-asymmetric')."""
+    if geometry == "symmetric":
+        fields["l_bc"] = length
+    elif geometry == "most-asymmetric":
+        fields["l_bc"] = 0.0
+    return replace(params, l_ac=length, **fields)
 
 
 def _optimizes_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> bool:
@@ -180,9 +187,13 @@ def key_rate_at_best_noise(params: ProtocolParams,
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate one KeyRateReport per grid point; failures become error rows."""
+    geometry = SWEEP_GEOMETRIES.get(spec.variable)  # None on a chi-n sweep
     rows = []
     for x in spec.grid():
-        params, noise = _point_params(spec, x)
+        if geometry is None:
+            params, noise = spec.base, AddedNoiseParams.from_chi_n(x)
+        else:
+            params, noise = _at_length(spec.base, geometry, x), spec.noise
         try:
             rows.append(SweepRow(x=x, report=key_rate_at_best_noise(params, noise)))
         except CVMDIError as exc:
@@ -327,11 +338,12 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     intermediate chi_n only: at V_A = 6, V_B = 5.04, eta = 0.85,
     beta = 0.95, L_AC = 3 km and L_BC = 0.2 km, K(0) and D are negative but
     K(chi_n = 0.5) is positive.  So there a trial that all three steps
-    leave non-positive ends with ``optimize_added_noise``, whose K at chi_n*
-    and its searched gain become the witness when K* > 0.  Its grid in
-    w = chi_n/(1 + chi_n) has points at chi_n = 2/3, 1 and 1.5, so it finds
-    such a hump: with L_AC scanned, that point reaches 3.5 km, as does the
-    full search at every trial length.
+    leave non-positive ends with ``optimize_added_noise``; when K* > 0, the
+    trial of K at its chi_n*, whose gain Brent's method searches as in steps
+    2 and 3, becomes the witness.  Its grid in w = chi_n/(1 + chi_n) has
+    points at chi_n = 2/3, 1 and 1.5, so it finds such a hump: with L_AC
+    scanned, that point reaches 3.5 km, as does the full search at every
+    trial length.
 
     Every step, at every trial length, shares one memo
     (``protocols.key_rate``), and a trial already evaluated at one length
@@ -371,20 +383,13 @@ def _max_distance(params: ProtocolParams, geometry: str, noise: AddedNoiseParams
         raise InvalidParameterError(f"unknown geometry {geometry!r}; pick one of {GEOMETRIES}")
     if not 0.0 < tol_km < math.inf:
         raise InvalidParameterError(f"tol_km must be positive and finite, got {tol_km}")
-    if geometry == "most-asymmetric":
-        params = replace(params, l_bc=0.0)
-    l_bc = None if geometry == "symmetric" else params.l_bc
+    l_bc = None if geometry == "symmetric" else _at_length(params, geometry, 0.0).l_bc
     optimize_noise = _optimizes_noise(params, noise)
     takes_noise = params.protocol == "squeezed-modified"
     if optimize_noise:
         kinds = ((False, 0.0), (False, math.inf))
     else:
         kinds = ((params.protocol == "coherent", check_added_noise(params, noise)),)
-
-    def at_length(length: float, gain: float | None) -> ProtocolParams:
-        if l_bc is None:
-            return replace(params, l_ac=length, l_bc=length, gain=gain)
-        return replace(params, l_ac=length, gain=gain)
 
     memo = scan.memo
 
@@ -395,7 +400,7 @@ def _max_distance(params: ProtocolParams, geometry: str, noise: AddedNoiseParams
         key = kind, length, gain
         outcome = scan.outcomes.get(key)
         if outcome is None:
-            p, chi_n = at_length(length, gain), kind[1]
+            p, chi_n = _at_length(params, geometry, length, gain=gain), kind[1]
             if chi_n == math.inf:
                 outcome = noise_limit_slope(p, memo=memo)
             else:
@@ -432,11 +437,9 @@ def _max_distance(params: ProtocolParams, geometry: str, noise: AddedNoiseParams
             dead_from[kind] = length
         if not full_search:
             return k
-        p = at_length(length, params.gain)
-        chi_star, k = optimize_added_noise(p, memo=memo)
+        chi_star, k = optimize_added_noise(_at_length(params, geometry, length), memo=memo)
         if k > 0.0:
-            found = AddedNoiseParams(chi_star)
-            witness = key_rate(p, found, memo=memo).gain_used, (False, chi_star)
+            witness = trial((False, chi_star), length, params.gain)[1], (False, chi_star)
         return k
 
     if k_of(0.0) <= 0.0:

@@ -9,7 +9,7 @@ that protocol takes added noise: a number for ``--chi-n`` with another
 protocol, or on a ``chi-n`` sweep, exits 2.  The protocol, geometry and
 detector names are the library's (``protocols.PROTOCOLS``,
 ``analysis.GEOMETRIES``, ``analysis.DETECTOR_PRESETS``), and so is what a
-geometry scans: ``maxdist`` and ``compare`` pass it to ``analysis``.
+geometry scans: ``maxdist`` and ``compare`` pass it to ``analysis`` unchecked.
 Configuration comes from defaults, an optional JSON config file, and
 flags, in increasing precedence.  ``READS`` names the settings each
 subcommand reads; any other setting, given as a flag or as a config key,
@@ -52,6 +52,7 @@ from . import __version__
 from .analysis import (
     DETECTOR_PRESETS,
     GEOMETRIES,
+    SWEEP_GEOMETRIES,
     VARIANCE_PRESETS,
     SweepSpec,
     compare_protocols,
@@ -60,7 +61,7 @@ from .analysis import (
     optimize_added_noise,
     sweep,
 )
-from .errors import CVMDIError, InvalidParameterError, NumericDomainError
+from .errors import InvalidParameterError, NumericDomainError
 from .protocols import PROTOCOLS, AddedNoiseParams, KeyRateReport, ProtocolParams, key_rate
 
 EXIT_CONFIG = 2
@@ -110,7 +111,6 @@ MAXDIST_COLUMNS = ["l_star_km", "l_ab_km", "l_bc_km", "positive_at_origin", "cap
 COMPARE_COLUMNS = ["protocol", "detector", "l_bc_km", "l_star_km", "l_ab_km",
                    "positive_at_origin", "capped"]
 
-X_UNITS = {"distance-symmetric": "km", "lac-with-fixed-lbc": "km", "chi-n": "snu"}
 OPTIMIZE = {"optimize": None}
 
 
@@ -160,14 +160,13 @@ def _choice(cfg: dict, key: str, choices) -> str:
 
 
 def _resolve(cfg: dict) -> tuple[ProtocolParams, AddedNoiseParams | None]:
-    """Checks every setting but the sweep block and tol_km, which the
-    commands that read them parse, then returns the parameter point and its
-    fixed added noise, None when chi_n is 'optimize'.  A setting that cfg
-    lacks takes its default.
+    """Checks every setting but the sweep block, tol_km and the geometry,
+    which the commands that read them parse or pass on, then returns the
+    parameter point and its fixed added noise, None when chi_n is
+    'optimize'.  A setting that cfg lacks takes its default.
     """
     cfg = {**DEFAULTS, **cfg}
     _choice(cfg, "format", ("csv", "json"))
-    _choice(cfg, "geometry", GEOMETRIES)
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise InvalidParameterError(f"out must be a path, got {cfg['out']!r}")
     # a double holds at most 17 significant digits; more would print its
@@ -287,7 +286,7 @@ def cmd_sweep(cfg: dict) -> int:
     spec = SweepSpec(block["variable"], start=_num(block, "start"), stop=_num(block, "stop"),
                      step=_num(block, "step"), base=params, noise=noise)
     result = sweep(spec)
-    x = f"x_{X_UNITS[spec.variable]}"
+    x = "x_km" if spec.variable in SWEEP_GEOMETRIES else "x_snu"
     rows = [{x: r.x, **(_report(r.report) if r.report else {"error": r.error})}
             for r in result.rows]
     _write(cfg, params, [x, *REPORT_COLUMNS], rows)
@@ -362,9 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CVMDIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

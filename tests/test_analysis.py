@@ -79,7 +79,7 @@ def test_sweep_optimises_chi_n_when_none_given(variable):
     rows = sweep(spec).rows
     assert [r.x for r in rows] == [0.0, 4.0, 8.0]
     for row in rows:
-        p, _ = analysis_mod._point_params(spec, row.x)
+        p = analysis_mod._at_length(spec.base, analysis_mod.SWEEP_GEOMETRIES[variable], row.x)
         chi_star = optimize_added_noise(p)[0]
         want = key_rate(p, AddedNoiseParams.from_chi_n(chi_star))
         assert row.report.key_rate == want.key_rate

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from cvmdi import cli
+from cvmdi import ProtocolParams, cli
+from cvmdi.analysis import VARIANCE_PRESETS, compare_protocols
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -253,7 +255,9 @@ def test_optnoise_reports_optimum():
     result = json.loads(res.stdout)["result"]
     assert result["chi_n_star_snu"] > 0.0
     assert result["K_star_bits"] > 0.0
-    assert result["report"]["chi_N_snu"] == pytest.approx(result["chi_n_star_snu"], rel=1e-6)
+    # the report is key_rate at chi_n*, whose K is the optimiser's K* itself
+    assert result["report"]["chi_N_snu"] == result["chi_n_star_snu"]
+    assert result["report"]["K_bits"] == result["K_star_bits"]
 
 
 def test_optnoise_requires_modified_protocol():
@@ -355,6 +359,21 @@ def test_compare_keeps_an_explicit_detector(tmp_path, capsys, from_config):
     assert [(r["protocol"], r["detector"]) for r in payload["rows"]] == [
         (p, "practical") for p in ("coherent", "squeezed", "squeezed-modified")]
     assert payload["metadata"]["detector"] == "practical"
+
+
+@pytest.mark.parametrize("variance", ["realistic", "ideal"])
+@pytest.mark.parametrize("geometry", ["symmetric", "asymmetric", "most-asymmetric"])
+def test_paper_table_config_prints_its_table(capsys, geometry, variance):
+    # each of the paper's six tables has a shipped config whose compare rows
+    # are compare_protocols' rows at that base, both detectors in one table
+    path = CONFIGS / f"paper_table_{geometry}_{variance}.json"
+    assert json.loads(path.read_text()) == {"variance": variance, "geometry": geometry,
+                                            "format": "csv"}
+    assert cli.main(["compare", "--config", str(path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    v = VARIANCE_PRESETS[variance]
+    table = compare_protocols(ProtocolParams(v_a=v, v_b=v, l_ac=0.0, l_bc=0.0), geometry)
+    assert rows == [asdict(r) for r in table.rows]
 
 
 def test_package_runs_as_a_module():

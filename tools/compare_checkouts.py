@@ -17,8 +17,9 @@ benchmark's table; ``compare_protocols`` for every geometry, variance preset
 and detector preset, and again for every geometry and variance preset, with
 both detectors in one table, at beta = 0.95 (the added-noise search's
 witness) and at a fixed gain of 1.2; and exit code, stdout and stderr of
-``sweep`` on this checkout's ``configs/*.json`` and of each other
-subcommand on CLI_ARGV, settings that it reads.  The rows of a CLI output
+``compare`` on this checkout's ``configs/paper_table_*.json``, of ``sweep``
+on its other ``configs/*.json`` and of each subcommand on CLI_ARGV,
+settings that it reads.  The rows of a CLI output
 (category cli) are compared apart from its ``# config`` or ``metadata``
 record (category record), so that a change to the record alone shows as
 such.
@@ -50,7 +51,7 @@ HERE = Path(__file__).resolve().parents[1]
 NOISE_POINTS = 150
 
 DUMP = r'''
-import contextlib, glob, io, json, random, sys
+import contextlib, glob, io, json, os, random, sys
 root, configs, n, noise_points, seed = sys.argv[1], sys.argv[2], *map(int, sys.argv[3:6])
 sys.path[:0] = [root + "/src", root + "/bench", root + "/tests"]
 import workloads
@@ -122,7 +123,9 @@ CLI_ARGV = [
      "--detector", "practical", "--lac", "11", "--format", "json"],
     ["compare", "--variance", "realistic", "--geometry", "symmetric", "--tol-km", "0.2"],
 ]
-for argv in [["sweep", "--config", p] for p in sorted(glob.glob(configs + "/*.json"))] + CLI_ARGV:
+CONFIG_ARGV = [["compare" if os.path.basename(p).startswith("paper_table_") else "sweep",
+                "--config", p] for p in sorted(glob.glob(configs + "/*.json"))]
+for argv in CONFIG_ARGV + CLI_ARGV:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
