@@ -14,8 +14,8 @@ channel compute each gain's gain-only half of the kernel once.  The memo
 is dropped when the call returns.  ``compare_protocols`` makes one per
 group of rows that scan one channel, which those rows' trials share with
 their outcomes (``_Scan``), and drops it with the table.  A key rate at a
-given chi_n, such as a sweep point's, searches one gain at one channel and
-keeps none.
+given chi_n, such as a sweep point's, searches one gain at one channel on
+a memo of its own.
 
 ``max_distance`` decides each trial length by the sign of K alone, so a
 trial stops at the first evaluated point that proves K > 0; the value
@@ -116,7 +116,7 @@ class SweepSpec:
             raise InvalidParameterError(
                 f"sweep grid from {self.start} to {self.stop} by {self.step} "
                 f"holds more than {MAX_SWEEP_POINTS} points")
-        if self.variable == "chi-n" and self.base.protocol != "squeezed-modified":
+        if self.variable == "chi-n" and not self.base.takes_added_noise:
             raise InvalidParameterError("chi-n sweeps need protocol 'squeezed-modified'")
         if self.variable == "chi-n" and self.noise is not None:
             raise InvalidParameterError("a chi-n sweep sets chi_n at each point: give it none")
@@ -169,16 +169,12 @@ def _at_length(params: ProtocolParams, geometry: str, length: float, **fields) -
     return replace(params, l_ac=length, **fields)
 
 
-def _optimizes_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> bool:
-    return params.protocol == "squeezed-modified" and noise is None
-
-
 def key_rate_at_best_noise(params: ProtocolParams,
                            noise: AddedNoiseParams | None = None) -> KeyRateReport:
     """``key_rate(params, noise)``; for the squeezed-modified protocol given
     no noise, at the chi_n* of ``optimize_added_noise``, which shares its
     memo with that last ``key_rate``."""
-    if _optimizes_noise(params, noise):
+    if params.takes_added_noise and noise is None:
         memo = {}
         chi_star, _ = optimize_added_noise(params, memo=memo)
         return key_rate(params, AddedNoiseParams.from_chi_n(chi_star), memo=memo)
@@ -232,7 +228,7 @@ def optimize_added_noise(params: ProtocolParams, *,
     ``protocols.key_rate``): the gain searches of all chi_n run over one
     bracket at one channel, so they revisit gains until their optima part.
     """
-    if params.protocol != "squeezed-modified":
+    if not params.takes_added_noise:
         raise InvalidParameterError("added-noise optimization needs protocol 'squeezed-modified'")
     if memo is None:
         memo = {}
@@ -384,8 +380,7 @@ def _max_distance(params: ProtocolParams, geometry: str, noise: AddedNoiseParams
     if not 0.0 < tol_km < math.inf:
         raise InvalidParameterError(f"tol_km must be positive and finite, got {tol_km}")
     l_bc = None if geometry == "symmetric" else _at_length(params, geometry, 0.0).l_bc
-    optimize_noise = _optimizes_noise(params, noise)
-    takes_noise = params.protocol == "squeezed-modified"
+    optimize_noise = params.takes_added_noise and noise is None
     if optimize_noise:
         kinds = ((False, 0.0), (False, math.inf))
     else:
@@ -404,7 +399,7 @@ def _max_distance(params: ProtocolParams, geometry: str, noise: AddedNoiseParams
             if chi_n == math.inf:
                 outcome = noise_limit_slope(p, memo=memo)
             else:
-                report = key_rate(p, AddedNoiseParams(chi_n) if takes_noise else None,
+                report = key_rate(p, AddedNoiseParams(chi_n) if params.takes_added_noise else None,
                                   memo=memo, brent=True)
                 outcome = report.key_rate, report.gain_used
             scan.outcomes[key] = outcome

@@ -84,23 +84,28 @@ def two_mode_symplectic(a: float, b: float, c: float) -> tuple[float, float]:
     return lam1 * scale, lam2
 
 
+def _x_log1p_inv(x: float, name: str) -> float:
+    """x log1p(1/x), 0 at x = 0, the factor of ``g_func`` and ``g_slope``.
+    Where 1/x overflows (x below about 5.6e-309) log1p(1/x) is taken as
+    log1p(x) - log(x), so a subnormal x gives a tiny value, not inf.  An x
+    that fails x >= 0, NaN too, raises InvalidParameterError naming ``name``."""
+    if not x >= 0.0:
+        raise InvalidParameterError(f"{name} argument must be >= 0, got {x}")
+    if x == 0.0:
+        return 0.0
+    inv = 1.0 / x
+    return x * (math.log1p(x) - math.log(x) if inv == math.inf else math.log1p(inv))
+
+
 def g_func(x: float) -> float:
     """Entropy of a thermal mode with mean photon number x, in bits.
 
     (x+1) log2(x+1) - x log2 x, continuous at 0.  Written via log1p so the
     large-x cancellation between the two terms never occurs; the absolute
-    error stays below 1e-12 bits out to x = 1e12 and beyond.  Where 1/x
-    overflows (x below about 5.6e-309), log1p(1/x) is taken as
-    log1p(x) - log(x), so a subnormal x gives its tiny entropy, not inf.
-    NaN fails the x >= 0 test.
+    error stays below 1e-12 bits out to x = 1e12 and beyond.  A subnormal
+    x gives its tiny entropy, not inf, and NaN fails the x >= 0 test.
     """
-    if not x >= 0.0:
-        raise InvalidParameterError(f"g_func argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    inv = 1.0 / x
-    log_inv = math.log1p(x) - math.log(x) if inv == math.inf else math.log1p(inv)
-    return x * log_inv / LN2 + math.log2(x + 1.0)
+    return _x_log1p_inv(x, "g_func") / LN2 + math.log2(x + 1.0)
 
 
 def g_slope(x: float) -> float:
@@ -108,16 +113,9 @@ def g_slope(x: float) -> float:
     entropy of a mode of symplectic eigenvalue lambda = 2x + 1.
 
     That is (lambda^2 - 1) log2((lambda + 1)/(lambda - 1)) / 2
-    = 2 x (x + 1) log2(1 + 1/x), 0 at x = 0, with the log1p of ``g_func``
-    and its guard for an x whose 1/x overflows.  It is the weight of an
-    eigenvalue in the chi_n -> inf slope of the trusted-noise key rate
-    (``protocols._gain_objective``).  NaN fails the x >= 0 test.
+    = 2 x (x + 1) log2(1 + 1/x), 0 at x = 0, from the x log1p(1/x) of
+    ``g_func``, with its guard for an x whose 1/x overflows.  It is the
+    weight of an eigenvalue in the chi_n -> inf slope of the trusted-noise
+    key rate (``protocols._gain_objective``).  NaN fails the x >= 0 test.
     """
-    if not x >= 0.0:
-        raise InvalidParameterError(f"g_slope argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    inv = 1.0 / x
-    log_inv = math.log1p(x) - math.log(x) if inv == math.inf else math.log1p(inv)
-    return 2.0 * (x + 1.0) * (x * log_inv) / LN2
-
+    return 2.0 * (x + 1.0) * _x_log1p_inv(x, "g_slope") / LN2

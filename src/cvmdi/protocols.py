@@ -22,15 +22,15 @@ of Lodewyck et al., PRA 76, 042305 (2007).  The gain search maximises it,
 and ``key_rate`` asks it for the report at the chosen gain, so the kernel
 is written once.  Its first half (the reduced state, its guards, the
 symplectic pair and their two entropies) reads only the channel and the
-gain.  A search that evaluates many gains at one channel passes
-``key_rate`` a memo, a dict keyed by the channel, that holds the relay
-coefficients and each gain's first half for every call of that search,
-whatever the protocol or chi_n; ``cvmdi.analysis`` makes one per
+gain.  Every objective keeps the relay coefficients and each gain's
+first half in a memo, a dict keyed by the channel: its own when given
+none, which a gain-searched ``key_rate`` shares with its ``optimal_gain``.
+A search that evaluates many gains at one channel passes every call one
+memo, whatever the protocol or chi_n; ``cvmdi.analysis`` makes one per
 ``optimize_added_noise``, ``max_distance`` or ``key_rate_at_best_noise``
-call and drops it when the call returns.  A single-point call passes
-none and stores nothing.  A reported point is certified physical from the
-smaller symplectic eigenvalue of (a, b, c), at the tolerance of the matrix
-route's ``GaussianState.require_physical``.
+call and drops it when the call returns.  A reported point is certified
+physical from the smaller symplectic eigenvalue of (a, b, c), at the
+tolerance of the matrix route's ``GaussianState.require_physical``.
 
 Two gain searches share one bracket, GAIN_TOL and widening rule
 (``_search_gain``).  ``optimal_gain``'s golden section gives every
@@ -166,6 +166,10 @@ class ProtocolParams:
                 "1 + v_el/(1 - eta) diverges")
 
     @property
+    def takes_added_noise(self) -> bool:
+        return self.protocol == "squeezed-modified"
+
+    @property
     def t_1(self) -> float:
         return channel_transmittance(self.l_ac, self.alpha)
 
@@ -286,19 +290,23 @@ def __getattr__(name: str):
 def check_added_noise(params: ProtocolParams, noise: AddedNoiseParams | None) -> float:
     """The chi_n that ``noise`` adds to the key rate of ``params``, 0 for None.
 
-    Raises unless the protocol is squeezed-modified exactly when ``noise`` is
-    given: only that protocol takes added noise, and it needs some.
+    Raises unless ``noise`` is given exactly when the protocol takes added
+    noise (``ProtocolParams.takes_added_noise``): squeezed-modified alone.
     """
     if noise is None:
-        if params.protocol == "squeezed-modified":
+        if params.takes_added_noise:
             raise InvalidParameterError(
                 "protocol 'squeezed-modified' needs AddedNoiseParams "
                 "(use AddedNoiseParams.from_chi_n or optimize_added_noise)")
         return 0.0
-    if params.protocol != "squeezed-modified":
+    _check_takes_noise(params)
+    return noise.chi_n
+
+
+def _check_takes_noise(params: ProtocolParams) -> None:
+    if not params.takes_added_noise:
         raise InvalidParameterError(
             f"protocol {params.protocol!r} does not take added-noise parameters")
-    return noise.chi_n
 
 
 def _gain_objective(params: ProtocolParams, chi_n: float,
@@ -331,23 +339,20 @@ def _gain_objective(params: ProtocolParams, chi_n: float,
     NumericDomainError rather than reaching the result.
 
     The kernel's first half, up to the Holevo terms of lambda1 and lambda2,
-    depends on the channel and the gain only.  Given a ``memo`` (a dict,
-    keyed by the nine fields ``_gain_coefficients`` reads), the relay
-    coefficients and each gain's first half are stored there and reused by
-    every objective built on the same memo at the same channel, whatever
-    its protocol, beta or chi_n.  A
-    stored half is the floats the call computed, so a hit changes no bit;
-    a gain whose first half raised is not stored and raises again.
+    depends on the channel and the gain only.  The relay coefficients and
+    each gain's first half are stored in ``memo`` (a dict, keyed by the
+    nine fields ``_gain_coefficients`` reads; a fresh one when None) and
+    reused by every objective built on the same memo at the same channel,
+    whatever its protocol, beta or chi_n.  A stored half is the floats the
+    call computed, so a hit changes no bit; a gain whose first half raised
+    is not stored and raises again.
     """
-    if memo is None:
-        coeffs, known = _gain_coefficients(params), None
-    else:
-        channel = (params.v_a, params.v_b, params.l_ac, params.l_bc, params.alpha,
-                   params.eps1, params.eps2, params.eta, params.v_el)
-        entry = memo.get(channel)
-        if entry is None:
-            entry = memo[channel] = _gain_coefficients(params), {}
-        coeffs, known = entry
+    memo = {} if memo is None else memo
+    channel = (params.v_a, params.v_b, params.l_ac, params.l_bc, params.alpha,
+               params.eps1, params.eps2, params.eta, params.v_el)
+    if channel not in memo:
+        memo[channel] = _gain_coefficients(params), {}
+    coeffs, known = memo[channel]
     a, b0, b1, b2, c0, c1 = coeffs
     abs_b0, abs_b2 = abs(b0), abs(b2)
     top = max(1.0, abs(a))
@@ -359,7 +364,7 @@ def _gain_objective(params: ProtocolParams, chi_n: float,
     log2, sqrt, inf = math.log2, math.sqrt, math.inf
 
     def objective(g: float, report: bool = False):
-        terms = None if known is None else known.get(g)
+        terms = known.get(g)
         if terms is None:
             b = (g * b2 + b1) * g + (g * b1 + b0)
             c = c1 * g + c0
@@ -395,8 +400,7 @@ def _gain_objective(params: ProtocolParams, chi_n: float,
             except InvalidParameterError:
                 # g_func rejects only NaN here: numeric trouble, reported below
                 chi = math.nan
-            if known is not None:
-                known[g] = b, c, ab, cc, det, lam1, lam2, chi
+            known[g] = b, c, ab, cc, det, lam1, lam2, chi
         else:
             b, c, ab, cc, det, lam1, lam2, chi = terms
         lam4 = 1.0
@@ -540,7 +544,8 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
     the kernel's gain-only half (``_gain_objective``): pass the same dict
     to every ``key_rate`` and ``optimal_gain`` call of the search, and drop
     it with the search.  It changes no result, only how often the relay
-    coefficients and each gain's symplectic pair are computed.
+    coefficients and each gain's symplectic pair are computed.  A call
+    given none shares its own with its ``optimal_gain``.
 
     ``brent=True`` searches the gain by ``search.brent_max`` on this call's
     objective instead of calling ``optimal_gain``: about 14 kernel
@@ -549,16 +554,9 @@ def key_rate(params: ProtocolParams, noise: AddedNoiseParams | None = None, *,
     as they read the sign of K alone; a reported gain stays golden's
     (``optimal_gain``).
     """
-    chi_n = check_added_noise(params, noise)
-    try:
-        objective = _gain_objective(params, chi_n, memo)
-        g = params.gain
-        if g is None:
-            g = (_search_gain(objective, params, brent_max) if brent
-                 else optimal_gain(params, noise, memo=memo))
-        return objective(g, report=True)
-    except NumericDomainError as exc:
-        raise type(exc)(f"{exc} [at {params}]") from exc
+    memo = {} if memo is None else memo
+    return _at_gain(params, check_added_noise(params, noise), memo,
+                    None if brent else lambda _: optimal_gain(params, noise, memo=memo))[0]
 
 
 def noise_limit_slope(params: ProtocolParams, *, memo: dict | None = None) -> tuple[float, float]:
@@ -573,12 +571,20 @@ def noise_limit_slope(params: ProtocolParams, *, memo: dict | None = None) -> tu
     ``key_rate``, and a NumericDomainError carries the parameter point as
     there.
     """
-    check_added_noise(params, AddedNoiseParams(0.0))
+    _check_takes_noise(params)
+    return _at_gain(params, math.inf, memo, None)
+
+
+def _at_gain(params: ProtocolParams, chi_n: float, memo: dict | None,
+             search: Callable | None) -> tuple:
+    """(report, or D at chi_n = inf; gain) of ``_gain_objective`` at
+    ``params.gain`` or else at ``search(objective)``, Brent's gain for None;
+    a NumericDomainError, the search's too, carries the parameter point."""
     try:
-        objective = _gain_objective(params, math.inf, memo)
+        objective = _gain_objective(params, chi_n, memo)
         g = params.gain
         if g is None:
-            g = _search_gain(objective, params, brent_max)
-        return objective(g), g
+            g = search(objective) if search else _search_gain(objective, params, brent_max)
+        return objective(g, report=True), g
     except NumericDomainError as exc:
         raise type(exc)(f"{exc} [at {params}]") from exc

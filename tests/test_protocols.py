@@ -823,6 +823,32 @@ def test_key_rate_equals_gain_objective(monkeypatch, protocol, chi_n_max):
             assert p.beta * i_ab - chi == k, (p, g)
 
 
+@pytest.mark.parametrize("protocol,chi_n", [
+    ("squeezed", None), ("coherent", None), ("squeezed-modified", 1.0)])
+def test_gain_searched_key_rate_computes_each_term_once(monkeypatch, protocol, chi_n):
+    # key_rate with no gain and no memo shares its own memo with the
+    # optimal_gain it calls: the relay coefficients are computed once for
+    # the point, and the report re-reads the symplectic pair that the search
+    # computed at the gain it chose
+    coefficients, pairs = [], []
+    honest_coefficients, honest_pair = protocols._gain_coefficients, protocols.two_mode_symplectic
+
+    def counted_coefficients(params):
+        coefficients.append(params)
+        return honest_coefficients(params)
+
+    def counted_pair(a, b, c):
+        pairs.append((a, b, c))
+        return honest_pair(a, b, c)
+
+    monkeypatch.setattr(protocols, "_gain_coefficients", counted_coefficients)
+    monkeypatch.setattr(protocols, "two_mode_symplectic", counted_pair)
+    noise = None if chi_n is None else AddedNoiseParams.from_chi_n(chi_n)
+    key_rate(replace(IDEAL_10KM, protocol=protocol), noise)
+    assert len(coefficients) == 1
+    assert len(pairs) == len(set(pairs))
+
+
 def layered_k(p, chi_n, g):
     """K at gain g from the oracle's layered kernel."""
     i_ab, chi, _, _ = rate_terms(*reduced_state(_gain_coefficients(p), g), p.protocol, chi_n)

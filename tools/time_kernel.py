@@ -8,10 +8,13 @@ interpreter.  Then six items of the kernel: the symplectic pair
 ``gaussian.two_mode_symplectic`` on the reduced states a gain search
 visits (from ``reduced_state`` of the checkout's ``tests/oracle.py``),
 the gain objective of each protocol (``protocols._gain_objective``) over
-the same gains, one whole ``optimal_gain`` search, and one whole gain
-search as a distance trial runs it: ``search.brent_max`` on a fresh
-objective over the same bracket to the same GAIN_TOL.  These are at a
-point of the kind the benchmark's table evaluates: V = 5.04, practical
+the same gains, built afresh in each timed loop: its memo keeps each
+gain's first half, so a reused objective would time dict hits, where a
+fresh one runs the whole kernel at every gain (and ``_gain_coefficients``,
+about 2 us, once per 64 gains); one whole ``optimal_gain`` search; and one
+whole gain search as a distance trial runs it: ``search.brent_max`` on
+a fresh objective over the same bracket to the same GAIN_TOL.  These are
+at a point of the kind the benchmark's table evaluates: V = 5.04, practical
 detector, L_AC = 10 km, L_BC = 0, and chi_n = 1 for squeezed-modified.
 Then four items of the searches above the kernel.  One
 ``analysis.optimize_added_noise`` call just past the reach of the
@@ -96,9 +99,11 @@ def pairs():
 
 items["two_mode_symplectic"] = best(pairs, len(states))
 for protocol, chi_n in (("squeezed", 0.0), ("coherent", 0.0), ("squeezed-modified", 1.0)):
-    objective = protocols._gain_objective(ProtocolParams(**base, protocol=protocol), chi_n)
+    point = ProtocolParams(**base, protocol=protocol)
 
     def objectives():
+        # a fresh objective has an empty memo, so each gain runs the whole kernel
+        objective = protocols._gain_objective(point, chi_n)
         for g in gains:
             objective(g)
 
