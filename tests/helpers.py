@@ -1,16 +1,15 @@
 """Independent reference computations shared by the test modules.
 
-Everything here deliberately recomputes results through different routes
-than the library's production paths: hand-derived scalar formulas for the
-reduced two-mode state, and a fully unitary circuit that keeps every
-environment and announcement-purification mode so that Holevo bounds can
-be evaluated from the eavesdropper's side directly.  The same circuit is
-also built in mpmath arithmetic, for variances at which the eavesdropper's
-entropies cannot be taken in double precision.  The max-distance search is
-redone on a plain bisection with the full search at every trial length (the
-gain, and chi_n when it is optimised), and the chi_n optimisation as a grid
-and a golden refinement in chi_n itself, rather than in
-w = chi_n/(1 + chi_n).
+Everything here recomputes results through routes other than the
+library's production paths.  The relay circuit is built once, in mpmath
+arithmetic, as a pure global state that keeps every environment, detector
+and announcement mode: its (alice, bob) block is the (a, b, c) reference
+for the matrix route, and its eavesdropper partition gives the Holevo
+bound from Eve's side directly, at variances where her entropies cannot
+be taken in double precision.  The max-distance search is redone on a
+plain bisection with the full search at every trial length (the gain,
+and chi_n when it is optimised), and the chi_n optimisation as a grid and
+a golden refinement in chi_n itself, rather than in w = chi_n/(1 + chi_n).
 """
 
 from __future__ import annotations
@@ -18,28 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 from mpmath import mp, mpf
 
-from cvmdi.matrix import (
-    GaussianState,
-    apply_beamsplitter,
-    epr_state,
-    linear_feedforward,
-    partial_trace,
-    symplectic_form,
-    tensor,
-)
 from cvmdi import analysis
 from cvmdi.analysis import SCAN_CAP_KM, SCAN_STEP_KM, MaxDistanceResult
 from cvmdi.protocols import ProtocolParams, AddedNoiseParams, key_rate
 from cvmdi.search import golden_section_max
-from oracle import (
-    extract_two_mode,
-    heterodyne_condition,
-    homodyne_condition,
-    von_neumann_entropy,
-)
 
 
 def reference_optimize_added_noise(params: ProtocolParams) -> tuple[float, float]:
@@ -124,132 +107,13 @@ def c_edge(a: float, b: float) -> float:
     return math.sqrt(max((lo - 1.0) * (hi + 1.0), 0.0))
 
 
-def reference_abc(params: ProtocolParams, gain: float) -> tuple[float, float, float]:
-    """Hand-derived closed forms for the reduced (a, b, c) of the circuit."""
-    t1, t2 = params.t_1, params.t_2
-    eta, vel = params.eta, params.v_el
-    sa = math.sqrt(params.v_a ** 2 - 1.0)
-    sb = math.sqrt(params.v_b ** 2 - 1.0)
-    arm_a = params.v_a if t1 >= 1.0 else t1 * params.v_a + (1.0 - t1) + params.eps1
-    arm_b = params.v_b if t2 >= 1.0 else t2 * params.v_b + (1.0 - t2) + params.eps2
-    v_relay = eta * (arm_a + arm_b) / 2.0
-    if eta < 1.0:
-        v_relay += (1.0 - eta) + vel
-    a = params.v_a
-    b = params.v_b + gain * gain * v_relay - gain * math.sqrt(2.0 * eta * t2) * sb
-    c = gain * math.sqrt(eta * t1 / 2.0) * sa
-    return a, b, c
-
-
-@dataclass
-class FullCircuit:
-    """Unitary-circuit oracle state with mode bookkeeping."""
-
-    state: GaussianState
-    alice: int
-    bob: int            # B4 (plain) or B5 (with added noise)
-    eve: list[int]      # channel modes, detector modes, announcement modes
-    bob_aux: list[int]  # trusted noise modes N1, N3 (empty without noise)
-
-
-def unitary_circuit(params: ProtocolParams, gain: float,
-                    noise: tuple[float, float] | None = None) -> FullCircuit:
-    """Build the whole protocol as a pure global state.
-
-    Channels and detectors carry their EPR purifications, and the relay
-    feedforward is completed to a symplectic transformation so that the
-    publicly announced quadratures survive as explicit modes (they belong
-    to the eavesdropper).  The reduced (alice, bob) state matches the
-    production pipeline; entropies of the eve partition give the Holevo
-    bounds without any purity shortcut.  ``noise`` is the trusted-noise
-    beamsplitter (t_r, n_r) of ``cvmdi.matrix.build_mdi_state``.
-    """
-    state = tensor(epr_state(params.v_a), epr_state(params.v_b))
-    idx = {"A3": 0, "A1": 1, "B3": 2, "B1": 3}
-    eve: list[int] = []
-
-    def add_epr(v):
-        nonlocal state
-        first = state.n_modes
-        state = tensor(state, epr_state(v))
-        return first, first + 1
-
-    if params.t_1 < 1.0:
-        w1 = 1.0 + params.eps1 / (1.0 - params.t_1)
-        e_in, e_keep = add_epr(w1)
-        state = apply_beamsplitter(state, idx["A1"], e_in, params.t_1)
-        eve += [e_in, e_keep]
-    if params.t_2 < 1.0:
-        w2 = 1.0 + params.eps2 / (1.0 - params.t_2)
-        e_in, e_keep = add_epr(w2)
-        state = apply_beamsplitter(state, idx["B1"], e_in, params.t_2)
-        eve += [e_in, e_keep]
-
-    # relay: slot A1 <- (A1 - B1)/sqrt(2) = C, slot B1 <- (A1 + B1)/sqrt(2) = D
-    state = apply_beamsplitter(state, idx["B1"], idx["A1"], 0.5)
-    idx["C"], idx["D"] = idx.pop("A1"), idx.pop("B1")
-
-    if params.eta < 1.0:
-        anc = 1.0 + params.v_el / (1.0 - params.eta)
-        for port in ("C", "D"):
-            a_in, a_keep = add_epr(anc)
-            state = apply_beamsplitter(state, idx[port], a_in, params.eta)
-            eve += [a_in, a_keep]
-
-    # symplectic completion of the feedforward as two QND sum gates, so the
-    # announced quadratures survive as modes C', D' instead of being destroyed
-    n = state.n_modes
-    b3x, b3p = 2 * idx["B3"], 2 * idx["B3"] + 1
-    cx, cp = 2 * idx["C"], 2 * idx["C"] + 1
-    dx, dp = 2 * idx["D"], 2 * idx["D"] + 1
-    s1 = np.eye(2 * n)
-    s1[b3x, cx] = gain    # B4x = B3x + g Cx
-    s1[cp, b3p] = -gain   # C'p = Cp - g B3p
-    s2 = np.eye(2 * n)
-    s2[b3p, dp] = gain    # B4p = B3p + g Dp
-    s2[dx, b3x] = -gain   # D'x = Dx - g B4x
-    s = s2 @ s1
-    omega = symplectic_form(n)
-    assert np.allclose(s @ omega @ s.T, omega), "feedforward completion not symplectic"
-    state = linear_feedforward(state, s)
-    idx["B4"] = idx.pop("B3")
-    eve += [idx["C"], idx["D"]]
-
-    bob_aux: list[int] = []
-    bob = idx["B4"]
-    if noise is not None and noise[0] < 1.0:
-        t_r, n_r = noise
-        n2, n1 = add_epr(n_r)
-        state = apply_beamsplitter(state, idx["B4"], n2, t_r)
-        bob_aux = [n1, n2]  # n2 slot now holds N3
-    return FullCircuit(state=state, alice=idx["A3"], bob=bob, eve=eve, bob_aux=bob_aux)
-
-
-def oracle_two_mode(circ: FullCircuit) -> tuple[float, float, float]:
-    return extract_two_mode(partial_trace(circ.state, [circ.alice, circ.bob]))
-
-
-def oracle_holevo(circ: FullCircuit, conditioning: str) -> float:
-    """S(rho_E) - S(rho_E | Bob's measurement), from the eve partition."""
-    s_e = von_neumann_entropy(partial_trace(circ.state, circ.eve))
-    if conditioning == "homodyne":
-        cond = homodyne_condition(circ.state, circ.bob, "x")
-    else:
-        cond = heterodyne_condition(circ.state, circ.bob)
-    shifted = [m if m < circ.bob else m - 1 for m in circ.eve]
-    s_e_cond = von_neumann_entropy(partial_trace(cond, shifted))
-    return s_e - s_e_cond
-
-
-def oracle_mutual_info_homodyne(a: float, b: float, c: float) -> float:
-    return 0.5 * math.log2(a * b / (a * b - c * c))
-
-
 # ------------------------------------------------------ high-precision oracle
 
 @dataclass
 class MpCircuit:
-    """``unitary_circuit`` in mpmath: covariance entries are mpf at ``dps`` digits."""
+    """The relay circuit as a pure global state: covariance entries are mpf
+    at ``dps`` digits.  ``eve`` holds the channel, detector and announcement
+    modes; Bob's trusted-noise modes, when present, are not among them."""
 
     cov: list[list]
     alice: int
@@ -287,7 +151,8 @@ def _mp_transform(cov: list[list], rows: dict[int, dict[int, object]]) -> list[l
 
 
 def _mp_beamsplitter(cov: list[list], mode_i: int, mode_j: int, t) -> list[list]:
-    """``apply_beamsplitter``'s convention: out_i = sqrt(t) in_i + sqrt(1-t) in_j."""
+    """The convention of ``cvmdi.matrix.apply_beamsplitter``:
+    out_i = sqrt(t) in_i + sqrt(1-t) in_j."""
     rt, rr = mp.sqrt(t), mp.sqrt(1 - t)
     rows = {}
     for q in (0, 1):
@@ -299,7 +164,15 @@ def _mp_beamsplitter(cov: list[list], mode_i: int, mode_j: int, t) -> list[list]
 
 def mp_unitary_circuit(params: ProtocolParams, gain: float,
                        noise: tuple[float, float] | None = None, dps: int = 40) -> MpCircuit:
-    """The circuit of ``unitary_circuit``, mode for mode, at ``dps`` digits.
+    """The whole protocol as a pure global state, at ``dps`` digits.
+
+    Channels and detectors carry their EPR purifications, and the relay
+    feedforward is completed to a symplectic transformation, so that the
+    publicly announced quadratures survive as explicit modes (they belong
+    to the eavesdropper).  The reduced (alice, bob) state matches the
+    production pipeline; entropies of the eve partition give the Holevo
+    bounds without any purity shortcut.  ``noise`` is the trusted-noise
+    beamsplitter (t_r, n_r) that ``build_mdi_state`` takes.
 
     Inputs are taken exactly from their floats and the transmittances
     10^(-alpha L / 10) are computed at full precision, so the result is the
@@ -328,7 +201,9 @@ def mp_unitary_circuit(params: ProtocolParams, gain: float,
                 a_in, a_keep = _mp_append(cov, _mp_epr(anc))
                 cov = _mp_beamsplitter(cov, port, a_in, eta)
                 eve += [a_in, a_keep]
-        # the feedforward as the two QND sum gates of unitary_circuit
+        # the feedforward completed as two QND sum gates, so that the announced
+        # quadratures survive as modes C', D': B4x = B3x + g Cx, C'p = Cp - g B3p,
+        # then B4p = B3p + g Dp, D'x = Dx - g B4x
         g = mpf(gain)
         bx, bp, cx, cp, dx, dp = 2 * b3, 2 * b3 + 1, 2 * c, 2 * c + 1, 2 * d, 2 * d + 1
         cov = _mp_transform(cov, {bx: {bx: 1, cx: g}, cp: {cp: 1, bp: -g}})
@@ -367,7 +242,7 @@ def _mp_entropy(cov: list[list], modes: list[int]):
 
 
 def mp_oracle_holevo(circ: MpCircuit, conditioning: str) -> float:
-    """``oracle_holevo`` on an MpCircuit: S(rho_E) - S(rho_E | Bob's measurement)."""
+    """S(rho_E) - S(rho_E | Bob's measurement), from the eve partition."""
     with mp.workdps(circ.dps):
         cov = circ.cov
         bx, bp = 2 * circ.bob, 2 * circ.bob + 1
@@ -385,9 +260,14 @@ def mp_oracle_holevo(circ: MpCircuit, conditioning: str) -> float:
         return float(_mp_entropy(cov, circ.eve) - _mp_entropy(cond, circ.eve))
 
 
+def mp_two_mode(circ: MpCircuit) -> tuple:
+    """(a, b, c) of the (alice, bob) pair, as mpf at the circuit's precision."""
+    ax, bx = 2 * circ.alice, 2 * circ.bob
+    return circ.cov[ax][ax], circ.cov[bx][bx], circ.cov[ax][bx]
+
+
 def mp_oracle_mutual_info_homodyne(circ: MpCircuit) -> float:
     """I(A:B) in bits for homodyne on both sides, from the circuit's (a, b, c)."""
     with mp.workdps(circ.dps):
-        ax, bx = 2 * circ.alice, 2 * circ.bob
-        a, b, c = circ.cov[ax][ax], circ.cov[bx][bx], circ.cov[ax][bx]
+        a, b, c = mp_two_mode(circ)
         return float(mp.log(a * b / (a * b - c * c), 2) / 2)

@@ -1,11 +1,14 @@
 """No file in ``src/cvmdi/`` or ``tests/`` imports a name that it never uses,
 ``src/cvmdi/`` defines nothing that only tests run and no exception class
-that it never raises, and the key-rate path does not load numpy.
+that it never raises, the test oracles define nothing that no test reads,
+and the key-rate path does not load numpy.
 
 No linter is part of the toolchain, so each file is parsed with ``ast``: a
 name that an import binds must be read somewhere in the file or be listed in
 its ``__all__``.  A top-level function or class of ``src/cvmdi/`` must be
-read somewhere outside its own definition and outside ``tests/``.
+read somewhere outside its own definition and outside ``tests/``; one of
+``tests/helpers.py`` or ``tests/oracle.py`` must be read somewhere outside
+its own definition, in ``tests/`` or ``tools/``.
 """
 
 import ast
@@ -57,19 +60,20 @@ def read_names(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unreferenced_definitions() -> set[tuple[str, str]]:
-    """(file, name) of each top-level function or class of ``src/cvmdi/`` that
-    is read neither elsewhere in ``src/`` nor in ``bench/`` or ``tools/``.
-    The tracer's string bindings in ``bench/tracer.py`` count as reads."""
+def unreferenced_definitions(defining: list[Path], reading: list[Path]) -> set[tuple[str, str]]:
+    """(file, name) of each top-level function or class of the ``defining``
+    files that is read neither by another top-level statement of those
+    files nor anywhere in the ``reading`` files.  String bindings in a
+    ``LAYER_BINDINGS`` table (``bench/tracer.py``) count as reads."""
     defs, reads_by_node = [], []
-    for path in sorted((ROOT / "src" / "cvmdi").glob("*.py")):
+    for path in defining:
         rel = str(path.relative_to(ROOT))
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             reads_by_node.append((node, read_names(node)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((rel, node))
     outside = set()
-    for path in sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")]):
+    for path in reading:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         outside |= read_names(tree)
         for node in tree.body:
@@ -84,7 +88,16 @@ def unreferenced_definitions() -> set[tuple[str, str]]:
 def test_src_defines_only_what_runs_outside_tests():
     # a definition that only tests read belongs in tests/ (tests/oracle.py for
     # the matrix engine); an allow-list entry that is now read goes too
-    assert unreferenced_definitions() == set(UNREFERENCED)
+    src = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+    outside = sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+    assert unreferenced_definitions(src, outside) == set(UNREFERENCED)
+
+
+def test_test_oracles_define_only_what_tests_read():
+    # a reference computation that no test or tool reads checks nothing
+    oracles = [ROOT / "tests" / "helpers.py", ROOT / "tests" / "oracle.py"]
+    readers = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+    assert unreferenced_definitions(oracles, [p for p in readers if p not in oracles]) == set()
 
 
 def unraised_errors() -> set[str]:

@@ -39,11 +39,8 @@ from helpers import (
     c_edge,
     mp_oracle_holevo,
     mp_oracle_mutual_info_homodyne,
+    mp_two_mode,
     mp_unitary_circuit,
-    oracle_holevo,
-    oracle_two_mode,
-    reference_abc,
-    unitary_circuit,
 )
 from oracle import (
     AsymmetricFormError,
@@ -225,23 +222,15 @@ def test_build_output_has_symmetric_form():
     (ProtocolParams(v_a=20.0, v_b=7.0, l_ac=12.0, l_bc=3.0, eps1=0.01, eps2=0.03,
                     eta=0.9, v_el=0.015), 2.2),
     (ProtocolParams(v_a=2.0, v_b=2.0, l_ac=0.0, l_bc=0.0), 0.9),
+    (IDEAL_10KM, 1.8),
+    (PRACTICAL_10KM, 2.0),
+    (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=0.0, eta=0.9, v_el=0.015), 1.4),
 ])
-def test_build_matches_scalar_reference(params, g):
-    a, b, c = extract_two_mode(build_mdi_state(params, gain=g))
-    a_ref, b_ref, c_ref = reference_abc(params, g)
-    assert a == pytest.approx(a_ref, rel=1e-12)
-    assert b == pytest.approx(b_ref, rel=1e-9)
-    assert c == pytest.approx(c_ref, rel=1e-12)
-
-
-def test_build_matches_full_unitary_circuit():
-    """Whole-pipeline oracle: keep every environment mode explicitly."""
-    for params, g in [(IDEAL_10KM, 1.8), (PRACTICAL_10KM, 2.0),
-                      (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=0.0,
-                                      eta=0.9, v_el=0.015), 1.4)]:
-        circ = unitary_circuit(params, g)
-        assert extract_two_mode(build_mdi_state(params, gain=g)) == pytest.approx(
-            oracle_two_mode(circ), rel=1e-10)
+def test_build_matches_mp_circuit(params, g):
+    # the matrix route against the 40-digit circuit that keeps every
+    # environment, detector and announcement mode
+    ref = tuple(float(x) for x in mp_two_mode(mp_unitary_circuit(params, g)))
+    assert extract_two_mode(build_mdi_state(params, gain=g)) == pytest.approx(ref, rel=1e-12)
 
 
 def test_lossless_reduced_state_is_gain_scaled_epr_like():
@@ -517,45 +506,29 @@ def gains_near_optimum(params):
 
 
 def test_holevo_against_eavesdropper_side_oracle():
-    """chi from Eve's own modes on the fully unitary circuit.
+    """chi from Eve's own modes on the 40-digit unitary circuit.
 
-    The eavesdropper partition has covariance entries of order v_a, so its
-    entropies are only eps * |cov|-accurate in double precision: the
-    tolerance of the float oracle scales with the variance regime (the
-    moderate-variance rows agree to ~1e-13).  At v_a = 1e5 with eta = 1 the
-    float oracle misses by up to 1e-5 within GAIN_TOL of the optimum, so
-    those rows take the mpmath oracle, at every gain the search could
-    return.
+    The oracle's entropies are exact far below every tolerance here, so
+    each tolerance bounds the closed form's own double-precision error.
+    That error grows with the variance: the V = 5.04 rows agree to within
+    3e-15 and the v_a = 1e5 rows to within 2e-11.  At v_a = 1e5 with
+    eta = 1 the check runs at every gain the search could return.
     """
-    cases = [(PRACTICAL_10KM, None, 1e-5),
+    cases = [(PRACTICAL_10KM, None, 1e-9),
              (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=0.0,
                              eta=0.9, v_el=0.015), None, 1e-11),
              (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=60.0, l_bc=0.0),
               5.0, 1e-11)]
     for params, chi_n, tol in cases:
         g = optimal_gain(params)  # plain squeezed gain
-        circ = unitary_circuit(params, g, realisation(chi_n))
+        circ = mp_unitary_circuit(params, g, realisation(chi_n))
         for chi, conditioning in closed_form_holevos(params, chi_n, g):
-            assert chi == pytest.approx(oracle_holevo(circ, conditioning), abs=tol)
+            assert chi == pytest.approx(mp_oracle_holevo(circ, conditioning), abs=tol)
     for chi_n in (None, 2.0):
         for g in gains_near_optimum(IDEAL_10KM):
             circ = mp_unitary_circuit(IDEAL_10KM, g, realisation(chi_n))
             for chi, conditioning in closed_form_holevos(IDEAL_10KM, chi_n, g):
                 assert chi == pytest.approx(mp_oracle_holevo(circ, conditioning), abs=1e-9), g
-
-
-def test_mp_oracle_matches_float_oracle_at_moderate_variance():
-    # where double precision suffices, the two builds of the circuit agree,
-    # detector ancillas, heterodyne and trusted noise included
-    for params, noise in ((ProtocolParams(v_a=5.04, v_b=5.04, l_ac=30.0, l_bc=2.0,
-                                          eta=0.9, v_el=0.015), None),
-                          (ProtocolParams(v_a=5.04, v_b=5.04, l_ac=60.0, l_bc=0.0),
-                           canonical_realisation(5.0))):
-        g = optimal_gain(params)
-        circ, mp_circ = unitary_circuit(params, g, noise), mp_unitary_circuit(params, g, noise)
-        for conditioning in ("homodyne", "heterodyne"):
-            assert mp_oracle_holevo(mp_circ, conditioning) == pytest.approx(
-                oracle_holevo(circ, conditioning), abs=1e-11)
 
 
 def test_lossless_announcement_leak_is_real():
@@ -567,8 +540,8 @@ def test_lossless_announcement_leak_is_real():
         g = optimal_gain(p)
         tm = extract_two_mode(build_mdi_state(p, gain=g))
         chi = closed_chi(tm, "squeezed")
-        circ = unitary_circuit(p, g)
-        assert chi == pytest.approx(oracle_holevo(circ, "homodyne"), abs=tol)
+        circ = mp_unitary_circuit(p, g)
+        assert chi == pytest.approx(mp_oracle_holevo(circ, "homodyne"), abs=tol)
         assert chi > 0.2  # not a pure-state artifact
 
 
