@@ -25,15 +25,9 @@ with the gain searched; then, when chi_n is optimised, the slope
 D = lim chi_n K as chi_n -> inf (``protocols.noise_limit_slope``) with
 the gain searched.  At beta = 1, K at chi_n = 0 and D decide the sign of
 K* between them.  Neither is searched again at or past a length where its
-search came out non-positive.  These gain searches run Brent's method
-(``search.brent_max``; ``key_rate`` with ``brent=True``, and
-``noise_limit_slope`` always): about 14 kernel evaluations each where
-golden section takes 37, to the same GAIN_TOL.  A trial is decided by the
-sign, which the two searches agree on.  Every gain
-this module reports (a sweep point, ``optimize_added_noise``,
-``key_rate_at_best_noise``) is still golden's (``protocols.optimal_gain``):
-``bench/reference.json`` pins its bits at the V = 1e5, L = 0 sweep points,
-until a re-recorded reference (ROADMAP item 1) lets Brent serve both.
+search came out non-positive.  Which gain search runs where, Brent's
+for these trials and golden section for every reported gain, is in the
+``protocols`` module docstring.
 
 ``max_distance`` and ``compare_protocols`` take one of the paper's three
 geometries (``GEOMETRIES``): 'symmetric' scans d = L_AC = L_BC,
@@ -52,6 +46,7 @@ from typing import Iterable
 
 from .errors import CVMDIError, InvalidParameterError, NumericDomainError
 from .protocols import (
+    PROTOCOLS,
     AddedNoiseParams,
     KeyRateReport,
     ProtocolParams,
@@ -306,13 +301,11 @@ def max_distance(params: ProtocolParams, geometry: str = "symmetric",
     3. for optimised chi_n only, ``protocols.noise_limit_slope``: D with
        the gain searched.
 
-    Steps 2 and 3 search the gain by Brent's method (``search.brent_max``)
-    rather than ``optimal_gain``'s golden section: the same bracket,
-    GAIN_TOL and widening, in about 14 kernel evaluations instead of 37.
-    The two searches give K* the same sign wherever |K*| > 1e-8, so a
-    reach moves only where a trial's |K*| is below that, at no row of the
-    paper's tables; the witness's gain may differ in its last digits.
-    The full chi_n search below still runs golden section.
+    Steps 2 and 3 search the gain by Brent's method (see the ``protocols``
+    module docstring).  It and golden section give K* the same sign
+    wherever |K*| > 1e-8, so a reach moves only where a trial's |K*| is
+    below that, at no row of the paper's tables; the witness's gain may
+    differ in its last digits.
 
     Steps 2 and 3 each stand for one trial kind, K at chi_n = 0 (or at
     the given noise) and D.  Once a kind's gain search comes out
@@ -493,7 +486,7 @@ def compare_protocols(base: ProtocolParams, geometry: str = "most-asymmetric",
             raise InvalidParameterError(f"unknown detector preset {det!r}")
     lbcs = ASYMMETRIC_LBC_KM if geometry == "asymmetric" else (base.l_bc,)
     rows, scans = [], defaultdict(_Scan)
-    for protocol in ("coherent", "squeezed", "squeezed-modified"):
+    for protocol in PROTOCOLS:
         for det in detectors:
             eta, v_el = DETECTOR_PRESETS[det]
             for l_bc in lbcs:

@@ -34,13 +34,13 @@ tolerance of the matrix route's ``GaussianState.require_physical``.
 
 Two gain searches share one bracket, GAIN_TOL and widening rule
 (``_search_gain``).  ``optimal_gain``'s golden section gives every
-reported gain, because ``bench/reference.json`` pins its bits.  Brent's
-method (``search.brent_max``, about 14 evaluations where golden takes 37)
-searches the gain of the slope D below, which is never reported, and of
-K under the ``brent=True`` of ``key_rate``, which only the distance trials
-of ``cvmdi.analysis`` pass: they read the sign of K alone.  Once the
-reference is re-recorded (ROADMAP item 1), Brent serves every search and
-the keyword goes.
+reported gain, because ``bench/reference.json`` pins its bits at its
+V = 1e5, L = 0 sweep points.  Brent's method (``search.brent_max``, about
+14 evaluations where golden takes 37) searches the gain of the slope D
+below, which is never reported, and of K under the ``brent=True`` of
+``key_rate``, which only the distance trials of ``cvmdi.analysis`` pass:
+they read the sign of K alone.  Once the reference is re-recorded
+(ROADMAP item 1), Brent serves every search and the keyword goes.
 
 Added noise is its variance chi_n alone, finite and >= 0
 (``AddedNoiseParams``): the key rate depends on nothing else of the
@@ -104,7 +104,7 @@ from .errors import InvalidParameterError, NumericDomainError
 from .gaussian import LN2, PHYSICALITY_TOL, g_func, g_slope, two_mode_symplectic
 from .search import brent_max, golden_section_max
 
-PROTOCOLS = ("squeezed", "squeezed-modified", "coherent")
+PROTOCOLS = ("coherent", "squeezed", "squeezed-modified")
 
 # chi < -CHI_CLAMP_TOL signals a bug; above it the value is clamped to 0
 # (pure-state limit roundoff) and flagged on the report.
@@ -519,12 +519,7 @@ def optimal_gain(params: ProtocolParams, noise: AddedNoiseParams | None = None, 
     their checks, chi_n and beta) is done once, not per gain.  A ``memo``
     is passed to that objective (see ``key_rate``).
 
-    Every reported gain comes from here (sweep points, ``keyrate``,
-    ``optnoise``), and ``bench/reference.json`` pins the golden search's
-    bits at its V = 1e5, L = 0 sweep points.  So golden section stays
-    here until a re-recorded reference (ROADMAP item 1) lets ``brent_max``
-    take its place, the ``brent`` keyword of ``key_rate`` go, and
-    ``golden_section_max`` with them.
+    Every reported gain comes from here; the module docstring says why.
     """
     objective = _gain_objective(params, check_added_noise(params, noise), memo)
     return _search_gain(objective, params, golden_section_max)

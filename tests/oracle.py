@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from cvmdi.errors import InvalidParameterError, NumericDomainError
-from cvmdi.gaussian import _SPLIT, _DOWN, _HUGE, _UP, PHYSICALITY_TOL, g_func
+from cvmdi.gaussian import PHYSICALITY_TOL, g_func, two_mode_symplectic
 from cvmdi.matrix import GaussianState, _quad_indices, symplectic_eigenvalues
 from cvmdi.protocols import _EPS, CHI_CLAMP_TOL, TWO_MODE_TOL
 
@@ -164,12 +164,14 @@ def holevo_generic(state: GaussianState, measured_mode: int, conditioning: str) 
     return von_neumann_entropy(state) - von_neumann_entropy(cond)
 
 
-# The key-rate kernel as separate functions, one per formula: the reduced
-# state, the two-mode check, the symplectic pair from Dekker's products, the
-# mutual information, the conditional spectrum, the Holevo sum and the
-# physicality of a reported point.  ``protocols._gain_objective`` runs the
-# same arithmetic in one frame, and must match these bit for bit, raises
-# included (``tests/test_protocols.py``).
+# The key-rate kernel as separate functions, one per formula.  These mirror
+# what ``protocols._gain_objective`` inlines in one frame: the reduced state,
+# the two-mode check, the mutual information, the conditional spectrum, the
+# Holevo sum and the physicality of a reported point; the two must match bit
+# for bit, raises included (``tests/test_protocols.py``).  The symplectic
+# pair is not mirrored: the objective and ``rate_terms`` both call
+# ``cvmdi.gaussian.two_mode_symplectic``, which ``tests/test_gaussian.py``
+# checks against 50-digit arithmetic and the matrix spectrum.
 
 
 def check_two_mode(a: float, b: float, c: float) -> None:
@@ -186,44 +188,6 @@ def check_two_mode(a: float, b: float, c: float) -> None:
     det = a * b - cc
     if not det >= 1.0 - PHYSICALITY_TOL:
         raise InvalidParameterError(f"unphysical two-mode form: ab - c^2 = {det}")
-
-
-def two_product(x: float, y: float) -> tuple[float, float]:
-    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's product of
-    Veltkamp-split halves (Numer. Math. 18, 224, 1971).  Error-free while
-    nothing overflows or underflows, so for |x| and |y| in [2^-400, 2^400]."""
-    p = x * y
-    t = _SPLIT * x
-    x_hi = t - (t - x)
-    x_lo = x - x_hi
-    t = _SPLIT * y
-    y_hi = t - (t - y)
-    y_lo = y - y_hi
-    return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
-
-
-def symplectic_pair(a: float, b: float, c: float) -> tuple[float, float]:
-    """The symplectic pair of ``cvmdi.gaussian.two_mode_symplectic``, with
-    ``ab - c^2`` from two calls of ``two_product``."""
-    x, y, z, scale = a, b, c, 1.0
-    if max(abs(a), abs(b), abs(c)) >= _HUGE:
-        x, y, z, scale = a * _DOWN, b * _DOWN, c * _DOWN, _UP
-    p, e = two_product(x, y)
-    q, f = two_product(z, z)
-    big_b = (p - q) + (e - f)
-    if not big_b > 0.0:
-        raise NumericDomainError(
-            f"unphysical two-mode input (a={a}, b={b}, c={c}): "
-            f"ab - c^2 = {big_b * scale * scale}")
-    d = abs(x - y)
-    lam1 = 0.5 * (math.hypot(d, 2.0 * math.sqrt(big_b)) + d)
-    lam2 = big_b / lam1 * scale
-    # rounding in an assembled covariance can push lambda2 a few ulp below 1;
-    # anything clearly below is a genuinely unphysical input
-    if not lam2 >= 1.0 - 1e-6:
-        raise NumericDomainError(
-            f"unphysical two-mode input (a={a}, b={b}, c={c}): lambda2 = {lam2}")
-    return lam1 * scale, lam2
 
 
 def reduced_state(coeffs: tuple[float, ...], g: float) -> tuple[float, float, float]:
@@ -306,7 +270,7 @@ def rate_terms(a: float, b: float, c: float, protocol: str,
     is written so that NaN fails it: an overflow anywhere raises
     NumericDomainError rather than reaching the result.
     """
-    lam1, lam2 = symplectic_pair(a, b, c)
+    lam1, lam2 = two_mode_symplectic(a, b, c)
     if protocol == "coherent":
         i_ab = heterodyne_info(a, b, c)
         lam3 = a - c * c / (b + 1.0)

@@ -1,10 +1,9 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
@@ -27,7 +26,6 @@ from oracle import (
     heterodyne_condition,
     homodyne_condition,
     two_mode_state,
-    two_product,
     vacuum_state,
     von_neumann_entropy,
 )
@@ -95,14 +93,7 @@ def test_epr_overflow_raises():
         epr_state(1e200)
 
 
-# ------------------------------------------------------ primitives, bit for bit
-# The primitives build their matrices more cheaply than before; these pin the
-# bytes to the constructions they replaced.
-
-# finite and below 2^1023, where M + M would overflow
-BELOW_2_1023 = st.floats(min_value=-2.0 ** 1023, max_value=2.0 ** 1023,
-                         exclude_min=True, exclude_max=True, allow_nan=False)
-
+# ------------------------------------------------------------ symmetrisation
 
 def square_matrices(elements, max_modes=4):
     return st.integers(1, max_modes).flatmap(
@@ -116,19 +107,6 @@ def mirrored(m):
     lower = np.tril_indices(m.shape[0], -1)
     m[lower] = m.T[lower]
     return m
-
-
-@given(square_matrices(BELOW_2_1023))
-@example(np.array([[1.0, -0.0], [-0.0, 1.0]]))
-def test_exactly_symmetric_input_keeps_its_symmetrised_bytes(m):
-    m = mirrored(m)
-    want = 0.5 * (m + m.T)
-    assert GaussianState(m).cov.tobytes() == want.tobytes()
-
-
-def test_entry_above_2_1023_is_kept_not_doubled_into_inf():
-    m = np.array([[1.5 * 2.0 ** 1023, 0.0], [0.0, 1.0]])
-    assert GaussianState(m).cov.tobytes() == m.tobytes()
 
 
 @given(square_matrices(st.floats(-1e6, 1e6)), st.data())
@@ -170,7 +148,6 @@ def test_beamsplitter_epr_with_vacuum():
 
 
 def test_beamsplitter_matches_dense_oracle():
-    rng = np.random.default_rng(3)
     st = tensor(epr_state(3.0), thermal_state(2.0))
     t = 0.37
     s = np.eye(6)
@@ -183,7 +160,6 @@ def test_beamsplitter_matches_dense_oracle():
     expect = s @ st.cov @ s.T
     out = apply_beamsplitter(st, 0, 2, t)
     np.testing.assert_allclose(out.cov, expect, atol=1e-13)
-    del rng
 
 
 def test_beamsplitter_argument_errors():
@@ -345,21 +321,6 @@ def test_feedforward_zero_gain_equals_partial_trace():
     np.testing.assert_allclose(out.cov, partial_trace(st, [0]).cov)
 
 
-def test_feedforward_dense_oracle():
-    rng = np.random.default_rng(17)
-    st = tensor(epr_state(2.0), epr_state(3.0))
-    g = 1.0
-    m = np.zeros((4, 8), dtype=float)
-    m[0, 0] = m[1, 1] = 1.0
-    m[2, 4] = 1.0
-    m[2, 2] = g
-    m[3, 5] = 1.0
-    m[3, 7] = g
-    out = linear_feedforward(st, m)
-    np.testing.assert_allclose(out.cov, m @ st.cov @ m.T, atol=1e-13)
-    del rng
-
-
 def test_feedforward_dimension_mismatch():
     with pytest.raises(InvalidParameterError):
         linear_feedforward(epr_state(2.0), np.zeros((2, 6)))
@@ -401,32 +362,35 @@ def test_two_mode_symplectic_rejects_overflowed_input():
 def test_two_mode_symplectic_within_4_ulp_of_50_digits():
     # a and b log-uniform up to 1e7, c up to 1 - 1e-12 of the physical edge:
     # B = ab - c^2 cancels from terms up to 1e14 there, and an extended-
-    # precision B missed lambda2 by up to 3,194 ulp on these points
+    # precision B missed lambda2 by up to 3,194 ulp on these points.  Then a
+    # log-uniform from 1e7 to 1e150 and from 1e150 to 1e300, b within a
+    # factor 1e6 of it: from 2^500 (about 3.3e150) up the pair is rescaled,
+    # and a draw whose ab, so c_edge, overflows is skipped
     rng = random.Random(1406)
-    for _ in range(2000):
-        a, b = (10.0 ** rng.uniform(0.0, 7.0) for _ in range(2))
+
+    def magnitudes():
+        for _ in range(2000):
+            yield 10.0 ** rng.uniform(0.0, 7.0), 10.0 ** rng.uniform(0.0, 7.0)
+        for lo, hi, n in ((7.0, 150.0, 2000), (150.0, 300.0, 6000)):
+            for _ in range(n):
+                u = rng.uniform(lo, hi)
+                yield 10.0 ** u, 10.0 ** (u + rng.uniform(-6.0, 6.0))
+
+    rescaled = 0
+    for a, b in magnitudes():
         t = rng.choice([rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)])
-        c = min(t, 1.0 - 1e-12) * c_edge(a, b)
+        edge = c_edge(a, b)
+        if edge == math.inf:
+            continue
+        c = min(t, 1.0 - 1e-12) * edge
+        rescaled += max(a, b, c) >= 2.0 ** 500
         with mp.workdps(50):
             s = mp.sqrt((mpf(a) + b) ** 2 - 4 * mpf(c) ** 2)
             d = abs(mpf(a) - b)
             pair = ((s + d) / 2, (s - d) / 2)
             for got, want in zip(two_mode_symplectic(a, b, c), pair):
                 assert abs(got - want) <= 4 * math.ulp(float(want)), (a, b, c)
-
-
-_PRODUCT_RANGE = st.floats(2.0 ** -400, 2.0 ** 400)
-
-
-@given(_PRODUCT_RANGE, _PRODUCT_RANGE, st.booleans(), st.booleans())
-@example(1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, False, False)
-@example(2.0 ** 400, 2.0 ** 400, True, False)
-@example(2.0 ** -400, 2.0 ** -400, False, True)
-def test_two_product_is_error_free(x, y, neg_x, neg_y):
-    x, y = -x if neg_x else x, -y if neg_y else y
-    p, e = two_product(x, y)
-    assert p == x * y
-    assert Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
+    assert rescaled > 100
 
 
 def test_two_mode_oracle_equivalence_randomized():

@@ -40,10 +40,9 @@ from cvmdi.analysis import (
     SCAN_STEP_KM,
     VARIANCE_PRESETS,
 )
+from cvmdi.protocols import PROTOCOLS
 from cvmdi.search import brent_max, golden_section_max, positive_edge
 from helpers import bisect_edge, reference_optimize_added_noise
-
-PROTOCOLS = ("coherent", "squeezed", "squeezed-modified")
 
 
 def scan_edge(f, step, tol, cap):

@@ -10,7 +10,11 @@ in ``float.hex``, the error where it raises, where ``reduced_state`` is
 that of the checkout's ``tests/oracle.py``; at each of those points and gains,
 the fixed-gain ``key_rate`` report of each protocol (K, I_AB, chi, the
 lambdas and the flags; squeezed-modified at a seeded chi_n, 0 or not) or
-its error; ``optimize_added_noise`` at
+its error; at each of those points and gains, the covariance of
+``cvmdi.matrix.build_mdi_state`` without added noise and with the
+point's chi_n realised as ``canonical_realisation(chi_n)`` of the
+checkout's ``tests/oracle.py``, each entry in ``float.hex``, or its
+error; ``optimize_added_noise`` at
 NOISE_POINTS seeded random squeezed-modified points; K, gain and lambdas at
 every sweep point of ``bench/reference.json`` (only read); the rows of the
 benchmark's table; ``compare_protocols`` for every geometry, variance preset
@@ -31,7 +35,7 @@ checkout that tabulates more L_BC per row pairs the rows both have and
 lists the others.  Prints every
 label that only one checkout has, every value that differs, at its first
 differing float or character, then one summary line per category (relay,
-kernel, optnoise, sweep, table, compare, cli, record): values compared,
+kernel, matrix, optnoise, sweep, table, compare, cli, record): values compared,
 values differing, and the largest absolute, relative and ulp difference
 among the floats that differ; for optnoise also at how many points K* is
 lower here than in OTHER_ROOT, and by how much at most.  Exits 1 if any
@@ -57,7 +61,8 @@ sys.path[:0] = [root + "/src", root + "/bench", root + "/tests"]
 import workloads
 from dataclasses import replace
 from cvmdi import AddedNoiseParams, analysis, cli, protocols
-from oracle import reduced_state
+from cvmdi.matrix import build_mdi_state
+from oracle import canonical_realisation, reduced_state
 assert protocols.__file__.startswith(root + "/src/"), protocols.__file__
 rng, noise_rng = random.Random(seed), random.Random(seed + 1)
 v = lambda: rng.choice([5.04, 1e5, rng.uniform(1.0, 50.0)])
@@ -84,6 +89,12 @@ for i in range(n):
         except Exception as exc:
             got = repr((type(exc).__name__, str(exc)))
         print(f"kernel {i} {protocol} {chi_n if modified else 0.0!r}\t{got}")
+    for noise in (None, canonical_realisation(chi_n)):
+        try:
+            got = " ".join(x.hex() for x in build_mdi_state(p, noise, gain=g).cov.ravel())
+        except Exception as exc:
+            got = repr((type(exc).__name__, str(exc)))
+        print(f"matrix {i} {noise!r}\t{got}")
 for i in range(noise_points):
     p = protocols.ProtocolParams(v_a=v(), v_b=v(), l_ac=rng.uniform(0.0, 30.0),
                                  l_bc=length() / 10.0, eps1=rng.uniform(0.0, 0.05),
@@ -165,7 +176,7 @@ def by_label(lines: list[str]) -> dict[str, str]:
     return values
 
 
-CATEGORIES = ("relay", "kernel", "optnoise", "sweep", "table", "compare", "cli", "record")
+CATEGORIES = ("relay", "kernel", "matrix", "optnoise", "sweep", "table", "compare", "cli", "record")
 
 # a number not inside a name such as lambda1: the floats of a repr, a CSV or JSON
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -174,7 +185,7 @@ NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)
 def floats(value: str) -> tuple[str, list[float]]:
     """The text of a value with each number cut out, and the numbers."""
     body = value.split("\t", 1)[1]
-    if value.startswith(("relay", "kernel")) and not body.startswith("("):
+    if value.startswith(("relay", "kernel", "matrix")) and not body.startswith("("):
         hexes, _, flags = body.partition(" (")
         return flags, [float.fromhex(h) for h in hexes.split()]
     return NUMBER.sub("#", body), [float(m) for m in NUMBER.findall(body)]
